@@ -44,8 +44,19 @@ std::vector<float> dequantize(std::span<const std::int16_t> raw,
 }
 
 FixedPointFormat choose_format(std::span<const float> values) {
+  // max|v| over independent lanes instead of one compare-latency chain.
+  // Max is exact in any order and skips NaN in every lane, so the
+  // result equals the one-lane scan; |v| in float is exact too.
+  constexpr std::size_t kLanes = 8;
+  float lane_max[kLanes] = {};
+  std::size_t i = 0;
+  for (; i + kLanes <= values.size(); i += kLanes)
+    for (std::size_t k = 0; k < kLanes; ++k)
+      lane_max[k] = std::max(lane_max[k], std::abs(values[i + k]));
+  for (; i < values.size(); ++i)
+    lane_max[0] = std::max(lane_max[0], std::abs(values[i]));
   double max_abs = 0.0;
-  for (float v : values) max_abs = std::max(max_abs, std::abs(double{v}));
+  for (const float m : lane_max) max_abs = std::max(max_abs, double{m});
   // Need int_bits such that 2^int_bits > max_abs (one guard bit keeps
   // accumulated rounding from saturating). frac_bits = 15 - int_bits.
   int int_bits = 0;

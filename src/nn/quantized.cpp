@@ -18,12 +18,22 @@ namespace {
 /// steady state stays allocation-free).
 thread_local std::vector<std::int64_t> t_acc64;
 
+/// Quantises `in` into `out` through the dispatched kernel, which is
+/// bit-identical to Fixed16::quantize_raw for the power-of-two scales
+/// every FixedPointFormat has.
+void quantize_into(std::span<const float> in, FixedPointFormat fmt,
+                   std::vector<std::int16_t>& out) {
+  out.resize(in.size());
+  kernels().quantize_f32_i16(in.data(), in.size(),
+                             static_cast<float>(fmt.scale()), out.data());
+}
+
 QuantizedTensor quantize_matrix(const Matrix& m) {
   QuantizedTensor out;
   out.rows = m.rows();
   out.cols = m.cols();
   out.fmt = choose_format(m.flat());
-  out.data = quantize(m.flat(), out.fmt);
+  quantize_into(m.flat(), out.fmt, out.data);
   return out;
 }
 
@@ -38,9 +48,18 @@ QuantizedTensor transpose(const QuantizedTensor& t) {
   out.cols = t.rows;
   out.fmt = t.fmt;
   out.data.resize(t.data.size());
-  for (std::size_t r = 0; r < t.rows; ++r)
-    for (std::size_t c = 0; c < t.cols; ++c)
-      out.data[c * t.rows + r] = t.data[r * t.cols + c];
+  // Tiled, so the columns being written stay cache-resident: a plain
+  // row-at-a-time sweep misses on nearly every store at paper sizes.
+  constexpr std::size_t kTile = 64;
+  for (std::size_t r0 = 0; r0 < t.rows; r0 += kTile) {
+    const std::size_t r1 = std::min(r0 + kTile, t.rows);
+    for (std::size_t c0 = 0; c0 < t.cols; c0 += kTile) {
+      const std::size_t c1 = std::min(c0 + kTile, t.cols);
+      for (std::size_t r = r0; r < r1; ++r)
+        for (std::size_t c = c0; c < c1; ++c)
+          out.data[c * t.rows + r] = t.data[r * t.cols + c];
+    }
+  }
   return out;
 }
 
@@ -143,10 +162,9 @@ QuantizedNetwork::QuantizedNetwork(const Network& network,
 
 std::vector<std::int16_t> QuantizedNetwork::quantize_input(
     std::span<const float> input) const {
-  expects(!layers_.empty(), "empty network");
-  expects(input.size() == layers_.front().w.cols,
-          "input dimension mismatch");
-  return quantize(input, layers_.front().in_fmt);
+  std::vector<std::int16_t> out;
+  quantize_input_into(input, out);
+  return out;
 }
 
 void QuantizedNetwork::quantize_input_into(
@@ -154,10 +172,7 @@ void QuantizedNetwork::quantize_input_into(
   expects(!layers_.empty(), "empty network");
   expects(input.size() == layers_.front().w.cols,
           "input dimension mismatch");
-  const FixedPointFormat fmt = layers_.front().in_fmt;
-  out.resize(input.size());
-  kernels().quantize_f32_i16(input.data(), input.size(),
-                             static_cast<float>(fmt.scale()), out.data());
+  quantize_into(input, layers_.front().in_fmt, out);
 }
 
 QuantizedLayerResult QuantizedNetwork::forward_layer(

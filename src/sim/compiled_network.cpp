@@ -1,6 +1,7 @@
 #include "sim/compiled_network.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "common/check.hpp"
 #include "sim/schedule.hpp"
@@ -18,19 +19,9 @@ CompiledNetwork::CompiledNetwork(const QuantizedNetwork& network,
       source_epoch_(network.epoch()) {
   params_.validate();
 
-  // First pass: build the pools while recording each slice's extents.
-  // The pools may reallocate during this pass, so the spans are wired
-  // up afterwards, once every address is final.
-  struct Extents {
-    std::size_t rows_off, rows_len;
-    std::size_t w_off, w_len;
-    std::size_t u_off, u_len;
-    std::size_t v_off, v_len;
-  };
-  std::vector<Extents> extents;
-  extents.reserve(num_layers_ * params_.num_pes);
-  slices_.reserve(num_layers_ * params_.num_pes);
-
+  // Counting pass: size every pool exactly once, so appending never
+  // reallocates and each slice binds its spans as it is appended.
+  detail::PeSliceWords total;
   for (std::size_t l = 0; l < num_layers_; ++l) {
     const QuantizedLayer& layer = network.layer(l);
     // Worst-case broadcast occupancy of this layer's phases: the V
@@ -38,28 +29,29 @@ CompiledNetwork::CompiledNetwork(const QuantizedNetwork& network,
     // nonzero input (≤ the layer's input width).
     max_broadcast_flits_ =
         std::max({max_broadcast_flits_, layer.w.cols, layer.rank()});
+    for (std::size_t pe = 0; pe < params_.num_pes; ++pe)
+      total += detail::pe_slice_words(layer, params_, pe, use_predictor);
+  }
+  rows_pool_.reserve(total.rows);
+  w_pool_.reserve(total.w);
+  u_pool_.reserve(total.u);
+  v_pool_.reserve(total.v);
+  slices_.reserve(num_layers_ * params_.num_pes);
+
+  const auto pool_bases = [this] {
+    return std::array<const void*, 4>{rows_pool_.data(), w_pool_.data(),
+                                      u_pool_.data(), v_pool_.data()};
+  };
+  const auto bases = pool_bases();
+  for (std::size_t l = 0; l < num_layers_; ++l) {
     for (std::size_t pe = 0; pe < params_.num_pes; ++pe) {
-      Extents e{rows_pool_.size(), 0, w_pool_.size(), 0,
-                u_pool_.size(),    0, v_pool_.size(), 0};
-      slices_.push_back(detail::append_pe_slice(layer, params_, pe,
-                                                use_predictor, rows_pool_,
-                                                w_pool_, u_pool_, v_pool_));
-      e.rows_len = rows_pool_.size() - e.rows_off;
-      e.w_len = w_pool_.size() - e.w_off;
-      e.u_len = u_pool_.size() - e.u_off;
-      e.v_len = v_pool_.size() - e.v_off;
-      extents.push_back(e);
+      slices_.push_back(detail::append_pe_slice(
+          network.layer(l), params_, pe, use_predictor, rows_pool_, w_pool_,
+          u_pool_, v_pool_));
     }
   }
-
-  for (std::size_t i = 0; i < slices_.size(); ++i) {
-    const Extents& e = extents[i];
-    PeLayerSlice& s = slices_[i];
-    s.global_rows = {rows_pool_.data() + e.rows_off, e.rows_len};
-    s.w_words = {w_pool_.data() + e.w_off, e.w_len};
-    s.u_words = {u_pool_.data() + e.u_off, e.u_len};
-    s.v_words = {v_pool_.data() + e.v_off, e.v_len};
-  }
+  ensures(pool_bases() == bases,
+          "a slice pool moved after its spans were bound");
 }
 
 }  // namespace sparsenn

@@ -43,13 +43,19 @@ void EpochPool::set_threads(std::size_t n) {
   stop_workers();
   threads_ = n;
   if (n > 1) {
+    // generation_ outlives the workers: a pool that already ran epochs
+    // must start its new workers at the current generation, or they
+    // would replay the last (finished, dangling) epoch on spawn.
+    std::uint64_t generation = 0;
     {
       const sync::MutexLock lock(mutex_);
       errors_.reserve(n);
+      generation = generation_;
     }
     workers_.reserve(n - 1);
     for (std::size_t w = 0; w + 1 < n; ++w)
-      workers_.emplace_back([this, w] { worker_main(w); });
+      workers_.emplace_back(
+          [this, w, generation] { worker_main(w, generation); });
   }
 }
 
@@ -88,8 +94,7 @@ void EpochPool::run_erased(Thunk thunk, void* ctx) {
   if (first_error) std::rethrow_exception(first_error);
 }
 
-void EpochPool::worker_main(std::size_t worker) {
-  std::uint64_t seen = 0;
+void EpochPool::worker_main(std::size_t worker, std::uint64_t seen) {
   for (;;) {
     Thunk thunk = nullptr;
     void* ctx = nullptr;

@@ -105,7 +105,9 @@ class EpochPool {
   }
 
   void run_erased(Thunk thunk, void* ctx);
-  void worker_main(std::size_t worker);
+  /// Worker loop; `seen` is the generation at spawn, so the worker
+  /// runs only epochs published after it.
+  void worker_main(std::size_t worker, std::uint64_t seen);
   void stop_workers();
   std::pair<std::size_t, std::size_t> shard(std::size_t s) const noexcept {
     return {s * num_items_ / threads_, (s + 1) * num_items_ / threads_};

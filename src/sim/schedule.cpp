@@ -17,6 +17,28 @@ void append_rows_for_pe(std::size_t num_rows, std::size_t pe,
     out.push_back(static_cast<std::uint32_t>(j));
 }
 
+/// How many of `num_rows` interleaved rows (or V columns) PE `pe` holds.
+std::size_t rows_on_pe(std::size_t num_rows, std::size_t pe,
+                       std::size_t num_pes) noexcept {
+  return pe < num_rows ? (num_rows - pe + num_pes - 1) / num_pes : 0;
+}
+
+bool packs_predictor(const QuantizedLayer& layer,
+                     bool use_predictor) noexcept {
+  return use_predictor && layer.has_predictor() && !layer.is_output;
+}
+
+template <class T>
+bool has_room(const std::vector<T>& pool, std::size_t words) noexcept {
+  return pool.capacity() - pool.size() >= words;
+}
+
+/// The view of everything appended to `pool` since size `begin`.
+template <class T>
+std::span<const T> appended(const std::vector<T>& pool, std::size_t begin) {
+  return {pool.data() + begin, pool.size() - begin};
+}
+
 }  // namespace
 
 std::vector<std::uint32_t> rows_for_pe(std::size_t num_rows,
@@ -30,6 +52,19 @@ std::vector<std::uint32_t> rows_for_pe(std::size_t num_rows,
 
 namespace detail {
 
+PeSliceWords pe_slice_words(const QuantizedLayer& layer,
+                            const ArchParams& params, std::size_t pe,
+                            bool use_predictor) {
+  PeSliceWords words;
+  words.rows = rows_on_pe(layer.w.rows, pe, params.num_pes);
+  words.w = words.rows * layer.w.cols;
+  if (packs_predictor(layer, use_predictor)) {
+    words.u = words.rows * layer.rank();
+    words.v = rows_on_pe(layer.v->cols, pe, params.num_pes) * layer.rank();
+  }
+  return words;
+}
+
 PeLayerSlice append_pe_slice(const QuantizedLayer& layer,
                              const ArchParams& params, std::size_t pe,
                              bool use_predictor,
@@ -38,23 +73,29 @@ PeLayerSlice append_pe_slice(const QuantizedLayer& layer,
                              std::vector<std::int16_t>& u_pool,
                              std::vector<std::int16_t>& v_pool) {
   expects(pe < params.num_pes, "PE id out of range");
+  const PeSliceWords words =
+      pe_slice_words(layer, params, pe, use_predictor);
+  expects(has_room(rows_pool, words.rows) && has_room(w_pool, words.w) &&
+              has_room(u_pool, words.u) && has_room(v_pool, words.v),
+          "slice pools must be pre-sized (an append would move them)");
+
   PeLayerSlice slice;
   slice.layer_input_dim = layer.w.cols;
   slice.layer_output_dim = layer.w.rows;
   slice.is_output = layer.is_output;
-  slice.has_predictor =
-      use_predictor && layer.has_predictor() && !layer.is_output;
+  slice.has_predictor = packs_predictor(layer, use_predictor);
   slice.rank = slice.has_predictor ? layer.rank() : 0;
 
   const std::size_t rows_begin = rows_pool.size();
   append_rows_for_pe(layer.w.rows, pe, params.num_pes, rows_pool);
-  const std::size_t num_rows = rows_pool.size() - rows_begin;
+  slice.global_rows = appended(rows_pool, rows_begin);
 
-  w_pool.reserve(w_pool.size() + num_rows * layer.w.cols);
-  for (std::size_t i = 0; i < num_rows; ++i) {
-    const auto row = layer.w.row(rows_pool[rows_begin + i]);
+  const std::size_t w_begin = w_pool.size();
+  for (const std::uint32_t r : slice.global_rows) {
+    const auto row = layer.w.row(r);
     w_pool.insert(w_pool.end(), row.begin(), row.end());
   }
+  slice.w_words = appended(w_pool, w_begin);
 
   slice.in_frac = layer.in_fmt.frac_bits;
   slice.out_frac = layer.out_fmt.frac_bits;
@@ -68,18 +109,21 @@ PeLayerSlice append_pe_slice(const QuantizedLayer& layer,
     slice.mid_frac = layer.mid_fmt.frac_bits;
     slice.predictor_threshold_raw = layer.threshold_raw();
 
-    u_pool.reserve(u_pool.size() + num_rows * u.cols);
-    for (std::size_t i = 0; i < num_rows; ++i) {
-      const auto row = u.row(rows_pool[rows_begin + i]);
+    const std::size_t u_begin = u_pool.size();
+    for (const std::uint32_t r : slice.global_rows) {
+      const auto row = u.row(r);
       u_pool.insert(u_pool.end(), row.begin(), row.end());
     }
+    slice.u_words = appended(u_pool, u_begin);
 
     // Column-based: column j of V (j ≡ pe mod P), one stride-r record
     // per local input slot.
+    const std::size_t v_begin = v_pool.size();
     for (std::size_t j = pe; j < v.cols; j += params.num_pes) {
       for (std::size_t k = 0; k < v.rows; ++k)
         v_pool.push_back(v.at(k, j));
     }
+    slice.v_words = appended(v_pool, v_begin);
   }
   return slice;
 }
@@ -89,14 +133,16 @@ PeLayerSlice append_pe_slice(const QuantizedLayer& layer,
 OwnedPeSlice make_pe_slice(const QuantizedLayer& layer,
                            const ArchParams& params, std::size_t pe,
                            bool use_predictor) {
+  const detail::PeSliceWords words =
+      detail::pe_slice_words(layer, params, pe, use_predictor);
   OwnedPeSlice owned;
+  owned.global_rows.reserve(words.rows);
+  owned.w_words.reserve(words.w);
+  owned.u_words.reserve(words.u);
+  owned.v_words.reserve(words.v);
   owned.view = detail::append_pe_slice(layer, params, pe, use_predictor,
                                        owned.global_rows, owned.w_words,
                                        owned.u_words, owned.v_words);
-  owned.view.global_rows = owned.global_rows;
-  owned.view.w_words = owned.w_words;
-  owned.view.u_words = owned.u_words;
-  owned.view.v_words = owned.v_words;
   return owned;
 }
 

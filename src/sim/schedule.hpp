@@ -54,10 +54,33 @@ OwnedPeSlice make_pe_slice(const QuantizedLayer& layer,
 
 namespace detail {
 
-/// Shared slice builder: computes the scalar metadata and appends this
-/// PE's row indices and W/U/V words to the given pools (which may
-/// reallocate). Returns the slice with its span members UNSET — the
-/// caller wires them up once the pools' addresses are final.
+/// How many entries one PE's slice of one layer appends to each pool.
+struct PeSliceWords {
+  std::size_t rows = 0;
+  std::size_t w = 0;
+  std::size_t u = 0;
+  std::size_t v = 0;
+
+  PeSliceWords& operator+=(const PeSliceWords& o) noexcept {
+    rows += o.rows;
+    w += o.w;
+    u += o.u;
+    v += o.v;
+    return *this;
+  }
+};
+
+PeSliceWords pe_slice_words(const QuantizedLayer& layer,
+                            const ArchParams& params, std::size_t pe,
+                            bool use_predictor);
+
+/// Shared by CompiledNetwork and make_pe_slice: computes the scalar
+/// metadata, appends this PE's row indices and W/U/V words to the
+/// given pools, and returns the slice with its spans bound to the
+/// appended words. Every pool must already have spare capacity for
+/// pe_slice_words() more entries (checked), so no append reallocates:
+/// the spans stay valid for as long as the caller does not grow the
+/// pools past their capacity.
 PeLayerSlice append_pe_slice(const QuantizedLayer& layer,
                              const ArchParams& params, std::size_t pe,
                              bool use_predictor,

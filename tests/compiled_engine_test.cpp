@@ -71,6 +71,100 @@ TEST(CompiledNetwork, SlicesMatchFreshlyBuiltOnes) {
   }
 }
 
+/// FNV-1a over 64-bit values: a compact fingerprint of a deployment.
+struct Digest {
+  std::uint64_t h = 14695981039346656037ull;
+  void add(std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  template <class T>
+  void add_words(std::span<const T> words) {
+    add(words.size());
+    for (const T w : words) add(static_cast<std::uint64_t>(w));
+  }
+  void add_tensor(const QuantizedTensor& t) {
+    add(t.rows);
+    add(t.cols);
+    add(static_cast<std::uint64_t>(t.fmt.frac_bits));
+    add_words(std::span<const std::int16_t>(t.data));
+  }
+};
+
+/// Deployment pin: every QuantizedLayer word and format and every
+/// CompiledNetwork slice of two seeded nets, folded into two digests
+/// whose values were recorded before quantisation and compilation were
+/// vectorised. The second net's odd sizes put a remainder on every
+/// vector tail (quantise, matvec row blocks) and leave PEs without rows.
+TEST(CompiledNetwork, DeploymentIsBitIdenticalToPinnedDigest) {
+  std::vector<QuantizedNetwork> nets;
+  {
+    Rng rng{2018};
+    nets.push_back(seeded_network(rng));
+  }
+  {
+    Rng rng{12};
+    Network net{{37, 29, 23, 7}, rng};
+    net.set_predictor(0, Predictor::random(29, 37, 5, rng));
+    net.set_predictor(1, Predictor::random(23, 29, 5, rng));
+    Matrix calib(9, 37);
+    for (float& v : calib.flat())
+      v = rng.bernoulli(0.3) ? 0.0f
+                             : static_cast<float>(rng.normal(0.0, 2.0));
+    nets.emplace_back(net, calib);
+  }
+
+  Digest quantized;
+  Digest compiled;
+  for (const QuantizedNetwork& q : nets) {
+    for (std::size_t l = 0; l < q.num_layers(); ++l) {
+      const QuantizedLayer& layer = q.layer(l);
+      quantized.add_tensor(layer.w);
+      quantized.add_tensor(layer.w_t);
+      for (const auto* t : {&layer.u, &layer.v, &layer.u_t, &layer.v_t}) {
+        quantized.add(t->has_value());
+        if (t->has_value()) quantized.add_tensor(**t);
+      }
+      for (const FixedPointFormat fmt :
+           {layer.in_fmt, layer.out_fmt, layer.mid_fmt})
+        quantized.add(static_cast<std::uint64_t>(fmt.frac_bits));
+      quantized.add(layer.is_output);
+      quantized.add(static_cast<std::uint64_t>(layer.threshold_raw()));
+    }
+
+    for (const ArchParams& arch : {tiny_arch(), ArchParams::paper()}) {
+      for (const bool uv_on : {false, true}) {
+        const CompiledNetwork image(q, arch, uv_on);
+        compiled.add(image.max_broadcast_flits());
+        compiled.add(image.packed_words());
+        for (std::size_t l = 0; l < image.num_layers(); ++l) {
+          for (std::size_t pe = 0; pe < image.num_pes(); ++pe) {
+            const PeLayerSlice& s = image.slice(l, pe);
+            for (const std::size_t v :
+                 {s.layer_input_dim, s.layer_output_dim, s.rank})
+              compiled.add(v);
+            compiled.add(s.has_predictor);
+            compiled.add(s.is_output);
+            compiled.add_words(s.global_rows);
+            compiled.add_words(s.w_words);
+            compiled.add_words(s.u_words);
+            compiled.add_words(s.v_words);
+            for (const int frac : {s.in_frac, s.out_frac, s.mid_frac,
+                                   s.w_frac, s.u_frac, s.v_frac})
+              compiled.add(static_cast<std::uint64_t>(frac));
+            compiled.add(
+                static_cast<std::uint64_t>(s.predictor_threshold_raw));
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(quantized.h, 0x7118ca69c1803973ull);
+  EXPECT_EQ(compiled.h, 0xc376cca52b85b903ull);
+}
+
 /// Compiled engine vs the per-inference engine, both uv modes, both
 /// validation modes — every SimResult field must be bit-identical
 /// (operator== covers cycles, activations, NocStats and EventCounts).

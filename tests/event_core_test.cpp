@@ -162,6 +162,36 @@ TEST(EventCoreStats, SkipsCycles) {
   EXPECT_EQ(sim.event_core_stats(), EventCore::Stats{});
 }
 
+// Reconfiguration lifecycle: one simulator resized through a sequence
+// of shard-thread counts. Workers spawned after earlier epochs must
+// wait for the next epoch, not replay the last one, and every step
+// must reproduce the single-thread result exactly.
+TEST(EventCoreThreads, ReconfiguredSimulatorStaysBitIdentical) {
+  const auto fixture = make_batch_fixture(2, /*seed=*/74);
+  const ArchParams arch = test_fixtures::tiny_arch();
+  for (const bool use_predictor : {true, false}) {
+    const CompiledNetwork compiled(fixture.network, arch, use_predictor);
+    std::vector<SimResult> expected;
+    for (std::size_t s = 0; s < fixture.data.inputs.rows(); ++s)
+      expected.push_back(run_mode(compiled, sample_of(fixture.data, s),
+                                  arch, SteppingMode::kEvent, 1));
+
+    AcceleratorSim sim(arch);
+    const std::size_t steps[] = {1, 2, 4, 2, 8, 1};
+    for (const std::size_t threads : steps) {
+      sim.set_sim_options(SimOptions{.stepping = SteppingMode::kEvent,
+                                     .sim_threads = threads});
+      for (std::size_t s = 0; s < expected.size(); ++s) {
+        EXPECT_EQ(sim.run(compiled, sample_of(fixture.data, s),
+                          ValidationMode::kFull),
+                  expected[s])
+            << "threads=" << threads << " sample=" << s
+            << " uv=" << use_predictor;
+      }
+    }
+  }
+}
+
 TEST(SteppingModeNames, RoundTrip) {
   for (const SteppingMode mode :
        {SteppingMode::kPerCycle, SteppingMode::kMacro,

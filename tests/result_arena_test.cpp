@@ -121,5 +121,23 @@ TEST(ResultArena, BatchAggregateOnlyPathIsMarginallyAllocationFree) {
       << "12 extra inferences must not allocate (marginal cost 0)";
 }
 
+// Compiling sizes every pool once up front, so building an image costs
+// a fixed handful of allocations (the pools and the slice table) no
+// matter how many PEs the network is spread over.
+TEST(CompiledNetworkAllocations, IndependentOfPeCount) {
+  const Fixture f = make_batch_fixture(1, /*seed=*/101);
+  for (const bool uv_on : {true, false}) {
+    const auto count = [&](const ArchParams& arch) {
+      const std::uint64_t before = g_allocs.load();
+      const CompiledNetwork compiled(f.network, arch, uv_on);
+      return g_allocs.load() - before;
+    };
+    const std::uint64_t pe16 = count(tiny_arch());
+    const std::uint64_t pe64 = count(ArchParams::paper());
+    EXPECT_EQ(pe16, pe64) << "uv " << uv_on;
+    EXPECT_LE(pe64, 5u) << "uv " << uv_on;
+  }
+}
+
 }  // namespace
 }  // namespace sparsenn

@@ -51,6 +51,35 @@ TEST(Matrix, MatvecAgainstManual) {
                std::invalid_argument);
 }
 
+// matvec computes several rows per pass; every row must still be the
+// plain one-row double-accumulated dot in ascending column order, bit
+// for bit, at every row count around the block size (and its tails).
+// Each row opens with 1, 2^60, -2^60: summed in order the 1 is absorbed
+// before the big terms cancel, so any other column order shows.
+TEST(Matrix, MatvecMatchesOneRowReferenceBitForBit) {
+  for (std::size_t rows = 1; rows <= 9; ++rows) {
+    Matrix m = random_matrix(rows, 37, 10 + rows);
+    for (std::size_t r = 0; r < rows; ++r) {
+      m(r, 0) = 1.0f;
+      m(r, 1) = 0x1p60f;
+      m(r, 2) = -0x1p60f;
+    }
+    Rng rng{rows};
+    Vector x(37);
+    for (float& v : x) v = static_cast<float>(rng.normal());
+    x[0] = x[1] = x[2] = 1.0f;
+    const Vector y = matvec(m, x);
+    ASSERT_EQ(y.size(), rows);
+    for (std::size_t r = 0; r < rows; ++r) {
+      double acc = 0.0;
+      for (std::size_t c = 0; c < x.size(); ++c)
+        acc += double{m(r, c)} * double{x[c]};
+      EXPECT_EQ(y[r], static_cast<float>(acc))
+          << "rows " << rows << " row " << r;
+    }
+  }
+}
+
 TEST(Matrix, MatvecTransposedMatchesExplicitTranspose) {
   const Matrix m = random_matrix(9, 13, 2);
   Rng rng{3};
