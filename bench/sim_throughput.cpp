@@ -14,17 +14,16 @@
 //     repeated System::simulate() sweep cost before the system-level
 //     compiled-image cache (today's ModelZoo) existed. This engine
 //     runs with SteppingMode::kPerCycle (pure ticking), so the
-//     bit_identical assertion below also pins the macro-stepped and
-//     event-driven engines against the per-cycle reference on every
-//     sample;
+//     bit_identical assertion below also pins the event-driven engine
+//     against the per-cycle reference on every sample;
 //
 //   "compiled" — the network is compiled once (CompiledNetwork), the
 //     first inference runs with ValidationMode::kFull, and the rest
 //     run with validation off (default stepping — the event core);
 //
-//   "macro_engine" — the same compiled image under
-//     SteppingMode::kMacro: the PR 5 macro-window baseline the event
-//     core's speedup is gated against. Its timing windows are
+//   "per_cycle_engine" — the same compiled image under
+//     SteppingMode::kPerCycle (validation off): the reference the
+//     event core's speedup is gated against. Its timing windows are
 //     interleaved round-robin with event_engine's so machine noise
 //     lands on both sides of the gated ratio equally;
 //
@@ -32,7 +31,7 @@
 //     SteppingMode::kEvent, single-threaded. Reports inf/s plus the
 //     wake-list economics (events_executed vs cycles_ticked and their
 //     ratio) and "event_bit_identical"; CI gates "event_speedup"
-//     (event vs macro inf/s) >= 1.5 and the bit-identity flag. A
+//     (event vs per-cycle inf/s) >= 1.5 and the bit-identity flag. A
 //     "sim_threads_scaling" sweep then re-runs it at 1,2,4,…,HW shard
 //     threads — every point must stay bit-identical too;
 //
@@ -234,14 +233,14 @@ int main(int argc, char** argv) {
       compiled_stats.samples = samples;
     }
 
-    // ---- macro-stepped (PR 5 baseline) vs event-driven engines ----
-    // CI gates the event/macro rate ratio, so the two timing windows
-    // must see the same machine: the rounds alternate between the
-    // engines, so frequency drift and scheduler noise land on both
+    // ---- per-cycle reference vs event-driven engines ----
+    // CI gates the event/per-cycle rate ratio, so the two timing
+    // windows must see the same machine: the rounds alternate between
+    // the engines, so frequency drift and scheduler noise land on both
     // sides equally instead of skewing whichever engine ran second,
     // and each side's window is widened to ride out noise at the
     // small --samples CI uses.
-    EngineStats macro_stats;
+    EngineStats per_cycle_stats;
     EngineStats event_stats;
     bool event_identical = true;
     EventCore::Stats event_core_stats;
@@ -252,14 +251,14 @@ int main(int argc, char** argv) {
     std::vector<ThreadPoint> event_thread_scaling;
     {
       const CompiledNetwork compiled(quantized, arch, use_predictor);
-      AcceleratorSim macro_sim(arch);
-      macro_sim.set_stepping_mode(SteppingMode::kMacro);
+      AcceleratorSim per_cycle_sim(arch);
+      per_cycle_sim.set_stepping_mode(SteppingMode::kPerCycle);
       AcceleratorSim event_sim(arch);
       event_sim.set_stepping_mode(SteppingMode::kEvent);
       // Warm-up grows both engines' scratch to steady capacity.
       identical = identical &&
-                  macro_sim.run(compiled, inputs[0], ValidationMode::kOff) ==
-                      reference[0];
+                  per_cycle_sim.run(compiled, inputs[0],
+                                    ValidationMode::kOff) == reference[0];
       event_identical =
           event_sim.run(compiled, inputs[0], ValidationMode::kOff) ==
           reference[0];
@@ -272,14 +271,14 @@ int main(int argc, char** argv) {
           const std::uint64_t a0 = g_allocs.load();
           const auto t0 = clock::now();
           for (std::size_t i = 0; i < samples; ++i) {
-            const SimResult r =
-                macro_sim.run(compiled, inputs[i], ValidationMode::kOff);
-            macro_stats.cycles += r.total_cycles;
+            const SimResult r = per_cycle_sim.run(compiled, inputs[i],
+                                                  ValidationMode::kOff);
+            per_cycle_stats.cycles += r.total_cycles;
             identical = identical && r == reference[i];
           }
-          macro_stats.wall_seconds +=
+          per_cycle_stats.wall_seconds +=
               std::chrono::duration<double>(clock::now() - t0).count();
-          macro_stats.allocs += g_allocs.load() - a0;
+          per_cycle_stats.allocs += g_allocs.load() - a0;
         }
         {
           const std::uint64_t a0 = g_allocs.load();
@@ -296,7 +295,7 @@ int main(int argc, char** argv) {
           if (round == 0) event_core_stats = event_sim.event_core_stats();
         }
       }
-      macro_stats.samples = samples * rounds;
+      per_cycle_stats.samples = samples * rounds;
       event_stats.samples = samples * rounds;
 
       // Shard-thread sweep: wall-clock only — every point re-checked
@@ -494,11 +493,11 @@ int main(int argc, char** argv) {
     const double analytic_speedup =
         ratio(analytic_stats.inferences_per_sec(),
               compiled_stats.inferences_per_sec());
-    // Single-threaded event core vs the macro-window baseline — the
-    // tentpole win, CI-gated >= 1.5.
+    // Single-threaded event core vs the per-cycle reference, CI-gated
+    // >= 1.5.
     const double event_speedup =
         ratio(event_stats.inferences_per_sec(),
-              macro_stats.inferences_per_sec());
+              per_cycle_stats.inferences_per_sec());
     const double event_cycle_ratio =
         event_core_stats.cycles_ticked > 0
             ? static_cast<double>(event_core_stats.events_executed) /
@@ -516,7 +515,7 @@ int main(int argc, char** argv) {
       os << ",\n";
       print_engine(os, "compiled", compiled_stats);
       os << ",\n";
-      print_engine(os, "macro_engine", macro_stats);
+      print_engine(os, "per_cycle_engine", per_cycle_stats);
       os << ",\n";
       print_engine(os, "event_engine", event_stats);
       os << ",\n  \"event_core\": {\"events_executed\": "

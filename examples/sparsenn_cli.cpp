@@ -7,16 +7,16 @@
 //   sparsenn_cli simulate --model model.bin [--variant v] [--samples n]
 //                         [--uv on|off|both] [--trace trace.csv]
 //                         [--engine cycle|analytic]
-//                         [--stepping per_cycle|macro|event] [--sim-threads t]
+//                         [--stepping per_cycle|event] [--sim-threads t]
 //   sparsenn_cli batch    --model model.bin [--variant v] [--samples n]
 //                         [--threads t] [--uv on|off]
 //                         [--engine cycle|analytic]
-//                         [--stepping per_cycle|macro|event] [--sim-threads t]
+//                         [--stepping per_cycle|event] [--sim-threads t]
 //   sparsenn_cli serve-bench --model model.bin [--variant v]
 //                         [--clients n] [--requests n] [--workers w]
 //                         [--max-batch b] [--max-wait-us us]
 //                         [--uv on|off] [--engine cycle|analytic]
-//                         [--stepping per_cycle|macro|event] [--sim-threads t]
+//                         [--stepping per_cycle|event] [--sim-threads t]
 //                         [--deadline-us us] [--priority-mix h,n,b]
 //                         [--breaker-window n] [--breaker-threshold f]
 //                         [--degraded on|off]
@@ -97,7 +97,7 @@ EngineKind parse_engine(const Args& args) {
   return *kind;
 }
 
-/// --stepping per_cycle|macro|event plus --sim-threads N: the cycle
+/// --stepping per_cycle|event plus --sim-threads N: the cycle
 /// backend's SimOptions (sim/engine.hpp). Every combination is
 /// bit-identical; anything else is a UsageError (exit 2).
 SimOptions parse_sim_options(const Args& args) {
@@ -105,8 +105,8 @@ SimOptions parse_sim_options(const Args& args) {
   const std::string name = args.get("stepping", to_string(sim.stepping));
   const std::optional<SteppingMode> mode = parse_stepping_mode(name);
   if (!mode) {
-    throw UsageError("--stepping takes per_cycle|macro|event, got '" +
-                     name + "'");
+    throw UsageError("--stepping takes per_cycle|event, got '" + name +
+                     "'");
   }
   sim.stepping = *mode;
   sim.sim_threads = std::max<std::size_t>(args.get_size("sim-threads", 1),

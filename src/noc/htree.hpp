@@ -80,7 +80,7 @@ class UpwardTree {
   bool idle() const noexcept { return buffered_total_ == 0; }
 
   /// True when the last step() moved at least one flit (any router
-  /// granted an output). Cheap gate for the macro-stepping windows:
+  /// granted an output). Cheap gate for the event core's stall window:
   /// a tree that just moved something is almost never static.
   bool last_step_transferred() const noexcept {
     return last_step_transferred_;

@@ -162,8 +162,8 @@ class Router {
   void skip_waiting(std::uint64_t k);
 
   /// True when no credit is still travelling back to a child (a credit
-  /// in flight could reopen a port mid-window, so macro-stepping
-  /// requires quiet credits).
+  /// in flight could reopen a port mid-window, so the event core's
+  /// skip windows require quiet credits).
   bool credits_quiet() const noexcept;
 
   /// Returns the router to its just-constructed state (empty buffers,

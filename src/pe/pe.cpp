@@ -223,22 +223,6 @@ void ProcessingElement::pop_injection() {
   ++events_.act_reg_reads;
 }
 
-void ProcessingElement::burst_w_consume(std::uint64_t k) {
-  while (k > 0) {
-    if (w_busy_cycles_ > 0) {
-      const std::uint64_t spent =
-          std::min<std::uint64_t>(w_busy_cycles_, k);
-      w_busy_cycles_ -= spent;
-      events_.pe_active_cycles += spent;
-      k -= spent;
-      continue;
-    }
-    if (queue_.empty()) return;  // idle for the rest of the burst
-    consume_front();
-    --k;
-  }
-}
-
 void ProcessingElement::apply_w_activations(std::span<const Flit> acts) {
   const std::size_t n_active = active_local_rows_.size();
   for (const Flit& act : acts) {

@@ -119,8 +119,8 @@ class ProcessingElement {
     }
   }
   /// Local V MAC cycles left before this PE's compute is done (its
-  /// share of the deterministic MAC burst the macro-stepped cycle
-  /// engine can prove ahead of time).
+  /// share of the deterministic MAC burst the event core runs up front
+  /// and uses as the PE's wake time).
   std::size_t v_burst_cycles() const noexcept {
     return slice_.rank == 0
                ? 0
@@ -193,24 +193,6 @@ class ProcessingElement {
   bool w_done() const noexcept {
     return injections_done() && queue_.empty() && w_busy_cycles_ == 0;
   }
-  /// Consumption cycles left if no further activation is delivered:
-  /// the pending busy countdown plus the queued activations at their
-  /// fixed per-activation datapath cost. Drives the macro-stepped
-  /// drain of the W phase tail.
-  std::uint64_t w_pending_cycles() const noexcept {
-    const std::uint64_t per_flit =
-        std::max<std::size_t>(std::size_t{1}, active_local_rows_.size());
-    return w_busy_cycles_ + queue_.size() * per_flit;
-  }
-  /// Cycles until this PE's next queue pop (freeing one slot), counting
-  /// the pop cycle itself. Precondition: the queue is non-empty.
-  std::uint64_t w_cycles_until_pop() const noexcept {
-    return w_busy_cycles_ + 1;
-  }
-  /// Executes exactly `k` step_w_consume() cycles in one shot (idle
-  /// cycles at the tail are free, exactly like k single steps that
-  /// return false).
-  void burst_w_consume(std::uint64_t k);
 
   /// The full W-phase injection list built by start_w_phase(), cursor
   /// independent — the event core concatenates every PE's list to know

@@ -14,17 +14,6 @@ namespace sparsenn {
 
 namespace {
 
-/// Lane id = (model handle, priority, uv mode): a micro-batch only
-/// groups requests that execute the same compiled image, and keeping
-/// priority in the key means one lane never mixes admission/claiming
-/// classes (the queue claims oldest-highest-first across lanes).
-std::uint64_t lane_of(std::size_t model, bool use_predictor,
-                      Priority priority) {
-  return (static_cast<std::uint64_t>(model) << 3) |
-         (static_cast<std::uint64_t>(priority) << 1) |
-         (use_predictor ? 1u : 0u);
-}
-
 double micros(std::chrono::steady_clock::duration d) {
   return std::chrono::duration<double, std::micro>(d).count();
 }
@@ -64,6 +53,39 @@ struct ServingFrontend::EngineSlot {
   ResultArena arena;
 };
 
+/// Lane = (model handle, priority, uv mode): a micro-batch only groups
+/// requests that execute the same compiled image, and keeping priority
+/// in the key means one lane never mixes admission/claiming classes
+/// (the queue claims oldest-highest-first across lanes). The queue
+/// keys lanes by the packed id().
+struct ServingFrontend::Lane {
+  std::size_t model = 0;
+  Priority priority = Priority::kNormal;
+  bool use_predictor = true;
+
+  std::uint64_t id() const noexcept {
+    return (static_cast<std::uint64_t>(model) << 3) |
+           (static_cast<std::uint64_t>(priority) << 1) |
+           (use_predictor ? 1u : 0u);
+  }
+  static Lane of(std::uint64_t id) noexcept {
+    return Lane{static_cast<std::size_t>(id >> 3),
+                static_cast<Priority>((id >> 1) & 0x3u), (id & 1u) != 0};
+  }
+
+  /// A result for a request of this lane; outcome and timing fields
+  /// are left for the caller.
+  ServeResult result(ServeStatus status, std::string error = {}) const {
+    ServeResult out;
+    out.status = status;
+    out.model = model;
+    out.use_predictor = use_predictor;
+    out.priority = priority;
+    out.error = std::move(error);
+    return out;
+  }
+};
+
 ServingFrontend::ServingFrontend(ServingOptions options)
     : options_(options),
       zoos_(options_.zoo_capacity_per_arch),
@@ -73,8 +95,7 @@ ServingFrontend::ServingFrontend(ServingOptions options)
           std::chrono::microseconds(options_.max_wait_us),
           options_.class_watermarks}),
       health_(options_.breaker, options_.brownout_window,
-              options_.breaker.window > 0 || options_.allow_degraded),
-      batch_size_counts_(options_.max_batch, 0) {
+              options_.breaker.window > 0 || options_.allow_degraded) {
   expects(options_.num_workers > 0, "need at least one serving worker");
   expects(options_.brownout_queue_fraction > 0.0 &&
               options_.brownout_queue_fraction <= 1.0,
@@ -83,6 +104,7 @@ ServingFrontend::ServingFrontend(ServingOptions options)
       1, static_cast<std::size_t>(
              options_.brownout_queue_fraction *
              static_cast<double>(options_.queue_capacity)));
+  stats_.batch_size_counts.assign(options_.max_batch, 0);
   try {
     {
       const sync::MutexLock lock(workers_mutex_);
@@ -159,33 +181,26 @@ std::size_t ServingFrontend::num_models() const {
   return models_.size();
 }
 
-std::future<ServeResult> ServingFrontend::resolve_now(std::size_t model,
-                                                      bool use_predictor,
-                                                      Priority priority,
+std::future<ServeResult> ServingFrontend::resolve_now(const Lane& lane,
                                                       ServeStatus status,
                                                       std::string error) {
   // Shedding (and admission-path failure) is a first-class response,
   // not an exception: the future resolves immediately so open-loop
   // clients account it as load turned away, with zero queue residence.
-  // submitted_ was already counted by submit() — only the outcome
+  // submitted was already counted by submit() — only the outcome
   // counters move here.
   std::promise<ServeResult> promise;
-  ServeResult out;
-  out.status = status;
-  out.model = model;
-  out.use_predictor = use_predictor;
-  out.priority = priority;
-  out.error = std::move(error);
-  promise.set_value(std::move(out));
+  promise.set_value(lane.result(status, std::move(error)));
   {
     const sync::MutexLock lock(stats_mutex_);
+    const std::size_t cls = class_index(lane.priority);
     if (status == ServeStatus::kEngineError) {
-      ++failed_;
-      ++failed_by_class_[class_index(priority)];
+      ++stats_.failed;
+      ++stats_.failed_by_class[cls];
     } else {
-      ++shed_;
-      ++shed_by_class_[class_index(priority)];
-      if (status == ServeStatus::kShedCircuitOpen) ++circuit_shed_;
+      ++stats_.shed;
+      ++stats_.shed_by_class[cls];
+      if (status == ServeStatus::kShedCircuitOpen) ++stats_.circuit_shed;
     }
   }
   return promise.get_future();
@@ -194,8 +209,8 @@ std::future<ServeResult> ServingFrontend::resolve_now(std::size_t model,
 std::future<ServeResult> ServingFrontend::submit(
     std::size_t model, std::span<const float> input,
     const SubmitOptions& submit_options) {
-  const bool use_predictor = submit_options.use_predictor;
-  const Priority priority = submit_options.priority;
+  const Lane lane{model, submit_options.priority,
+                  submit_options.use_predictor};
   bool reject_shut_down = false;
   {
     const sync::MutexLock lock(models_mutex_);
@@ -204,23 +219,21 @@ std::future<ServeResult> ServingFrontend::submit(
   }
   // Count the submission *before* the request can become visible to a
   // worker: once try_push succeeds a worker may complete (and count)
-  // the request immediately, and counting submitted_ afterwards let a
+  // the request immediately, and counting submitted afterwards let a
   // concurrent stats() observe completed + shed + failed > submitted —
   // the exact-accounting invariant broken mid-flight. Flushed out by
   // the PR-8 lock-annotation pass; tests/chaos_test.cpp samples the
   // invariant live under a storm.
   {
     const sync::MutexLock lock(stats_mutex_);
-    ++submitted_;
-    ++submitted_by_class_[class_index(priority)];
+    ++stats_.submitted;
+    ++stats_.submitted_by_class[class_index(lane.priority)];
   }
-  if (reject_shut_down)
-    return resolve_now(model, use_predictor, priority,
-                       ServeStatus::kShutdown);
+  if (reject_shut_down) return resolve_now(lane, ServeStatus::kShutdown);
   std::future<ServeResult> future;
   PushOutcome outcome;
   try {
-    // Everything past the submitted_ count is inside the containment
+    // Everything past the submitted count is inside the containment
     // block: a throw anywhere here (input-copy allocation, an armed
     // serve.queue.push or serve.breaker.probe fault ...) must resolve
     // the already-counted request, never leak the exception or leave
@@ -230,12 +243,8 @@ std::future<ServeResult> ServingFrontend::submit(
     // costs a queue slot or any worker time.
     const ModelHealth::Admission admission = health_.admit(model);
     if (admission == ModelHealth::Admission::kShed)
-      return resolve_now(model, use_predictor, priority,
-                         ServeStatus::kShedCircuitOpen);
+      return resolve_now(lane, ServeStatus::kShedCircuitOpen);
     Pending pending;
-    pending.model = model;
-    pending.use_predictor = use_predictor;
-    pending.priority = priority;
     pending.probe = admission == ModelHealth::Admission::kProbe;
     pending.input.assign(input.begin(), input.end());
     future = pending.promise.get_future();
@@ -245,26 +254,22 @@ std::future<ServeResult> ServingFrontend::submit(
             ? RequestQueue<Pending>::Clock::now() +
                   std::chrono::microseconds(submit_options.deadline_us)
             : RequestQueue<Pending>::kNoDeadline;
-    outcome = queue_.try_push(lane_of(model, use_predictor, priority),
-                              std::move(pending), deadline, priority);
+    outcome = queue_.try_push(lane.id(), std::move(pending), deadline,
+                              lane.priority);
   } catch (const std::exception& e) {
     // Admission-path failure: contained — the client gets a resolved
     // failed future, never a leaked exception or a broken promise.
-    return resolve_now(model, use_predictor, priority,
-                       ServeStatus::kEngineError, e.what());
+    return resolve_now(lane, ServeStatus::kEngineError, e.what());
   }
   switch (outcome) {
     case PushOutcome::kAccepted:
       return future;
     case PushOutcome::kShedQueueFull:
-      return resolve_now(model, use_predictor, priority,
-                         ServeStatus::kShedQueueFull);
+      return resolve_now(lane, ServeStatus::kShedQueueFull);
     case PushOutcome::kShedLaneFull:
-      return resolve_now(model, use_predictor, priority,
-                         ServeStatus::kShedModelBusy);
+      return resolve_now(lane, ServeStatus::kShedModelBusy);
     case PushOutcome::kClosed:
-      return resolve_now(model, use_predictor, priority,
-                         ServeStatus::kShutdown);
+      return resolve_now(lane, ServeStatus::kShutdown);
   }
   return future;  // unreachable
 }
@@ -291,10 +296,8 @@ void ServingFrontend::worker_main(Worker& self) {
 void ServingFrontend::process_batch(
     RequestQueue<Pending>::Batch& batch,
     std::map<std::string, EngineSlot>& backends, Worker& self) {
-  const std::size_t model_id = static_cast<std::size_t>(batch.lane >> 3);
-  const auto priority = static_cast<Priority>((batch.lane >> 1) & 0x3u);
-  const bool use_predictor = (batch.lane & 1) != 0;
-  const std::size_t cls = class_index(priority);
+  const Lane lane = Lane::of(batch.lane);
+  const std::size_t cls = class_index(lane.priority);
   const std::size_t n = batch.items.size();
   std::vector<char> resolved(n, 0);
   std::uint64_t ok = 0, failed = 0, dead = 0, retries_used = 0;
@@ -302,28 +305,30 @@ void ServingFrontend::process_batch(
   double exec_us_sum = 0.0;
   std::uint64_t exec_samples = 0;
 
+  // Every request of the batch resolves through here: the batch it
+  // rode in and its latency split at `done`. A deadline shed never
+  // executed, so its exec_us stays 0.
+  const auto resolve = [&](std::size_t i, ServeResult out,
+                           RequestQueue<Pending>::Clock::time_point done) {
+    out.batch_size = n;
+    out.batch_close = batch.close;
+    out.queue_us = micros(batch.closed_at - batch.enqueued[i]);
+    if (out.status != ServeStatus::kDeadlineExceeded)
+      out.exec_us = micros(done - batch.closed_at);
+    out.total_us = micros(done - batch.enqueued[i]);
+    batch.items[i].promise.set_value(std::move(out));
+    resolved[i] = 1;
+  };
+
   // Failure containment: no exception may escape this function — a
   // batch-level failure resolves every not-yet-resolved request with
   // kEngineError and the worker lives on to serve the next batch.
   const auto fail_unresolved = [&](const std::string& what) {
     for (std::size_t i = 0; i < n; ++i) {
       if (resolved[i]) continue;
-      Pending& pending = batch.items[i];
-      ServeResult out;
-      out.status = ServeStatus::kEngineError;
-      out.model = pending.model;
-      out.use_predictor = pending.use_predictor;
-      out.priority = pending.priority;
-      out.error = what;
-      out.batch_size = n;
-      out.batch_close = batch.close;
-      const auto done = RequestQueue<Pending>::Clock::now();
-      out.queue_us = micros(batch.closed_at - batch.enqueued[i]);
-      out.exec_us = micros(done - batch.closed_at);
-      out.total_us = micros(done - batch.enqueued[i]);
-      if (pending.probe) ++probe_failed;
-      pending.promise.set_value(std::move(out));
-      resolved[i] = 1;
+      if (batch.items[i].probe) ++probe_failed;
+      resolve(i, lane.result(ServeStatus::kEngineError, what),
+              RequestQueue<Pending>::Clock::now());
       ++failed;
     }
   };
@@ -334,20 +339,9 @@ void ServingFrontend::process_batch(
   // proved nothing, so it counts as a failed probe (conservative:
   // the breaker re-opens rather than closing on no evidence).
   const auto shed_deadline = [&](std::size_t i) {
-    Pending& pending = batch.items[i];
-    ServeResult out;
-    out.status = ServeStatus::kDeadlineExceeded;
-    out.model = pending.model;
-    out.use_predictor = pending.use_predictor;
-    out.priority = pending.priority;
-    out.batch_size = n;
-    out.batch_close = batch.close;
-    const auto now = RequestQueue<Pending>::Clock::now();
-    out.queue_us = micros(batch.closed_at - batch.enqueued[i]);
-    out.total_us = micros(now - batch.enqueued[i]);
-    if (pending.probe) ++probe_failed;
-    pending.promise.set_value(std::move(out));
-    resolved[i] = 1;
+    if (batch.items[i].probe) ++probe_failed;
+    resolve(i, lane.result(ServeStatus::kDeadlineExceeded),
+            RequestQueue<Pending>::Clock::now());
     ++dead;
   };
 
@@ -359,7 +353,7 @@ void ServingFrontend::process_batch(
     ModelEntry entry{};
     {
       const sync::MutexLock lock(models_mutex_);
-      entry = models_[model_id];
+      entry = models_[lane.model];
     }
 
     const auto claim_time = RequestQueue<Pending>::Clock::now();
@@ -377,7 +371,7 @@ void ServingFrontend::process_batch(
       std::uint64_t backoff_us = options_.retry_backoff_us;
       for (std::uint32_t attempt = 0;; ++attempt) {
         try {
-          image = zoos_.get(entry.arch, *entry.network, use_predictor);
+          image = zoos_.get(entry.arch, *entry.network, lane.use_predictor);
           break;
         } catch (const std::exception&) {
           if (attempt >= options_.max_retries) throw;
@@ -420,7 +414,7 @@ void ServingFrontend::process_batch(
                      (options_.brownout_deadline_sheds > 0 &&
                       health_.recent_deadline_sheds() >=
                           options_.brownout_deadline_sheds);
-          est_exec_us = health_.estimated_exec_us(model_id);
+          est_exec_us = health_.estimated_exec_us(lane.model);
         }
 
         for (std::size_t i = 0; i < n; ++i) {
@@ -431,10 +425,7 @@ void ServingFrontend::process_batch(
           // this worker "hang" mid-batch for the watchdog to catch.
           (void)fault::point("serve.worker.hang");
           Pending& pending = batch.items[i];
-          ServeResult out;
-          out.model = pending.model;
-          out.use_predictor = pending.use_predictor;
-          out.priority = pending.priority;
+          ServeResult out = lane.result(ServeStatus::kOk);
           // Degrade to the analytic fallback when the frontend is in
           // brownout, or when this request's remaining deadline budget
           // is provably below the model's observed cycle-path latency
@@ -480,11 +471,6 @@ void ServingFrontend::process_batch(
           }
           const auto done = RequestQueue<Pending>::Clock::now();
           out.degraded = degrade && out.status == ServeStatus::kOk;
-          out.batch_size = n;
-          out.batch_close = batch.close;
-          out.queue_us = micros(batch.closed_at - batch.enqueued[i]);
-          out.exec_us = micros(done - batch.closed_at);
-          out.total_us = micros(done - batch.enqueued[i]);
           if (out.status == ServeStatus::kOk) {
             ++ok;
             if (out.degraded) ++degraded_ok;
@@ -499,8 +485,7 @@ void ServingFrontend::process_batch(
             ++failed;
             if (pending.probe) ++probe_failed;
           }
-          pending.promise.set_value(std::move(out));
-          resolved[i] = 1;
+          resolve(i, std::move(out), done);
         }
       }
     }
@@ -512,21 +497,22 @@ void ServingFrontend::process_batch(
 
   {
     const sync::MutexLock lock(stats_mutex_);
-    completed_ += ok;
-    failed_ += failed;
-    shed_ += dead;
-    deadline_shed_ += dead;
-    degraded_completed_ += degraded_ok;
-    completed_by_class_[cls] += ok;
-    failed_by_class_[cls] += failed;
-    shed_by_class_[cls] += dead;
-    retries_ += retries_used;
-    const std::size_t bucket = std::min(n, batch_size_counts_.size()) - 1;
-    ++batch_size_counts_[bucket];
+    stats_.completed += ok;
+    stats_.failed += failed;
+    stats_.shed += dead;
+    stats_.deadline_shed += dead;
+    stats_.degraded_completed += degraded_ok;
+    stats_.completed_by_class[cls] += ok;
+    stats_.failed_by_class[cls] += failed;
+    stats_.shed_by_class[cls] += dead;
+    stats_.retries += retries_used;
+    const std::size_t bucket =
+        std::min(n, stats_.batch_size_counts.size()) - 1;
+    ++stats_.batch_size_counts[bucket];
     switch (batch.close) {
-      case BatchClose::kSize: ++size_closes_; break;
-      case BatchClose::kTimeout: ++timeout_closes_; break;
-      case BatchClose::kDrain: ++drain_closes_; break;
+      case BatchClose::kSize: ++stats_.size_closes; break;
+      case BatchClose::kTimeout: ++stats_.timeout_closes; break;
+      case BatchClose::kDrain: ++stats_.drain_closes; break;
     }
   }
 
@@ -539,7 +525,7 @@ void ServingFrontend::process_batch(
     outcome.probe_failed = probe_failed;
     outcome.exec_us_sum = exec_us_sum;
     outcome.exec_samples = exec_samples;
-    health_.record(model_id, outcome);
+    health_.record(lane.model, outcome);
   }
 }
 
@@ -573,7 +559,7 @@ void ServingFrontend::watchdog_main() {
     }
     if (lost_now > 0) {
       const sync::MutexLock stats_lock(stats_mutex_);
-      workers_restarted_ += lost_now;
+      stats_.workers_restarted += lost_now;
     }
   }
 }
@@ -582,23 +568,7 @@ ServingStats ServingFrontend::stats() const {
   ServingStats out;
   {
     const sync::MutexLock lock(stats_mutex_);
-    out.submitted = submitted_;
-    out.completed = completed_;
-    out.shed = shed_;
-    out.failed = failed_;
-    out.deadline_shed = deadline_shed_;
-    out.circuit_shed = circuit_shed_;
-    out.degraded_completed = degraded_completed_;
-    out.submitted_by_class = submitted_by_class_;
-    out.completed_by_class = completed_by_class_;
-    out.shed_by_class = shed_by_class_;
-    out.failed_by_class = failed_by_class_;
-    out.retries = retries_;
-    out.workers_restarted = workers_restarted_;
-    out.size_closes = size_closes_;
-    out.timeout_closes = timeout_closes_;
-    out.drain_closes = drain_closes_;
-    out.batch_size_counts = batch_size_counts_;
+    out = stats_;
   }
   out.batches = queue_.batches();
   out.zoo_compiles = zoos_.compile_count();

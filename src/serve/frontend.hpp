@@ -317,10 +317,8 @@ class ServingFrontend {
   }
 
  private:
+  /// A queued request; its model, priority and uv mode are its lane's.
   struct Pending {
-    std::size_t model = 0;
-    bool use_predictor = true;
-    Priority priority = Priority::kNormal;
     bool probe = false;  ///< half-open breaker probe (outcome reported)
     std::vector<float> input;
     std::promise<ServeResult> promise;
@@ -339,6 +337,7 @@ class ServingFrontend {
     std::atomic<bool> lost{false};  ///< watchdog gave up on it
   };
   struct EngineSlot;  // worker-local backend cache (frontend.cpp)
+  struct Lane;        // (model, priority, uv) queue lane key (frontend.cpp)
 
   void worker_main(Worker& self);
   void process_batch(RequestQueue<Pending>::Batch& batch,
@@ -348,12 +347,9 @@ class ServingFrontend {
   /// Appends and starts a worker.
   void spawn_worker_locked() SPARSENN_REQUIRES(workers_mutex_);
   /// Resolves a future immediately (shed / admission failure). The
-  /// caller has already counted the request into submitted_; this only
-  /// bumps the outcome counters (shed_ or failed_, plus per-class).
-  std::future<ServeResult> resolve_now(std::size_t model,
-                                       bool use_predictor,
-                                       Priority priority,
-                                       ServeStatus status,
+  /// caller has already counted the request as submitted; this only
+  /// bumps the outcome counters (shed or failed, plus per-class).
+  std::future<ServeResult> resolve_now(const Lane& lane, ServeStatus status,
                                        std::string error = {})
       SPARSENN_EXCLUDES(stats_mutex_);
 
@@ -376,28 +372,9 @@ class ServingFrontend {
   std::vector<ModelEntry> models_ SPARSENN_GUARDED_BY(models_mutex_);
 
   mutable sync::Mutex stats_mutex_;
-  std::uint64_t submitted_ SPARSENN_GUARDED_BY(stats_mutex_) = 0;
-  std::uint64_t completed_ SPARSENN_GUARDED_BY(stats_mutex_) = 0;
-  std::uint64_t shed_ SPARSENN_GUARDED_BY(stats_mutex_) = 0;
-  std::uint64_t failed_ SPARSENN_GUARDED_BY(stats_mutex_) = 0;
-  std::uint64_t deadline_shed_ SPARSENN_GUARDED_BY(stats_mutex_) = 0;
-  std::uint64_t circuit_shed_ SPARSENN_GUARDED_BY(stats_mutex_) = 0;
-  std::uint64_t degraded_completed_ SPARSENN_GUARDED_BY(stats_mutex_) = 0;
-  std::array<std::uint64_t, kNumPriorityClasses> submitted_by_class_
-      SPARSENN_GUARDED_BY(stats_mutex_){};
-  std::array<std::uint64_t, kNumPriorityClasses> completed_by_class_
-      SPARSENN_GUARDED_BY(stats_mutex_){};
-  std::array<std::uint64_t, kNumPriorityClasses> shed_by_class_
-      SPARSENN_GUARDED_BY(stats_mutex_){};
-  std::array<std::uint64_t, kNumPriorityClasses> failed_by_class_
-      SPARSENN_GUARDED_BY(stats_mutex_){};
-  std::uint64_t retries_ SPARSENN_GUARDED_BY(stats_mutex_) = 0;
-  std::uint64_t workers_restarted_ SPARSENN_GUARDED_BY(stats_mutex_) = 0;
-  std::uint64_t size_closes_ SPARSENN_GUARDED_BY(stats_mutex_) = 0;
-  std::uint64_t timeout_closes_ SPARSENN_GUARDED_BY(stats_mutex_) = 0;
-  std::uint64_t drain_closes_ SPARSENN_GUARDED_BY(stats_mutex_) = 0;
-  std::vector<std::uint64_t> batch_size_counts_
-      SPARSENN_GUARDED_BY(stats_mutex_);
+  /// The frontend's own counters. The fields other components own
+  /// (batches, zoo_*, breaker_*) stay 0 here; stats() fills them in.
+  ServingStats stats_ SPARSENN_GUARDED_BY(stats_mutex_);
 
   mutable sync::Mutex workers_mutex_;
   std::vector<std::unique_ptr<Worker>> workers_

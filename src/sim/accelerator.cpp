@@ -135,57 +135,44 @@ void AcceleratorSim::run_layer_into(const CompiledNetwork& compiled,
   result.nnz_inputs = 0;
   result.active_rows = 0;
 
-  const bool event = sim_options_.stepping == SteppingMode::kEvent;
-  if (event) {
-    // Layer prologue as a sharded epoch: per-PE loads and scans touch
-    // only that PE. The nonzero counts land in per-PE slots and are
-    // summed in id order, so the total is thread-count independent.
-    event_core_.parallel_pes([&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        pes_[i].reset_events();
-        pes_[i].load_layer(compiled.slice(l, i));
-        pe_scratch_[i] = pes_[i].scan_source_nonzeros().size();
-      }
-    });
-    for (const std::size_t n : pe_scratch_) result.nnz_inputs += n;
-  } else {
-    for (auto& pe : pes_) {
-      pe.reset_events();
-      pe.load_layer(compiled.slice(l, pe.id()));
-      result.nnz_inputs += pe.scan_source_nonzeros().size();
+  // Every per-PE pass with no cross-PE data flow (layer prologue, U
+  // phase, uv_off row forcing) runs as a sharded epoch in both
+  // stepping modes — inline at one thread. Per-PE outputs land in
+  // per-PE slots and are reduced in id order, so the totals are
+  // thread-count independent.
+  event_core_.parallel_pes([&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      pes_[i].reset_events();
+      pes_[i].load_layer(compiled.slice(l, i));
+      pe_scratch_[i] = pes_[i].scan_source_nonzeros().size();
     }
-  }
+  });
+  for (const std::size_t n : pe_scratch_) result.nnz_inputs += n;
 
+  const bool event = sim_options_.stepping == SteppingMode::kEvent;
   const bool predict = compiled.use_predictor() && layer.has_predictor() &&
                        !layer.is_output;
   if (predict) {
-    if (event) {
-      const int from_frac =
-          layer.in_fmt.frac_bits + layer.v->fmt.frac_bits;
-      result.v_cycles = event_core_.run_v_phase(
-          pes_, v_tree_, broadcast_, layer.rank(), from_frac,
-          layer.mid_fmt.frac_bits, result);
-      event_core_.parallel_pes([&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i)
-          pe_scratch_[i] = pes_[i].run_u_phase();
-      });
-      std::uint64_t u_max = 0;
-      for (const std::size_t macs : pe_scratch_)
-        u_max = std::max<std::uint64_t>(u_max, macs);
-      result.u_cycles = u_max + params_.pe_pipeline_stages;
-    } else {
-      result.v_cycles = simulate_v_phase(layer, result);
-      std::uint64_t u_max = 0;
-      for (auto& pe : pes_) u_max = std::max(u_max, pe.run_u_phase());
-      result.u_cycles = u_max + params_.pe_pipeline_stages;
-    }
-  } else if (event) {
+    const std::size_t rank = layer.rank();
+    const int from_frac = layer.in_fmt.frac_bits + layer.v->fmt.frac_bits;
+    const int mid_frac = layer.mid_fmt.frac_bits;
+    result.v_cycles =
+        event ? event_core_.run_v_phase(pes_, v_tree_, broadcast_, rank,
+                                        from_frac, mid_frac, result)
+              : simulate_v_phase(rank, from_frac, mid_frac, result);
+    event_core_.parallel_pes([&](std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i)
+        pe_scratch_[i] = pes_[i].run_u_phase();
+    });
+    std::uint64_t u_max = 0;
+    for (const std::size_t macs : pe_scratch_)
+      u_max = std::max<std::uint64_t>(u_max, macs);
+    result.u_cycles = u_max + params_.pe_pipeline_stages;
+  } else {
     event_core_.parallel_pes([&](std::size_t begin, std::size_t end) {
       for (std::size_t i = begin; i < end; ++i)
         pes_[i].force_all_rows_active();
     });
-  } else {
-    for (auto& pe : pes_) pe.force_all_rows_active();
   }
 
   result.w_cycles = event
@@ -213,14 +200,13 @@ void AcceleratorSim::run_layer_into(const CompiledNetwork& compiled,
   if (trace_) record_layer_trace(*trace_, l, result);
 }
 
-std::uint64_t AcceleratorSim::simulate_v_phase(const QuantizedLayer& layer,
+std::uint64_t AcceleratorSim::simulate_v_phase(std::size_t rank,
+                                               int from_frac, int mid_frac,
                                                LayerSimResult& result) {
   UpwardTree& tree = v_tree_;
   BroadcastChannel& broadcast = broadcast_;
   tree.reset();
   broadcast.reset();
-  const std::size_t rank = layer.rank();
-  const int from_frac = layer.in_fmt.frac_bits + layer.v->fmt.frac_bits;
 
   for (auto& pe : pes_) pe.start_v_phase();
 
@@ -230,24 +216,6 @@ std::uint64_t AcceleratorSim::simulate_v_phase(const QuantizedLayer& layer,
   // maintained counter replaces the per-cycle all-PEs scan: the phase
   // ends when `rank` results have been delivered.
   std::size_t results_delivered = 0;
-
-  // Macro window: until the earliest PE finishes its local column
-  // MACs, every cycle is pure compute — no partial is ready, so the
-  // tree and broadcast provably idle through all of them. Run the
-  // whole burst through the vectorised column kernel in one shot.
-  const bool macro = sim_options_.stepping == SteppingMode::kMacro;
-  if (macro && rank > 0) {
-    std::size_t burst = SIZE_MAX;
-    for (const auto& pe : pes_)
-      burst = std::min(burst, pe.v_burst_cycles());
-    if (burst > 1) {
-      for (auto& pe : pes_) pe.burst_v_compute(burst);
-      tree.skip_idle(burst);
-      broadcast.skip(burst);
-      cycles += burst;
-      ensures(cycles < kCycleLimit, "V-phase deadlock");
-    }
-  }
 
   while (results_delivered < rank) {
     ensures(++cycles < kCycleLimit, "V-phase deadlock");
@@ -273,8 +241,7 @@ std::uint64_t AcceleratorSim::simulate_v_phase(const QuantizedLayer& layer,
     // multicasts it; V results always find room (dedicated registers).
     if (const auto out = tree.step(true)) {
       Flit rescaled = *out;
-      rescaled.payload = rescale_to_i16(out->payload, from_frac,
-                                        layer.mid_fmt.frac_bits);
+      rescaled.payload = rescale_to_i16(out->payload, from_frac, mid_frac);
       broadcast.send(rescaled);
     }
     if (const auto delivered = broadcast.step()) {
@@ -300,7 +267,6 @@ std::uint64_t AcceleratorSim::simulate_w_phase(LayerSimResult& result) {
 
   for (auto& pe : pes_) pe.start_w_phase();
 
-  const bool macro = sim_options_.stepping == SteppingMode::kMacro;
   std::uint64_t cycles = 0;
   std::uint64_t delivered_count = 0;
 
@@ -318,59 +284,6 @@ std::uint64_t AcceleratorSim::simulate_w_phase(LayerSimResult& result) {
   }
 
   while (!(pes_done && tree.idle() && broadcast.idle())) {
-    // Macro window 1 — the drain tail: every activation is injected
-    // and the NoC is fully empty, so the rest of the phase is each PE
-    // independently grinding down its queue at a fixed per-activation
-    // cost. Jump to the end in one shot.
-    if (macro && all_injected && broadcast.idle() && tree.idle()) {
-      std::uint64_t burst = 0;
-      for (const auto& pe : pes_)
-        burst = std::max(burst, pe.w_pending_cycles());
-      for (auto& pe : pes_) pe.burst_w_consume(burst);
-      tree.skip_idle(burst);
-      broadcast.skip(burst);
-      cycles += burst;
-      ensures(cycles < kCycleLimit, "W-phase deadlock");
-      pes_done = true;
-      continue;  // loop condition is now false
-    }
-
-    // Macro window 2 — the stalled NoC: nothing is in flight, some PE
-    // queue is full (so the root stays back-pressured), every pending
-    // injection is credit-blocked and the tree cannot move a flit
-    // internally. Until the first full queue pops, each cycle only
-    // repeats the same stalled decisions while PEs count down their
-    // MAC bursts — advance all of it at once. stalled_static() proves
-    // the tree part; the PE scan proves the rest.
-    if (macro && broadcast.idle() && !tree.idle() &&
-        !tree.last_step_transferred()) {
-      std::uint64_t burst = UINT64_MAX;
-      bool any_full = false;
-      bool blocked = true;
-      for (std::size_t i = 0; i < pes_.size() && blocked; ++i) {
-        const ProcessingElement& pe = pes_[i];
-        if (pe.has_injection() && tree.can_inject(i)) blocked = false;
-        if (pe.queue_free_slots() == 0) {
-          any_full = true;
-          burst = std::min(burst, pe.w_cycles_until_pop());
-        }
-      }
-      if (blocked && any_full && burst > 1 && tree.stalled_static()) {
-        for (auto& pe : pes_) pe.burst_w_consume(burst);
-        tree.skip_stalled(burst);
-        broadcast.skip(burst);
-        cycles += burst;
-        ensures(cycles < kCycleLimit, "W-phase deadlock");
-        pes_done = true;
-        min_free = SIZE_MAX;
-        for (const auto& pe : pes_) {
-          pes_done = pes_done && pe.w_done();
-          min_free = std::min(min_free, pe.queue_free_slots());
-        }
-        continue;
-      }
-    }
-
     ensures(++cycles < kCycleLimit, "W-phase deadlock");
 
     // Injection pass. Queues are untouched by injections, so the

@@ -100,11 +100,10 @@ class AcceleratorSim final : public ExecutionEngine {
 
   /// How simulated time advances (see SteppingMode in sim/engine.hpp).
   /// Results, cycle counts, event counters and NoC statistics are
-  /// bit-identical across all three modes
-  /// (tests/compiled_engine_test and tests/event_core_test pin this);
-  /// the knob exists so tests and benches can cross-check the event
-  /// and macro cores against pure per-cycle runs. Default: kEvent,
-  /// the fastest mode.
+  /// bit-identical across both modes (tests/compiled_engine_test and
+  /// tests/event_core_test pin this); the knob exists so tests and
+  /// benches can cross-check the event core against pure per-cycle
+  /// runs. Default: kEvent, the fastest mode.
   void set_stepping_mode(SteppingMode mode) noexcept {
     sim_options_.stepping = mode;
   }
@@ -113,8 +112,9 @@ class AcceleratorSim final : public ExecutionEngine {
   }
 
   /// Full cycle-engine options (stepping mode + intra-inference shard
-  /// threads). Thread counts only matter under SteppingMode::kEvent
-  /// and never change any observable — only wall-clock.
+  /// threads). Both modes shard their per-PE passes across the
+  /// threads; the count never changes any observable — only
+  /// wall-clock.
   void set_sim_options(const SimOptions& options);
   const SimOptions& sim_options() const noexcept { return sim_options_; }
 
@@ -137,8 +137,10 @@ class AcceleratorSim final : public ExecutionEngine {
   void run_layer_into(const CompiledNetwork& compiled, std::size_t l,
                       LayerSimResult& result);
 
-  std::uint64_t simulate_v_phase(const QuantizedLayer& layer,
-                                 LayerSimResult& result);
+  /// Per-cycle reference phases (SteppingMode::kPerCycle); same
+  /// contracts as EventCore::run_v_phase / run_w_phase.
+  std::uint64_t simulate_v_phase(std::size_t rank, int from_frac,
+                                 int mid_frac, LayerSimResult& result);
   std::uint64_t simulate_w_phase(LayerSimResult& result);
 
   EventCounts collect_pe_events();

@@ -33,8 +33,6 @@ const char* to_string(SteppingMode mode) noexcept {
   switch (mode) {
     case SteppingMode::kPerCycle:
       return "per_cycle";
-    case SteppingMode::kMacro:
-      return "macro";
     case SteppingMode::kEvent:
       return "event";
   }
@@ -43,7 +41,6 @@ const char* to_string(SteppingMode mode) noexcept {
 
 std::optional<SteppingMode> parse_stepping_mode(std::string_view name) {
   if (name == "per_cycle") return SteppingMode::kPerCycle;
-  if (name == "macro") return SteppingMode::kMacro;
   if (name == "event") return SteppingMode::kEvent;
   return std::nullopt;
 }

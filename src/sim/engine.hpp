@@ -93,20 +93,19 @@ const char* to_string(EngineKind kind) noexcept;
 /// anything else.
 std::optional<EngineKind> parse_engine_kind(std::string_view name);
 
-/// How the cycle engine advances simulated time. All three modes are
+/// How the cycle engine advances simulated time. Both modes are
 /// bit-identical in every observable (cycles, event counts, NoC stats,
 /// activations) — they differ only in wall-clock speed. The analytic
 /// engine ignores the knob (it never ticks).
 enum class SteppingMode {
   kPerCycle,  ///< every component visited every cycle (the reference)
-  kMacro,     ///< per-cycle + the three hand-proven skip windows (PR 5)
   kEvent,     ///< event-driven wake-list core (sim/event_core.hpp)
 };
 
 const char* to_string(SteppingMode mode) noexcept;
 
-/// Parses "per_cycle"/"macro"/"event" (the CLI's --stepping values);
-/// nullopt on anything else.
+/// Parses "per_cycle"/"event" (the CLI's --stepping values); nullopt
+/// on anything else.
 std::optional<SteppingMode> parse_stepping_mode(std::string_view name);
 
 /// Cycle-engine tuning knobs, carried from the CLI/serving layers down
@@ -114,9 +113,9 @@ std::optional<SteppingMode> parse_stepping_mode(std::string_view name);
 /// fastest bit-identical configuration.
 struct SimOptions {
   SteppingMode stepping = SteppingMode::kEvent;
-  /// Worker threads sharded across one inference's PE groups inside
-  /// the event core's parallel epochs (1 = serial). Results and stats
-  /// are bit-identical for any value. Only meaningful with kEvent.
+  /// Worker threads sharded across one inference's per-PE passes
+  /// (1 = serial), in either stepping mode. Results and stats are
+  /// bit-identical for any value.
   std::size_t sim_threads = 1;
 
   friend bool operator==(const SimOptions&, const SimOptions&) = default;

@@ -31,21 +31,23 @@
 //     the max-cost group's — an O(1) read, no histogram.
 //     The phase tail (all flits injected, NoC drained) collapses into
 //     a closed-form jump, and a fully-stalled NoC window advances in
-//     one shot — PR 5's three hand-proven macro windows fall out of
-//     "no pending event => no execution" instead of being special
-//     cases.
+//     one shot — like the V phase's initial burst, these skip windows
+//     fall out of "no pending event => no execution" instead of being
+//     special cases.
 //
 // Every observable — cycle counts, event tallies, NoC statistics,
 // activations — is bit-identical to the per-cycle reference; the
-// three-way suites in tests/event_core_test.cpp and the MacroStepping
-// suites pin it.
+// equivalence suites in tests/event_core_test.cpp and
+// tests/compiled_engine_test.cpp pin it.
 //
 // Parallelism: the per-PE passes with no cross-PE data flow (phase
-// starts, MAC bursts, the U phase, the W data pass) are epochs sharded
-// across worker threads by EpochPool with a barrier per epoch. Shard
-// boundaries are a pure function of (num_pes, threads) and every epoch
-// writes only per-PE state, so results and statistics are bit-identical
-// for any thread count. The serial timing loops stay on the calling
+// starts, MAC bursts, the W data pass, and — through parallel_pes, in
+// both stepping modes — the engine's layer prologue, U phase and
+// uv_off row forcing) are epochs sharded across worker threads by
+// EpochPool with a barrier per epoch. Shard boundaries are a pure
+// function of (num_pes, threads) and every epoch writes only per-PE
+// state, so results and statistics are bit-identical for any thread
+// count. The serial timing loops stay on the calling
 // thread. With threads == 1 the pool runs epochs inline — no workers,
 // no locks, no allocations (the arena path's zero-allocation contract
 // covers the event core).
@@ -156,7 +158,8 @@ class EventCore {
   std::size_t threads() const noexcept { return pool_.threads(); }
 
   /// Runs fn(begin_pe, end_pe) as one barriered epoch — the hook the
-  /// engine uses for its own per-PE passes (layer prologue, U phase).
+  /// engine uses for its own per-PE passes (layer prologue, U phase,
+  /// uv_off row forcing) in either stepping mode.
   template <class F>
   void parallel_pes(F&& fn) {
     pool_.run(std::forward<F>(fn));

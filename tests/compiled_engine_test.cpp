@@ -191,15 +191,15 @@ TEST_P(CompiledEngineExactness, BitIdenticalToFreshPerInferenceRuns) {
 INSTANTIATE_TEST_SUITE_P(UvModes, CompiledEngineExactness,
                          ::testing::Values(true, false));
 
-/// Macro-stepped and event-driven cycle advancement vs pure per-cycle
-/// ticking: every SimResult field — cycle counts, event counters, NoC
-/// statistics (conflicts, credit stalls, occupancy sums), activations
-/// — must be bit-identical. Runs both uv modes and several queue
-/// depths so the deterministic-burst, drain-tail and stalled-NoC
-/// windows all fire with different frequencies.
-class MacroStepping : public ::testing::TestWithParam<bool> {};
+/// Event-driven cycle advancement vs pure per-cycle ticking: every
+/// SimResult field — cycle counts, event counters, NoC statistics
+/// (conflicts, credit stalls, occupancy sums), activations — must be
+/// bit-identical. Runs both uv modes and several queue depths so the
+/// deterministic-burst, drain-tail and stalled-NoC windows all fire
+/// with different frequencies.
+class SteppingEquivalence : public ::testing::TestWithParam<bool> {};
 
-TEST_P(MacroStepping, BitIdenticalToPerCycleEngine) {
+TEST_P(SteppingEquivalence, BitIdenticalToPerCycleEngine) {
   const bool uv_on = GetParam();
   const Fixture f = make_batch_fixture(8, /*seed=*/57);
   for (const std::size_t queue_depth : {2u, 8u, 32u}) {
@@ -207,23 +207,16 @@ TEST_P(MacroStepping, BitIdenticalToPerCycleEngine) {
     arch.act_queue_depth = queue_depth;
     const CompiledNetwork compiled(f.network, arch, uv_on);
 
-    AcceleratorSim macro(arch);
-    macro.set_stepping_mode(SteppingMode::kMacro);
     AcceleratorSim event(arch);
     event.set_stepping_mode(SteppingMode::kEvent);
     AcceleratorSim per_cycle(arch);
     per_cycle.set_stepping_mode(SteppingMode::kPerCycle);
-    ASSERT_EQ(macro.stepping_mode(), SteppingMode::kMacro);
     ASSERT_EQ(event.stepping_mode(), SteppingMode::kEvent);
     ASSERT_EQ(per_cycle.stepping_mode(), SteppingMode::kPerCycle);
 
     for (std::size_t i = 0; i < f.data.size(); ++i) {
       const SimResult expected =
           per_cycle.run(compiled, f.data.image(i), ValidationMode::kOff);
-      const SimResult got =
-          macro.run(compiled, f.data.image(i), ValidationMode::kOff);
-      EXPECT_EQ(got, expected)
-          << "input " << i << " uv " << uv_on << " depth " << queue_depth;
       const SimResult evented =
           event.run(compiled, f.data.image(i), ValidationMode::kOff);
       EXPECT_EQ(evented, expected)
@@ -233,7 +226,7 @@ TEST_P(MacroStepping, BitIdenticalToPerCycleEngine) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(UvModes, MacroStepping,
+INSTANTIATE_TEST_SUITE_P(UvModes, SteppingEquivalence,
                          ::testing::Values(true, false));
 
 /// One CompiledNetwork shared read-only across BatchRunner workers:

@@ -114,12 +114,12 @@ TEST(EngineEquivalence, IdxTinyMnist) {
   expect_equivalent(network, *images, images->rows());
 }
 
-/// Macro-stepped and event-driven advancement vs pure per-cycle at
-/// paper scale (64 PEs, 3-level NoC, 784-wide input): full SimResult
-/// equality — cycles, events, arbitration conflicts, credit stalls,
-/// occupancy sums — for both uv modes. The wide first layer keeps the
-/// NoC saturated long enough that the stalled-NoC window is exercised,
-/// not just the V-burst and drain-tail windows. The event engine also
+/// Event-driven advancement vs pure per-cycle at paper scale (64 PEs,
+/// 3-level NoC, 784-wide input): full SimResult equality — cycles,
+/// events, arbitration conflicts, credit stalls, occupancy sums — for
+/// both uv modes. The wide first layer keeps the NoC saturated long
+/// enough that the stalled-NoC window is exercised, not just the
+/// V-burst and drain-tail windows. The event engine also
 /// runs sharded across 8 threads — thread count must not change a bit.
 TEST(EngineEquivalence, SteppingModesBitIdenticalAtPaperScale) {
   DatasetOptions options;
@@ -129,8 +129,6 @@ TEST(EngineEquivalence, SteppingModesBitIdenticalAtPaperScale) {
   const QuantizedNetwork network = make_network(split.train.inputs);
 
   const ArchParams arch = ArchParams::paper();
-  AcceleratorSim macro(arch);
-  macro.set_stepping_mode(SteppingMode::kMacro);
   AcceleratorSim event(arch);
   AcceleratorSim event_mt(arch);
   event_mt.set_sim_options(
@@ -142,9 +140,6 @@ TEST(EngineEquivalence, SteppingModesBitIdenticalAtPaperScale) {
     for (std::size_t i = 0; i < split.test.inputs.rows(); ++i) {
       const SimResult expected = per_cycle.run(
           compiled, split.test.inputs.row(i), ValidationMode::kOff);
-      const SimResult got = macro.run(compiled, split.test.inputs.row(i),
-                                      ValidationMode::kOff);
-      EXPECT_EQ(got, expected) << "sample " << i << " uv " << uv_on;
       const SimResult evented = event.run(
           compiled, split.test.inputs.row(i), ValidationMode::kOff);
       EXPECT_EQ(evented, expected)

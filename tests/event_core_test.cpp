@@ -1,7 +1,6 @@
-// Three-way stepping equivalence: the event-driven core
-// (SteppingMode::kEvent, sim/event_core.hpp) must be bit-identical to
-// the per-cycle reference and the macro-stepped mode in every
-// observable — cycle counts, event tallies, NoC statistics,
+// Stepping equivalence: the event-driven core (SteppingMode::kEvent,
+// sim/event_core.hpp) must be bit-identical to the per-cycle reference
+// in every observable — cycle counts, event tallies, NoC statistics,
 // activations — across uv modes, queue depths, flow-control modes and
 // shard-thread counts. A seeded fuzz case randomises the wake/sleep
 // orderings (input density, queue depth, flow control) the same way
@@ -56,10 +55,6 @@ TEST_P(EventCoreEquivalence, ThreeWayBitIdentical) {
       const std::vector<float> input = sample_of(fixture.data, s);
       const SimResult per_cycle =
           run_mode(compiled, input, arch, SteppingMode::kPerCycle, 1);
-      const SimResult macro =
-          run_mode(compiled, input, arch, SteppingMode::kMacro, 1);
-      EXPECT_EQ(per_cycle, macro) << "macro diverged, depth=" << depth;
-
       for (const std::size_t threads :
            {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
         const SimResult event = run_mode(compiled, input, arch,
@@ -192,14 +187,37 @@ TEST(EventCoreThreads, ReconfiguredSimulatorStaysBitIdentical) {
   }
 }
 
+// The per-cycle oracle shards its per-PE passes (layer prologue, U
+// phase, uv_off row forcing) through the same epoch pool as the event
+// core: any shard-thread count must reproduce its 1-thread result.
+TEST(EventCoreThreads, PerCycleShardingStaysBitIdentical) {
+  const auto fixture = make_batch_fixture(2, /*seed=*/75);
+  const ArchParams arch = test_fixtures::tiny_arch();
+  for (const bool use_predictor : {true, false}) {
+    const CompiledNetwork compiled(fixture.network, arch, use_predictor);
+    for (std::size_t s = 0; s < fixture.data.inputs.rows(); ++s) {
+      const std::vector<float> input = sample_of(fixture.data, s);
+      const SimResult expected =
+          run_mode(compiled, input, arch, SteppingMode::kPerCycle, 1);
+      for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+        EXPECT_EQ(run_mode(compiled, input, arch, SteppingMode::kPerCycle,
+                           threads),
+                  expected)
+            << "threads=" << threads << " sample=" << s
+            << " uv=" << use_predictor;
+      }
+    }
+  }
+}
+
 TEST(SteppingModeNames, RoundTrip) {
   for (const SteppingMode mode :
-       {SteppingMode::kPerCycle, SteppingMode::kMacro,
-        SteppingMode::kEvent}) {
+       {SteppingMode::kPerCycle, SteppingMode::kEvent}) {
     const auto parsed = parse_stepping_mode(to_string(mode));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, mode);
   }
+  EXPECT_FALSE(parse_stepping_mode("macro").has_value());
   EXPECT_FALSE(parse_stepping_mode("warp").has_value());
   EXPECT_FALSE(parse_stepping_mode("").has_value());
 }

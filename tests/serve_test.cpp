@@ -401,6 +401,17 @@ TEST(ServingFrontend, ExpiredDeadlineIsShedBeforeExecution) {
   EXPECT_EQ(r.status, ServeStatus::kDeadlineExceeded);
   EXPECT_TRUE(r.result.layers.empty());
   EXPECT_LT(elapsed, 1s) << "deadline did not cut the batch-close wait";
+  // The shed result carries the request's identity and batch, but no
+  // execution time: it never reached an engine.
+  EXPECT_EQ(r.exec_us, 0.0);
+  EXPECT_EQ(r.model, model);
+  EXPECT_EQ(r.priority, expired.priority);
+  EXPECT_EQ(r.use_predictor, expired.use_predictor);
+  EXPECT_EQ(r.batch_size, 1u);
+  EXPECT_GE(r.total_us, r.queue_us);
+  EXPECT_GT(r.total_us, 0.0);
+  EXPECT_FALSE(r.degraded);
+  EXPECT_TRUE(r.error.empty());
 
   // Deadline-free traffic on the same lane is untouched.
   SubmitOptions relaxed;
