@@ -54,7 +54,11 @@
 //     asserted — CI gates on it); its cycle numbers are estimates, so
 //     they are excluded from the SimResult equality check. The
 //     reported "analytic_speedup" is single-threaded inf/s over the
-//     compiled cycle engine — the model-zoo serving win.
+//     compiled cycle engine — the model-zoo serving win. An untimed
+//     pass over the inputs first reports "analytic_cycle_error"
+//     {v, u, w, total}: the mean over samples of |analytic − cycle| /
+//     cycle for each phase's cycles summed over layers, and for the
+//     whole inference (tests/engine_equivalence_test pins it);
 //
 // Two final sections measure the BatchRunner keep_results=false path:
 // marginal allocations per extra inference
@@ -144,6 +148,48 @@ bool predictions_match(const SimResult& a, const SimResult& b) {
   }
   return true;
 }
+
+/// Mean relative error of the analytic engine's cycle estimates against
+/// the cycle engine's counts, per phase (summed over layers) and in
+/// total. A phase the cycle engine did not run (V and U with uv off)
+/// counts 0 when the estimate is 0 too and 1 (100%) otherwise.
+struct CycleError {
+  double v = 0.0;
+  double u = 0.0;
+  double w = 0.0;
+  double total = 0.0;
+  std::size_t samples = 0;
+
+  void add(const SimResult& analytic, const SimResult& cycle) {
+    const auto phase = [](const SimResult& r,
+                          std::uint64_t LayerSimResult::*field) {
+      std::uint64_t sum = 0;
+      for (const LayerSimResult& l : r.layers) sum += l.*field;
+      return sum;
+    };
+    const auto rel = [](std::uint64_t a, std::uint64_t c) {
+      if (c == 0) return a == 0 ? 0.0 : 1.0;
+      const double diff = a > c ? static_cast<double>(a - c)
+                                : static_cast<double>(c - a);
+      return diff / static_cast<double>(c);
+    };
+    v += rel(phase(analytic, &LayerSimResult::v_cycles),
+             phase(cycle, &LayerSimResult::v_cycles));
+    u += rel(phase(analytic, &LayerSimResult::u_cycles),
+             phase(cycle, &LayerSimResult::u_cycles));
+    w += rel(phase(analytic, &LayerSimResult::w_cycles),
+             phase(cycle, &LayerSimResult::w_cycles));
+    total += rel(analytic.total_cycles, cycle.total_cycles);
+    ++samples;
+  }
+
+  friend std::ostream& operator<<(std::ostream& os, const CycleError& e) {
+    const auto n = static_cast<double>(e.samples);
+    return os << "{\"v\": " << e.v / n << ", \"u\": " << e.u / n
+              << ", \"w\": " << e.w / n << ", \"total\": " << e.total / n
+              << "}";
+  }
+};
 
 void print_engine(std::ostream& os, const char* name, const EngineStats& s) {
   os << "  \"" << name << "\": {"
@@ -373,6 +419,7 @@ int main(int argc, char** argv) {
     // serving speedup.
     EngineStats analytic_stats;
     bool analytic_exact = true;
+    CycleError analytic_error;
     {
       const CompiledNetwork compiled(quantized, arch, use_predictor);
       const std::unique_ptr<ExecutionEngine> analytic =
@@ -382,6 +429,11 @@ int main(int argc, char** argv) {
       analytic_exact = predictions_match(
           analytic->run(compiled, inputs[0], arena, ValidationMode::kOff),
           reference[0]);
+      // Untimed: every sample's estimates against the per-cycle counts.
+      for (std::size_t i = 0; i < samples; ++i)
+        analytic_error.add(analytic->run(compiled, inputs[i], arena,
+                                         ValidationMode::kOff),
+                           reference[i]);
       // The analytic engine is fast enough that one pass over a small
       // --samples set lasts only microseconds — far too short a window
       // for a wall-clock ratio that CI gates on (one scheduler
@@ -543,6 +595,7 @@ int main(int argc, char** argv) {
          << (event_identical ? "true" : "false")
          << ",\n  \"analytic_bit_exact\": "
          << (analytic_exact ? "true" : "false")
+         << ",\n  \"analytic_cycle_error\": " << analytic_error
          << ",\n  \"arena_allocs_per_inference\": "
          << arena_stats.allocs_per_inference()
          << ",\n  \"batch_arena_marginal_allocs_per_inference\": "

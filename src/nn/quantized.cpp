@@ -117,9 +117,11 @@ QuantizedNetwork& QuantizedNetwork::operator=(
   return *this;
 }
 
-QuantizedNetwork::QuantizedNetwork(const Network& network,
-                                   const Matrix& calibration,
-                                   std::size_t calibration_limit) {
+namespace detail {
+
+CalibrationRanges calibration_ranges(const Network& network,
+                                     const Matrix& calibration,
+                                     std::size_t calibration_limit) {
   expects(calibration.cols() == network.layer_sizes().front(),
           "calibration data dimension mismatch");
   const std::size_t samples =
@@ -127,19 +129,50 @@ QuantizedNetwork::QuantizedNetwork(const Network& network,
   expects(samples > 0, "need at least one calibration sample");
 
   const std::size_t nl = network.num_weight_layers();
+  CalibrationRanges ranges{std::vector<double>(nl + 1, 1e-6),
+                           std::vector<double>(nl, 1e-6)};
+  const auto fold_max = [](double& max_abs, const Matrix& m) {
+    for (const float v : m.flat())
+      max_abs = std::max(max_abs, std::abs(double{v}));
+  };
 
-  // Calibrate per-layer ranges with float forward passes.
-  std::vector<double> act_max(nl + 1, 1e-6);
-  std::vector<double> mid_max(nl, 1e-6);
-  for (std::size_t i = 0; i < samples; ++i) {
-    const ForwardTrace trace = network.forward(calibration.row(i));
-    for (std::size_t l = 0; l <= nl; ++l)
-      for (float v : trace.activations[l])
-        act_max[l] = std::max(act_max[l], std::abs(double{v}));
-    for (std::size_t l = 0; l < nl; ++l)
-      for (float v : trace.predictor_mid[l])
-        mid_max[l] = std::max(mid_max[l], std::abs(double{v}));
+  // All samples advance through the network together, one layer at a
+  // time, so each weight is read once per matvec_rows panel rather
+  // than once per sample. Row i of every matrix is sample i.
+  Matrix a(samples, calibration.cols());
+  std::copy_n(calibration.flat().begin(), a.size(), a.flat().begin());
+  for (std::size_t l = 0; l < nl; ++l) {
+    fold_max(ranges.act_max[l], a);
+    Matrix z = matvec_rows(network.weight(l), a);
+    if (l + 1 < nl) {
+      // a' = mask(U V a) × ReLU(z), the float ops of Network::forward.
+      std::span<float> zf = z.flat();
+      if (network.has_predictor(l)) {
+        const Predictor& p = network.predictor(l);
+        const Matrix s = matvec_rows(p.v(), a);
+        fold_max(ranges.mid_max[l], s);
+        const Matrix t = matvec_rows(p.u(), s);
+        const std::span<const float> tf = t.flat();
+        for (std::size_t i = 0; i < zf.size(); ++i)
+          zf[i] = (tf[i] > 0.0f ? 1.0f : 0.0f) * std::max(zf[i], 0.0f);
+      } else {
+        relu_inplace(zf);
+      }
+    }
+    a = std::move(z);
   }
+  fold_max(ranges.act_max[nl], a);
+  return ranges;
+}
+
+}  // namespace detail
+
+QuantizedNetwork::QuantizedNetwork(const Network& network,
+                                   const Matrix& calibration,
+                                   std::size_t calibration_limit) {
+  const std::size_t nl = network.num_weight_layers();
+  const detail::CalibrationRanges ranges =
+      detail::calibration_ranges(network, calibration, calibration_limit);
 
   layers_.reserve(nl);
   for (std::size_t l = 0; l < nl; ++l) {
@@ -147,14 +180,14 @@ QuantizedNetwork::QuantizedNetwork(const Network& network,
     q.w = quantize_matrix(network.weight(l));
     q.w_t = transpose(q.w);
     q.is_output = (l + 1 == nl);
-    q.in_fmt = format_for_max(act_max[l]);
-    q.out_fmt = format_for_max(act_max[l + 1]);
+    q.in_fmt = format_for_max(ranges.act_max[l]);
+    q.out_fmt = format_for_max(ranges.act_max[l + 1]);
     if (!q.is_output && network.has_predictor(l)) {
       q.u = quantize_matrix(network.predictor(l).u());
       q.v = quantize_matrix(network.predictor(l).v());
       q.u_t = transpose(*q.u);
       q.v_t = transpose(*q.v);
-      q.mid_fmt = format_for_max(mid_max[l]);
+      q.mid_fmt = format_for_max(ranges.mid_max[l]);
     }
     layers_.push_back(std::move(q));
   }

@@ -10,7 +10,8 @@
 //
 // Formats are chosen by calibration: weights per-matrix from their
 // value range, activations and predictor intermediates per-layer from
-// a forward pass over calibration samples.
+// one batched float forward pass over calibration samples
+// (detail::calibration_ranges).
 
 #include <cstdint>
 #include <optional>
@@ -80,6 +81,28 @@ struct QuantizedLayerResult {
   std::vector<std::uint8_t> mask;         ///< predictor bits (1 = compute)
   std::vector<std::int16_t> v_result;     ///< s = V a (raw i16 words)
 };
+
+namespace detail {
+
+/// Activation ranges measured on calibration samples, floored at 1e-6.
+struct CalibrationRanges {
+  /// max |a(l)| per layer of units: the input, each hidden layer's
+  /// masked activations, then the output logits (weight layers + 1).
+  std::vector<double> act_max;
+  /// max |V a| per weight layer (stays at the floor without a predictor).
+  std::vector<double> mid_max;
+};
+
+/// The ranges the QuantizedNetwork constructor derives its activation
+/// formats from: one batched float forward pass (matvec_rows) over the
+/// first min(rows, calibration_limit) rows of `calibration`, with the
+/// same float arithmetic as Network::forward — so every maximum equals
+/// the one per-sample forward() calls would give.
+CalibrationRanges calibration_ranges(const Network& network,
+                                     const Matrix& calibration,
+                                     std::size_t calibration_limit);
+
+}  // namespace detail
 
 /// The deployable network image.
 class QuantizedNetwork {

@@ -222,4 +222,19 @@ class BroadcastChannel {
   std::size_t head_ = 0;
 };
 
+/// Cycles from the cycle a PE injects a flit into an idle H-tree to the
+/// cycle every PE receives it back, with the BroadcastChannel built at
+/// latency `router_levels` (as the simulator builds it). Up: the leaf
+/// router forwards in the injection cycle, then one level per cycle,
+/// so the flit leaves the root levels − 1 cycles later. Down: send()
+/// stamps the channel clock before step() advances it, so delivery
+/// comes levels − 1 cycles after the root's cycle. The analytic engine
+/// charges this once per phase that moves flits; later flits pipeline
+/// behind the first.
+inline std::uint64_t htree_flight_cycles(const ArchParams& params) noexcept {
+  const std::uint64_t up = params.router_levels - 1;
+  const std::uint64_t down = params.router_levels - 1;
+  return up + down;
+}
+
 }  // namespace sparsenn

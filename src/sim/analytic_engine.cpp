@@ -5,6 +5,7 @@
 #include "common/check.hpp"
 #include "common/fault.hpp"
 #include "common/kernels.hpp"
+#include "noc/htree.hpp"
 #include "sim/result_arena.hpp"
 #include "sim/trace.hpp"
 
@@ -129,8 +130,8 @@ void AnalyticEngine::run_layer_into(const CompiledNetwork& compiled,
 
   // --- Schedule math (closed-form cycle estimates; see the header).
   const std::size_t max_rows_per_pe = (m + num_pes - 1) / num_pes;
-  const std::uint64_t tree_latency =
-      u64(params_.router_levels) * 2;  // up fill + down multicast
+  // Up to the root and back down the multicast (noc/htree.hpp).
+  const std::uint64_t tree_latency = htree_flight_cycles(params_);
   if (predict) {
     result.v_cycles = u64(max_local_nnz) * rank + u64(rank) +
                       tree_latency + params_.pe_pipeline_stages;
@@ -144,9 +145,12 @@ void AnalyticEngine::run_layer_into(const CompiledNetwork& compiled,
   }
   // W phase: the root serialises one delivered activation per cycle;
   // each PE multiplies every delivery with its predicted-active rows.
+  // With no nonzero input nothing enters the tree, and the phase is
+  // the pipeline flush alone.
   const std::uint64_t w_work = u64(nnz_in) * u64(max_active);
-  result.w_cycles = std::max(w_work, u64(nnz_in)) + tree_latency +
-                    params_.pe_pipeline_stages;
+  result.w_cycles =
+      (nnz_in == 0 ? 0 : std::max(w_work, u64(nnz_in)) + tree_latency) +
+      params_.pe_pipeline_stages;
   result.total_cycles =
       result.v_cycles + result.u_cycles + result.w_cycles;
 

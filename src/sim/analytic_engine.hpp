@@ -14,21 +14,28 @@
 // distribution of this input instead of balanced averages):
 //
 //   V phase — the slowest PE's local column MACs (its local nonzero
-//     inputs × rank) plus the pipelined tree reduction and broadcast
-//     of the `rank` results;
+//     inputs × rank) plus the `rank` results pipelined through the
+//     tree reduction and broadcast, whose first result pays the
+//     H-tree flight time once (noc/htree.hpp's htree_flight_cycles);
 //   U phase — the slowest PE's row MACs (mapped rows × rank) plus the
 //     PE pipeline flush — identical to the cycle engine's formula,
 //     which already computes this phase analytically;
 //   W phase — the larger of the root's serialisation bound (one
 //     delivered activation per cycle) and the slowest PE's consume
-//     work (delivered activations × its predicted-active rows).
+//     work (delivered activations × its predicted-active rows), plus
+//     the flight time; with no nonzero input nothing is sent and the
+//     phase is the PE pipeline flush alone.
 //
-// The estimates track the simulator's magnitude but are not
-// bit-identical to it — they skip arbitration conflicts and credit
-// stalls. Callers that need exact cycle truth use the cycle backend;
-// callers that need throughput (model-zoo serving, accuracy sweeps,
-// dataset scoring) get an order-of-magnitude faster inference with
-// identical predictions.
+// tests/engine_equivalence_test pins the V, U and W estimates equal to
+// the cycle engine's counts on every layer at paper scale (64 PEs,
+// radix 4, buffered credit flow control), both uv modes, an all-zero
+// image included. The closed form does not model arbitration conflicts
+// or credit stalls, so where a fabric contends (unbuffered flow
+// control, one-slot buffers or activation queues) it runs low. Callers
+// that need exact cycle truth everywhere use the cycle backend; callers
+// that need throughput (model-zoo serving, accuracy sweeps, dataset
+// scoring) get an order-of-magnitude faster inference with identical
+// predictions.
 //
 // Like AcceleratorSim, an AnalyticEngine is single-owner scratch: all
 // per-inference buffers are members reused across calls.

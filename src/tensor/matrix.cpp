@@ -80,6 +80,62 @@ Vector matvec(const Matrix& a, std::span<const float> x) {
   return y;
 }
 
+Matrix matvec_rows(const Matrix& a, const Matrix& xs) {
+  expects(a.cols() == xs.cols(), "matvec_rows dimension mismatch");
+  constexpr std::size_t kPanel = 8;
+  const std::size_t n = a.cols();
+  const std::size_t m = a.rows();
+  Matrix y(xs.rows(), m);
+  // Up to kPanel samples, widened once into a column-major panel:
+  // column c of every sample sits in one contiguous run of kPanel
+  // doubles, so one weight multiplies all of them. Lanes past the last
+  // sample of a short panel keep stale values; they are computed but
+  // never stored.
+  std::vector<double> panel(n * kPanel);
+  for (std::size_t s0 = 0; s0 < xs.rows(); s0 += kPanel) {
+    const std::size_t k = std::min(kPanel, xs.rows() - s0);
+    for (std::size_t s = 0; s < k; ++s) {
+      const float* x = xs.row(s0 + s).data();
+      for (std::size_t c = 0; c < n; ++c) panel[c * kPanel + s] = x[c];
+    }
+    // Two weight rows per pass: 2 × kPanel independent accumulator
+    // chains. Every (row, sample) output still sums its exact double
+    // products in ascending column order, as matvec does.
+    std::size_t r = 0;
+    for (; r + 2 <= m; r += 2) {
+      const float* w0 = a.row(r).data();
+      const float* w1 = w0 + n;
+      double acc0[kPanel] = {};
+      double acc1[kPanel] = {};
+      for (std::size_t c = 0; c < n; ++c) {
+        const double* x = &panel[c * kPanel];
+        const double a0 = w0[c];
+        const double a1 = w1[c];
+        for (std::size_t s = 0; s < kPanel; ++s) {
+          acc0[s] += a0 * x[s];
+          acc1[s] += a1 * x[s];
+        }
+      }
+      for (std::size_t s = 0; s < k; ++s) {
+        y(s0 + s, r) = static_cast<float>(acc0[s]);
+        y(s0 + s, r + 1) = static_cast<float>(acc1[s]);
+      }
+    }
+    if (r < m) {
+      const float* w0 = a.row(r).data();
+      double acc0[kPanel] = {};
+      for (std::size_t c = 0; c < n; ++c) {
+        const double* x = &panel[c * kPanel];
+        const double a0 = w0[c];
+        for (std::size_t s = 0; s < kPanel; ++s) acc0[s] += a0 * x[s];
+      }
+      for (std::size_t s = 0; s < k; ++s)
+        y(s0 + s, r) = static_cast<float>(acc0[s]);
+    }
+  }
+  return y;
+}
+
 Vector matvec_transposed(const Matrix& a, std::span<const float> x) {
   expects(a.rows() == x.size(), "matvec_transposed dimension mismatch");
   Vector y(a.cols(), 0.0f);

@@ -79,6 +79,11 @@ class Matrix {
 /// y = A x  (dims checked).
 Vector matvec(const Matrix& a, std::span<const float> x);
 
+/// Y = X Aᵀ: row i of the result is matvec(a, xs.row(i)) bit for bit,
+/// but each weight of `a` is read once per eight rows of `xs` instead
+/// of once per row (the batched form of calibration's forward passes).
+Matrix matvec_rows(const Matrix& a, const Matrix& xs);
+
 /// y = A^T x without materialising the transpose (row-sweep accumulate).
 Vector matvec_transposed(const Matrix& a, std::span<const float> x);
 

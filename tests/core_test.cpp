@@ -86,8 +86,9 @@ TEST(System, AnalyticEngineServesIdenticalPredictions) {
   EXPECT_EQ(system.compiled_network_compile_count(), 2u);
 
   // An unset BatchOptions::engine inherits the system's backend: the
-  // batch totals carry the analytic cycle estimates, not the cycle
-  // engine's exact counts (an explicit override still wins).
+  // batch totals carry the analytic engine's estimates, not the cycle
+  // engine's counts (an explicit override still wins). The two agree
+  // on cycles here, so the event totals tell the backends apart.
   BatchOptions batch;
   batch.max_samples = 4;
   batch.keep_results = false;
@@ -97,8 +98,9 @@ TEST(System, AnalyticEngineServesIdenticalPredictions) {
   batch.engine = EngineKind::kCycle;
   const BatchResult cycle = system.simulate_batch(batch);
   EXPECT_EQ(inherited.total_cycles, analytic.total_cycles);
+  EXPECT_EQ(inherited.total_events, analytic.total_events);
   EXPECT_EQ(inherited.error_rate_percent, cycle.error_rate_percent);
-  EXPECT_NE(cycle.total_cycles, analytic.total_cycles);
+  EXPECT_NE(cycle.total_events, analytic.total_events);
 }
 
 TEST(System, CompareHardwareShapes) {

@@ -82,14 +82,23 @@ void expect_equivalent(const QuantizedNetwork& network,
         EXPECT_EQ(exact.layers[l].nnz_inputs, fast.layers[l].nnz_inputs);
         EXPECT_EQ(exact.layers[l].active_rows, fast.layers[l].active_rows);
         // The U phase is analytic even in the cycle engine (slowest
-        // PE's rows × rank), so the backends must agree exactly.
+        // PE's rows × rank), and on this uncontended fabric the V and
+        // W closed forms are exact too, so all three phases agree.
+        EXPECT_EQ(exact.layers[l].v_cycles, fast.layers[l].v_cycles)
+            << "layer " << l << " sample " << i << " uv " << uv_on;
         EXPECT_EQ(exact.layers[l].u_cycles, fast.layers[l].u_cycles);
+        EXPECT_EQ(exact.layers[l].w_cycles, fast.layers[l].w_cycles)
+            << "layer " << l << " sample " << i << " uv " << uv_on;
       }
       EXPECT_EQ(exact.output, fast.output) << "sample " << i;
       EXPECT_EQ(argmax_i16(exact.output), argmax_i16(fast.output));
-      // Estimates must at least be live numbers in the right shape.
+      // Estimates must at least be live numbers in the right shape; the
+      // MAC count follows exactly from the functional work.
       EXPECT_GT(fast.total_cycles, 0u);
-      EXPECT_GT(fast.total_events().macs, 0u);
+      EXPECT_EQ(exact.total_events().macs, fast.total_events().macs);
+      if (exact.layers.front().nnz_inputs > 0) {
+        EXPECT_GT(fast.total_events().macs, 0u);
+      }
     }
   }
   // One image per uv mode, compiled once each, shared by both backends.
@@ -103,6 +112,23 @@ TEST(EngineEquivalence, ProceduralDigits) {
   const DatasetSplit split = make_dataset(DatasetVariant::kBasic, options);
   const QuantizedNetwork network = make_network(split.train.inputs);
   expect_equivalent(network, split.test.inputs, 6);
+}
+
+// A layer with no nonzero input sends nothing through the NoC, so the
+// cycle engine's W phase is the PE pipeline flush alone; the analytic
+// estimate must not charge the tree's flight time for it. An all-zero
+// image makes every layer such a layer (and in uv_off mode runs no MAC
+// at all); a real image rides along in the same run.
+TEST(EngineEquivalence, AllZeroImage) {
+  DatasetOptions options;
+  options.train_size = 16;
+  options.test_size = 1;
+  const DatasetSplit split = make_dataset(DatasetVariant::kBasic, options);
+  const QuantizedNetwork network = make_network(split.train.inputs);
+  Matrix images(2, split.test.inputs.cols(), 0.0f);
+  const auto image = split.test.inputs.row(0);
+  std::copy(image.begin(), image.end(), images.row(1).begin());
+  expect_equivalent(network, images, images.rows());
 }
 
 TEST(EngineEquivalence, IdxTinyMnist) {

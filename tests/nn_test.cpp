@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "data/dataset.hpp"
@@ -451,6 +452,86 @@ TEST(Quantized, InputSparsitySkipsAreExact) {
   for (std::size_t i = 0; i < logits.size(); ++i)
     EXPECT_NEAR(deq[i], logits[i], 0.05f + 0.02f * std::abs(logits[i]));
   EXPECT_EQ(raw.size(), 3u);
+}
+
+/// The per-sample calibration loop the batched pass replaced, kept as
+/// its oracle: one Network::forward per sample, folding max |v| over
+/// every layer's activations and every predictor's s = V a.
+detail::CalibrationRanges per_sample_ranges(const Network& net,
+                                            const Matrix& calibration,
+                                            std::size_t limit) {
+  const std::size_t samples = std::min(calibration.rows(), limit);
+  const std::size_t nl = net.num_weight_layers();
+  detail::CalibrationRanges ranges{std::vector<double>(nl + 1, 1e-6),
+                                   std::vector<double>(nl, 1e-6)};
+  for (std::size_t i = 0; i < samples; ++i) {
+    const ForwardTrace trace = net.forward(calibration.row(i));
+    for (std::size_t l = 0; l <= nl; ++l)
+      for (float v : trace.activations[l])
+        ranges.act_max[l] = std::max(ranges.act_max[l], std::abs(double{v}));
+    for (std::size_t l = 0; l < nl; ++l)
+      for (float v : trace.predictor_mid[l])
+        ranges.mid_max[l] = std::max(ranges.mid_max[l], std::abs(double{v}));
+  }
+  return ranges;
+}
+
+// Calibration runs every sample through the network at once
+// (matvec_rows); its ranges, and so every format, must equal the
+// per-sample forward() loop exactly. Odd widths leave remainders on the
+// row pairs, 1/8/9/17 samples on the 8-sample panel, and 70 rows test
+// the default limit of 64. The first layer's W (and V) rows open with
+// 1, 2^60, -2^60 against inputs opening with 1, 1, 1, so a sum taken in
+// any but ascending column order moves a maximum; random predictors
+// mask about half the rows, so a dropped mask moves one too.
+TEST(QuantizedNetwork, BatchedCalibrationMatchesPerSampleForward) {
+  struct Case {
+    std::vector<std::size_t> sizes;
+    std::vector<std::size_t> ranks;  ///< per hidden layer; 0 = none
+  };
+  const std::vector<Case> cases = {
+      {{13, 11, 9, 5}, {3, 2}},
+      {{13, 11, 9, 5}, {0, 0}},
+      {{21, 17, 6, 15, 3}, {4, 0, 1}},
+  };
+  std::uint64_t seed = 40;
+  for (const Case& c : cases) {
+    Rng rng{++seed};
+    Network net{c.sizes, rng};
+    for (std::size_t l = 0; l < c.ranks.size(); ++l)
+      if (c.ranks[l] > 0)
+        net.set_predictor(l, Predictor::random(c.sizes[l + 1], c.sizes[l],
+                                               c.ranks[l], rng));
+    const auto open_rows = [](Matrix& m) {
+      for (std::size_t r = 0; r < m.rows(); ++r) {
+        m(r, 0) = 1.0f;
+        m(r, 1) = 0x1p60f;
+        m(r, 2) = -0x1p60f;
+      }
+    };
+    open_rows(net.weight(0));
+    if (net.has_predictor(0)) open_rows(net.predictor(0).v());
+
+    for (const std::size_t rows : {1u, 8u, 9u, 17u, 70u}) {
+      Matrix calib(rows, c.sizes.front());
+      for (float& v : calib.flat())
+        v = rng.bernoulli(0.3) ? 0.0f
+                               : static_cast<float>(rng.normal(0.0, 2.0));
+      for (std::size_t i = 0; i < rows; ++i)
+        calib(i, 0) = calib(i, 1) = calib(i, 2) = 1.0f;
+
+      const detail::CalibrationRanges batched =
+          detail::calibration_ranges(net, calib, 64);
+      const detail::CalibrationRanges expected =
+          per_sample_ranges(net, calib, 64);
+      EXPECT_EQ(batched.act_max, expected.act_max)
+          << "sizes " << c.sizes.size() << " seed " << seed << " rows "
+          << rows;
+      EXPECT_EQ(batched.mid_max, expected.mid_max)
+          << "sizes " << c.sizes.size() << " seed " << seed << " rows "
+          << rows;
+    }
+  }
 }
 
 }  // namespace

@@ -314,6 +314,44 @@ TEST(HTree, ReductionComputesExactSums) {
   EXPECT_EQ(sums, expected);
 }
 
+// htree_flight_cycles is the analytic engine's tree term; it must match
+// what an idle UpwardTree plus the simulator's BroadcastChannel do.
+// Every PE injects one flit in cycle 1 (one reduction row in accumulate
+// mode, racing activations in arbitrate mode); the first delivery to
+// the PEs must come exactly that many cycles later, at every shape.
+TEST(HTree, FlightCyclesMatchTreeAndBroadcast) {
+  for (const std::size_t radix : {2u, 4u, 8u}) {
+    for (std::size_t levels = 1; levels <= 5; ++levels) {
+      ArchParams params;
+      params.router_radix = radix;
+      params.router_levels = levels;
+      params.num_pes = 1;
+      for (std::size_t l = 0; l < levels; ++l) params.num_pes *= radix;
+      if (params.num_pes > 1024) continue;
+      for (const RouterMode mode :
+           {RouterMode::kAccumulate, RouterMode::kArbitrate}) {
+        UpwardTree tree(params, mode);
+        BroadcastChannel broadcast(params.router_levels);
+        for (std::size_t pe = 0; pe < params.num_pes; ++pe) {
+          const auto row = static_cast<std::uint32_t>(
+              mode == RouterMode::kAccumulate ? 0 : pe);
+          tree.inject(pe, flit(row, 1, static_cast<std::uint16_t>(pe)));
+          tree.close_injector(pe);
+        }
+        std::uint64_t delivered_at = 0;
+        for (std::uint64_t cycle = 1; cycle < 100 && !delivered_at;
+             ++cycle) {
+          if (const auto out = tree.step(true)) broadcast.send(*out);
+          if (broadcast.step()) delivered_at = cycle;
+        }
+        EXPECT_EQ(delivered_at, 1 + htree_flight_cycles(params))
+            << "radix " << radix << " levels " << levels << " mode "
+            << (mode == RouterMode::kAccumulate ? "acc" : "arb");
+      }
+    }
+  }
+}
+
 TEST(BroadcastChannel, FixedLatencyFifo) {
   BroadcastChannel ch(3);
   EXPECT_TRUE(ch.idle());

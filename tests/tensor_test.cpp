@@ -51,11 +51,14 @@ TEST(Matrix, MatvecAgainstManual) {
                std::invalid_argument);
 }
 
-// matvec computes several rows per pass; every row must still be the
-// plain one-row double-accumulated dot in ascending column order, bit
-// for bit, at every row count around the block size (and its tails).
-// Each row opens with 1, 2^60, -2^60: summed in order the 1 is absorbed
-// before the big terms cancel, so any other column order shows.
+// matvec computes several rows per pass, and matvec_rows several rows
+// for a panel of up to 8 samples; every output must still be the plain
+// one-row double-accumulated dot in ascending column order, bit for
+// bit, at every row count around the block sizes and every sample
+// count around the panel width (and their tails). Each row opens with
+// 1, 2^60, -2^60 against inputs opening with 1, 1, 1: summed in order
+// the 1 is absorbed before the big terms cancel, so any other column
+// order shows.
 TEST(Matrix, MatvecMatchesOneRowReferenceBitForBit) {
   for (std::size_t rows = 1; rows <= 9; ++rows) {
     Matrix m = random_matrix(rows, 37, 10 + rows);
@@ -64,20 +67,37 @@ TEST(Matrix, MatvecMatchesOneRowReferenceBitForBit) {
       m(r, 1) = 0x1p60f;
       m(r, 2) = -0x1p60f;
     }
+    const auto reference = [&m](std::span<const float> x, std::size_t r) {
+      double acc = 0.0;
+      for (std::size_t c = 0; c < x.size(); ++c)
+        acc += double{m(r, c)} * double{x[c]};
+      return static_cast<float>(acc);
+    };
     Rng rng{rows};
     Vector x(37);
     for (float& v : x) v = static_cast<float>(rng.normal());
     x[0] = x[1] = x[2] = 1.0f;
     const Vector y = matvec(m, x);
     ASSERT_EQ(y.size(), rows);
-    for (std::size_t r = 0; r < rows; ++r) {
-      double acc = 0.0;
-      for (std::size_t c = 0; c < x.size(); ++c)
-        acc += double{m(r, c)} * double{x[c]};
-      EXPECT_EQ(y[r], static_cast<float>(acc))
-          << "rows " << rows << " row " << r;
+    for (std::size_t r = 0; r < rows; ++r)
+      EXPECT_EQ(y[r], reference(x, r)) << "rows " << rows << " row " << r;
+
+    for (const std::size_t samples : {1u, 7u, 8u, 9u, 17u}) {
+      Matrix xs = random_matrix(samples, 37, 100 * rows + samples);
+      for (std::size_t i = 0; i < samples; ++i)
+        xs(i, 0) = xs(i, 1) = xs(i, 2) = 1.0f;
+      const Matrix ys = matvec_rows(m, xs);
+      ASSERT_EQ(ys.rows(), samples);
+      ASSERT_EQ(ys.cols(), rows);
+      for (std::size_t i = 0; i < samples; ++i)
+        for (std::size_t r = 0; r < rows; ++r)
+          EXPECT_EQ(ys(i, r), reference(xs.row(i), r))
+              << "rows " << rows << " samples " << samples << " sample "
+              << i << " row " << r;
     }
   }
+  EXPECT_THROW(matvec_rows(Matrix(2, 3), Matrix(4, 2)),
+               std::invalid_argument);
 }
 
 TEST(Matrix, MatvecTransposedMatchesExplicitTranspose) {
