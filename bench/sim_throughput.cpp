@@ -28,12 +28,10 @@
 //     lands on both sides of the gated ratio equally;
 //
 //   "event_engine" — the same compiled image under
-//     SteppingMode::kEvent, single-threaded. Reports inf/s plus the
-//     wake-list economics (events_executed vs cycles_ticked and their
-//     ratio) and "event_bit_identical"; CI gates "event_speedup"
-//     (event vs per-cycle inf/s) >= 1.5 and the bit-identity flag. A
-//     "sim_threads_scaling" sweep then re-runs it at 1,2,4,…,HW shard
-//     threads — every point must stay bit-identical too;
+//     SteppingMode::kEvent. Reports inf/s plus the wake-list economics
+//     (events_executed vs cycles_ticked and their ratio) and
+//     "event_bit_identical"; CI gates "event_speedup" (event vs
+//     per-cycle inf/s) >= 1.5 and the bit-identity flag;
 //
 //   "cached_sweep" — the System::simulate() sweep profile today: every
 //     inference fetches the image from a ModelZoo (always
@@ -51,14 +49,17 @@
 //     of per-cycle NoC stepping. Its predictions (per-layer
 //     activations, output, nnz/active-row counts, argmax labels) must
 //     be bit-exact vs the cycle engines ("analytic_bit_exact",
-//     asserted — CI gates on it); its cycle numbers are estimates, so
-//     they are excluded from the SimResult equality check. The
-//     reported "analytic_speedup" is single-threaded inf/s over the
-//     compiled cycle engine — the model-zoo serving win. An untimed
-//     pass over the inputs first reports "analytic_cycle_error"
-//     {v, u, w, total}: the mean over samples of |analytic − cycle| /
-//     cycle for each phase's cycles summed over layers, and for the
-//     whole inference (tests/engine_equivalence_test pins it);
+//     asserted — CI gates on it). Its per-layer cycle counts equal the
+//     cycle engine's on the default buffered fabric this bench runs
+//     (tests/engine_equivalence_test pins that) and run low on
+//     contended fabrics; its event counts are estimates, so the
+//     SimResult equality check excludes them. The reported
+//     "analytic_speedup" is single-threaded inf/s over the compiled
+//     cycle engine — the model-zoo serving win. An untimed pass over
+//     the inputs first reports "analytic_cycle_error" {v, u, w,
+//     total}: the mean over samples of |analytic − cycle| / cycle for
+//     each phase's cycles summed over layers, and for the whole
+//     inference (0 in every field here);
 //
 // Two final sections measure the BatchRunner keep_results=false path:
 // marginal allocations per extra inference
@@ -290,11 +291,6 @@ int main(int argc, char** argv) {
     EngineStats event_stats;
     bool event_identical = true;
     EventCore::Stats event_core_stats;
-    struct ThreadPoint {
-      std::size_t threads = 0;
-      double inf_per_sec = 0.0;
-    };
-    std::vector<ThreadPoint> event_thread_scaling;
     {
       const CompiledNetwork compiled(quantized, arch, use_predictor);
       AcceleratorSim per_cycle_sim(arch);
@@ -343,30 +339,6 @@ int main(int argc, char** argv) {
       }
       per_cycle_stats.samples = samples * rounds;
       event_stats.samples = samples * rounds;
-
-      // Shard-thread sweep: wall-clock only — every point re-checked
-      // bit-identical against the per-cycle reference.
-      const std::size_t hw = std::max<std::size_t>(
-          1, std::thread::hardware_concurrency());
-      std::vector<std::size_t> thread_counts;
-      for (std::size_t t = 1; t < hw; t *= 2) thread_counts.push_back(t);
-      thread_counts.push_back(hw);
-      for (const std::size_t threads : thread_counts) {
-        event_sim.set_sim_options(
-            SimOptions{.stepping = SteppingMode::kEvent,
-                       .sim_threads = threads});
-        const auto t0 = clock::now();
-        for (std::size_t i = 0; i < samples; ++i) {
-          const SimResult r =
-              event_sim.run(compiled, inputs[i], ValidationMode::kOff);
-          event_identical = event_identical && r == reference[i];
-        }
-        const double secs =
-            std::chrono::duration<double>(clock::now() - t0).count();
-        event_thread_scaling.push_back(
-            {threads, secs > 0.0 ? static_cast<double>(samples) / secs
-                                 : 0.0});
-      }
       identical = identical && event_identical;
     }
 
@@ -545,8 +517,7 @@ int main(int argc, char** argv) {
     const double analytic_speedup =
         ratio(analytic_stats.inferences_per_sec(),
               compiled_stats.inferences_per_sec());
-    // Single-threaded event core vs the per-cycle reference, CI-gated
-    // >= 1.5.
+    // Event core vs the per-cycle reference, CI-gated >= 1.5.
     const double event_speedup =
         ratio(event_stats.inferences_per_sec(),
               per_cycle_stats.inferences_per_sec());
@@ -573,15 +544,7 @@ int main(int argc, char** argv) {
       os << ",\n  \"event_core\": {\"events_executed\": "
          << event_core_stats.events_executed
          << ", \"cycles_ticked\": " << event_core_stats.cycles_ticked
-         << ", \"event_cycle_ratio\": " << event_cycle_ratio << "}";
-      os << ",\n  \"sim_threads_scaling\": [";
-      for (std::size_t i = 0; i < event_thread_scaling.size(); ++i) {
-        os << (i ? ", " : "")
-           << "{\"threads\": " << event_thread_scaling[i].threads
-           << ", \"inferences_per_sec\": "
-           << event_thread_scaling[i].inf_per_sec << "}";
-      }
-      os << "],\n";
+         << ", \"event_cycle_ratio\": " << event_cycle_ratio << "},\n";
       print_engine(os, "cached_sweep", cached_stats);
       os << ",\n";
       print_engine(os, "arena", arena_stats);

@@ -7,16 +7,16 @@
 //   sparsenn_cli simulate --model model.bin [--variant v] [--samples n]
 //                         [--uv on|off|both] [--trace trace.csv]
 //                         [--engine cycle|analytic]
-//                         [--stepping per_cycle|event] [--sim-threads t]
+//                         [--stepping per_cycle|event]
 //   sparsenn_cli batch    --model model.bin [--variant v] [--samples n]
 //                         [--threads t] [--uv on|off]
 //                         [--engine cycle|analytic]
-//                         [--stepping per_cycle|event] [--sim-threads t]
+//                         [--stepping per_cycle|event]
 //   sparsenn_cli serve-bench --model model.bin [--variant v]
 //                         [--clients n] [--requests n] [--workers w]
 //                         [--max-batch b] [--max-wait-us us]
 //                         [--uv on|off] [--engine cycle|analytic]
-//                         [--stepping per_cycle|event] [--sim-threads t]
+//                         [--stepping per_cycle|event]
 //                         [--deadline-us us] [--priority-mix h,n,b]
 //                         [--breaker-window n] [--breaker-threshold f]
 //                         [--degraded on|off]
@@ -24,7 +24,8 @@
 //
 // Every command also takes --simd auto|scalar: `scalar` forces the
 // scalar reference kernels (same effect as SPARSENN_FORCE_SCALAR=1)
-// so experiments pin their dispatch.
+// so experiments pin their dispatch. A flag no command reads is a
+// usage error (exit 2), so a typo never runs with the default.
 //
 // `train` produces a serialized model; `eval` reports float and
 // quantised TER; `simulate` deploys it on the 64-PE model; `batch`
@@ -33,10 +34,11 @@
 // architecture configuration (and, with a model, its topology).
 // `--engine` picks the cost backend (sim/engine.hpp): `cycle` is the
 // cycle-accurate simulator, `analytic` the closed-form fast path with
-// bit-identical predictions and estimated cycles. `--stepping` picks
-// how the cycle backend advances time (event-driven by default) and
-// `--sim-threads` shards one inference's PE epochs across worker
-// threads — every combination is bit-identical (sim/event_core.hpp).
+// bit-identical predictions, per-layer cycle counts equal to the cycle
+// engine's on the default buffered fabric (low on contended fabrics)
+// and estimated event counts. `--stepping` picks how the cycle backend
+// advances time: `event` (the default, sim/event_core.hpp) or the
+// `per_cycle` reference, bit-identical to each other.
 // serve-bench's overload knobs exercise the control tier: a
 // per-request deadline, a high,normal,best_effort request mix (with
 // best-effort admission watermarked so it sheds first), a per-model
@@ -51,6 +53,7 @@
 #include <iostream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "arch/area.hpp"
 #include "common/cli_args.hpp"
@@ -97,21 +100,16 @@ EngineKind parse_engine(const Args& args) {
   return *kind;
 }
 
-/// --stepping per_cycle|event plus --sim-threads N: the cycle
-/// backend's SimOptions (sim/engine.hpp). Every combination is
-/// bit-identical; anything else is a UsageError (exit 2).
-SimOptions parse_sim_options(const Args& args) {
-  SimOptions sim;
-  const std::string name = args.get("stepping", to_string(sim.stepping));
+/// --stepping per_cycle|event (sim/engine.hpp), bit-identical to each
+/// other; anything else is a UsageError (exit 2).
+SteppingMode parse_stepping(const Args& args) {
+  const std::string name = args.get("stepping", "event");
   const std::optional<SteppingMode> mode = parse_stepping_mode(name);
   if (!mode) {
     throw UsageError("--stepping takes per_cycle|event, got '" + name +
                      "'");
   }
-  sim.stepping = *mode;
-  sim.sim_threads = std::max<std::size_t>(args.get_size("sim-threads", 1),
-                                          std::size_t{1});
-  return sim;
+  return *mode;
 }
 
 /// --simd auto|scalar (any command): `scalar` forces the scalar
@@ -201,7 +199,7 @@ int cmd_simulate(const Args& args) {
   const QuantizedNetwork& quantized = model.quantized;
 
   const std::unique_ptr<ExecutionEngine> engine = make_engine(
-      engine_kind, ArchParams::paper(), parse_sim_options(args));
+      engine_kind, ArchParams::paper(), parse_stepping(args));
   TraceLog log;
   const std::string trace_path = args.get("trace", "");
   if (!trace_path.empty()) engine->set_trace(&log);
@@ -266,7 +264,7 @@ int cmd_batch(const Args& args) {
   options.use_predictor = uv == "on";
   options.keep_results = false;  // aggregate stats only
   options.engine = parse_engine(args);
-  options.sim = parse_sim_options(args);
+  options.stepping = parse_stepping(args);
 
   const LoadedModel model = load_model(args);
   const BatchRunner runner(ArchParams::paper(), options);
@@ -348,7 +346,7 @@ int cmd_serve_bench(const Args& args) {
   options.max_batch = args.get_size("max-batch", 8);
   options.max_wait_us = args.get_size("max-wait-us", 200);
   options.engine = parse_engine(args);
-  options.sim = parse_sim_options(args);
+  options.stepping = parse_stepping(args);
   options.breaker.window = args.get_size("breaker-window", 0);
   options.breaker.failure_threshold = breaker_threshold;
   options.allow_degraded = degraded == "on";
@@ -500,6 +498,22 @@ int cmd_info(const Args& args) {
   return 0;
 }
 
+/// Every flag some command reads; main() rejects anything else.
+constexpr std::string_view kKnownFlags[] = {
+    // every command
+    "simd",
+    // dataset and model (train/eval/simulate/batch/serve-bench/info)
+    "variant", "train-size", "test-size", "model",
+    // train
+    "kind", "rank", "epochs", "hidden", "layers", "out",
+    // simulate/batch/serve-bench
+    "samples", "uv", "engine", "stepping", "trace", "threads",
+    // serve-bench
+    "clients", "requests", "workers", "max-batch", "max-wait-us",
+    "deadline-us", "priority-mix", "breaker-window", "breaker-threshold",
+    "degraded",
+};
+
 int usage() {
   std::cerr << "usage: sparsenn_cli {train|eval|simulate|batch|serve-bench|info} "
                "[--key value ...]\n"
@@ -516,6 +530,7 @@ int main(int argc, char** argv) {
     // Parse inside the try: a malformed line (e.g. a trailing flag
     // with no value) is a UsageError → exit 2.
     const Args args(argc, argv, 2);
+    args.reject_unknown(kKnownFlags);
     apply_simd_flag(args);
     if (command == "train") return cmd_train(args);
     if (command == "eval") return cmd_eval(args);

@@ -1,5 +1,7 @@
 #include "common/cli_args.hpp"
 
+#include <algorithm>
+
 namespace sparsenn {
 
 CliArgs::CliArgs(int argc, const char* const* argv, int first) {
@@ -38,6 +40,13 @@ std::size_t CliArgs::get_size(const std::string& key,
                      it->second + "'");
   }
   return static_cast<std::size_t>(value);
+}
+
+void CliArgs::reject_unknown(std::span<const std::string_view> known) const {
+  for (const auto& [key, value] : values_) {
+    if (std::find(known.begin(), known.end(), key) == known.end())
+      throw UsageError("unknown flag --" + key);
+  }
 }
 
 }  // namespace sparsenn

@@ -3,12 +3,16 @@
 // benches. Parsing is strict where silence used to lose input: a
 // trailing flag with no value (e.g. `--samples` at the end of the
 // line) is a UsageError instead of silently falling back to the
-// default, and numeric values reject negatives and trailing junk.
+// default, numeric values reject negatives and trailing junk, and a
+// caller that knows its flag set rejects anything else (a typo such as
+// `--sampels 8` would otherwise run with the default).
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace sparsenn {
 
@@ -34,6 +38,10 @@ class CliArgs {
   bool has(const std::string& key) const {
     return values_.find(key) != values_.end();
   }
+
+  /// Throws UsageError naming the first parsed flag (in key order) that
+  /// is not in `known` (flag names without the leading `--`).
+  void reject_unknown(std::span<const std::string_view> known) const;
 
  private:
   std::map<std::string, std::string> values_;

@@ -27,7 +27,7 @@ void System::prepare() {
 
   log_info("system", "quantising to 16-bit fixed point");
   quantized_.emplace(model_->network, split_->train.inputs);
-  engine_ = make_engine(options_.engine, options_.arch, options_.sim);
+  engine_ = make_engine(options_.engine, options_.arch, options_.stepping);
 
   // A re-prepare()d network carries a fresh uid, so images compiled
   // from the previous one can never be served again (the zoo key is
@@ -61,8 +61,10 @@ SimResult System::simulate(std::size_t test_index, bool use_predictor) {
   expects(test_index < split_->test.size(), "test index out of range");
   // Zoo-cached compile + full validation on the configured backend.
   // On the cycle engine this is bit-identical to the one-shot
-  // run(network, …) path, minus the per-call recompile; the analytic
-  // engine returns the same predictions with estimated cycles.
+  // run(network, …) path, minus the per-call recompile. The analytic
+  // engine returns the same predictions, and on the default buffered
+  // fabric the same per-layer cycle counts (low on contended fabrics);
+  // its event counts are estimates.
   return engine_->run(*compiled(use_predictor),
                       split_->test.image(test_index),
                       ValidationMode::kFull);
@@ -77,7 +79,7 @@ BatchResult System::simulate_batch(const BatchOptions& options) const {
   // an explicit one overrides it per batch.
   BatchOptions resolved = options;
   if (!resolved.engine) resolved.engine = options_.engine;
-  if (!resolved.sim) resolved.sim = options_.sim;
+  if (!resolved.stepping) resolved.stepping = options_.stepping;
   const BatchRunner runner(options_.arch, resolved);
   // The pin outlives the whole batch, so no zoo churn can free the
   // image under the workers.

@@ -42,10 +42,9 @@ struct SystemOptions {
   /// kAnalytic keeps predictions bit-identical while replacing
   /// per-cycle simulation with closed-form schedule math.
   EngineKind engine = EngineKind::kCycle;
-  /// Cycle-backend tuning (stepping mode, intra-inference sim
-  /// threads); every mode/thread count is bit-identical. The analytic
-  /// backend ignores it.
-  SimOptions sim{};
+  /// How the cycle backend advances time; both modes are
+  /// bit-identical. The analytic backend ignores it.
+  SteppingMode stepping = SteppingMode::kEvent;
 };
 
 /// Mean per-layer hardware cost over a set of inferences.

@@ -399,7 +399,7 @@ void ServingFrontend::process_batch(
         EngineSlot& backend = backends[entry.arch.cache_key()];
         if (!backend.engine)
           backend.engine =
-              make_engine(options_.engine, entry.arch, options_.sim);
+              make_engine(options_.engine, entry.arch, options_.stepping);
         backend.arena.reserve(*image);
 
         // Degraded-mode inputs, sampled once per batch: the brownout
@@ -442,8 +442,8 @@ void ServingFrontend::process_batch(
           ExecutionEngine* engine = backend.engine.get();
           if (degrade) {
             if (!backend.fallback)
-              backend.fallback = make_engine(EngineKind::kAnalytic,
-                                             entry.arch, options_.sim);
+              backend.fallback =
+                  make_engine(EngineKind::kAnalytic, entry.arch);
             engine = backend.fallback.get();
           }
           const auto run_begin = RequestQueue<Pending>::Clock::now();

@@ -25,13 +25,6 @@ AcceleratorSim::AcceleratorSim(const ArchParams& params)
   pes_.reserve(params_.num_pes);
   for (std::size_t i = 0; i < params_.num_pes; ++i)
     pes_.emplace_back(i, params_);
-  pe_scratch_.resize(params_.num_pes);
-}
-
-void AcceleratorSim::set_sim_options(const SimOptions& options) {
-  sim_options_ = options;
-  event_core_.set_threads(std::max<std::size_t>(std::size_t{1},
-                                                options.sim_threads));
 }
 
 SimResult AcceleratorSim::run(const QuantizedNetwork& network,
@@ -135,21 +128,13 @@ void AcceleratorSim::run_layer_into(const CompiledNetwork& compiled,
   result.nnz_inputs = 0;
   result.active_rows = 0;
 
-  // Every per-PE pass with no cross-PE data flow (layer prologue, U
-  // phase, uv_off row forcing) runs as a sharded epoch in both
-  // stepping modes — inline at one thread. Per-PE outputs land in
-  // per-PE slots and are reduced in id order, so the totals are
-  // thread-count independent.
-  event_core_.parallel_pes([&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      pes_[i].reset_events();
-      pes_[i].load_layer(compiled.slice(l, i));
-      pe_scratch_[i] = pes_[i].scan_source_nonzeros().size();
-    }
-  });
-  for (const std::size_t n : pe_scratch_) result.nnz_inputs += n;
+  for (std::size_t i = 0; i < pes_.size(); ++i) {
+    pes_[i].reset_events();
+    pes_[i].load_layer(compiled.slice(l, i));
+    result.nnz_inputs += pes_[i].scan_source_nonzeros().size();
+  }
 
-  const bool event = sim_options_.stepping == SteppingMode::kEvent;
+  const bool event = stepping_ == SteppingMode::kEvent;
   const bool predict = compiled.use_predictor() && layer.has_predictor() &&
                        !layer.is_output;
   if (predict) {
@@ -160,19 +145,12 @@ void AcceleratorSim::run_layer_into(const CompiledNetwork& compiled,
         event ? event_core_.run_v_phase(pes_, v_tree_, broadcast_, rank,
                                         from_frac, mid_frac, result)
               : simulate_v_phase(rank, from_frac, mid_frac, result);
-    event_core_.parallel_pes([&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i)
-        pe_scratch_[i] = pes_[i].run_u_phase();
-    });
     std::uint64_t u_max = 0;
-    for (const std::size_t macs : pe_scratch_)
-      u_max = std::max<std::uint64_t>(u_max, macs);
+    for (auto& pe : pes_)
+      u_max = std::max<std::uint64_t>(u_max, pe.run_u_phase());
     result.u_cycles = u_max + params_.pe_pipeline_stages;
   } else {
-    event_core_.parallel_pes([&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i)
-        pes_[i].force_all_rows_active();
-    });
+    for (auto& pe : pes_) pe.force_all_rows_active();
   }
 
   result.w_cycles = event

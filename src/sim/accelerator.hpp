@@ -104,19 +104,8 @@ class AcceleratorSim final : public ExecutionEngine {
   /// tests/event_core_test pin this); the knob exists so tests and
   /// benches can cross-check the event core against pure per-cycle
   /// runs. Default: kEvent, the fastest mode.
-  void set_stepping_mode(SteppingMode mode) noexcept {
-    sim_options_.stepping = mode;
-  }
-  SteppingMode stepping_mode() const noexcept {
-    return sim_options_.stepping;
-  }
-
-  /// Full cycle-engine options (stepping mode + intra-inference shard
-  /// threads). Both modes shard their per-PE passes across the
-  /// threads; the count never changes any observable — only
-  /// wall-clock.
-  void set_sim_options(const SimOptions& options);
-  const SimOptions& sim_options() const noexcept { return sim_options_; }
+  void set_stepping_mode(SteppingMode mode) noexcept { stepping_ = mode; }
+  SteppingMode stepping_mode() const noexcept { return stepping_; }
 
   /// How much work the event core did since the last reset (empty
   /// unless runs used SteppingMode::kEvent).
@@ -155,9 +144,8 @@ class AcceleratorSim final : public ExecutionEngine {
   BroadcastChannel broadcast_;
   std::vector<bool> v_closed_;  ///< per-PE injector-closed scratch
 
-  SimOptions sim_options_;      ///< default: event stepping, 1 thread
+  SteppingMode stepping_ = SteppingMode::kEvent;
   EventCore event_core_;
-  std::vector<std::size_t> pe_scratch_;  ///< per-PE epoch outputs
   TraceLog* trace_ = nullptr;
 };
 

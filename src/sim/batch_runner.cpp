@@ -158,7 +158,7 @@ BatchResult BatchRunner::run(const CompiledNetwork& compiled,
     // storage reused.
     const std::unique_ptr<ExecutionEngine> engine = make_engine(
         options_.engine.value_or(EngineKind::kCycle), params_,
-        options_.sim.value_or(SimOptions{}));
+        options_.stepping.value_or(SteppingMode::kEvent));
     ResultArena arena;
     if (!options_.keep_results) arena.reserve(compiled);
     try {

@@ -63,13 +63,12 @@ struct BatchOptions {
   /// inherit: System::simulate_batch fills in the system's configured
   /// engine; a standalone BatchRunner resolves it to kCycle.
   std::optional<EngineKind> engine;
-  /// Cycle-backend tuning each worker's engine is built with
-  /// (stepping mode, intra-inference sim threads); every mode/thread
-  /// count is bit-identical. Unset inherits like `engine`:
-  /// System::simulate_batch fills in the system's configured sim
-  /// options; a standalone BatchRunner resolves it to the defaults.
-  /// The analytic backend ignores it.
-  std::optional<SimOptions> sim;
+  /// How each worker's cycle engine advances time; both modes are
+  /// bit-identical. Unset inherits like `engine`:
+  /// System::simulate_batch fills in the system's configured mode; a
+  /// standalone BatchRunner resolves it to kEvent. The analytic
+  /// backend ignores it.
+  std::optional<SteppingMode> stepping;
 };
 
 /// Aggregate per-layer totals over the whole batch (exact integer sums).

@@ -47,11 +47,11 @@ std::optional<SteppingMode> parse_stepping_mode(std::string_view name) {
 
 std::unique_ptr<ExecutionEngine> make_engine(EngineKind kind,
                                              const ArchParams& params,
-                                             const SimOptions& sim) {
+                                             SteppingMode stepping) {
   switch (kind) {
     case EngineKind::kCycle: {
       auto engine = std::make_unique<AcceleratorSim>(params);
-      engine->set_sim_options(sim);
+      engine->set_stepping_mode(stepping);
       return engine;
     }
     case EngineKind::kAnalytic:

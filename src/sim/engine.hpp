@@ -18,9 +18,12 @@
 // Both backends implement ExecutionEngine below and fill the same
 // SimResult shape, so System, BatchRunner, the CLI and the benches
 // select a backend with one knob. Predictions (activations/output) are
-// bit-identical across backends; the analytic engine's cycle and event
-// numbers are estimates (tests/engine_equivalence_test pins the
-// prediction equivalence, bench/sim_throughput the speedup).
+// bit-identical across backends. The analytic engine's per-layer V/U/W
+// cycle counts equal the cycle engine's on the default buffered fabric
+// and run low where the fabric contends (unbuffered flow control,
+// shallow router or activation queues); its event counts remain
+// estimates. tests/engine_equivalence_test pins the predictions and the
+// per-layer cycle equality, bench/sim_throughput the speedup.
 //
 // Engines are stateful scratch owners, exactly like AcceleratorSim
 // always was: one engine per thread, never shared concurrently. The
@@ -108,19 +111,6 @@ const char* to_string(SteppingMode mode) noexcept;
 /// on anything else.
 std::optional<SteppingMode> parse_stepping_mode(std::string_view name);
 
-/// Cycle-engine tuning knobs, carried from the CLI/serving layers down
-/// through System/BatchRunner to the engine factory. Defaults are the
-/// fastest bit-identical configuration.
-struct SimOptions {
-  SteppingMode stepping = SteppingMode::kEvent;
-  /// Worker threads sharded across one inference's per-PE passes
-  /// (1 = serial), in either stepping mode. Results and stats are
-  /// bit-identical for any value.
-  std::size_t sim_threads = 1;
-
-  friend bool operator==(const SimOptions&, const SimOptions&) = default;
-};
-
 /// Interface every backend implements. Entry points mirror the
 /// original AcceleratorSim surface so existing call sites keep
 /// compiling against either the concrete type or the interface.
@@ -153,11 +143,11 @@ class ExecutionEngine {
 };
 
 /// Backend factory: the one place the concrete engine types are named.
-/// `sim` configures the cycle backend (stepping mode, sim threads);
-/// the analytic backend ignores it.
-std::unique_ptr<ExecutionEngine> make_engine(EngineKind kind,
-                                             const ArchParams& params,
-                                             const SimOptions& sim = {});
+/// `stepping` configures the cycle backend; the analytic backend
+/// ignores it.
+std::unique_ptr<ExecutionEngine> make_engine(
+    EngineKind kind, const ArchParams& params,
+    SteppingMode stepping = SteppingMode::kEvent);
 
 /// Appends one layer's V/U/W phase records to `trace` from a filled
 /// LayerSimResult — the shared trace shape of every backend

@@ -16,117 +16,9 @@ constexpr std::uint64_t kCycleLimit = 50'000'000;
 
 }  // namespace
 
-// ---------------------------------------------------------------- EpochPool
-
-EpochPool::EpochPool(std::size_t num_items) : num_items_(num_items) {}
-
-EpochPool::~EpochPool() { stop_workers(); }
-
-void EpochPool::stop_workers() {
-  if (workers_.empty()) return;
-  {
-    const sync::MutexLock lock(mutex_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (std::thread& worker : workers_) worker.join();
-  workers_.clear();
-  {
-    const sync::MutexLock lock(mutex_);
-    stop_ = false;
-  }
-}
-
-void EpochPool::set_threads(std::size_t n) {
-  n = std::max<std::size_t>(std::size_t{1}, std::min(n, num_items_));
-  if (n == threads_) return;
-  stop_workers();
-  threads_ = n;
-  if (n > 1) {
-    // generation_ outlives the workers: a pool that already ran epochs
-    // must start its new workers at the current generation, or they
-    // would replay the last (finished, dangling) epoch on spawn.
-    std::uint64_t generation = 0;
-    {
-      const sync::MutexLock lock(mutex_);
-      errors_.reserve(n);
-      generation = generation_;
-    }
-    workers_.reserve(n - 1);
-    for (std::size_t w = 0; w + 1 < n; ++w)
-      workers_.emplace_back(
-          [this, w, generation] { worker_main(w, generation); });
-  }
-}
-
-void EpochPool::run_erased(Thunk thunk, void* ctx) {
-  {
-    const sync::MutexLock lock(mutex_);
-    thunk_ = thunk;
-    ctx_ = ctx;
-    errors_.assign(threads_, nullptr);
-    pending_ = workers_.size();
-    ++generation_;
-  }
-  work_cv_.notify_all();
-
-  // The calling thread is shard 0.
-  std::exception_ptr first_error;
-  try {
-    const auto [begin, end] = shard(0);
-    thunk(ctx, begin, end);
-  } catch (...) {
-    first_error = std::current_exception();
-  }
-
-  {
-    sync::UniqueLock lock(mutex_);
-    while (pending_ != 0) done_cv_.wait(lock);
-    if (!first_error) {
-      for (const std::exception_ptr& err : errors_) {
-        if (err) {
-          first_error = err;
-          break;
-        }
-      }
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-}
-
-void EpochPool::worker_main(std::size_t worker, std::uint64_t seen) {
-  for (;;) {
-    Thunk thunk = nullptr;
-    void* ctx = nullptr;
-    {
-      sync::UniqueLock lock(mutex_);
-      while (!stop_ && generation_ == seen) work_cv_.wait(lock);
-      if (stop_) return;
-      seen = generation_;
-      thunk = thunk_;
-      ctx = ctx_;
-    }
-    std::exception_ptr err;
-    try {
-      const auto [begin, end] = shard(worker + 1);
-      thunk(ctx, begin, end);
-    } catch (...) {
-      err = std::current_exception();
-    }
-    bool last = false;
-    {
-      const sync::MutexLock lock(mutex_);
-      if (err) errors_[worker + 1] = err;
-      last = (--pending_ == 0);
-    }
-    if (last) done_cv_.notify_one();
-  }
-}
-
 // ---------------------------------------------------------------- EventCore
 
-EventCore::EventCore(const ArchParams& params)
-    : params_(params), pool_(params.num_pes) {}
+EventCore::EventCore(const ArchParams& params) : params_(params) {}
 
 // ------------------------------------------------------------------ V phase
 
@@ -139,18 +31,16 @@ std::uint64_t EventCore::run_v_phase(std::span<ProcessingElement> pes,
   broadcast.reset();
   const std::size_t num_pes = pes.size();
 
-  // Epoch: phase start plus the PE's entire deterministic local-MAC
-  // burst, through the vectorised column kernel. The burst length is
-  // this PE's wake time — in the reference it computes (and does
-  // nothing else) for exactly that many cycles.
+  // Phase start plus each PE's entire deterministic local-MAC burst,
+  // through the vectorised column kernel. The burst length is this
+  // PE's wake time — in the reference it computes (and does nothing
+  // else) for exactly that many cycles.
   wake_.resize(num_pes);
-  pool_.run([&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      pes[i].start_v_phase();
-      wake_[i] = pes[i].v_burst_cycles();
-      pes[i].burst_v_compute(wake_[i]);
-    }
-  });
+  for (std::size_t i = 0; i < num_pes; ++i) {
+    pes[i].start_v_phase();
+    wake_[i] = pes[i].v_burst_cycles();
+    pes[i].burst_v_compute(wake_[i]);
+  }
 
   std::uint64_t cycles = 0;
   std::uint64_t executed = 0;
@@ -272,15 +162,13 @@ std::uint64_t EventCore::run_w_phase(std::span<ProcessingElement> pes,
   // contract.
   acts_.reserve(input_dim);
 
-  // Epoch: phase start; record each PE's fixed per-pop datapath cost.
+  // Phase start; record each PE's fixed per-pop datapath cost.
   pe_cost_.resize(num_pes);
-  pool_.run([&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      pes[i].start_w_phase();
-      pe_cost_[i] = std::max<std::uint64_t>(
-          std::uint64_t{1}, pes[i].w_active_row_count());
-    }
-  });
+  for (std::size_t i = 0; i < num_pes; ++i) {
+    pes[i].start_w_phase();
+    pe_cost_[i] = std::max<std::uint64_t>(std::uint64_t{1},
+                                          pes[i].w_active_row_count());
+  }
 
   // Collapse PEs into cost groups. Every PE sees the same delivery
   // stream and pops at its fixed cost, so the pop schedule is a pure
@@ -453,12 +341,9 @@ std::uint64_t EventCore::run_w_phase(std::span<ProcessingElement> pes,
           "broadcast delivered a different number of activations than "
           "were injected");
 
-  // Epoch: the bulk data pass — every PE accumulates every delivered
+  // The bulk data pass — every PE accumulates every delivered
   // activation and charges the per-activation event totals.
-  pool_.run([&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i)
-      pes[i].apply_w_activations(acts_);
-  });
+  for (ProcessingElement& pe : pes) pe.apply_w_activations(acts_);
 
   stats_.cycles_ticked += cycles;
   stats_.events_executed += executed;

@@ -1,7 +1,6 @@
 #pragma once
 // The event-driven cycle core (SteppingMode::kEvent) — wake-lists over
-// the same NoC the per-cycle loop drives, plus intra-inference PE-shard
-// parallelism.
+// the same NoC the per-cycle loop drives.
 //
 // The per-cycle reference visits every PE and router every cycle. This
 // core keeps the cycle-by-cycle NoC simulation (the trees and the
@@ -38,105 +37,25 @@
 // Every observable — cycle counts, event tallies, NoC statistics,
 // activations — is bit-identical to the per-cycle reference; the
 // equivalence suites in tests/event_core_test.cpp and
-// tests/compiled_engine_test.cpp pin it.
-//
-// Parallelism: the per-PE passes with no cross-PE data flow (phase
-// starts, MAC bursts, the W data pass, and — through parallel_pes, in
-// both stepping modes — the engine's layer prologue, U phase and
-// uv_off row forcing) are epochs sharded across worker threads by
-// EpochPool with a barrier per epoch. Shard boundaries are a pure
-// function of (num_pes, threads) and every epoch writes only per-PE
-// state, so results and statistics are bit-identical for any thread
-// count. The serial timing loops stay on the calling
-// thread. With threads == 1 the pool runs epochs inline — no workers,
-// no locks, no allocations (the arena path's zero-allocation contract
-// covers the event core).
+// tests/compiled_engine_test.cpp pin it. The core runs on the calling
+// thread and allocates nothing in steady state (the arena path's
+// zero-allocation contract covers it); parallelism lives across
+// inferences, in BatchRunner's per-worker engines.
 
 #include <cstdint>
-#include <exception>
 #include <span>
-#include <thread>
-#include <utility>
 #include <vector>
 
 #include "arch/params.hpp"
-#include "common/sync.hpp"
 #include "noc/htree.hpp"
 #include "pe/pe.hpp"
 #include "sim/engine.hpp"
 
 namespace sparsenn {
 
-/// Persistent worker pool running per-PE epochs with a barrier after
-/// each. One pool per engine, engines are single-owner (never shared
-/// across threads), so set_threads()/run() are only ever called
-/// between epochs by that owner. Exceptions thrown inside a shard are
-/// captured and rethrown on the calling thread after the barrier.
-class EpochPool {
- public:
-  explicit EpochPool(std::size_t num_items);
-  ~EpochPool();
-
-  EpochPool(const EpochPool&) = delete;
-  EpochPool& operator=(const EpochPool&) = delete;
-
-  /// Resizes to `n` shards (n-1 workers + the calling thread). Joins
-  /// any existing workers first; must not be called mid-epoch.
-  void set_threads(std::size_t n);
-  std::size_t threads() const noexcept { return threads_; }
-
-  /// Runs fn(begin_item, end_item) over all items, sharded
-  /// contiguously across the pool; returns after every shard finished.
-  /// Single-threaded pools run the whole range inline.
-  template <class F>
-  void run(F&& fn) {
-    if (threads_ <= 1) {
-      fn(std::size_t{0}, num_items_);
-      return;
-    }
-    run_erased(&invoke_thunk<std::remove_reference_t<F>>,
-               std::addressof(fn));
-  }
-
- private:
-  using Thunk = void (*)(void*, std::size_t, std::size_t);
-
-  template <class F>
-  static void invoke_thunk(void* ctx, std::size_t begin, std::size_t end) {
-    (*static_cast<F*>(ctx))(begin, end);
-  }
-
-  void run_erased(Thunk thunk, void* ctx);
-  /// Worker loop; `seen` is the generation at spawn, so the worker
-  /// runs only epochs published after it.
-  void worker_main(std::size_t worker, std::uint64_t seen);
-  void stop_workers();
-  std::pair<std::size_t, std::size_t> shard(std::size_t s) const noexcept {
-    return {s * num_items_ / threads_, (s + 1) * num_items_ / threads_};
-  }
-
-  std::size_t num_items_;
-  /// Written only by set_threads() while no workers exist; read by
-  /// workers spawned afterwards (ordered by thread creation/join).
-  std::size_t threads_ = 1;
-  std::vector<std::thread> workers_;
-
-  sync::Mutex mutex_;
-  sync::CondVar work_cv_;
-  sync::CondVar done_cv_;
-  std::uint64_t generation_ SPARSENN_GUARDED_BY(mutex_) = 0;
-  std::size_t pending_ SPARSENN_GUARDED_BY(mutex_) = 0;
-  bool stop_ SPARSENN_GUARDED_BY(mutex_) = false;
-  Thunk thunk_ SPARSENN_GUARDED_BY(mutex_) = nullptr;
-  void* ctx_ SPARSENN_GUARDED_BY(mutex_) = nullptr;
-  /// One slot per shard (0 = calling thread, unused; kept for
-  /// uniform indexing). assign() reuses capacity between epochs.
-  std::vector<std::exception_ptr> errors_ SPARSENN_GUARDED_BY(mutex_);
-};
-
-/// The event-driven V/W phase loops. Owns only scratch (wake-lists,
-/// the W timing model, the shard pool); the PEs, trees and broadcast
-/// channel belong to the AcceleratorSim that calls in.
+/// The event-driven V/W phase loops. Owns only scratch (wake-lists and
+/// the W timing model); the PEs, trees and broadcast channel belong to
+/// the AcceleratorSim that calls in.
 class EventCore {
  public:
   /// How much work the event core actually did, cumulative across
@@ -152,18 +71,6 @@ class EventCore {
   };
 
   explicit EventCore(const ArchParams& params);
-
-  /// Shards per-PE epochs across `n` threads (1 = inline/serial).
-  void set_threads(std::size_t n) { pool_.set_threads(n); }
-  std::size_t threads() const noexcept { return pool_.threads(); }
-
-  /// Runs fn(begin_pe, end_pe) as one barriered epoch — the hook the
-  /// engine uses for its own per-PE passes (layer prologue, U phase,
-  /// uv_off row forcing) in either stepping mode.
-  template <class F>
-  void parallel_pes(F&& fn) {
-    pool_.run(std::forward<F>(fn));
-  }
 
   /// Event-driven V phase: identical contract and observables to
   /// AcceleratorSim::simulate_v_phase. `from_frac`/`mid_frac` are the
@@ -197,7 +104,6 @@ class EventCore {
   void do_pop(std::size_t g, std::uint64_t t);
 
   ArchParams params_;
-  EpochPool pool_;
   Stats stats_;
 
   // ---- V phase scratch ----
@@ -206,7 +112,7 @@ class EventCore {
 
   // ---- W phase scratch (the cost-group queue-timing model) ----
   std::vector<Flit> acts_;               ///< all activations, PE-major
-  std::vector<std::uint64_t> pe_cost_;   ///< per-PE cycles per pop (epoch out)
+  std::vector<std::uint64_t> pe_cost_;   ///< per-PE cycles per pop
   std::vector<std::uint64_t> cost_;      ///< per-group cycles per pop, desc
   std::vector<std::uint64_t> pops_;      ///< per-group pops so far
   std::vector<std::uint64_t> sched_t_;   ///< per-group next datapath-free cycle

@@ -1,12 +1,14 @@
 // Tests for src/common/cli_args: the strict `--key value` parser the
-// CLI and benches share. The regression pinned here: a trailing flag
+// CLI and benches share. The regressions pinned here: a trailing flag
 // with no value used to be silently dropped (`--samples` at the end of
-// the line fell back to the default); it is now a UsageError.
+// the line fell back to the default), and a misspelt flag
+// (`--sampels 8`) used to be ignored; both are now UsageErrors.
 
 #include <gtest/gtest.h>
 
 #include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/cli_args.hpp"
@@ -56,6 +58,24 @@ TEST(CliArgs, RejectsMalformedIntegers) {
   EXPECT_THROW(parse({"--samples", ""}).get_size("samples", 0),
                UsageError);
   EXPECT_THROW(parse({"--samples", "many"}).get_size("samples", 0),
+               UsageError);
+}
+
+TEST(CliArgs, RejectsUnknownFlagsByName) {
+  const std::string_view known[] = {"model", "samples", "threads"};
+  EXPECT_NO_THROW(parse({"--model", "m.bin", "--samples", "8"})
+                      .reject_unknown(known));
+  EXPECT_NO_THROW(parse({}).reject_unknown(known));
+  try {
+    parse({"--model", "m.bin", "--sampels", "8", "--threads", "2"})
+        .reject_unknown(known);
+    FAIL() << "expected UsageError";
+  } catch (const UsageError& e) {
+    EXPECT_NE(std::string(e.what()).find("--sampels"), std::string::npos)
+        << e.what();
+  }
+  // A bare word in flag position is parsed as a key, and unknown too.
+  EXPECT_THROW(parse({"samples", "8", "verbose", "1"}).reject_unknown(known),
                UsageError);
 }
 

@@ -145,8 +145,7 @@ TEST(EngineEquivalence, IdxTinyMnist) {
 /// events, arbitration conflicts, credit stalls, occupancy sums — for
 /// both uv modes. The wide first layer keeps the NoC saturated long
 /// enough that the stalled-NoC window is exercised, not just the
-/// V-burst and drain-tail windows. The event engine also
-/// runs sharded across 8 threads — thread count must not change a bit.
+/// V-burst and drain-tail windows.
 TEST(EngineEquivalence, SteppingModesBitIdenticalAtPaperScale) {
   DatasetOptions options;
   options.train_size = 16;
@@ -156,9 +155,6 @@ TEST(EngineEquivalence, SteppingModesBitIdenticalAtPaperScale) {
 
   const ArchParams arch = ArchParams::paper();
   AcceleratorSim event(arch);
-  AcceleratorSim event_mt(arch);
-  event_mt.set_sim_options(
-      SimOptions{.stepping = SteppingMode::kEvent, .sim_threads = 8});
   AcceleratorSim per_cycle(arch);
   per_cycle.set_stepping_mode(SteppingMode::kPerCycle);
   for (const bool uv_on : {true, false}) {
@@ -170,10 +166,6 @@ TEST(EngineEquivalence, SteppingModesBitIdenticalAtPaperScale) {
           compiled, split.test.inputs.row(i), ValidationMode::kOff);
       EXPECT_EQ(evented, expected)
           << "event sample " << i << " uv " << uv_on;
-      const SimResult sharded = event_mt.run(
-          compiled, split.test.inputs.row(i), ValidationMode::kOff);
-      EXPECT_EQ(sharded, expected)
-          << "event/8-thread sample " << i << " uv " << uv_on;
     }
   }
 }

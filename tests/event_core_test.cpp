@@ -1,10 +1,10 @@
 // Stepping equivalence: the event-driven core (SteppingMode::kEvent,
 // sim/event_core.hpp) must be bit-identical to the per-cycle reference
 // in every observable — cycle counts, event tallies, NoC statistics,
-// activations — across uv modes, queue depths, flow-control modes and
-// shard-thread counts. A seeded fuzz case randomises the wake/sleep
-// orderings (input density, queue depth, flow control) the same way
-// noc_fuzz_test randomises traffic.
+// activations — across uv modes, queue depths and flow-control modes,
+// including on one simulator switched between the two modes. A seeded
+// fuzz case randomises the wake/sleep orderings (input density, queue
+// depth, flow control) the same way noc_fuzz_test randomises traffic.
 
 #include <cstdint>
 #include <vector>
@@ -16,6 +16,7 @@
 #include "sim/accelerator.hpp"
 #include "sim/compiled_network.hpp"
 #include "sim/engine.hpp"
+#include "sim/result_arena.hpp"
 #include "sim_fixtures.hpp"
 
 namespace sparsenn {
@@ -28,20 +29,21 @@ std::vector<float> sample_of(const Dataset& data, std::size_t i) {
   return std::vector<float>(row.begin(), row.end());
 }
 
+/// One inference on a freshly built simulator in `mode`.
 SimResult run_mode(const CompiledNetwork& compiled,
                    std::span<const float> input, const ArchParams& arch,
-                   SteppingMode mode, std::size_t threads) {
+                   SteppingMode mode) {
   AcceleratorSim sim(arch);
-  sim.set_sim_options(SimOptions{.stepping = mode, .sim_threads = threads});
+  sim.set_stepping_mode(mode);
   return sim.run(compiled, input, ValidationMode::kFull);
 }
 
 class EventCoreEquivalence : public ::testing::TestWithParam<bool> {};
 
-// The core matrix: both uv modes x queue depths x thread counts, full
-// SimResult equality (cycles, events, NoC stats, activations — the
-// defaulted operator== covers every field).
-TEST_P(EventCoreEquivalence, ThreeWayBitIdentical) {
+// The core matrix: both uv modes x queue depths, full SimResult
+// equality (cycles, events, NoC stats, activations — the defaulted
+// operator== covers every field).
+TEST_P(EventCoreEquivalence, BitIdenticalToPerCycle) {
   const bool use_predictor = GetParam();
   const auto fixture = make_batch_fixture(3, /*seed=*/71);
 
@@ -54,15 +56,10 @@ TEST_P(EventCoreEquivalence, ThreeWayBitIdentical) {
     for (std::size_t s = 0; s < fixture.data.inputs.rows(); ++s) {
       const std::vector<float> input = sample_of(fixture.data, s);
       const SimResult per_cycle =
-          run_mode(compiled, input, arch, SteppingMode::kPerCycle, 1);
-      for (const std::size_t threads :
-           {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-        const SimResult event = run_mode(compiled, input, arch,
-                                         SteppingMode::kEvent, threads);
-        EXPECT_EQ(per_cycle, event)
-            << "event diverged, depth=" << depth
-            << " threads=" << threads;
-      }
+          run_mode(compiled, input, arch, SteppingMode::kPerCycle);
+      const SimResult event =
+          run_mode(compiled, input, arch, SteppingMode::kEvent);
+      EXPECT_EQ(per_cycle, event) << "event diverged, depth=" << depth;
     }
   }
 }
@@ -80,12 +77,10 @@ TEST_P(EventCoreEquivalence, UnbufferedFlowControl) {
   for (std::size_t s = 0; s < fixture.data.inputs.rows(); ++s) {
     const std::vector<float> input = sample_of(fixture.data, s);
     const SimResult per_cycle =
-        run_mode(compiled, input, arch, SteppingMode::kPerCycle, 1);
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-      const SimResult event = run_mode(compiled, input, arch,
-                                       SteppingMode::kEvent, threads);
-      EXPECT_EQ(per_cycle, event) << "unbuffered, threads=" << threads;
-    }
+        run_mode(compiled, input, arch, SteppingMode::kPerCycle);
+    const SimResult event =
+        run_mode(compiled, input, arch, SteppingMode::kEvent);
+    EXPECT_EQ(per_cycle, event) << "unbuffered, sample=" << s;
   }
 }
 
@@ -122,10 +117,9 @@ TEST(EventCoreFuzz, RandomizedWakeOrderings) {
     }
 
     const SimResult per_cycle =
-        run_mode(compiled, input, arch, SteppingMode::kPerCycle, 1);
-    const SimResult event = run_mode(compiled, input, arch,
-                                     SteppingMode::kEvent,
-                                     1 + rng.uniform_index(4));
+        run_mode(compiled, input, arch, SteppingMode::kPerCycle);
+    const SimResult event =
+        run_mode(compiled, input, arch, SteppingMode::kEvent);
     ASSERT_EQ(per_cycle.total_cycles, event.total_cycles)
         << "iter=" << iter;
     ASSERT_EQ(per_cycle, event) << "iter=" << iter;
@@ -157,54 +151,41 @@ TEST(EventCoreStats, SkipsCycles) {
   EXPECT_EQ(sim.event_core_stats(), EventCore::Stats{});
 }
 
-// Reconfiguration lifecycle: one simulator resized through a sequence
-// of shard-thread counts. Workers spawned after earlier epochs must
-// wait for the next epoch, not replay the last one, and every step
-// must reproduce the single-thread result exactly.
-TEST(EventCoreThreads, ReconfiguredSimulatorStaysBitIdentical) {
-  const auto fixture = make_batch_fixture(2, /*seed=*/74);
-  const ArchParams arch = test_fixtures::tiny_arch();
-  for (const bool use_predictor : {true, false}) {
-    const CompiledNetwork compiled(fixture.network, arch, use_predictor);
-    std::vector<SimResult> expected;
-    for (std::size_t s = 0; s < fixture.data.inputs.rows(); ++s)
-      expected.push_back(run_mode(compiled, sample_of(fixture.data, s),
-                                  arch, SteppingMode::kEvent, 1));
-
+// Reuse lifecycle: one simulator switched event -> per-cycle -> event
+// -> per-cycle, with its trees, broadcast channel, PE scratch and event
+// core carried across every switch, through both run() overloads (the
+// arena one reuses its result storage too). Every run must equal a
+// freshly built per-cycle simulator's.
+TEST(EventCoreLifecycle, SteppingFlipMatchesFreshPerCycle) {
+  const auto fixture = make_batch_fixture(8, /*seed=*/74);
+  const SteppingMode flips[] = {SteppingMode::kEvent, SteppingMode::kPerCycle,
+                                SteppingMode::kEvent, SteppingMode::kPerCycle};
+  for (const std::size_t depth : {std::size_t{1}, std::size_t{2},
+                                  std::size_t{8}}) {
+    ArchParams arch = test_fixtures::tiny_arch();
+    arch.act_queue_depth = depth;
     AcceleratorSim sim(arch);
-    const std::size_t steps[] = {1, 2, 4, 2, 8, 1};
-    for (const std::size_t threads : steps) {
-      sim.set_sim_options(SimOptions{.stepping = SteppingMode::kEvent,
-                                     .sim_threads = threads});
-      for (std::size_t s = 0; s < expected.size(); ++s) {
-        EXPECT_EQ(sim.run(compiled, sample_of(fixture.data, s),
-                          ValidationMode::kFull),
-                  expected[s])
-            << "threads=" << threads << " sample=" << s
-            << " uv=" << use_predictor;
-      }
-    }
-  }
-}
+    for (const bool use_predictor : {true, false}) {
+      const CompiledNetwork compiled(fixture.network, arch, use_predictor);
+      ResultArena arena(compiled);
+      std::vector<SimResult> expected;
+      for (std::size_t s = 0; s < fixture.data.inputs.rows(); ++s)
+        expected.push_back(run_mode(compiled, sample_of(fixture.data, s),
+                                    arch, SteppingMode::kPerCycle));
 
-// The per-cycle oracle shards its per-PE passes (layer prologue, U
-// phase, uv_off row forcing) through the same epoch pool as the event
-// core: any shard-thread count must reproduce its 1-thread result.
-TEST(EventCoreThreads, PerCycleShardingStaysBitIdentical) {
-  const auto fixture = make_batch_fixture(2, /*seed=*/75);
-  const ArchParams arch = test_fixtures::tiny_arch();
-  for (const bool use_predictor : {true, false}) {
-    const CompiledNetwork compiled(fixture.network, arch, use_predictor);
-    for (std::size_t s = 0; s < fixture.data.inputs.rows(); ++s) {
-      const std::vector<float> input = sample_of(fixture.data, s);
-      const SimResult expected =
-          run_mode(compiled, input, arch, SteppingMode::kPerCycle, 1);
-      for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-        EXPECT_EQ(run_mode(compiled, input, arch, SteppingMode::kPerCycle,
-                           threads),
-                  expected)
-            << "threads=" << threads << " sample=" << s
-            << " uv=" << use_predictor;
+      for (const SteppingMode mode : flips) {
+        sim.set_stepping_mode(mode);
+        for (std::size_t s = 0; s < expected.size(); ++s) {
+          const std::vector<float> input = sample_of(fixture.data, s);
+          EXPECT_EQ(sim.run(compiled, input, ValidationMode::kFull),
+                    expected[s])
+              << "heap, mode=" << to_string(mode) << " depth=" << depth
+              << " uv=" << use_predictor << " sample=" << s;
+          EXPECT_EQ(sim.run(compiled, input, arena, ValidationMode::kOff),
+                    expected[s])
+              << "arena, mode=" << to_string(mode) << " depth=" << depth
+              << " uv=" << use_predictor << " sample=" << s;
+        }
       }
     }
   }

@@ -182,19 +182,48 @@ void run() { (void)fault::point("engine.run"); }
         status, out = run_lint(self.root)
         self.assertEqual(status, 0, out)
 
-    def test_event_gate_keys_resolve_via_baseline(self):
-        # The event-core CI gates (event_speedup, event_bit_identical)
-        # may be satisfied by the committed BENCH_baseline.json as well
-        # as a bench/ source — plain-JSON quoting must count.
+    def test_key_named_only_in_a_bench_comment_is_flagged(self):
+        # Rule 3's negative fixture: the bench's emission was renamed
+        # away while its header comment (and a block comment) still
+        # name the key CI reads. Comments emit nothing, so the gate
+        # would raise KeyError in CI; the linter must say so now.
         write(self.root, "src/engine.cpp",
               '#include "common/fault.hpp"\n'
               'void run() { (void)fault::point("engine.run"); }\n')
         write(self.root, ".github/workflows/ci.yml",
-              '          j["event_speedup"]\n'
-              '          j["event_bit_identical"]\n')
+              '          for point in j["thread_sweep"]:\n')
+        write(self.root, "bench/sim.cpp",
+              '// "thread_sweep": inf/s at 1,2,4 threads\n'
+              '/* os << "\\"thread_sweep\\": ["; */\n'
+              'os << "\\"shard_sweep\\": [";\n')
+        status, out = run_lint(self.root)
+        self.assertEqual(status, 1, out)
+        self.assertIn('"thread_sweep"', out)
+        # Emitting it from code clears the finding.
+        write(self.root, "bench/sim.cpp",
+              'os << "\\"thread_sweep\\": [";\n')
+        status, out = run_lint(self.root)
+        self.assertEqual(status, 0, out)
+
+    def test_baseline_satisfies_only_its_top_level_keys(self):
+        # The gates open BENCH_baseline.json's sections
+        # (json.load(f)["snapshot"]), so a top-level key needs no bench
+        # producer. A key nested in a section is an old bench output and
+        # proves nothing about what the bench emits today.
+        write(self.root, "src/engine.cpp",
+              '#include "common/fault.hpp"\n'
+              'void run() { (void)fault::point("engine.run"); }\n')
+        write(self.root, ".github/workflows/ci.yml",
+              '          base = json.load(f)["snapshot"]\n'
+              '          j["event_speedup"]\n')
         write(self.root, "BENCH_baseline.json",
-              '{"snapshot": {"event_speedup": 1.7, '
-              '"event_bit_identical": true}}\n')
+              '{"snapshot": {"event_speedup": 1.7}}\n')
+        status, out = run_lint(self.root)
+        self.assertEqual(status, 1, out)
+        self.assertIn('"event_speedup"', out)
+        self.assertNotIn('"snapshot"', out)
+        write(self.root, "bench/sim.cpp",
+              'os << "\\"event_speedup\\": " << speedup;\n')
         status, out = run_lint(self.root)
         self.assertEqual(status, 0, out)
 
