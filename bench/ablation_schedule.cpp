@@ -8,11 +8,70 @@
 // stays high for every rank (paper: "close to 100% even when the rank
 // size r is as low as 16").
 
+#include <algorithm>
+#include <cstdint>
 #include <iostream>
 
 #include "arch/params.hpp"
 #include "common/table.hpp"
-#include "sim/schedule.hpp"
+#include "noc/htree.hpp"
+
+namespace {
+
+using sparsenn::ArchParams;
+
+/// Execution cost of one matvec on the PE array.
+struct ScheduleEstimate {
+  std::uint64_t cycles = 0;
+  double pe_utilization = 0.0;  ///< fraction of PE-cycles doing MACs
+};
+
+double utilization(std::size_t rows, std::size_t nnz_in,
+                   std::uint64_t cycles, const ArchParams& params) {
+  const double useful =
+      static_cast<double>(nnz_in) * static_cast<double>(rows);
+  const double offered =
+      static_cast<double>(cycles) * static_cast<double>(params.num_pes);
+  return offered > 0.0 ? useful / offered : 0.0;
+}
+
+/// Row-based: cycles ≈ nnz_inputs × max_rows_per_pe — the utilisation
+/// collapses when the matrix has fewer rows than PEs.
+ScheduleEstimate estimate_row_schedule(std::size_t rows, std::size_t nnz_in,
+                                       const ArchParams& params) {
+  const std::size_t per_pe =
+      (rows + params.num_pes - 1) / params.num_pes;  // slowest PE
+  ScheduleEstimate out;
+  out.cycles = static_cast<std::uint64_t>(nnz_in) *
+               std::max<std::size_t>(1, per_pe);
+  out.pe_utilization = utilization(rows, nnz_in, out.cycles, params);
+  return out;
+}
+
+/// Column-based (V-style): local MACs plus the pipelined tree
+/// reduction.
+ScheduleEstimate estimate_column_schedule(std::size_t rows,
+                                          std::size_t nnz_in,
+                                          const ArchParams& params) {
+  // Local phase: each PE MACs its local nonzeros against its V columns,
+  // rows MACs per nonzero; local nonzeros are nnz/P on average but the
+  // slowest PE gates — assume balanced interleaving (ceil).
+  const std::size_t local_nnz =
+      (nnz_in + params.num_pes - 1) / params.num_pes;
+  const std::uint64_t local_cycles =
+      static_cast<std::uint64_t>(local_nnz) * rows;
+  // Reduction: pipelined, one row per cycle after the H-tree flight
+  // time up and back down (the analytic engine's term).
+  const std::uint64_t reduce_cycles = rows +
+                                      sparsenn::htree_flight_cycles(params) +
+                                      params.router_pipeline_stages;
+  ScheduleEstimate out;
+  out.cycles = local_cycles + reduce_cycles;
+  out.pe_utilization = utilization(rows, nnz_in, out.cycles, params);
+  return out;
+}
+
+}  // namespace
 
 int main() {
   using namespace sparsenn;

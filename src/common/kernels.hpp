@@ -78,7 +78,10 @@ struct KernelTable {
   /// W-phase LNZD-masked column accumulate: for each of the nrows
   /// ascending row ids r = rows[i], acc[r] += w[r·stride + col]·a.
   /// total_words is the size of the w block — a bounds budget for
-  /// implementations that read wider-than-16-bit lanes. (Scalar in
+  /// implementations that read wider-than-16-bit lanes. The PE's W
+  /// view passes one column of its strided slice (col 0, stride P,
+  /// budget (rows − 1)·P + 1), so the budget ends exactly on the last
+  /// word the call may read. (Scalar in
   /// every current table: the scattered destinations defeat vector
   /// stores, and a strided-gather variant measured slower at every
   /// row count bench/micro_kernels covers.)

@@ -35,7 +35,8 @@
 // cannot hold under multi-model serving churn, where an eviction can
 // race an arbitrarily long cycle-engine run.) The source
 // QuantizedNetwork must still outlive any pinned image: the image's
-// stale() check reads through its network pointer.
+// stale() check reads through its network pointer, and its W views
+// point into the network's weights.
 
 #include <cstdint>
 #include <list>

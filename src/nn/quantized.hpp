@@ -39,18 +39,22 @@ struct QuantizedTensor {
 
 /// One weight layer with its optional predictor factors.
 struct QuantizedLayer {
-  QuantizedTensor w;                    ///< m × n
+  /// The layer's only copy of the m × n weights W, stored column-major:
+  /// the n × m tensor whose row c is column c of W, so W[r][c] is
+  /// w_t.at(c, r). The functional forward pass runs every matvec as
+  /// input-sparse column-axpy sweeps over these contiguous columns —
+  /// the hardware's own column-MAC schedule, and measurably faster
+  /// than row dots here (gathered sparse row walks lose to contiguous
+  /// axpy even at a few× the MAC count) — and every compiled image's
+  /// per-PE W slice is a strided view into it (sim/compiled_network.hpp).
+  QuantizedTensor w_t;
   std::optional<QuantizedTensor> u;     ///< m × r
   std::optional<QuantizedTensor> v;     ///< r × n
-  /// Column-major mirrors (built once at quantisation): the functional
-  /// forward pass runs every matvec as input-sparse column-axpy sweeps
-  /// over contiguous transposed rows — the hardware's own column-MAC
-  /// schedule, and measurably faster than row dots here (short U rows
-  /// defeat row SIMD; gathered sparse row walks lose to contiguous
-  /// axpy even at a few× the MAC count). w_t is n × m, u_t is r × m,
-  /// v_t is n × r; exact integer accumulation makes the reordering
-  /// bit-identical to the row-major nonzero walk.
-  QuantizedTensor w_t;
+  /// Column-major mirrors of the small predictor factors (u_t is r × m,
+  /// v_t is n × r) for the same column sweeps (short U rows defeat row
+  /// SIMD); exact integer accumulation makes the reordering
+  /// bit-identical to the row-major nonzero walk. The row-major u and
+  /// v feed the compiled images' packed U rows and V columns.
   std::optional<QuantizedTensor> u_t;
   std::optional<QuantizedTensor> v_t;
   FixedPointFormat in_fmt{};            ///< format of incoming activations
@@ -68,6 +72,10 @@ struct QuantizedLayer {
 
   bool has_predictor() const noexcept { return u.has_value(); }
   std::size_t rank() const noexcept { return u ? u->cols : 0; }
+  /// m, the layer's output width (rows of W).
+  std::size_t out_dim() const noexcept { return w_t.cols; }
+  /// n, the layer's input width (columns of W).
+  std::size_t in_dim() const noexcept { return w_t.rows; }
 };
 
 /// Rounds/shifts a raw accumulator with `from_frac` fractional bits to a

@@ -28,8 +28,7 @@ void ProcessingElement::load_layer(const PeLayerSlice& slice) {
           "layer output exceeds activation register capacity");
   kern_ = &kernels();  // re-resolve once per layer (picks up overrides)
   slice_ = slice;
-  w_mem_.load_rows(slice.w_words,
-                   std::max<std::size_t>(1, slice.layer_input_dim));
+  w_mem_.load(slice.w_view);
   if (slice.has_predictor) {
     u_mem_.load_rows(slice.u_words, std::max<std::size_t>(1, slice.rank));
     v_mem_.load_rows(slice.v_words, std::max<std::size_t>(1, slice.rank));
@@ -175,7 +174,7 @@ std::size_t ProcessingElement::run_u_phase() {
   // (rows × rank words, row stride = rank), with the event counters
   // charged in bulk — identical to the per-word loop.
   if (rows > 0 && slice_.rank > 0) {
-    kern_->predict_bits_i16(u_mem_.words().data(), rows, slice_.rank,
+    kern_->predict_bits_i16(u_mem_.view().base, rows, slice_.rank,
                             v_results_.data(),
                             slice_.predictor_threshold_raw,
                             predictor_bits_.data());
@@ -230,26 +229,26 @@ void ProcessingElement::apply_w_activations(std::span<const Flit> acts) {
             "activation index out of layer range");
   }
   if (n_active > 0 && !acts.empty()) {
-    const auto words = w_mem_.words();
-    const std::size_t stride = w_mem_.row_stride();
+    const WordView& w = w_mem_.view();
     if (n_active <= 8) {
       // Row-outer traversal keeps each accumulator in a register
       // across the whole activation list; the sum per row is the same
       // exact int64 value the per-cycle order produces.
       for (const std::uint32_t r : active_local_rows_) {
         std::int64_t acc = w_accumulators_[r];
-        const std::int16_t* row = words.data() + r * stride;
+        const std::int16_t* row = w.base + r * w.row_stride;
         for (const Flit& act : acts) {
-          acc += std::int64_t{row[act.index]} *
+          acc += std::int64_t{row[act.index * w.col_stride]} *
                  std::int64_t{static_cast<std::int16_t>(act.payload)};
         }
         w_accumulators_[r] = acc;
       }
     } else {
+      const std::size_t budget = w_col_words();
       for (const Flit& act : acts) {
-        kern_->mac_col_i16(w_accumulators_.data(), words.data(), stride,
-                           words.size(), active_local_rows_.data(),
-                           n_active, act.index,
+        kern_->mac_col_i16(w_accumulators_.data(),
+                           w.base + act.index * w.col_stride, w.row_stride,
+                           budget, active_local_rows_.data(), n_active, 0,
                            static_cast<std::int16_t>(act.payload));
       }
     }

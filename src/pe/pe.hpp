@@ -21,13 +21,14 @@
 // methods and precise event counters. All arithmetic is int16/int64
 // fixed point and must match nn::QuantizedNetwork bit-for-bit.
 //
-// A PeLayerSlice is a bundle of read-only views into storage owned by
+// A PeLayerSlice is a bundle of read-only views: W into the quantised
+// network's own column-major W, U and V into packed storage owned by
 // whoever compiled the network (sim::CompiledNetwork, or an
-// OwnedPeSlice in tests): loading a layer binds views instead of
+// OwnedPeSlice in tests). Loading a layer binds views instead of
 // copying weights, and the PE's per-phase scratch buffers are members
 // reused across layers and inferences, so the steady-state cycle loop
-// never touches the heap. The slice's backing storage must stay alive
-// while the layer simulates.
+// never touches the heap. The network and the slice's backing storage
+// must stay alive while the layer simulates.
 
 #include <cstdint>
 #include <optional>
@@ -56,8 +57,11 @@ struct PeLayerSlice {
 
   /// Global indices of the W/U rows mapped here, ascending.
   std::span<const std::uint32_t> global_rows;
-  /// W rows, row-major, stride = layer_input_dim.
-  std::span<const std::int16_t> w_words;
+  /// The mapped W rows, global_rows.size() × layer_input_dim: word
+  /// (r, c) is W[global_rows[r]][c]. A strided view into the network's
+  /// single column-major W (QuantizedLayer::w_t) — PE p's local row r
+  /// of input column c is w_t[c·m + p + r·P] — so no W word is copied.
+  WordView w_view;
   /// U rows, row-major, stride = rank.
   std::span<const std::int16_t> u_words;
   /// V columns for the local input slots, row-major, stride = rank;
@@ -237,6 +241,14 @@ class ProcessingElement {
   /// LNZD scan into a reusable buffer (clears, then fills).
   void scan_source_nonzeros_into(std::vector<Flit>& out);
 
+  /// Words one column of the bound W view spans, first mapped row to
+  /// last: the mac_col_i16 bounds budget, ending exactly on the last
+  /// word a column MAC can read. Precondition: at least one row.
+  std::size_t w_col_words() const noexcept {
+    const WordView& w = w_mem_.view();
+    return (w.rows - 1) * w.row_stride + 1;
+  }
+
   /// Slow path of step_w_consume(): pops the queue head and runs the
   /// LNZD-masked column MACs. At paper scale a PE maps only a handful
   /// of rows, so the common case is a direct scalar loop (identical
@@ -254,18 +266,17 @@ class ProcessingElement {
     const std::size_t n_active = active_local_rows_.size();
     if (n_active > 0) {
       const std::int16_t a = static_cast<std::int16_t>(act.payload);
-      const auto words = w_mem_.words();
-      const std::size_t stride = w_mem_.row_stride();
+      const WordView& w = w_mem_.view();
+      const std::int16_t* col = w.base + act.index * w.col_stride;
       if (n_active <= 8) {
         for (const std::uint32_t r : active_local_rows_) {
           w_accumulators_[r] +=
-              std::int64_t{words[r * stride + act.index]} *
-              std::int64_t{a};
+              std::int64_t{col[r * w.row_stride]} * std::int64_t{a};
         }
       } else {
-        kern_->mac_col_i16(w_accumulators_.data(), words.data(), stride,
-                           words.size(), active_local_rows_.data(),
-                           n_active, act.index, a);
+        kern_->mac_col_i16(w_accumulators_.data(), col, w.row_stride,
+                           w_col_words(), active_local_rows_.data(),
+                           n_active, 0, a);
       }
       w_mem_.note_reads(n_active);
       events_.w_mem_reads += n_active;

@@ -166,8 +166,8 @@ std::size_t ServingFrontend::register_model(const QuantizedNetwork& network,
                                             const ArchParams& arch) {
   arch.validate();
   for (std::size_t l = 0; l < network.num_layers(); ++l) {
-    expects(network.layer(l).w.cols <= arch.max_activations() &&
-                network.layer(l).w.rows <= arch.max_activations(),
+    expects(network.layer(l).in_dim() <= arch.max_activations() &&
+                network.layer(l).out_dim() <= arch.max_activations(),
             "layer width exceeds the architecture's activation capacity");
   }
   const sync::MutexLock lock(models_mutex_);

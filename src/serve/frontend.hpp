@@ -90,9 +90,9 @@
 // and are zero-cost no-ops unless a test arms them.
 //
 // Lifetime: registered networks must outlive the frontend (the
-// compiled images' stale() checks read through them). The frontend
-// joins its workers in shutdown()/destructor after draining the
-// queue.
+// compiled images' stale() checks and W views read through them). The
+// frontend joins its workers in shutdown()/destructor after draining
+// the queue.
 
 #include <array>
 #include <atomic>

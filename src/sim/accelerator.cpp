@@ -155,12 +155,12 @@ void AcceleratorSim::run_layer_into(const CompiledNetwork& compiled,
 
   result.w_cycles = event
                         ? event_core_.run_w_phase(pes_, w_tree_, broadcast_,
-                                                  layer.w.cols, result)
+                                                  layer.in_dim(), result)
                         : simulate_w_phase(result);
   result.total_cycles = result.v_cycles + result.u_cycles + result.w_cycles;
 
   // Gather the produced activations (and count computed rows).
-  result.activations.assign(layer.w.rows, 0);
+  result.activations.assign(layer.out_dim(), 0);
   for (auto& pe : pes_) {
     for (const auto& [global, value] : pe.write_back())
       result.activations[global] = value;

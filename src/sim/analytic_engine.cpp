@@ -71,7 +71,7 @@ void AnalyticEngine::run_layer_into(const CompiledNetwork& compiled,
                                     LayerSimResult& result) {
   const QuantizedLayer& layer = compiled.network().layer(l);
   const std::size_t num_pes = params_.num_pes;
-  const std::size_t m = layer.w.rows;
+  const std::size_t m = layer.out_dim();
   const auto u64 = [](std::size_t v) { return static_cast<std::uint64_t>(v); };
 
   result.w_noc = NocStats{};

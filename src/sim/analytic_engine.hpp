@@ -10,8 +10,8 @@
 // backend (tests/engine_equivalence_test pins this). Cycles, event
 // counts and NoC statistics are then *derived* from the per-layer
 // schedule math of Section V (the same reasoning as
-// sim/schedule.hpp's estimators, but fed with the exact per-PE work
-// distribution of this input instead of balanced averages):
+// bench/ablation_schedule's estimators, but fed with the exact per-PE
+// work distribution of this input instead of balanced averages):
 //
 //   V phase — the slowest PE's local column MACs (its local nonzero
 //     inputs × rank) plus the `rank` results pipelined through the

@@ -28,26 +28,25 @@ CompiledNetwork::CompiledNetwork(const QuantizedNetwork& network,
     // phase multicasts `rank` results, the W phase one flit per
     // nonzero input (≤ the layer's input width).
     max_broadcast_flits_ =
-        std::max({max_broadcast_flits_, layer.w.cols, layer.rank()});
+        std::max({max_broadcast_flits_, layer.in_dim(), layer.rank()});
     for (std::size_t pe = 0; pe < params_.num_pes; ++pe)
       total += detail::pe_slice_words(layer, params_, pe, use_predictor);
   }
   rows_pool_.reserve(total.rows);
-  w_pool_.reserve(total.w);
   u_pool_.reserve(total.u);
   v_pool_.reserve(total.v);
   slices_.reserve(num_layers_ * params_.num_pes);
 
   const auto pool_bases = [this] {
-    return std::array<const void*, 4>{rows_pool_.data(), w_pool_.data(),
-                                      u_pool_.data(), v_pool_.data()};
+    return std::array<const void*, 3>{rows_pool_.data(), u_pool_.data(),
+                                      v_pool_.data()};
   };
   const auto bases = pool_bases();
   for (std::size_t l = 0; l < num_layers_; ++l) {
     for (std::size_t pe = 0; pe < params_.num_pes; ++pe) {
-      slices_.push_back(detail::append_pe_slice(
-          network.layer(l), params_, pe, use_predictor, rows_pool_, w_pool_,
-          u_pool_, v_pool_));
+      slices_.push_back(detail::append_pe_slice(network.layer(l), params_, pe,
+                                                use_predictor, rows_pool_,
+                                                u_pool_, v_pool_));
     }
   }
   ensures(pool_bases() == bases,

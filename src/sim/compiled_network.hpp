@@ -3,25 +3,30 @@
 //
 // The simulator's work splits into input-dependent state (activations,
 // partial sums, NoC traffic) and network-only state (the per-PE
-// interleaved W/U/V slices, row maps and format metadata). The seed
-// engine rebuilt the latter for every layer of every inference —
-// copying every weight word into per-PE vectors and again into the PE
-// SRAM banks — which dominated batch wall-clock. CompiledNetwork does
-// that slicing exactly once per (network, arch, use_predictor) and
-// packs all slices into contiguous pools; PeLayerSlice views
-// (pe/pe.hpp) point into the pools, so loading a layer into a PE binds
-// spans instead of copying words.
+// interleaved W/U/V slices, row maps and format metadata).
+// CompiledNetwork builds the latter exactly once per (network, arch,
+// use_predictor), and loading a layer into a PE binds views instead of
+// copying words (PeLayerSlice, pe/pe.hpp).
+//
+// W is never copied: each PE's W slice is a strided view into the
+// network's one column-major W buffer (QuantizedLayer::w_t). PE p's
+// local row r of input column c is w_t[c·m + p + r·P], so the view has
+// base p, row stride P and column stride m, and W is held once
+// however many images are compiled from the network. Only the row maps
+// and the U/V words (under 1% of the weights; the U-phase kernel reads
+// contiguous U rows) are packed into this image's pools.
 //
 // The compiled image is immutable and read-only shared: every layer,
 // every inference and every BatchRunner worker thread reads the same
-// storage concurrently without synchronisation. It snapshots the
-// network at compile time and records the network's mutation epoch
-// (QuantizedNetwork::epoch); mutating the source afterwards (e.g.
-// set_prediction_threshold) makes the image stale(), and every run
-// entry point rejects a stale image with a precondition failure
-// instead of silently simulating outdated weights. The referenced
-// QuantizedNetwork and the chosen ArchParams must outlive the
-// CompiledNetwork.
+// storage concurrently without synchronisation. It records the
+// network's identity and mutation epoch (QuantizedNetwork::uid/epoch)
+// at compile time; mutating the source afterwards (e.g.
+// set_prediction_threshold) or assigning another network over it
+// makes the image stale(), and every run entry point rejects a stale
+// image with a precondition failure before it reads any weight —
+// after an assignment the W views may point at freed or overwritten
+// words. The referenced QuantizedNetwork and the chosen ArchParams
+// must outlive the CompiledNetwork.
 //
 // core/model_zoo.hpp closes the remaining recompile-per-call hole:
 // single-shot sweeps (System::simulate, the CLI simulate command, the
@@ -95,11 +100,6 @@ class CompiledNetwork {
     return slices_.at(layer * params_.num_pes + pe);
   }
 
-  /// Total packed weight words (W + U + V), for memory accounting.
-  std::size_t packed_words() const noexcept {
-    return w_pool_.size() + u_pool_.size() + v_pool_.size();
-  }
-
  private:
   const QuantizedNetwork* network_;
   ArchParams params_;
@@ -112,7 +112,6 @@ class CompiledNetwork {
   // Packed storage, layer-major then PE-major; never resized after
   // construction so the views below stay valid for the object's life.
   std::vector<std::uint32_t> rows_pool_;
-  std::vector<std::int16_t> w_pool_;
   std::vector<std::int16_t> u_pool_;
   std::vector<std::int16_t> v_pool_;
 

@@ -20,7 +20,9 @@
 //   W phase — PE timing is decoupled from PE data. Every delivered
 //     activation reaches every PE and int64 accumulation is exact and
 //     order-independent, so the datapath work and its event counters
-//     are applied in one bulk pass per PE at phase end
+//     are applied in one bulk pass at phase end, a block of
+//     activations across all PEs at a time so neighbouring PEs' rows
+//     share the column-major W's cache lines
 //     (ProcessingElement::apply_w_activations), while the cycle loop
 //     runs a compact queue-timing model over *cost groups*: every PE
 //     sees the same delivery stream and pops at a fixed per-phase

@@ -8,10 +8,10 @@ void ResultArena::reserve(const CompiledNetwork& compiled) {
 
   result_.layers.resize(num_layers);
   for (std::size_t l = 0; l < num_layers; ++l)
-    result_.layers[l].activations.reserve(network.layer(l).w.rows);
+    result_.layers[l].activations.reserve(network.layer(l).out_dim());
   if (num_layers > 0) {
-    result_.output.reserve(network.layer(num_layers - 1).w.rows);
-    input_scratch_.reserve(network.layer(0).w.cols);
+    result_.output.reserve(network.layer(num_layers - 1).out_dim());
+    input_scratch_.reserve(network.layer(0).in_dim());
   }
 }
 

@@ -1,7 +1,5 @@
 #include "sim/schedule.hpp"
 
-#include <algorithm>
-
 #include "common/check.hpp"
 
 namespace sparsenn {
@@ -56,8 +54,7 @@ PeSliceWords pe_slice_words(const QuantizedLayer& layer,
                             const ArchParams& params, std::size_t pe,
                             bool use_predictor) {
   PeSliceWords words;
-  words.rows = rows_on_pe(layer.w.rows, pe, params.num_pes);
-  words.w = words.rows * layer.w.cols;
+  words.rows = rows_on_pe(layer.out_dim(), pe, params.num_pes);
   if (packs_predictor(layer, use_predictor)) {
     words.u = words.rows * layer.rank();
     words.v = rows_on_pe(layer.v->cols, pe, params.num_pes) * layer.rank();
@@ -69,37 +66,39 @@ PeLayerSlice append_pe_slice(const QuantizedLayer& layer,
                              const ArchParams& params, std::size_t pe,
                              bool use_predictor,
                              std::vector<std::uint32_t>& rows_pool,
-                             std::vector<std::int16_t>& w_pool,
                              std::vector<std::int16_t>& u_pool,
                              std::vector<std::int16_t>& v_pool) {
   expects(pe < params.num_pes, "PE id out of range");
   const PeSliceWords words =
       pe_slice_words(layer, params, pe, use_predictor);
-  expects(has_room(rows_pool, words.rows) && has_room(w_pool, words.w) &&
-              has_room(u_pool, words.u) && has_room(v_pool, words.v),
+  expects(has_room(rows_pool, words.rows) && has_room(u_pool, words.u) &&
+              has_room(v_pool, words.v),
           "slice pools must be pre-sized (an append would move them)");
 
   PeLayerSlice slice;
-  slice.layer_input_dim = layer.w.cols;
-  slice.layer_output_dim = layer.w.rows;
+  slice.layer_input_dim = layer.in_dim();
+  slice.layer_output_dim = layer.out_dim();
   slice.is_output = layer.is_output;
   slice.has_predictor = packs_predictor(layer, use_predictor);
   slice.rank = slice.has_predictor ? layer.rank() : 0;
 
   const std::size_t rows_begin = rows_pool.size();
-  append_rows_for_pe(layer.w.rows, pe, params.num_pes, rows_pool);
+  append_rows_for_pe(layer.out_dim(), pe, params.num_pes, rows_pool);
   slice.global_rows = appended(rows_pool, rows_begin);
 
-  const std::size_t w_begin = w_pool.size();
-  for (const std::uint32_t r : slice.global_rows) {
-    const auto row = layer.w.row(r);
-    w_pool.insert(w_pool.end(), row.begin(), row.end());
-  }
-  slice.w_words = appended(w_pool, w_begin);
+  // Global row j = pe + r·P of input column c is w_t[c·m + j]. A PE
+  // without rows gets an empty view with no base, so no pointer is
+  // formed past the buffer.
+  slice.w_view = WordView{
+      .base = words.rows > 0 ? layer.w_t.data.data() + pe : nullptr,
+      .rows = words.rows,
+      .cols = layer.in_dim(),
+      .row_stride = params.num_pes,
+      .col_stride = layer.out_dim()};
 
   slice.in_frac = layer.in_fmt.frac_bits;
   slice.out_frac = layer.out_fmt.frac_bits;
-  slice.w_frac = layer.w.fmt.frac_bits;
+  slice.w_frac = layer.w_t.fmt.frac_bits;
 
   if (slice.has_predictor) {
     const QuantizedTensor& u = *layer.u;
@@ -137,52 +136,12 @@ OwnedPeSlice make_pe_slice(const QuantizedLayer& layer,
       detail::pe_slice_words(layer, params, pe, use_predictor);
   OwnedPeSlice owned;
   owned.global_rows.reserve(words.rows);
-  owned.w_words.reserve(words.w);
   owned.u_words.reserve(words.u);
   owned.v_words.reserve(words.v);
   owned.view = detail::append_pe_slice(layer, params, pe, use_predictor,
-                                       owned.global_rows, owned.w_words,
-                                       owned.u_words, owned.v_words);
+                                       owned.global_rows, owned.u_words,
+                                       owned.v_words);
   return owned;
-}
-
-ScheduleEstimate estimate_row_schedule(std::size_t rows, std::size_t nnz_in,
-                                       const ArchParams& params) {
-  const std::size_t per_pe =
-      (rows + params.num_pes - 1) / params.num_pes;  // slowest PE
-  ScheduleEstimate out;
-  out.cycles = static_cast<std::uint64_t>(nnz_in) *
-               std::max<std::size_t>(1, per_pe);
-  const double useful = static_cast<double>(nnz_in) *
-                        static_cast<double>(rows);
-  const double offered = static_cast<double>(out.cycles) *
-                         static_cast<double>(params.num_pes);
-  out.pe_utilization = offered > 0.0 ? useful / offered : 0.0;
-  return out;
-}
-
-ScheduleEstimate estimate_column_schedule(std::size_t rows,
-                                          std::size_t nnz_in,
-                                          const ArchParams& params) {
-  // Local phase: each PE MACs its local nonzeros against its V columns,
-  // rows MACs per nonzero; local nonzeros are nnz/P on average but the
-  // slowest PE gates — assume balanced interleaving (ceil).
-  const std::size_t local_nnz =
-      (nnz_in + params.num_pes - 1) / params.num_pes;
-  const std::uint64_t local_cycles =
-      static_cast<std::uint64_t>(local_nnz) * rows;
-  // Reduction: pipelined, one row per cycle after a tree-depth fill,
-  // then the broadcast of results back down.
-  const std::uint64_t reduce_cycles =
-      rows + params.router_levels * 2 + params.router_pipeline_stages;
-  ScheduleEstimate out;
-  out.cycles = local_cycles + reduce_cycles;
-  const double useful =
-      static_cast<double>(nnz_in) * static_cast<double>(rows);
-  const double offered = static_cast<double>(out.cycles) *
-                         static_cast<double>(params.num_pes);
-  out.pe_utilization = offered > 0.0 ? useful / offered : 0.0;
-  return out;
 }
 
 }  // namespace sparsenn

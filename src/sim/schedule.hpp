@@ -10,10 +10,12 @@
 //   the tree. This keeps all PEs busy even though V has only
 //   rank (< P) rows.
 //
-// PeLayerSlice is a non-owning view (see pe/pe.hpp); the batch engine
-// packs every slice of every layer into sim::CompiledNetwork once per
-// network. OwnedPeSlice below carries its own storage for single-slice
-// uses (tests, single-PE experiments).
+// PeLayerSlice is a non-owning view (see pe/pe.hpp). Its W view points
+// straight into the layer's column-major W (QuantizedLayer::w_t); the
+// batch engine packs the U/V words and row maps of every slice of every
+// layer into sim::CompiledNetwork once per network. OwnedPeSlice below
+// carries its own U/V storage for single-slice uses (tests, single-PE
+// experiments).
 
 #include <cstdint>
 #include <vector>
@@ -29,12 +31,12 @@ std::vector<std::uint32_t> rows_for_pe(std::size_t num_rows,
                                        std::size_t pe,
                                        std::size_t num_pes);
 
-/// Backing storage plus the view for one PE's slice of one layer.
-/// Move-only: vector moves keep their heap buffers, so `view` stays
-/// valid across moves, while a copy would silently dangle.
+/// Backing storage plus the view for one PE's slice of one layer (W is
+/// viewed in the layer itself). Move-only: vector moves keep their heap
+/// buffers, so `view` stays valid across moves, while a copy would
+/// silently dangle.
 struct OwnedPeSlice {
   std::vector<std::uint32_t> global_rows;
-  std::vector<std::int16_t> w_words;
   std::vector<std::int16_t> u_words;
   std::vector<std::int16_t> v_words;
   PeLayerSlice view;
@@ -47,7 +49,8 @@ struct OwnedPeSlice {
 };
 
 /// Builds the full per-PE slice of one quantised layer with its own
-/// storage. Keep the OwnedPeSlice alive while any PE holds `view`.
+/// storage. Keep the OwnedPeSlice and the layer alive while any PE holds
+/// `view`.
 OwnedPeSlice make_pe_slice(const QuantizedLayer& layer,
                            const ArchParams& params, std::size_t pe,
                            bool use_predictor);
@@ -57,13 +60,11 @@ namespace detail {
 /// How many entries one PE's slice of one layer appends to each pool.
 struct PeSliceWords {
   std::size_t rows = 0;
-  std::size_t w = 0;
   std::size_t u = 0;
   std::size_t v = 0;
 
   PeSliceWords& operator+=(const PeSliceWords& o) noexcept {
     rows += o.rows;
-    w += o.w;
     u += o.u;
     v += o.v;
     return *this;
@@ -75,37 +76,19 @@ PeSliceWords pe_slice_words(const QuantizedLayer& layer,
                             bool use_predictor);
 
 /// Shared by CompiledNetwork and make_pe_slice: computes the scalar
-/// metadata, appends this PE's row indices and W/U/V words to the
-/// given pools, and returns the slice with its spans bound to the
-/// appended words. Every pool must already have spare capacity for
-/// pe_slice_words() more entries (checked), so no append reallocates:
-/// the spans stay valid for as long as the caller does not grow the
-/// pools past their capacity.
+/// metadata, binds the W view into `layer.w_t`, appends this PE's row
+/// indices and U/V words to the given pools, and returns the slice with
+/// its spans bound to the appended words. Every pool must already have
+/// spare capacity for pe_slice_words() more entries (checked), so no
+/// append reallocates: the spans stay valid for as long as the caller
+/// does not grow the pools past their capacity.
 PeLayerSlice append_pe_slice(const QuantizedLayer& layer,
                              const ArchParams& params, std::size_t pe,
                              bool use_predictor,
                              std::vector<std::uint32_t>& rows_pool,
-                             std::vector<std::int16_t>& w_pool,
                              std::vector<std::int16_t>& u_pool,
                              std::vector<std::int16_t>& v_pool);
 
 }  // namespace detail
-
-/// Row-based execution cost of a matvec on the PE array, used by the
-/// scheduling ablation: cycles ≈ nnz_inputs × max_rows_per_pe — the
-/// utilisation collapses when the matrix has fewer rows than PEs.
-struct ScheduleEstimate {
-  std::uint64_t cycles = 0;
-  double pe_utilization = 0.0;  ///< fraction of PE-cycles doing MACs
-};
-
-ScheduleEstimate estimate_row_schedule(std::size_t rows, std::size_t nnz_in,
-                                       const ArchParams& params);
-
-/// Column-based estimate for the same matvec (V-style): local MACs plus
-/// the pipelined tree reduction.
-ScheduleEstimate estimate_column_schedule(std::size_t rows,
-                                          std::size_t nnz_in,
-                                          const ArchParams& params);
 
 }  // namespace sparsenn

@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <ranges>
 #include <utility>
@@ -17,8 +18,10 @@
 #include "common/check.hpp"
 #include "core/model_zoo.hpp"
 #include "sim/accelerator.hpp"
+#include "sim/analytic_engine.hpp"
 #include "sim/batch_runner.hpp"
 #include "sim/compiled_network.hpp"
+#include "sim/result_arena.hpp"
 #include "sim/schedule.hpp"
 #include "sim_fixtures.hpp"
 
@@ -29,6 +32,14 @@ using test_fixtures::make_batch_fixture;
 using test_fixtures::seeded_network;
 using test_fixtures::tiny_arch;
 using Fixture = test_fixtures::BatchFixture;
+
+/// The words of a W view in row-major order.
+std::vector<std::int16_t> row_major_words(const WordView& w) {
+  std::vector<std::int16_t> words;
+  for (std::size_t r = 0; r < w.rows; ++r)
+    for (std::size_t c = 0; c < w.cols; ++c) words.push_back(w.at(r, c));
+  return words;
+}
 
 /// Seed-engine reference: a brand-new simulator per inference, the
 /// one-shot (recompile + full validation) entry point.
@@ -60,7 +71,8 @@ TEST(CompiledNetwork, SlicesMatchFreshlyBuiltOnes) {
                   fresh.view.predictor_threshold_raw);
         EXPECT_TRUE(std::ranges::equal(got.global_rows, fresh.global_rows))
             << "layer " << l << " pe " << pe;
-        EXPECT_TRUE(std::ranges::equal(got.w_words, fresh.w_words))
+        EXPECT_EQ(row_major_words(got.w_view),
+                  row_major_words(fresh.view.w_view))
             << "layer " << l << " pe " << pe;
         EXPECT_TRUE(std::ranges::equal(got.u_words, fresh.u_words))
             << "layer " << l << " pe " << pe;
@@ -90,6 +102,21 @@ struct Digest {
     add(t.cols);
     add(static_cast<std::uint64_t>(t.fmt.frac_bits));
     add_words(std::span<const std::int16_t>(t.data));
+  }
+  /// A view folded like add_words over its row-major words.
+  void add_view(const WordView& w) {
+    const std::vector<std::int16_t> words = row_major_words(w);
+    add_words(std::span<const std::int16_t>(words));
+  }
+  /// W folded like add_tensor over the m × n row-major tensor: the
+  /// same sizes, format and word order, read from the column-major w_t.
+  void add_w(const QuantizedLayer& layer) {
+    const std::size_t m = layer.out_dim();
+    const std::size_t n = layer.in_dim();
+    add(m);
+    add(n);
+    add(static_cast<std::uint64_t>(layer.w_t.fmt.frac_bits));
+    add_view(WordView{layer.w_t.data.data(), m, n, 1, m});
   }
 };
 
@@ -121,7 +148,7 @@ TEST(CompiledNetwork, DeploymentIsBitIdenticalToPinnedDigest) {
   for (const QuantizedNetwork& q : nets) {
     for (std::size_t l = 0; l < q.num_layers(); ++l) {
       const QuantizedLayer& layer = q.layer(l);
-      quantized.add_tensor(layer.w);
+      quantized.add_w(layer);
       quantized.add_tensor(layer.w_t);
       for (const auto* t : {&layer.u, &layer.v, &layer.u_t, &layer.v_t}) {
         quantized.add(t->has_value());
@@ -138,7 +165,17 @@ TEST(CompiledNetwork, DeploymentIsBitIdenticalToPinnedDigest) {
       for (const bool uv_on : {false, true}) {
         const CompiledNetwork image(q, arch, uv_on);
         compiled.add(image.max_broadcast_flits());
-        compiled.add(image.packed_words());
+        // Weight words the slices hold (W + U + V): the pinned digest
+        // folds this count here.
+        std::size_t slice_words = 0;
+        for (std::size_t l = 0; l < image.num_layers(); ++l) {
+          for (std::size_t pe = 0; pe < image.num_pes(); ++pe) {
+            const PeLayerSlice& s = image.slice(l, pe);
+            slice_words +=
+                s.w_view.size() + s.u_words.size() + s.v_words.size();
+          }
+        }
+        compiled.add(slice_words);
         for (std::size_t l = 0; l < image.num_layers(); ++l) {
           for (std::size_t pe = 0; pe < image.num_pes(); ++pe) {
             const PeLayerSlice& s = image.slice(l, pe);
@@ -148,7 +185,7 @@ TEST(CompiledNetwork, DeploymentIsBitIdenticalToPinnedDigest) {
             compiled.add(s.has_predictor);
             compiled.add(s.is_output);
             compiled.add_words(s.global_rows);
-            compiled.add_words(s.w_words);
+            compiled.add_view(s.w_view);
             compiled.add_words(s.u_words);
             compiled.add_words(s.v_words);
             for (const int frac : {s.in_frac, s.out_frac, s.mid_frac,
@@ -163,6 +200,51 @@ TEST(CompiledNetwork, DeploymentIsBitIdenticalToPinnedDigest) {
   }
   EXPECT_EQ(quantized.h, 0x7118ca69c1803973ull);
   EXPECT_EQ(compiled.h, 0xc376cca52b85b903ull);
+}
+
+/// Zero-copy pin: every PE's W slice is a view into its layer's one
+/// column-major W buffer — compiling copies no W word, on a PE array
+/// with a few rows per PE and on one where most PEs hold none — and
+/// make_pe_slice builds the same view. The words it reads are the
+/// row-major W the digest above pins.
+TEST(CompiledNetwork, WViewsLieInsideTheNetworksOneWBuffer) {
+  Rng rng{4};
+  const QuantizedNetwork q = seeded_network(rng);
+  const std::less<const std::int16_t*> before;
+  for (const ArchParams& arch : {tiny_arch(), ArchParams::paper()}) {
+    for (const bool uv_on : {false, true}) {
+      const CompiledNetwork image(q, arch, uv_on);
+      for (std::size_t l = 0; l < image.num_layers(); ++l) {
+        const QuantizedLayer& layer = q.layer(l);
+        const std::int16_t* begin = layer.w_t.data.data();
+        const std::int16_t* end = begin + layer.w_t.data.size();
+        for (std::size_t pe = 0; pe < image.num_pes(); ++pe) {
+          const PeLayerSlice& s = image.slice(l, pe);
+          const WordView& w = s.w_view;
+          ASSERT_EQ(w.rows, s.global_rows.size());
+          ASSERT_EQ(w.cols, layer.in_dim());
+
+          const OwnedPeSlice fresh = make_pe_slice(layer, arch, pe, uv_on);
+          const WordView& f = fresh.view.w_view;
+          EXPECT_EQ(f.base, w.base) << "layer " << l << " pe " << pe;
+          EXPECT_EQ(f.rows, w.rows);
+          EXPECT_EQ(f.row_stride, w.row_stride);
+          EXPECT_EQ(f.col_stride, w.col_stride);
+
+          if (w.size() == 0) continue;
+          const std::int16_t* last = w.base + (w.rows - 1) * w.row_stride +
+                                     (w.cols - 1) * w.col_stride;
+          EXPECT_FALSE(before(w.base, begin))
+              << "layer " << l << " pe " << pe;
+          EXPECT_TRUE(before(last, end)) << "layer " << l << " pe " << pe;
+          for (std::size_t r = 0; r < w.rows; ++r)
+            for (std::size_t c = 0; c < w.cols; ++c)
+              ASSERT_EQ(w.at(r, c), layer.w_t.at(c, s.global_rows[r]))
+                  << "layer " << l << " pe " << pe << " row " << r;
+        }
+      }
+    }
+  }
 }
 
 /// Compiled engine vs the per-inference engine, both uv modes, both
@@ -336,6 +418,57 @@ TEST(CompiledEngine, StaleSnapshotIsRejectedInEveryMode) {
   q.set_prediction_threshold(0.35);  // same value — still a mutation
   EXPECT_TRUE(recompiled.stale());
 }
+
+/// An image's W views alias its source network, so assigning another
+/// network over the source (copy or move) leaves them pointing at
+/// freed words. Every run entry point must reject the image as stale
+/// before it reads a weight; the sanitizer job reports any read.
+class SourceAssignedOver : public ::testing::TestWithParam<bool> {};
+
+TEST_P(SourceAssignedOver, EveryEntryPointRejectsTheStaleImage) {
+  const bool by_move = GetParam();
+  for (const bool uv_on : {true, false}) {
+    Fixture f = make_batch_fixture(4, /*seed=*/71);
+    const CompiledNetwork image(f.network, tiny_arch(), uv_on);
+    ResultArena arena(image);
+
+    // Wider layers than the fixture's, so the assignment reallocates
+    // (and frees) every W buffer the image views.
+    Rng rng{72};
+    Network wider{{24, 40, 30, 6}, rng};
+    wider.set_predictor(0, Predictor::random(40, 24, 4, rng));
+    wider.set_predictor(1, Predictor::random(30, 40, 4, rng));
+    QuantizedNetwork other(wider, f.data.inputs);
+    if (by_move) {
+      f.network = std::move(other);
+    } else {
+      f.network = other;
+    }
+    EXPECT_TRUE(image.stale());
+
+    const std::span<const float> x = f.data.image(0);
+    AcceleratorSim sim(tiny_arch());
+    AnalyticEngine analytic(tiny_arch());
+    for (const ValidationMode mode :
+         {ValidationMode::kOff, ValidationMode::kFull}) {
+      EXPECT_THROW((void)sim.run(image, x, mode), std::invalid_argument);
+      EXPECT_THROW((void)sim.run(image, x, arena, mode),
+                   std::invalid_argument);
+      EXPECT_THROW((void)analytic.run(image, x, mode),
+                   std::invalid_argument);
+      EXPECT_THROW((void)analytic.run(image, x, arena, mode),
+                   std::invalid_argument);
+    }
+    BatchOptions options;
+    options.num_threads = 2;
+    options.use_predictor = uv_on;
+    EXPECT_THROW((void)BatchRunner(tiny_arch(), options).run(image, f.data),
+                 std::invalid_argument);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(CopyOrMove, SourceAssignedOver,
+                         ::testing::Values(false, true));
 
 TEST(CompiledEngine, EpochIsMonotone) {
   Rng rng{15};

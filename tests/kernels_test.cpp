@@ -260,6 +260,20 @@ TEST(KernelsTest, MacColMatchesScalarIncludingLastWordEdge) {
               << to_string(t->isa) << " rows=" << rows
               << " stride=" << stride << " col=" << col;
         }
+
+        // The PE's W view issues each column MAC at the column's first
+        // word with the PE count as the row stride, col 0 and a budget
+        // of (rows − 1)·stride + 1 words: the block ends exactly on the
+        // last word read, so nothing past it may be touched.
+        const auto column = random_i16(rng, (rows - 1) * stride + 1, 0.1);
+        std::vector<std::int64_t> got(rows, 3), expected(rows, 3);
+        const std::int16_t a = random_extreme_i16(rng);
+        t->mac_col_i16(got.data(), column.data(), stride, column.size(),
+                       sel.data(), sel.size(), 0, a);
+        scalar.mac_col_i16(expected.data(), column.data(), stride,
+                           column.size(), sel.data(), sel.size(), 0, a);
+        EXPECT_EQ(got, expected) << to_string(t->isa) << " W view rows="
+                                 << rows << " stride=" << stride;
       }
     }
   }

@@ -79,8 +79,9 @@ TEST(SramBank, CapacityEnforced) {
   // The bank views caller-owned words (it no longer copies).
   const std::vector<std::int16_t> fits(512, 1);
   const std::vector<std::int16_t> overflows(513, 1);
-  EXPECT_NO_THROW(bank.load(fits));
-  EXPECT_THROW(bank.load(overflows), std::invalid_argument);
+  EXPECT_NO_THROW(bank.load_rows(fits, fits.size()));
+  EXPECT_THROW(bank.load_rows(overflows, overflows.size()),
+               std::invalid_argument);
 }
 
 TEST(SramBank, RowAccessAndCounting) {
@@ -90,7 +91,8 @@ TEST(SramBank, RowAccessAndCounting) {
   EXPECT_EQ(bank.num_rows(), 2u);
   EXPECT_EQ(bank.read_row_word(1, 2), 6);
   EXPECT_EQ(bank.reads(), 1u);
-  EXPECT_THROW(bank.read(6), std::invalid_argument);
+  EXPECT_THROW(bank.read_row_word(2, 0), std::invalid_argument);
+  EXPECT_THROW(bank.read_row_word(0, 3), std::invalid_argument);
   const auto row = bank.row(0);
   EXPECT_EQ(row[0], 1);
   EXPECT_THROW(bank.row(2), std::invalid_argument);
@@ -223,7 +225,7 @@ TEST(ProcessingElement, VAndUPhasesReproducePredictorBits) {
     EXPECT_EQ(cycles, pe.predictor_bits().size() * rank);
     // Compare bits against the golden mask, row by mapped row.
     std::size_t local = 0;
-    for (std::size_t global = pe.id(); global < layer.w.rows;
+    for (std::size_t global = pe.id(); global < layer.out_dim();
          global += f.params.num_pes, ++local) {
       EXPECT_EQ(pe.predictor_bits()[local], golden.mask[global])
           << "PE " << pe.id() << " global row " << global;
@@ -237,9 +239,9 @@ TEST(ProcessingElement, CapacityViolationSurfaces) {
   PeFixture f;
   ProcessingElement pe(0, p);
   OwnedPeSlice slice = make_pe_slice(f.quantized->layer(0), p, 0, true);
-  // Inflate the slice beyond 512 words and re-point the view.
-  slice.w_words.assign(600, 1);
-  slice.view.w_words = slice.w_words;
+  // Inflate the W view beyond 512 words.
+  const std::vector<std::int16_t> inflated(600, 1);
+  slice.view.w_view = WordView::row_major(inflated, 8);
   EXPECT_THROW(pe.load_layer(slice.view), std::invalid_argument);
 }
 

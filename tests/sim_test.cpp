@@ -47,17 +47,21 @@ TEST(Schedule, SliceContainsInterleavedRowsAndColumns) {
   // PE 1 of 4, 10 rows: global rows 1, 5, 9.
   EXPECT_EQ(owned.global_rows,
             (std::vector<std::uint32_t>{1, 5, 9}));
-  EXPECT_EQ(slice.w_words.size(), 3u * 12u);
+  EXPECT_EQ(slice.w_view.size(), 3u * 12u);
   EXPECT_EQ(slice.u_words.size(), 3u * 3u);
   // V columns 1, 5, 9 of 12: 3 slots × rank 3.
   EXPECT_EQ(slice.v_words.size(), 3u * 3u);
-  // Check an actual W word: slice row 1 == global row 5.
-  EXPECT_EQ(slice.w_words[1 * 12 + 7], q.layer(0).w.at(5, 7));
+  // Check an actual W word: slice row 1 == global row 5 (W[5][7] is
+  // word (7, 5) of the column-major w_t).
+  EXPECT_EQ(slice.w_view.at(1, 7), q.layer(0).w_t.at(7, 5));
   // And a V word: slot 1 covers global column 5; entry k=2.
   EXPECT_EQ(slice.v_words[1 * 3 + 2], q.layer(0).v->at(2, 5));
-  // The view spans the owned storage exactly.
+  // The row map spans the owned storage exactly; W is viewed in place
+  // in the layer's column-major buffer (base row 1, stride 4 PEs).
   EXPECT_EQ(slice.global_rows.data(), owned.global_rows.data());
-  EXPECT_EQ(slice.w_words.data(), owned.w_words.data());
+  EXPECT_EQ(slice.w_view.base, q.layer(0).w_t.data.data() + 1);
+  EXPECT_EQ(slice.w_view.row_stride, 4u);
+  EXPECT_EQ(slice.w_view.col_stride, 10u);
 }
 
 TEST(Schedule, UvOffSliceDropsPredictor) {
