@@ -1,13 +1,14 @@
 #pragma once
-// Global operator-new counting hook shared by bench/sim_throughput and
-// tests/result_arena_test: the single source of truth for what "a heap
+// Global operator-new counting hook shared by tests/result_arena_test
+// and perfbench: the single source of truth for what "a heap
 // allocation" means when the repo asserts allocation-free inference.
 //
 // Including this header REPLACES the global allocator for the whole
 // binary (replacement functions must be non-inline, so include it from
-// exactly one translation unit per executable — both current users are
-// single-TU binaries). It counts every usual, nothrow and over-aligned
-// operator new; deletes are pass-throughs.
+// exactly one translation unit per executable — result_arena_test is a
+// single-TU binary and perfbench includes it from main.cpp only). It
+// counts every usual, nothrow and over-aligned operator new; deletes
+// are pass-throughs.
 //
 // Never include this from library code: libsparsenn must not impose a
 // counting allocator on its users.

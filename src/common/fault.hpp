@@ -29,11 +29,10 @@
 // reproducibility on a single-worker schedule.
 //
 // Cost when disarmed: one relaxed atomic load and a predicted branch
-// per point — bench/serving_load's saturation gate runs with the
-// registry disarmed and stays within the BENCH_baseline.json
-// tolerance. Defining SPARSENN_DISABLE_FAULT_INJECTION compiles every
-// point to a constant-false no-op for builds that want the hook gone
-// entirely.
+// per point — the serving saturation floor in tests/perf_floor_test
+// runs with the registry disarmed. Defining
+// SPARSENN_DISABLE_FAULT_INJECTION compiles every point to a
+// constant-false no-op for builds that want the hook gone entirely.
 //
 // Thread-safety: arm/disarm/add and the hit path serialise on one
 // registry mutex (the framework is only armed in tests); the armed

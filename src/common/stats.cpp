@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/check.hpp"
-
 namespace sparsenn {
 
 void RunningStats::add(double x) noexcept {
@@ -50,52 +48,6 @@ double sparsity_fraction(std::span<const float> values,
   for (float v : values)
     if (std::abs(v) <= tolerance) ++zeros;
   return static_cast<double>(zeros) / static_cast<double>(values.size());
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  expects(hi > lo, "histogram range must be non-empty");
-  expects(bins > 0, "histogram needs at least one bin");
-}
-
-void Histogram::add(double x) noexcept {
-  // NaN has no bin; dropping it beats the old NaN→integer cast (UB).
-  if (std::isnan(x)) return;
-  const double t = (x - lo_) / (hi_ - lo_);
-  const auto bins = static_cast<double>(counts_.size());
-  // Clamp in the double domain: ±inf and out-of-range values saturate
-  // into the edge bins instead of overflowing the integer cast.
-  const double scaled = std::clamp(t * bins, 0.0, bins - 1.0);
-  ++counts_[static_cast<std::size_t>(scaled)];
-  ++total_;
-}
-
-double Histogram::bin_low(std::size_t i) const noexcept {
-  const double w = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + w * static_cast<double>(i);
-}
-
-double Histogram::percentile(double p) const noexcept {
-  if (total_ == 0) return lo_;
-  const double target = p / 100.0 * static_cast<double>(total_);
-  // p = 0 (target 0) would otherwise "cross" at the first bin even
-  // when it is empty; the distribution's floor is lo_.
-  if (target <= 0.0) return lo_;
-  const double w = (hi_ - lo_) / static_cast<double>(counts_.size());
-  double cum = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] == 0) continue;  // empty bins cannot cross target
-    const double count = static_cast<double>(counts_[i]);
-    if (cum + count >= target) {
-      // Interpolate within the crossing bin: mass is spread uniformly
-      // over [bin_low, bin_low + w), so p = 100 lands on the filled
-      // fraction's upper edge and p50 of a single full bin on its
-      // midpoint — not unconditionally on bin_low + w.
-      return bin_low(i) + w * (target - cum) / count;
-    }
-    cum += count;
-  }
-  return hi_;
 }
 
 }  // namespace sparsenn

@@ -4,7 +4,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace sparsenn {
 
@@ -33,28 +32,5 @@ class RunningStats {
 /// Fraction of elements equal to zero; the paper's sparsity metric.
 double sparsity_fraction(std::span<const float> values,
                          float tolerance = 0.0f) noexcept;
-
-/// Simple fixed-bin histogram for latency / occupancy distributions.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  /// Counts x into its bin (out-of-range values saturate into the
-  /// edge bins); NaN samples are dropped, not binned.
-  void add(double x) noexcept;
-  std::uint64_t total() const noexcept { return total_; }
-  std::span<const std::uint64_t> bins() const noexcept { return counts_; }
-  double bin_low(std::size_t i) const noexcept;
-  /// The value at the p-th percentile (p in [0,100]), linearly
-  /// interpolated inside the bin whose cumulative mass crosses
-  /// p% of total(); lo_ for p = 0 or an empty histogram.
-  double percentile(double p) const noexcept;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
 
 }  // namespace sparsenn

@@ -20,8 +20,8 @@
 // (sim/result_arena.hpp): past the batch's single validated inference
 // (BatchValidation::kFirstInference) a worker performs zero heap
 // allocations per inference —
-// bench/sim_throughput asserts the marginal allocation count is
-// exactly 0 and tests/result_arena_test pins it.
+// tests/result_arena_test pins the marginal allocation count at
+// exactly 0.
 
 #include <cstdint>
 #include <optional>

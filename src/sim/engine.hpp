@@ -23,7 +23,7 @@
 // and run low where the fabric contends (unbuffered flow control,
 // shallow router or activation queues); its event counts remain
 // estimates. tests/engine_equivalence_test pins the predictions and the
-// per-layer cycle equality, bench/sim_throughput the speedup.
+// per-layer cycle equality, tests/perf_floor_test the speedup.
 //
 // Engines are stateful scratch owners, exactly like AcceleratorSim
 // always was: one engine per thread, never shared concurrently. The

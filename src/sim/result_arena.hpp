@@ -10,7 +10,7 @@
 // in place; reserve(compiled) pre-sizes every pool from the compiled
 // image's layer dimensions, so with ValidationMode::kOff the whole
 // inference performs zero heap allocations in steady state
-// (bench/sim_throughput and tests/result_arena_test assert exactly 0).
+// (tests/result_arena_test asserts exactly 0, for both engines).
 //
 // The arena is single-owner scratch, exactly like the simulator it
 // feeds: one arena per worker thread (BatchRunner's keep_results=false

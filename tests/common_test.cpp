@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <limits>
 #include <sstream>
 
 #include "common/check.hpp"
@@ -207,52 +206,6 @@ TEST(Stats, SparsityFraction) {
   const std::vector<float> x{0.0f, 1.0f, 0.0f, 2.0f};
   EXPECT_DOUBLE_EQ(sparsity_fraction(x), 0.5);
   EXPECT_DOUBLE_EQ(sparsity_fraction(std::vector<float>{}), 0.0);
-}
-
-TEST(Stats, HistogramPercentile) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.add(static_cast<double>(i) + 0.5);
-  EXPECT_EQ(h.total(), 100u);
-  EXPECT_NEAR(h.percentile(50.0), 50.0, 2.0);
-  EXPECT_NEAR(h.percentile(90.0), 90.0, 2.0);
-}
-
-TEST(Stats, HistogramPercentileEdgeCases) {
-  // Empty histogram: every percentile collapses to the range floor.
-  Histogram empty(0.0, 10.0, 4);
-  EXPECT_DOUBLE_EQ(empty.percentile(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(empty.percentile(50.0), 0.0);
-  EXPECT_DOUBLE_EQ(empty.percentile(100.0), 0.0);
-
-  // All mass in the LAST bin of a 4-bin [0,10) range: p must land
-  // inside [7.5, 10], never on an empty leading bin's upper edge
-  // (the old code returned 2.5 for every p).
-  Histogram last(0.0, 10.0, 4);
-  for (int i = 0; i < 8; ++i) last.add(9.0);
-  EXPECT_DOUBLE_EQ(last.percentile(0.0), 0.0);  // floor by contract
-  EXPECT_GE(last.percentile(1.0), 7.5);
-  EXPECT_DOUBLE_EQ(last.percentile(50.0), 7.5 + 2.5 * 0.5);
-  EXPECT_DOUBLE_EQ(last.percentile(100.0), 10.0);
-
-  // Single bin: interpolation spreads mass uniformly over the bin.
-  Histogram one(0.0, 4.0, 1);
-  one.add(1.0);
-  one.add(2.0);
-  EXPECT_DOUBLE_EQ(one.percentile(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(one.percentile(50.0), 2.0);
-  EXPECT_DOUBLE_EQ(one.percentile(100.0), 4.0);
-}
-
-TEST(Stats, HistogramIgnoresNanAndSaturatesOutOfRange) {
-  Histogram h(0.0, 10.0, 4);
-  h.add(std::numeric_limits<double>::quiet_NaN());
-  EXPECT_EQ(h.total(), 0u);
-  h.add(-1e300);  // below lo → lowest bin
-  h.add(1e300);   // above hi → highest bin
-  h.add(std::numeric_limits<double>::infinity());
-  EXPECT_EQ(h.total(), 3u);
-  EXPECT_EQ(h.bins()[0], 1u);
-  EXPECT_EQ(h.bins()[3], 2u);
 }
 
 TEST(Table, PrintsAlignedColumns) {

@@ -2,19 +2,21 @@
 // AcceleratorSim must be a pure storage optimisation — SimResults
 // bit-identical to the heap-returning overload — and, with validation
 // off, exactly zero heap allocations per steady-state inference (the
-// last two ROADMAP perf items). Allocations are counted by the shared
-// common/alloc_counter.hpp hook — the same definition
-// bench/sim_throughput measures with.
+// last two ROADMAP perf items); the analytic engine's arena path is
+// held to the same zero. Allocations are counted by the shared
+// common/alloc_counter.hpp hook.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/alloc_counter.hpp"
 #include "sim/accelerator.hpp"
 #include "sim/batch_runner.hpp"
 #include "sim/compiled_network.hpp"
+#include "sim/engine.hpp"
 #include "sim/result_arena.hpp"
 #include "sim_fixtures.hpp"
 
@@ -53,24 +55,28 @@ TEST(ResultArena, BitIdenticalToHeapPath) {
 
 TEST(ResultArena, SteadyStateInferencesAreAllocationFree) {
   const Fixture f = make_batch_fixture(12, /*seed=*/81);
-  for (const bool uv_on : {true, false}) {
-    const CompiledNetwork compiled(f.network, tiny_arch(), uv_on);
-    AcceleratorSim sim(tiny_arch());
-    ResultArena arena(compiled);
+  for (const EngineKind kind : {EngineKind::kCycle, EngineKind::kAnalytic}) {
+    for (const bool uv_on : {true, false}) {
+      const CompiledNetwork compiled(f.network, tiny_arch(), uv_on);
+      const std::unique_ptr<ExecutionEngine> engine =
+          make_engine(kind, tiny_arch());
+      ResultArena arena(compiled);
 
-    // One warm-up inference grows the simulator's own scratch (PE scan
-    // buffers, the injector-closed flags) to its steady capacity.
-    (void)sim.run(compiled, f.data.image(0), arena, ValidationMode::kOff);
+      // One warm-up inference grows the engine's own scratch (PE scan
+      // buffers, the injector-closed flags) to its steady capacity.
+      (void)engine->run(compiled, f.data.image(0), arena,
+                        ValidationMode::kOff);
 
-    const std::uint64_t before = g_allocs.load();
-    std::uint64_t cycles = 0;
-    for (std::size_t i = 0; i < f.data.size(); ++i)
-      cycles += sim.run(compiled, f.data.image(i), arena,
-                        ValidationMode::kOff)
-                    .total_cycles;
-    const std::uint64_t allocs = g_allocs.load() - before;
-    EXPECT_EQ(allocs, 0u) << "uv " << uv_on;
-    EXPECT_GT(cycles, 0u);
+      const std::uint64_t before = g_allocs.load();
+      std::uint64_t cycles = 0;
+      for (std::size_t i = 0; i < f.data.size(); ++i)
+        cycles += engine->run(compiled, f.data.image(i), arena,
+                              ValidationMode::kOff)
+                      .total_cycles;
+      const std::uint64_t allocs = g_allocs.load() - before;
+      EXPECT_EQ(allocs, 0u) << to_string(kind) << " uv " << uv_on;
+      EXPECT_GT(cycles, 0u);
+    }
   }
 }
 

@@ -1,5 +1,5 @@
 // Unit and property tests for src/tensor: dense kernels, the SVD stack
-// (Jacobi eigensolver, randomized truncated SVD), and sparse utilities.
+// (Jacobi eigensolver, randomized truncated SVD).
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 #include "common/rng.hpp"
 #include "tensor/matrix.hpp"
 #include "tensor/ops.hpp"
-#include "tensor/sparse.hpp"
 #include "tensor/svd.hpp"
 
 namespace sparsenn {
@@ -292,52 +291,6 @@ TEST_P(SvdSweep, ReconstructionErrorBounded) {
 
 INSTANTIATE_TEST_SUITE_P(Ranks, SvdSweep,
                          ::testing::Values(2, 4, 8, 16, 24, 31));
-
-// ---- sparse ----
-
-TEST(Sparse, SparseVectorRoundTrip) {
-  const std::vector<float> dense{0.0f, 1.5f, 0.0f, -2.0f, 0.0f};
-  const SparseVector sv = SparseVector::from_dense(dense);
-  EXPECT_EQ(sv.nnz(), 2u);
-  EXPECT_EQ(sv.indices[0], 1u);
-  EXPECT_EQ(sv.indices[1], 3u);
-  const Vector back = sv.to_dense(5);
-  for (std::size_t i = 0; i < 5; ++i) EXPECT_FLOAT_EQ(back[i], dense[i]);
-}
-
-TEST(Sparse, CountNonzerosWithTolerance) {
-  const std::vector<float> x{0.0f, 1e-6f, 0.5f};
-  EXPECT_EQ(count_nonzeros(x), 2u);
-  EXPECT_EQ(count_nonzeros(x, 1e-3f), 1u);
-}
-
-TEST(Sparse, CsrRoundTripAndMultiply) {
-  Rng rng{12};
-  Matrix dense(13, 17, 0.0f);
-  for (std::size_t r = 0; r < dense.rows(); ++r)
-    for (std::size_t c = 0; c < dense.cols(); ++c)
-      if (rng.bernoulli(0.3))
-        dense(r, c) = static_cast<float>(rng.normal());
-
-  const CsrMatrix csr = CsrMatrix::from_dense(dense);
-  EXPECT_EQ(csr.to_dense(), dense);
-
-  Vector x(17);
-  for (float& v : x) v = static_cast<float>(rng.normal());
-  const Vector a = csr.multiply(x);
-  const Vector b = matvec(dense, x);
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_NEAR(a[i], b[i], 1e-4);
-}
-
-TEST(Sparse, CsrEmptyRows) {
-  Matrix dense(3, 4, 0.0f);
-  dense(1, 2) = 5.0f;
-  const CsrMatrix csr = CsrMatrix::from_dense(dense);
-  EXPECT_EQ(csr.nnz(), 1u);
-  EXPECT_TRUE(csr.row_indices(0).empty());
-  EXPECT_EQ(csr.row_indices(1).size(), 1u);
-  EXPECT_THROW(csr.row_indices(3), std::invalid_argument);
-}
 
 }  // namespace
 }  // namespace sparsenn

@@ -17,14 +17,10 @@ instead of failing to compile:
      wrappers in common/sync.hpp are what make clang's
      -Wthread-safety analysis see the locking at all. A raw
      std::mutex is a hole in the static lock-discipline proof.
-  3. CI-gated JSON keys — every JSON key the CI workflow's embedded
-     python gates subscript (j["p99_us"], phase.get("shed"), ...)
-     must appear as a string literal in bench/ code (a mention in a
-     comment emits nothing) or be a top-level key of
-     BENCH_baseline.json (the gates open its sections, e.g.
-     "snapshot"; a key nested in a section is an old bench output,
-     not a producer). A renamed bench key otherwise fails only in CI,
-     as a KeyError long after the renaming commit.
+  3. no inline Python in CI — the workflow runs no `python3 -`
+     heredoc (or `python3 -c`) script. A gate written inline runs only
+     in CI and cannot be run locally with one command; gates belong in
+     ctest entries or checked-in scripts that CI calls by path.
   4. tsan test-selection parity — each alternative in the tsan job's
      `ctest -R "a|b|c"` regex must name an existing tests/<name>.cpp,
      so a renamed suite cannot silently drop out of the race net.
@@ -36,7 +32,6 @@ Exit status: 0 clean, 1 findings (one per line on stdout), 2 usage.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from pathlib import Path
@@ -193,44 +188,22 @@ def check_raw_sync(root: Path, findings: Findings) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Rule 3: CI-gated JSON keys exist in bench sources / baseline
+# Rule 3: no inline Python in the CI workflow
 
-CI_JSON_KEY = re.compile(r"""\[["']([A-Za-z0-9_]+)["']\]|\.get\(["']([A-Za-z0-9_]+)["']\)""")
+INLINE_PYTHON = re.compile(r"\bpython3?\s+-(?:c\b|\s|<|$)", re.MULTILINE)
 
 
-def check_ci_json_keys(root: Path, findings: Findings) -> None:
+def check_inline_python(root: Path, findings: Findings) -> None:
     ci = root / ".github" / "workflows" / "ci.yml"
     if not ci.is_file():
-        return  # nothing gated — nothing to check
-    ci_text = ci.read_text(encoding="utf-8")
-    gated = {g for m in CI_JSON_KEY.finditer(ci_text) for g in m.groups() if g}
-    if not gated:
         return
-
-    producers = cxx_files(root, "bench")
-    haystack = "\n".join(
-        strip_comments(p.read_text(encoding="utf-8")) for p in producers)
-    sections: set[str] = set()
-    baseline = root / "BENCH_baseline.json"
-    if baseline.is_file():
-        try:
-            data = json.loads(baseline.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as err:
-            findings.add(baseline, err.lineno, f"not valid JSON: {err.msg}")
-        else:
-            if isinstance(data, dict):
-                sections = set(data)
-    for key in sorted(gated - sections):
-        # Bench writers emit keys as escaped literals (<< "\"key\":") or
-        # pass them as plain literals (print_engine(os, "arena", ...)).
-        if f'"{key}"' not in haystack and f'\\"{key}\\"' not in haystack:
-            findings.add(
-                ci, None,
-                f'CI gates on JSON key "{key}" but no bench/ code emits '
-                "it and it is not a top-level BENCH_baseline.json key — "
-                "the gate would fail with a KeyError, not a regression "
-                "message",
-            )
+    ci_text = ci.read_text(encoding="utf-8")
+    for m in INLINE_PYTHON.finditer(ci_text):
+        findings.add(
+            ci, line_of(ci_text, m.start()),
+            "inline Python in CI — move the check into a ctest entry or "
+            "a checked-in script so it runs locally with one command",
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +236,7 @@ def run(root: Path) -> int:
     findings = Findings()
     check_fault_points(root, findings)
     check_raw_sync(root, findings)
-    check_ci_json_keys(root, findings)
+    check_inline_python(root, findings)
     check_tsan_selection(root, findings)
     for item in findings.items:
         print(item)

@@ -6,8 +6,10 @@ negative fixture tree — a miniature repo with a misnamed fault point
 and a raw std::mutex — asserting the linter flags *both*, plus
 positive fixtures pinning that the allowed patterns (sync.hpp's own
 raw primitives, test-local armed-and-hit points, commented-out code)
-stay clean. Runs under the stdlib unittest runner (no pytest in the
-toolchain) and is wired into ctest as `lint_selftest`.
+stay clean. Rule 3 has one flagged fixture (a `python3 -` heredoc in
+ci.yml) and one clean one (Python scripts CI calls by path). Runs
+under the stdlib unittest runner (no pytest in the toolchain) and is
+wired into ctest as `lint_selftest`.
 """
 
 import contextlib
@@ -134,96 +136,29 @@ void run() { (void)fault::point("engine.run"); }
         self.assertIn("ghost_test", out)
         self.assertNotIn("serve_test.cpp does not exist", out)
 
-    def test_ci_gated_key_must_have_a_producer(self):
+    def test_inline_python_in_ci_is_flagged(self):
+        # Rule 3's negative fixture: a gate written as a heredoc runs
+        # only in CI. The finding names its exact line.
         write(self.root, "src/engine.cpp",
               '#include "common/fault.hpp"\n'
               'void run() { (void)fault::point("engine.run"); }\n')
         write(self.root, ".github/workflows/ci.yml",
-              '          j["made_up_metric"]\n          j["p99_us"]\n')
-        # Escaped-quote emission (how the bench writers print JSON)
-        # must satisfy the gate.
-        write(self.root, "bench/load.cpp",
-              'os << "\\"p99_us\\": " << p99;\n')
+              "      - name: Gate\n"
+              "        run: |\n"
+              "          python3 - <<'EOF'\n"
+              "          import json\n"
+              "          EOF\n")
         status, out = run_lint(self.root)
         self.assertEqual(status, 1, out)
-        self.assertIn("made_up_metric", out)
-        self.assertNotIn("p99_us", out)
+        self.assertIn("ci.yml:3: inline Python", out)
 
-    def test_overload_gate_keys_need_a_bench_producer(self):
-        # The overload/degraded CI gates read per-class and breaker
-        # keys out of serving_load.json; each must be emitted by a
-        # bench writer or the gate dereferences a key that can never
-        # exist. Mixed subscript and .get() access must both count as
-        # gated, and a producer that emits only *some* keys must be
-        # flagged for exactly the missing ones.
+    def test_python_scripts_called_by_path_are_clean(self):
         write(self.root, "src/engine.cpp",
               '#include "common/fault.hpp"\n'
               'void run() { (void)fault::point("engine.run"); }\n')
         write(self.root, ".github/workflows/ci.yml",
-              '          ov["breaker_recovered"]\n'
-              '          ov["circuit_shed"]\n'
-              '          dg.get("bit_identical")\n'
-              '          dg["degraded_completed"]\n')
-        write(self.root, "bench/load.cpp",
-              'os << "\\"circuit_shed\\": " << stats.circuit_shed;\n'
-              'os << "\\"bit_identical\\": " << (ok ? "true" : "false");\n')
-        status, out = run_lint(self.root)
-        self.assertEqual(status, 1, out)
-        self.assertIn("breaker_recovered", out)
-        self.assertIn("degraded_completed", out)
-        self.assertNotIn("circuit_shed", out)
-        self.assertNotIn("bit_identical", out)
-        # Completing the producer clears the gate.
-        write(self.root, "bench/load.cpp",
-              'os << "\\"circuit_shed\\": " << stats.circuit_shed;\n'
-              'os << "\\"bit_identical\\": " << (ok ? "true" : "false");\n'
-              'os << "\\"breaker_recovered\\": true";\n'
-              'os << "\\"degraded_completed\\": " << n;\n')
-        status, out = run_lint(self.root)
-        self.assertEqual(status, 0, out)
-
-    def test_key_named_only_in_a_bench_comment_is_flagged(self):
-        # Rule 3's negative fixture: the bench's emission was renamed
-        # away while its header comment (and a block comment) still
-        # name the key CI reads. Comments emit nothing, so the gate
-        # would raise KeyError in CI; the linter must say so now.
-        write(self.root, "src/engine.cpp",
-              '#include "common/fault.hpp"\n'
-              'void run() { (void)fault::point("engine.run"); }\n')
-        write(self.root, ".github/workflows/ci.yml",
-              '          for point in j["thread_sweep"]:\n')
-        write(self.root, "bench/sim.cpp",
-              '// "thread_sweep": inf/s at 1,2,4 threads\n'
-              '/* os << "\\"thread_sweep\\": ["; */\n'
-              'os << "\\"shard_sweep\\": [";\n')
-        status, out = run_lint(self.root)
-        self.assertEqual(status, 1, out)
-        self.assertIn('"thread_sweep"', out)
-        # Emitting it from code clears the finding.
-        write(self.root, "bench/sim.cpp",
-              'os << "\\"thread_sweep\\": [";\n')
-        status, out = run_lint(self.root)
-        self.assertEqual(status, 0, out)
-
-    def test_baseline_satisfies_only_its_top_level_keys(self):
-        # The gates open BENCH_baseline.json's sections
-        # (json.load(f)["snapshot"]), so a top-level key needs no bench
-        # producer. A key nested in a section is an old bench output and
-        # proves nothing about what the bench emits today.
-        write(self.root, "src/engine.cpp",
-              '#include "common/fault.hpp"\n'
-              'void run() { (void)fault::point("engine.run"); }\n')
-        write(self.root, ".github/workflows/ci.yml",
-              '          base = json.load(f)["snapshot"]\n'
-              '          j["event_speedup"]\n')
-        write(self.root, "BENCH_baseline.json",
-              '{"snapshot": {"event_speedup": 1.7}}\n')
-        status, out = run_lint(self.root)
-        self.assertEqual(status, 1, out)
-        self.assertIn('"event_speedup"', out)
-        self.assertNotIn('"snapshot"', out)
-        write(self.root, "bench/sim.cpp",
-              'os << "\\"event_speedup\\": " << speedup;\n')
+              "        run: python3 tools/lint/check_invariants.py\n"
+              "        run: python3 perfbench/run.py --workload w --seed 1\n")
         status, out = run_lint(self.root)
         self.assertEqual(status, 0, out)
 
