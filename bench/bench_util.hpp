@@ -3,11 +3,14 @@
 // (SPARSENN_FULL=1 runs the paper-scale configuration) and common
 // option blocks so every bench trains comparable networks.
 
+#include <algorithm>
+#include <cctype>
 #include <cstddef>
+#include <cstdlib>
 #include <iostream>
+#include <string>
 #include <vector>
 
-#include "common/config.hpp"
 #include "data/dataset.hpp"
 #include "nn/trainer.hpp"
 
@@ -22,6 +25,22 @@ struct Scale {
   std::size_t sim_samples = 3;   ///< inferences per hardware point
   bool full = false;
 };
+
+/// True when SPARSENN_FULL is set to 1, true, yes or on (any case):
+/// benches then run the full paper-scale configuration instead of the
+/// reduced default.
+inline bool full_scale_requested() {
+  // getenv suppression rationale: nothing in the process calls
+  // setenv; the environment is read-only after exec.
+  const char* env = std::getenv("SPARSENN_FULL");  // NOLINT(concurrency-mt-unsafe)
+  if (env == nullptr) return false;
+  std::string value = env;
+  std::transform(value.begin(), value.end(), value.begin(),
+                 [](unsigned char ch) {
+                   return static_cast<char>(std::tolower(ch));
+                 });
+  return value == "1" || value == "true" || value == "yes" || value == "on";
+}
 
 inline Scale resolve_scale() {
   Scale s;

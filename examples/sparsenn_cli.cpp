@@ -219,14 +219,14 @@ int cmd_simulate(const Args& args) {
   // (ValidationMode::kFull is the cycle engine's default), and the
   // cross-check always runs against the matching uv mode's golden
   // path — uv_off validates against the EIE-style all-rows model.
-  ModelZoo zoo(ArchParams::paper());
+  ModelZoo zoo;
 
   std::cout << "engine: " << to_string(engine_kind) << "\n";
   Table table({"mode", "mean cycles", "mean power(mW)", "mean uJ"});
   for (const bool on : {true, false}) {
     if ((on && uv == "off") || (!on && uv == "on")) continue;
     const std::shared_ptr<const CompiledNetwork> compiled =
-        zoo.get(quantized, on);
+        zoo.get(quantized, ArchParams::paper(), on);
     double cycles = 0.0;
     double mw = 0.0;
     double uj = 0.0;

@@ -84,10 +84,13 @@ struct ArchParams {
   /// match, etc.); throws std::invalid_argument on bad configs.
   void validate() const;
 
-  /// A total encoding of every field, usable as a map key: two
-  /// ArchParams produce the same key iff a compiled image / engine
-  /// built for one is valid for the other. core/zoo_registry.hpp keys
-  /// its zoo-of-zoos on this.
+  /// Field-by-field equality. core/model_zoo.hpp matches an image's
+  /// arch with it, so an image fetch builds no string.
+  bool operator==(const ArchParams&) const = default;
+
+  /// A string encoding of every field, usable as a map key (doubles at
+  /// std::to_string precision). The serving frontend keys its
+  /// worker-local engines on it.
   std::string cache_key() const;
 
   /// The paper's configuration (all defaults).

@@ -36,7 +36,6 @@ inline constexpr std::string_view kAll[] = {
     "serve.worker.batch",    // serve/frontend.cpp batch entry
     "serve.worker.hang",     // serve/frontend.cpp per-request loop
     "zoo.compile",           // core/model_zoo.cpp compile boundary
-    "zoo.registry.get",      // core/zoo_registry.cpp fetch boundary
 };
 
 static_assert(std::is_sorted(std::begin(kAll), std::end(kAll)),

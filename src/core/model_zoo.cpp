@@ -5,37 +5,47 @@
 
 namespace sparsenn {
 
-ModelZoo::ModelZoo(const ArchParams& params, std::size_t capacity)
-    : params_(params), capacity_(capacity) {
-  params_.validate();
+ModelZoo::ModelZoo(std::size_t capacity) : capacity_(capacity) {
   expects(capacity_ > 0, "ModelZoo capacity must be at least 1");
 }
 
+std::size_t ModelZoo::size() const {
+  const sync::MutexLock lock(mutex_);
+  return entries_.size();
+}
+
 std::shared_ptr<const CompiledNetwork> ModelZoo::get(
-    const QuantizedNetwork& network, bool use_predictor) {
+    const QuantizedNetwork& network, const ArchParams& arch,
+    bool use_predictor) {
   const std::uint64_t uid = network.uid();
   const std::uint64_t epoch = network.epoch();
+  const sync::MutexLock lock(mutex_);
 
   for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->uid != uid) {
+    const CompiledNetwork& image = **it;
+    if (image.source_uid() != uid) {
       ++it;
       continue;
     }
-    if (it->epoch != epoch) {
+    if (image.source_epoch() != epoch) {
       // The network mutated since this image was compiled: the image
-      // is stale and can never be served again. Only this network's
-      // entries are touched — other networks stay warm.
+      // is stale on every arch and can never be served again. Only
+      // this network's entries are touched — other networks stay warm.
       it = entries_.erase(it);
       continue;
     }
-    if (it->use_predictor == use_predictor) {
+    if (image.use_predictor() == use_predictor && image.params() == arch) {
       // Hit: refresh recency (MRU first) and serve.
       ++hit_count_;
       entries_.splice(entries_.begin(), entries_, it);
-      return entries_.front().image;
+      return entries_.front();
     }
     ++it;
   }
+
+  // Miss. A bad arch throws here, before it can cost a warm image or
+  // count as a compile.
+  arch.validate();
 
   // Chaos hook on the miss path only: an injected compile failure is
   // transient by construction — the retrying caller re-enters here and
@@ -43,44 +53,56 @@ std::shared_ptr<const CompiledNetwork> ModelZoo::get(
   // compile never costs a warm image.
   (void)fault::point("zoo.compile");
 
-  // Miss: evict down to capacity - 1 before compiling, so the zoo
-  // never holds more than `capacity_` images even transiently.
+  // Evict down to capacity - 1 before compiling, so the zoo never
+  // holds more than `capacity_` images even transiently.
   while (entries_.size() >= capacity_) {
     entries_.pop_back();
     ++eviction_count_;
   }
+  entries_.push_front(
+      std::make_shared<const CompiledNetwork>(network, arch, use_predictor));
   ++compile_count_;
-  entries_.push_front(Entry{
-      uid, epoch, use_predictor,
-      std::make_shared<const CompiledNetwork>(network, params_,
-                                              use_predictor)});
-  return entries_.front().image;
+  return entries_.front();
 }
 
 bool ModelZoo::contains(const QuantizedNetwork& network,
-                        bool use_predictor) const noexcept {
-  for (const Entry& e : entries_) {
-    if (e.uid == network.uid() && e.epoch == network.epoch() &&
-        e.use_predictor == use_predictor) {
+                        const ArchParams& arch, bool use_predictor) const {
+  const sync::MutexLock lock(mutex_);
+  for (const std::shared_ptr<const CompiledNetwork>& image : entries_) {
+    if (image->compiled_from(network) &&
+        image->use_predictor() == use_predictor && image->params() == arch) {
       return true;
     }
   }
   return false;
 }
 
-void ModelZoo::invalidate() noexcept { entries_.clear(); }
+void ModelZoo::invalidate() {
+  const sync::MutexLock lock(mutex_);
+  entries_.clear();
+}
 
-std::size_t ModelZoo::invalidate(std::uint64_t uid) noexcept {
-  std::size_t dropped = 0;
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->uid == uid) {
-      it = entries_.erase(it);
-      ++dropped;
-    } else {
-      ++it;
-    }
-  }
-  return dropped;
+std::size_t ModelZoo::invalidate(std::uint64_t uid) {
+  const sync::MutexLock lock(mutex_);
+  return entries_.remove_if(
+      [uid](const std::shared_ptr<const CompiledNetwork>& image) {
+        return image->source_uid() == uid;
+      });
+}
+
+std::uint64_t ModelZoo::compile_count() const {
+  const sync::MutexLock lock(mutex_);
+  return compile_count_;
+}
+
+std::uint64_t ModelZoo::hit_count() const {
+  const sync::MutexLock lock(mutex_);
+  return hit_count_;
+}
+
+std::uint64_t ModelZoo::eviction_count() const {
+  const sync::MutexLock lock(mutex_);
+  return eviction_count_;
 }
 
 }  // namespace sparsenn

@@ -6,7 +6,7 @@
 namespace sparsenn {
 
 System::System(SystemOptions options)
-    : options_(std::move(options)), zoo_(options_.arch) {
+    : options_(std::move(options)) {
   options_.arch.validate();
   expects(options_.topology.size() >= 2, "topology too small");
   for (std::size_t width : options_.topology) {
@@ -32,7 +32,6 @@ void System::prepare() {
   // A re-prepare()d network carries a fresh uid, so images compiled
   // from the previous one can never be served again (the zoo key is
   // (uid, epoch), not the address) — drop them eagerly.
-  const sync::MutexLock lock(cache_mutex_);
   zoo_.invalidate();
 }
 
@@ -156,7 +155,6 @@ void System::set_prediction_threshold(double threshold) {
   // The epoch bump above already marks this network's cached images
   // stale; drop them eagerly so a threshold sweep never holds dead
   // images across its K points.
-  const sync::MutexLock lock(cache_mutex_);
   zoo_.invalidate(quantized_->uid());
 }
 

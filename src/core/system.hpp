@@ -19,7 +19,6 @@
 #include "arch/area.hpp"
 #include "arch/energy.hpp"
 #include "arch/params.hpp"
-#include "common/sync.hpp"
 #include "core/model_zoo.hpp"
 #include "data/dataset.hpp"
 #include "nn/quantized.hpp"
@@ -116,9 +115,7 @@ class System {
   /// observability for sweeps and tests (a threshold sweep of K points
   /// over both uv modes should compile at most 2·K images, not
   /// 2·K·samples).
-  std::uint64_t compiled_network_compile_count() const
-      SPARSENN_EXCLUDES(cache_mutex_) {
-    const sync::MutexLock lock(cache_mutex_);
+  std::uint64_t compiled_network_compile_count() const {
     return zoo_.compile_count();
   }
 
@@ -134,22 +131,18 @@ class System {
   /// simulate_batch() and compare_hardware(); mutable because a zoo
   /// fill is not an observable state change (results are bit-identical
   /// to an uncached compile — tests/compiled_engine_test pins it).
-  /// ModelZoo itself is not thread-safe, so every access goes through
-  /// cache_mutex_: concurrent *const* calls (e.g. two threads in
-  /// simulate_batch()) then serialize only the image fetch and share
-  /// the filled entry read-only. The returned shared_ptr pins the
-  /// image, so a caller's in-flight inference survives even an
+  /// The zoo is thread-safe, so concurrent *const* calls (e.g. two
+  /// threads in simulate_batch()) serialize only the image fetch and
+  /// share the filled entry read-only. The returned shared_ptr pins
+  /// the image, so a caller's in-flight inference survives even an
   /// eviction or a concurrent-epoch invalidation — only the source
   /// network itself (quantized_) must stay alive, which mutating calls
   /// (set_prediction_threshold, prepare) guarantee by not running
   /// concurrently with readers.
-  mutable sync::Mutex cache_mutex_;
-  mutable ModelZoo zoo_ SPARSENN_GUARDED_BY(cache_mutex_);
+  mutable ModelZoo zoo_;
 
-  std::shared_ptr<const CompiledNetwork> compiled(bool use_predictor) const
-      SPARSENN_EXCLUDES(cache_mutex_) {
-    const sync::MutexLock lock(cache_mutex_);
-    return zoo_.get(*quantized_, use_predictor);
+  std::shared_ptr<const CompiledNetwork> compiled(bool use_predictor) const {
+    return zoo_.get(*quantized_, options_.arch, use_predictor);
   }
 };
 

@@ -4,7 +4,6 @@
 
 #include "common/check.hpp"
 #include "nn/quantized.hpp"
-#include "pe/lnzd.hpp"
 
 namespace sparsenn {
 

@@ -13,38 +13,26 @@
 
 namespace sparsenn {
 
-/// One 16-bit register file with access counting.
+/// One 16-bit register file. Accesses are metered by the PE's
+/// EventCounts (act_reg_reads / act_reg_writes), not here.
 class ActRegFile {
  public:
   explicit ActRegFile(std::size_t num_regs) : regs_(num_regs, 0) {}
 
   std::size_t size() const noexcept { return regs_.size(); }
 
-  std::int16_t read(std::size_t slot) {
-    expects(slot < regs_.size(), "register slot out of range");
-    ++reads_;
-    return regs_[slot];
-  }
-
   void write(std::size_t slot, std::int16_t value) {
     expects(slot < regs_.size(), "register slot out of range");
-    ++writes_;
     regs_[slot] = value;
   }
 
   void clear() { std::fill(regs_.begin(), regs_.end(), 0); }
 
-  /// Raw view for LNZD scans (no access charge; the scan is metered by
-  /// the LNZD event counter instead).
+  /// Read view for the LNZD scans.
   std::span<const std::int16_t> raw() const noexcept { return regs_; }
-
-  std::uint64_t reads() const noexcept { return reads_; }
-  std::uint64_t writes() const noexcept { return writes_; }
 
  private:
   std::vector<std::int16_t> regs_;
-  std::uint64_t reads_ = 0;
-  std::uint64_t writes_ = 0;
 };
 
 /// The ping-pong pair.
@@ -60,13 +48,6 @@ class PingPongRegFiles {
 
   /// Layer boundary: destination becomes next layer's source.
   void swap() noexcept { src_ = 1 - src_; }
-
-  std::uint64_t total_reads() const noexcept {
-    return files_[0].reads() + files_[1].reads();
-  }
-  std::uint64_t total_writes() const noexcept {
-    return files_[0].writes() + files_[1].writes();
-  }
 
  private:
   ActRegFile files_[2];

@@ -88,7 +88,6 @@ struct ServingFrontend::Lane {
 
 ServingFrontend::ServingFrontend(ServingOptions options)
     : options_(options),
-      zoos_(options_.zoo_capacity_per_arch),
       queue_(RequestQueue<Pending>::Options{
           options_.queue_capacity, options_.max_queued_per_model,
           options_.max_batch,
@@ -364,14 +363,14 @@ void ServingFrontend::process_batch(
 
     if (dead < n) {
       // Resolve the compiled image, retrying transient failures with
-      // exponential backoff. The zoo-of-zoos pins the image for the
-      // whole batch: a concurrent eviction (another worker compiling
-      // a colder model) cannot free it mid-inference.
+      // exponential backoff. The zoo pins the image for the whole
+      // batch: a concurrent eviction (another worker compiling a
+      // colder model) cannot free it mid-inference.
       std::shared_ptr<const CompiledNetwork> image;
       std::uint64_t backoff_us = options_.retry_backoff_us;
       for (std::uint32_t attempt = 0;; ++attempt) {
         try {
-          image = zoos_.get(entry.arch, *entry.network, lane.use_predictor);
+          image = zoo_.get(*entry.network, entry.arch, lane.use_predictor);
           break;
         } catch (const std::exception&) {
           if (attempt >= options_.max_retries) throw;
@@ -571,8 +570,8 @@ ServingStats ServingFrontend::stats() const {
     out = stats_;
   }
   out.batches = queue_.batches();
-  out.zoo_compiles = zoos_.compile_count();
-  out.zoo_hits = zoos_.hit_count();
+  out.zoo_compiles = zoo_.compile_count();
+  out.zoo_hits = zoo_.hit_count();
   out.breaker_opens = health_.opens();
   out.breaker_probes = health_.probes();
   out.breaker_closes = health_.closes();

@@ -3,7 +3,7 @@
 //
 //   clients ──submit()──▶ RequestQueue ──micro-batches──▶ workers
 //                (bounded MPMC,           (per-worker engines,
-//                 per-model lanes,         arch-keyed zoo-of-zoos,
+//                 per-model lanes,         arch-keyed ModelZoo,
 //                 admission/shedding,      zero-alloc arena path,
 //                 per-request deadlines)   failure containment)
 //                                              │
@@ -15,8 +15,8 @@
 // and pushes it into a bounded MPMC queue (serve/request_queue.hpp)
 // keyed by (model, uv) lane; worker threads close dynamic
 // micro-batches under a latency budget (max_batch or max_wait_us,
-// whichever first), resolve the compiled image through an arch-keyed
-// ZooRegistry — so one process serves models deployed against mixed
+// whichever first), resolve the compiled image through one arch-keyed
+// ModelZoo — so one process serves models deployed against mixed
 // ArchParams configs — and run each request on the worker's private
 // ExecutionEngine through the zero-alloc ResultArena path. The
 // SimResult plus queueing/batching/execution timestamps come back
@@ -86,7 +86,7 @@
 //
 // Fault points (common/fault.hpp) are threaded through the stack —
 // serve.queue.push, serve.worker.batch, serve.worker.hang,
-// serve.result.corrupt, zoo.registry.get, zoo.compile, engine.run —
+// serve.result.corrupt, zoo.compile, engine.run —
 // and are zero-cost no-ops unless a test arms them.
 //
 // Lifetime: registered networks must outlive the frontend (the
@@ -109,7 +109,7 @@
 #include "arch/params.hpp"
 #include "common/stats.hpp"
 #include "common/sync.hpp"
-#include "core/zoo_registry.hpp"
+#include "core/model_zoo.hpp"
 #include "nn/quantized.hpp"
 #include "serve/health.hpp"
 #include "serve/request_queue.hpp"
@@ -132,8 +132,6 @@ struct ServingOptions {
   /// How those cycle engines advance time; both modes are
   /// bit-identical. The analytic backend ignores it.
   SteppingMode stepping = SteppingMode::kEvent;
-  /// Compiled-image LRU capacity of each per-arch zoo.
-  std::size_t zoo_capacity_per_arch = ModelZoo::kDefaultCapacity;
   /// Bounded retry for transient compile-image failures: attempts
   /// beyond the first, with exponential backoff starting at
   /// retry_backoff_us and doubling per attempt. 0 = fail fast.
@@ -257,10 +255,18 @@ struct ServingStats {
                            static_cast<double>(submitted)
                      : 0.0;
   }
+  /// Mean requests per micro-batch, from batch_size_counts alone: a
+  /// deadline shed rode its batch and counts, an admission-path
+  /// failure never rode one and does not.
   double mean_batch_size() const noexcept {
-    return batches ? static_cast<double>(completed + failed) /
-                         static_cast<double>(batches)
-                   : 0.0;
+    std::uint64_t closed = 0, requests = 0;
+    for (std::size_t n = 0; n < batch_size_counts.size(); ++n) {
+      closed += batch_size_counts[n];
+      requests += batch_size_counts[n] * (n + 1);
+    }
+    return closed ? static_cast<double>(requests) /
+                        static_cast<double>(closed)
+                  : 0.0;
   }
 };
 
@@ -274,7 +280,7 @@ class ServingFrontend {
 
   /// Registers a deployable model under its own ArchParams (mixed
   /// configs are served side by side through the arch-keyed
-  /// zoo-of-zoos). The network must outlive the frontend and must not
+  /// ModelZoo). The network must outlive the frontend and must not
   /// mutate while registered. Returns the handle submit() takes.
   std::size_t register_model(const QuantizedNetwork& network,
                              const ArchParams& arch);
@@ -355,12 +361,13 @@ class ServingFrontend {
   // Lock order (outermost first, never reversed):
   //   watchdog_mutex_ → workers_mutex_ | stats_mutex_
   //   models_mutex_ and stats_mutex_ are leaves (nothing is acquired
-  //   under them). The thread-safety analysis proves each field's
-  //   guard below; the order itself is prose — clang has no
-  //   lock-ordering capability — so keep this comment honest.
+  //   under them), and zoo_ takes its own mutex under none of these.
+  //   The thread-safety analysis proves each field's guard below; the
+  //   order itself is prose — clang has no lock-ordering capability —
+  //   so keep this comment honest.
 
   ServingOptions options_;
-  ZooRegistry zoos_;
+  ModelZoo zoo_;
   RequestQueue<Pending> queue_;
   ModelHealth health_;
   /// Brownout queue-depth trigger, precomputed from

@@ -133,13 +133,11 @@ BatchResult BatchRunner::run(const CompiledNetwork& compiled,
   std::vector<SimResult> results(options_.keep_results ? total : 0);
   std::vector<WorkerAccum> accums(options_.keep_results ? 0 : threads);
   std::atomic<std::size_t> cursor{0};
-  // kFirstInference is a PER-BATCH contract: the batch shares one
-  // compiled image, so one cross-check covers it. The first worker to
-  // win this flag validates; everyone else trusts the engine from
-  // inference one (a per-worker flag would validate once per thread,
-  // scaling the redundant golden recomputation with the pool size).
+  // The first worker to win this flag runs the batch's one validated
+  // inference; everyone else trusts the engine from inference one (a
+  // per-worker flag would validate once per thread, scaling the
+  // redundant golden recomputation with the pool size).
   std::atomic<bool> batch_validated{false};
-  std::atomic<std::size_t> validated_count{0};
   // First-error slot: a local struct so the GUARDED_BY contract is
   // statically checked even for this function-scoped mutex.
   struct ErrorSlot {
@@ -165,15 +163,11 @@ BatchResult BatchRunner::run(const CompiledNetwork& compiled,
       while (true) {
         const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
         if (i >= total) break;
-        bool full = options_.validation == BatchValidation::kFull;
-        if (options_.validation == BatchValidation::kFirstInference &&
+        const bool full =
             !batch_validated.load(std::memory_order_relaxed) &&
-            !batch_validated.exchange(true, std::memory_order_relaxed)) {
-          full = true;
-        }
+            !batch_validated.exchange(true, std::memory_order_relaxed);
         const ValidationMode mode =
             full ? ValidationMode::kFull : ValidationMode::kOff;
-        if (full) validated_count.fetch_add(1, std::memory_order_relaxed);
         if (options_.keep_results) {
           results[i] = engine->run(compiled, data.image(i), mode);
         } else {
@@ -225,7 +219,7 @@ BatchResult BatchRunner::run(const CompiledNetwork& compiled,
   BatchResult out;
   out.num_inferences = total;
   out.num_threads = threads;
-  out.validated_inferences = validated_count.load();
+  out.validated_inferences = batch_validated.load() ? 1 : 0;
   out.wall_seconds = std::chrono::duration<double>(stop - start).count();
 
   // Deterministic merge: per-input results in input order, or worker

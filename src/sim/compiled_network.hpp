@@ -30,8 +30,9 @@
 //
 // core/model_zoo.hpp closes the remaining recompile-per-call hole:
 // single-shot sweeps (System::simulate, the CLI simulate command, the
-// fig/ablation benches) fetch images from a ModelZoo — a multi-network
-// LRU keyed on (uid, epoch, uv mode) — instead of compiling per call.
+// fig/ablation benches) fetch images from a ModelZoo — a thread-safe
+// LRU keyed on (arch, uid, epoch, uv mode) — instead of compiling per
+// call.
 
 #include <cstdint>
 #include <vector>

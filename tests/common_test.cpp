@@ -1,5 +1,5 @@
 // Unit tests for src/common: RNG determinism and distributions,
-// fixed-point arithmetic, tables, statistics, and configuration.
+// fixed-point arithmetic, tables and statistics.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "common/check.hpp"
-#include "common/config.hpp"
 #include "common/fixed_point.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -231,24 +230,6 @@ TEST(Table, CsvEscaping) {
 TEST(Table, RowWidthMismatchThrows) {
   Table t({"a", "b"});
   EXPECT_THROW(t.add_row({"only-one"}), std::invalid_argument);
-}
-
-TEST(Config, FallbacksAndParsing) {
-  Config c;
-  EXPECT_EQ(c.get("missing", "fallback"), "fallback");
-  c.set("alpha", "12");
-  EXPECT_EQ(c.get_int("alpha", 0), 12);
-  c.set("beta", "0.5");
-  EXPECT_DOUBLE_EQ(c.get_double("beta", 0.0), 0.5);
-  c.set("gamma", "true");
-  EXPECT_TRUE(c.get_bool("gamma", false));
-  c.set("delta", "not-a-number");
-  EXPECT_EQ(c.get_int("delta", 99), 99);
-}
-
-TEST(Config, EnvNameMapping) {
-  EXPECT_EQ(Config::env_name("full"), "SPARSENN_FULL");
-  EXPECT_EQ(Config::env_name("fig7.samples"), "SPARSENN_FIG7_SAMPLES");
 }
 
 }  // namespace

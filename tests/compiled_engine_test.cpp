@@ -342,29 +342,6 @@ TEST_P(CompiledBatchThreads, SharedAcrossWorkersMatchesFreshRuns) {
 INSTANTIATE_TEST_SUITE_P(Threads, CompiledBatchThreads,
                          ::testing::Values(1, 2, 8));
 
-TEST(CompiledEngine, BatchValidationModesAreBitIdentical) {
-  const Fixture f = make_batch_fixture(10, /*seed=*/41);
-  std::vector<BatchResult> runs;
-  for (const BatchValidation v :
-       {BatchValidation::kFull, BatchValidation::kFirstInference,
-        BatchValidation::kOff}) {
-    BatchOptions options;
-    options.num_threads = 2;
-    options.validation = v;
-    runs.push_back(BatchRunner(tiny_arch(), options).run(f.network, f.data));
-  }
-  const BatchResult& reference = runs.front();
-  for (std::size_t r = 1; r < runs.size(); ++r) {
-    ASSERT_EQ(runs[r].results.size(), reference.results.size());
-    for (std::size_t i = 0; i < reference.results.size(); ++i)
-      EXPECT_EQ(runs[r].results[i], reference.results[i])
-          << "mode " << r << " input " << i;
-    EXPECT_EQ(runs[r].total_cycles, reference.total_cycles);
-    EXPECT_EQ(runs[r].total_events, reference.total_events);
-    EXPECT_EQ(runs[r].error_rate_percent, reference.error_rate_percent);
-  }
-}
-
 TEST(CompiledEngine, MismatchedArchitectureIsRejected) {
   Rng rng{5};
   const QuantizedNetwork q = seeded_network(rng);
@@ -482,30 +459,33 @@ TEST(CompiledEngine, EpochIsMonotone) {
 TEST(ModelZooCache, ReusesImagesUntilEpochMoves) {
   Rng rng{27};
   QuantizedNetwork q = seeded_network(rng);
-  ModelZoo cache(tiny_arch());
+  ModelZoo cache;
   EXPECT_EQ(cache.compile_count(), 0u);
 
-  const std::shared_ptr<const CompiledNetwork> on = cache.get(q, true);
-  const std::shared_ptr<const CompiledNetwork> off = cache.get(q, false);
+  const std::shared_ptr<const CompiledNetwork> on =
+      cache.get(q, tiny_arch(), true);
+  const std::shared_ptr<const CompiledNetwork> off =
+      cache.get(q, tiny_arch(), false);
   EXPECT_EQ(cache.compile_count(), 2u);
   EXPECT_TRUE(on->use_predictor());
   EXPECT_FALSE(off->use_predictor());
 
   // Hits: same network, same epoch, same uv mode → the same image.
-  EXPECT_EQ(cache.get(q, true), on);
-  EXPECT_EQ(cache.get(q, false), off);
+  EXPECT_EQ(cache.get(q, tiny_arch(), true), on);
+  EXPECT_EQ(cache.get(q, tiny_arch(), false), off);
   EXPECT_EQ(cache.compile_count(), 2u);
 
   // A mutation moves the epoch; the next get() recompiles, and the
   // fresh image carries the new threshold (never a stale snapshot).
   q.set_prediction_threshold(0.25);
-  const std::shared_ptr<const CompiledNetwork> on2 = cache.get(q, true);
+  const std::shared_ptr<const CompiledNetwork> on2 =
+      cache.get(q, tiny_arch(), true);
   EXPECT_EQ(cache.compile_count(), 3u);
   EXPECT_FALSE(on2->stale());
   EXPECT_EQ(on2->source_epoch(), q.epoch());
 
   cache.invalidate();
-  (void)cache.get(q, true);
+  (void)cache.get(q, tiny_arch(), true);
   EXPECT_EQ(cache.compile_count(), 4u);
 }
 
@@ -516,14 +496,14 @@ TEST(ModelZooCache, AddressReuseNeverServesTheOldNetworksImage) {
   // key of (address, epoch) would serve the OLD network's weights; the
   // (uid, epoch) key must recompile.
   Rng rng{35};
-  ModelZoo cache(tiny_arch());
+  ModelZoo cache;
   std::optional<QuantizedNetwork> slot(seeded_network(rng));
-  (void)cache.get(*slot, true);
+  (void)cache.get(*slot, tiny_arch(), true);
   EXPECT_EQ(cache.compile_count(), 1u);
 
   slot.emplace(seeded_network(rng));  // same address, different weights
   const std::shared_ptr<const CompiledNetwork> recompiled =
-      cache.get(*slot, true);
+      cache.get(*slot, tiny_arch(), true);
   EXPECT_EQ(cache.compile_count(), 2u);
   EXPECT_TRUE(recompiled->compiled_from(*slot));
   EXPECT_FALSE(recompiled->stale());
@@ -551,12 +531,12 @@ TEST(CompiledEngine, UidIsFreshAcrossCopiesAndAssignment) {
 
 TEST(ModelZooCache, CachedRunsBitIdenticalToUncached) {
   const Fixture f = make_batch_fixture(5, /*seed=*/51);
-  ModelZoo cache(tiny_arch());
+  ModelZoo cache;
   AcceleratorSim sim(tiny_arch());
   for (const bool uv_on : {true, false}) {
     for (std::size_t i = 0; i < f.data.size(); ++i) {
-      const SimResult cached =
-          sim.run(*cache.get(f.network, uv_on), f.data.image(i));
+      const SimResult cached = sim.run(
+          *cache.get(f.network, tiny_arch(), uv_on), f.data.image(i));
       EXPECT_EQ(cached, fresh_run(f.network, f.data.image(i), uv_on))
           << "input " << i << " uv " << uv_on;
     }

@@ -54,7 +54,7 @@ std::size_t argmax_i16(const std::vector<std::int16_t>& v) {
 void expect_equivalent(const QuantizedNetwork& network,
                        const Matrix& images, std::size_t samples) {
   const ArchParams arch = ArchParams::paper();
-  ModelZoo zoo(arch);
+  ModelZoo zoo;
   const std::unique_ptr<ExecutionEngine> cycle =
       make_engine(EngineKind::kCycle, arch);
   const std::unique_ptr<ExecutionEngine> analytic =
@@ -67,7 +67,7 @@ void expect_equivalent(const QuantizedNetwork& network,
   for (const bool uv_on : {true, false}) {
     // Bind the pin, not a reference into a temporary shared_ptr.
     const std::shared_ptr<const CompiledNetwork> image =
-        zoo.get(network, uv_on);
+        zoo.get(network, arch, uv_on);
     const CompiledNetwork& compiled = *image;
     for (std::size_t i = 0; i < samples; ++i) {
       const SimResult exact =

@@ -234,8 +234,9 @@ INSTANTIATE_TEST_SUITE_P(Backends, ServeEngines,
                                            EngineKind::kAnalytic));
 
 TEST(ServingFrontend, MixedArchConfigsServeSideBySide) {
-  // The zoo-of-zoos: one process, one frontend, two ArchParams. Each
-  // model's results must match a direct simulation under ITS arch.
+  // One arch-keyed zoo: one process, one frontend, two ArchParams.
+  // Each model's results must match a direct simulation under ITS
+  // arch.
   const Fixture f = make_batch_fixture(4, /*seed=*/53);
   ArchParams wide = tiny_arch();
   wide.act_queue_depth = 4;
@@ -424,6 +425,8 @@ TEST(ServingFrontend, ExpiredDeadlineIsShedBeforeExecution) {
   EXPECT_EQ(stats.shed, 1u);
   EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(stats.submitted, stats.completed + stats.shed + stats.failed);
+  // Two one-request batches: the shed request rode its own batch.
+  EXPECT_DOUBLE_EQ(stats.mean_batch_size(), 1.0);
 }
 
 TEST(ServingFrontend, LiveStatsNeverShowMoreResolvedThanSubmitted) {
