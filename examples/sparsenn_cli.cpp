@@ -14,7 +14,7 @@
 //                         [--stepping per_cycle|event]
 //   sparsenn_cli serve-bench --model model.bin [--variant v]
 //                         [--clients n] [--requests n] [--workers w]
-//                         [--max-batch b] [--max-wait-us us]
+//                         [--max-batch b]
 //                         [--uv on|off] [--engine cycle|analytic]
 //                         [--stepping per_cycle|event]
 //                         [--deadline-us us] [--priority-mix h,n,b]
@@ -344,7 +344,6 @@ int cmd_serve_bench(const Args& args) {
   ServingOptions options;
   options.num_workers = args.get_size("workers", 2);
   options.max_batch = args.get_size("max-batch", 8);
-  options.max_wait_us = args.get_size("max-wait-us", 200);
   options.engine = parse_engine(args);
   options.stepping = parse_stepping(args);
   options.breaker.window = args.get_size("breaker-window", 0);
@@ -509,9 +508,8 @@ constexpr std::string_view kKnownFlags[] = {
     // simulate/batch/serve-bench
     "samples", "uv", "engine", "stepping", "trace", "threads",
     // serve-bench
-    "clients", "requests", "workers", "max-batch", "max-wait-us",
-    "deadline-us", "priority-mix", "breaker-window", "breaker-threshold",
-    "degraded",
+    "clients", "requests", "workers", "max-batch", "deadline-us",
+    "priority-mix", "breaker-window", "breaker-threshold", "degraded",
 };
 
 int usage() {

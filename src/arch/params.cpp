@@ -30,32 +30,6 @@ void ArchParams::validate() const {
   expects(clock_ns > 0.0, "clock period must be positive");
 }
 
-std::string ArchParams::cache_key() const {
-  // Every field participates: a compiled image depends on the slicing
-  // geometry, an engine on the timing fields — one key covers both.
-  std::string key;
-  const auto put = [&key](auto v) {
-    key += std::to_string(v);
-    key += '/';
-  };
-  put(num_pes);
-  put(word_bits);
-  put(w_mem_kb_per_pe);
-  put(u_mem_kb_per_pe);
-  put(v_mem_kb_per_pe);
-  put(act_regs_per_pe);
-  put(static_cast<int>(flow_control));
-  put(router_radix);
-  put(router_levels);
-  put(router_buffer_depth);
-  put(router_pipeline_stages);
-  put(clock_ns);
-  put(tech_nm);
-  put(pe_pipeline_stages);
-  put(act_queue_depth);
-  return key;
-}
-
 ArchParams ArchParams::paper() { return ArchParams{}; }
 
 }  // namespace sparsenn

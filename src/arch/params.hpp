@@ -85,13 +85,9 @@ struct ArchParams {
   void validate() const;
 
   /// Field-by-field equality. core/model_zoo.hpp matches an image's
-  /// arch with it, so an image fetch builds no string.
+  /// arch with it, and each serving worker its engines, so neither
+  /// builds a key.
   bool operator==(const ArchParams&) const = default;
-
-  /// A string encoding of every field, usable as a map key (doubles at
-  /// std::to_string precision). The serving frontend keys its
-  /// worker-local engines on it.
-  std::string cache_key() const;
 
   /// The paper's configuration (all defaults).
   static ArchParams paper();

@@ -169,12 +169,6 @@ class CondVar {
     return cv_.wait_for(lock.lock_, dur);
   }
 
-  template <class Clock, class Duration>
-  std::cv_status wait_until(
-      UniqueLock& lock, const std::chrono::time_point<Clock, Duration>& tp) {
-    return cv_.wait_until(lock.lock_, tp);
-  }
-
  private:
   std::condition_variable cv_;
 };

@@ -1,7 +1,6 @@
 #include "serve/frontend.hpp"
 
 #include <algorithm>
-#include <map>
 #include <string>
 #include <utility>
 
@@ -40,17 +39,36 @@ const char* to_string(ServeStatus status) noexcept {
   return "unknown";
 }
 
-/// One private engine + arena per arch config a worker has seen:
-/// engines are stateful scratch owners (one per thread, like
-/// BatchRunner workers), and an arena re-reserves cheaply when a
-/// batch switches models within one arch.
-struct ServingFrontend::EngineSlot {
-  std::unique_ptr<ExecutionEngine> engine;
-  /// Degraded-mode backend (AnalyticEngine), created on first use —
-  /// shares the arena with the primary: both run sequentially on this
-  /// worker and copy results out before the slot is reused.
-  std::unique_ptr<ExecutionEngine> fallback;
-  ResultArena arena;
+/// What one worker thread owns privately: an engine + arena per arch
+/// config it has seen, and the per-batch resolved flags. Engines are
+/// stateful scratch owners (one per thread, like BatchRunner workers),
+/// and an arena re-reserves cheaply when a batch switches models
+/// within one arch.
+struct ServingFrontend::WorkerLocal {
+  struct EngineSlot {
+    ArchParams arch;
+    std::unique_ptr<ExecutionEngine> engine;
+    /// Degraded-mode backend (AnalyticEngine), created on first use —
+    /// shares the arena with the primary: both run sequentially on
+    /// this worker and copy results out before the slot is reused.
+    std::unique_ptr<ExecutionEngine> fallback;
+    ResultArena arena;
+  };
+  /// A worker sees one or two archs, so a scan that compares archs by
+  /// value beats a keyed map and builds nothing per batch.
+  std::vector<EngineSlot> slots;
+  /// resolved[i] = request i of the current batch has its result;
+  /// reused across batches.
+  std::vector<char> resolved;
+
+  EngineSlot& slot_for(const ArchParams& arch, const ServingOptions& options) {
+    for (EngineSlot& slot : slots)
+      if (slot.arch == arch) return slot;
+    EngineSlot& slot = slots.emplace_back();
+    slot.arch = arch;
+    slot.engine = make_engine(options.engine, arch, options.stepping);
+    return slot;
+  }
 };
 
 /// Lane = (model handle, priority, uv mode): a micro-batch only groups
@@ -90,9 +108,7 @@ ServingFrontend::ServingFrontend(ServingOptions options)
     : options_(options),
       queue_(RequestQueue<Pending>::Options{
           options_.queue_capacity, options_.max_queued_per_model,
-          options_.max_batch,
-          std::chrono::microseconds(options_.max_wait_us),
-          options_.class_watermarks}),
+          options_.max_batch, options_.class_watermarks}),
       health_(options_.breaker, options_.brownout_window,
               options_.breaker.window > 0 || options_.allow_degraded) {
   expects(options_.num_workers > 0, "need at least one serving worker");
@@ -274,14 +290,14 @@ std::future<ServeResult> ServingFrontend::submit(
 }
 
 void ServingFrontend::worker_main(Worker& self) {
-  std::map<std::string, EngineSlot> backends;
+  WorkerLocal local;
   for (;;) {
     self.busy.store(false, std::memory_order_release);
     auto batch = queue_.next_batch();
     if (!batch) break;
     self.last_beat_us.store(steady_now_us(), std::memory_order_release);
     self.busy.store(true, std::memory_order_release);
-    process_batch(*batch, backends, self);
+    process_batch(*batch, local, self);
     if (self.lost.load(std::memory_order_acquire)) {
       // The watchdog replaced this worker while it was stalled. Its
       // batch is resolved (above); retire quietly — the replacement
@@ -292,13 +308,13 @@ void ServingFrontend::worker_main(Worker& self) {
   self.busy.store(false, std::memory_order_release);
 }
 
-void ServingFrontend::process_batch(
-    RequestQueue<Pending>::Batch& batch,
-    std::map<std::string, EngineSlot>& backends, Worker& self) {
+void ServingFrontend::process_batch(RequestQueue<Pending>::Batch& batch,
+                                    WorkerLocal& local, Worker& self) {
   const Lane lane = Lane::of(batch.lane);
   const std::size_t cls = class_index(lane.priority);
-  const std::size_t n = batch.items.size();
-  std::vector<char> resolved(n, 0);
+  const std::size_t n = batch.requests.size();
+  std::vector<char>& resolved = local.resolved;
+  resolved.assign(n, 0);
   std::uint64_t ok = 0, failed = 0, dead = 0, retries_used = 0;
   std::uint64_t degraded_ok = 0, probe_ok = 0, probe_failed = 0;
   double exec_us_sum = 0.0;
@@ -309,13 +325,14 @@ void ServingFrontend::process_batch(
   // executed, so its exec_us stays 0.
   const auto resolve = [&](std::size_t i, ServeResult out,
                            RequestQueue<Pending>::Clock::time_point done) {
+    const auto enqueued = batch.requests[i].enqueued;
     out.batch_size = n;
     out.batch_close = batch.close;
-    out.queue_us = micros(batch.closed_at - batch.enqueued[i]);
+    out.queue_us = micros(batch.closed_at - enqueued);
     if (out.status != ServeStatus::kDeadlineExceeded)
       out.exec_us = micros(done - batch.closed_at);
-    out.total_us = micros(done - batch.enqueued[i]);
-    batch.items[i].promise.set_value(std::move(out));
+    out.total_us = micros(done - enqueued);
+    batch.requests[i].item.promise.set_value(std::move(out));
     resolved[i] = 1;
   };
 
@@ -325,7 +342,7 @@ void ServingFrontend::process_batch(
   const auto fail_unresolved = [&](const std::string& what) {
     for (std::size_t i = 0; i < n; ++i) {
       if (resolved[i]) continue;
-      if (batch.items[i].probe) ++probe_failed;
+      if (batch.requests[i].item.probe) ++probe_failed;
       resolve(i, lane.result(ServeStatus::kEngineError, what),
               RequestQueue<Pending>::Clock::now());
       ++failed;
@@ -338,7 +355,7 @@ void ServingFrontend::process_batch(
   // proved nothing, so it counts as a failed probe (conservative:
   // the breaker re-opens rather than closing on no evidence).
   const auto shed_deadline = [&](std::size_t i) {
-    if (batch.items[i].probe) ++probe_failed;
+    if (batch.requests[i].item.probe) ++probe_failed;
     resolve(i, lane.result(ServeStatus::kDeadlineExceeded),
             RequestQueue<Pending>::Clock::now());
     ++dead;
@@ -357,7 +374,7 @@ void ServingFrontend::process_batch(
 
     const auto claim_time = RequestQueue<Pending>::Clock::now();
     for (std::size_t i = 0; i < n; ++i) {
-      if (batch.deadlines[i] >= claim_time) continue;
+      if (batch.requests[i].deadline >= claim_time) continue;
       shed_deadline(i);
     }
 
@@ -382,7 +399,7 @@ void ServingFrontend::process_batch(
           const auto wake = RequestQueue<Pending>::Clock::now() +
                             std::chrono::microseconds(backoff_us);
           for (std::size_t i = 0; i < n; ++i) {
-            if (resolved[i] || batch.deadlines[i] >= wake) continue;
+            if (resolved[i] || batch.requests[i].deadline >= wake) continue;
             shed_deadline(i);
           }
           if (dead >= n) break;  // nobody left to retry for
@@ -395,10 +412,8 @@ void ServingFrontend::process_batch(
       }
 
       if (image) {
-        EngineSlot& backend = backends[entry.arch.cache_key()];
-        if (!backend.engine)
-          backend.engine =
-              make_engine(options_.engine, entry.arch, options_.stepping);
+        WorkerLocal::EngineSlot& backend =
+            local.slot_for(entry.arch, options_);
         backend.arena.reserve(*image);
 
         // Degraded-mode inputs, sampled once per batch: the brownout
@@ -423,7 +438,8 @@ void ServingFrontend::process_batch(
           // Chaos hook: an injected delay beyond the stall bound makes
           // this worker "hang" mid-batch for the watchdog to catch.
           (void)fault::point("serve.worker.hang");
-          Pending& pending = batch.items[i];
+          const auto deadline = batch.requests[i].deadline;
+          Pending& pending = batch.requests[i].item;
           ServeResult out = lane.result(ServeStatus::kOk);
           // Degrade to the analytic fallback when the frontend is in
           // brownout, or when this request's remaining deadline budget
@@ -431,11 +447,10 @@ void ServingFrontend::process_batch(
           // — a functional answer beats a deadline shed.
           bool degrade = degradable && brownout;
           if (degradable && !degrade &&
-              batch.deadlines[i] != RequestQueue<Pending>::kNoDeadline &&
+              deadline != RequestQueue<Pending>::kNoDeadline &&
               est_exec_us > 0.0) {
             const double budget_us =
-                micros(batch.deadlines[i] -
-                       RequestQueue<Pending>::Clock::now());
+                micros(deadline - RequestQueue<Pending>::Clock::now());
             degrade = budget_us < est_exec_us;
           }
           ExecutionEngine* engine = backend.engine.get();
@@ -510,7 +525,7 @@ void ServingFrontend::process_batch(
     ++stats_.batch_size_counts[bucket];
     switch (batch.close) {
       case BatchClose::kSize: ++stats_.size_closes; break;
-      case BatchClose::kTimeout: ++stats_.timeout_closes; break;
+      case BatchClose::kPartial: ++stats_.timeout_closes; break;
       case BatchClose::kDrain: ++stats_.drain_closes; break;
     }
   }

@@ -9,16 +9,16 @@
 //                                              │
 //   clients ◀──std::future<ServeResult>────────┘        watchdog ↺
 //
-// Every entry point before this PR was a synchronous batch sweep over
-// a dataset; the frontend turns the ModelZoo/engine/arena machinery
-// into a traffic endpoint. submit() copies the input, stamps it,
-// and pushes it into a bounded MPMC queue (serve/request_queue.hpp)
-// keyed by (model, uv) lane; worker threads close dynamic
-// micro-batches under a latency budget (max_batch or max_wait_us,
-// whichever first), resolve the compiled image through one arch-keyed
-// ModelZoo — so one process serves models deployed against mixed
-// ArchParams configs — and run each request on the worker's private
-// ExecutionEngine through the zero-alloc ResultArena path. The
+// The frontend turns the ModelZoo/engine/arena machinery into a
+// traffic endpoint; every other entry point is a synchronous batch
+// sweep over a dataset. submit() copies the input, stamps it, and
+// pushes it into a bounded MPMC queue (serve/request_queue.hpp) keyed
+// by (model, priority, uv) lane. A free worker takes up to max_batch
+// of the most urgent lane's queued requests at once (it never waits
+// for a batch to fill), resolves the compiled image through one
+// arch-keyed ModelZoo — so one process serves models deployed against
+// mixed ArchParams configs — and runs each request on the worker's
+// private ExecutionEngine through the zero-alloc ResultArena path. The
 // SimResult plus queueing/batching/execution timestamps come back
 // through the future.
 //
@@ -39,9 +39,7 @@
 //
 //   deadlines — SubmitOptions::deadline_us bounds a request's useful
 //     life. Expired requests are shed as kDeadlineExceeded at
-//     batch-claim time, before any engine work is spent on them, and
-//     the queue's batch-close wait is deadline-aware (a batch whose
-//     head is about to die ships immediately).
+//     batch-claim time, before any engine work is spent on them.
 //
 //   retry — a failure while resolving the compiled image (the
 //     transient class: an injected compile failure, an allocation
@@ -99,7 +97,6 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -119,12 +116,11 @@ namespace sparsenn {
 
 struct ServingOptions {
   std::size_t num_workers = 2;
-  /// Micro-batch close triggers: size (max_batch) or latency budget
-  /// (max_wait_us since the batch's head request enqueued).
+  /// Most requests one worker takes from a lane at once. A free worker
+  /// takes what is queued, up to this, and never waits for more.
   std::size_t max_batch = 8;
-  std::uint64_t max_wait_us = 200;
-  /// Admission control: global queue bound and per-(model, uv) lane
-  /// bound; beyond either, submit() sheds immediately.
+  /// Admission control: global queue bound and per-(model, priority,
+  /// uv) lane bound; beyond either, submit() sheds immediately.
   std::size_t queue_capacity = 1024;
   std::size_t max_queued_per_model = 256;
   /// Backend each worker instantiates per arch config.
@@ -241,9 +237,11 @@ struct ServingStats {
   std::uint64_t breaker_probes = 0;
   std::uint64_t breaker_closes = 0;
   std::uint64_t batches = 0;
-  std::uint64_t size_closes = 0;
+  std::uint64_t size_closes = 0;     ///< BatchClose::kSize
+  /// BatchClose::kPartial: batches that took every queued request of
+  /// their lane, below max_batch (perfbench reads this name).
   std::uint64_t timeout_closes = 0;
-  std::uint64_t drain_closes = 0;
+  std::uint64_t drain_closes = 0;    ///< BatchClose::kDrain
   /// batch_size_counts[n-1] = micro-batches that closed with n
   /// requests (capped at the configured max_batch).
   std::vector<std::uint64_t> batch_size_counts;
@@ -341,12 +339,11 @@ class ServingFrontend {
     std::atomic<bool> busy{false};  ///< claimed a batch, not yet done
     std::atomic<bool> lost{false};  ///< watchdog gave up on it
   };
-  struct EngineSlot;  // worker-local backend cache (frontend.cpp)
-  struct Lane;        // (model, priority, uv) queue lane key (frontend.cpp)
+  struct WorkerLocal;  // a worker thread's engines and scratch (frontend.cpp)
+  struct Lane;         // (model, priority, uv) queue lane key (frontend.cpp)
 
   void worker_main(Worker& self);
-  void process_batch(RequestQueue<Pending>::Batch& batch,
-                     std::map<std::string, EngineSlot>& backends,
+  void process_batch(RequestQueue<Pending>::Batch& batch, WorkerLocal& local,
                      Worker& self);
   void watchdog_main();
   /// Appends and starts a worker.

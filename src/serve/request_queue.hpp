@@ -1,18 +1,19 @@
 #pragma once
-// Bounded MPMC request queue with per-lane dynamic micro-batching.
+// Bounded MPMC request queue with per-lane, work-conserving
+// micro-batching.
 //
 // The serving frontend's admission point: any number of producer
 // threads push requests, any number of consumer (worker) threads pop
-// *micro-batches*. Requests are grouped into lanes — one lane per
-// (model, uv-mode) pair — because a micro-batch only makes sense over
-// requests that execute the same compiled image. A batch closes when
-// the first of two triggers fires:
+// *micro-batches*. Requests are grouped into lanes — the frontend keys
+// one lane per (model, priority, uv-mode) — because a micro-batch only
+// makes sense over requests that execute the same compiled image.
 //
-//   size trigger:    the lane holds max_batch requests (close now,
-//                    no waiting — throughput path), or
-//   timeout trigger: the lane's HEAD request has been queued for
-//                    max_wait — the latency budget — and the batch
-//                    ships partial (tail-latency path).
+// Batches close work-conservingly: a free consumer claims a lane and
+// takes up to max_batch of its queued requests at once, in the same
+// critical section, and never waits for a batch to fill. A batch is
+// kSize when it took max_batch requests, kPartial when the lane held
+// fewer, and kDrain once the queue is shut down. Batches grow only
+// while requests arrive faster than the consumers drain them.
 //
 // Boundedness is the backpressure story: try_push sheds (refuses)
 // when the global capacity is reached or when one lane exceeds its
@@ -29,31 +30,27 @@
 // defaults are all 1.0 (no differentiation) so priority admission is
 // strictly opt-in.
 //
-// Consumers claim a lane exclusively while forming its batch (the
-// in_service flag), so two workers never co-assemble one lane; lanes
-// are claimed oldest-highest-first — the most urgent priority class
-// among serviceable lanes wins, and the oldest head request breaks
+// Lanes are claimed oldest-highest-first — the most urgent priority
+// class among non-empty lanes wins, and the oldest head request breaks
 // ties — so a high-priority head never starves behind a best-effort
-// flood, and service order stays FIFO-ish within a class. All state
-// lives under
-// one mutex with one consumer-side condition variable (producer-side
-// none — push never blocks); the locking contract is *static*: every
-// field is SPARSENN_GUARDED_BY(mutex_) and clang's -Wthread-safety
-// proves every access holds it (common/sync.hpp), on top of the
-// sanitizer CI jobs running the multi-producer/multi-consumer tests
-// under ASan+UBSan and TSan.
+// flood, and service order stays FIFO-ish within a class. Claiming and
+// taking the batch are one critical section, so no consumer ever sees
+// a lane mid-claim. All state lives under one mutex with one
+// consumer-side condition variable (producer-side none — push never
+// blocks): a push wakes one consumer, a claim that leaves requests
+// queued wakes one more, and shutdown wakes all. The locking contract
+// is *static*: every field is SPARSENN_GUARDED_BY(mutex_) and clang's
+// -Wthread-safety proves every access holds it (common/sync.hpp), on
+// top of the sanitizer CI jobs running the multi-producer/
+// multi-consumer tests under ASan+UBSan and TSan.
 //
 // Deadlines: try_push optionally carries an absolute per-request
 // deadline. The queue itself never drops a request — it hands the
-// deadline back in the Batch (parallel to items) so the *consumer*
-// sheds already-dead requests at batch-claim time — but lane claiming
-// is deadline-aware: a consumer holding a batch open waits only until
-// min(head enqueue + max_wait, head deadline), so a batch whose head
-// is about to die ships immediately instead of idling out the full
-// latency budget first.
+// deadline back in the Batch so the *consumer* sheds already-dead
+// requests at claim time.
 //
 // T must be movable; the queue stamps each item's enqueue time itself
-// (steady clock) so the timeout trigger measures true queue residence.
+// (steady clock) so queue residence is measured at the source.
 
 #include <algorithm>
 #include <array>
@@ -94,11 +91,11 @@ constexpr const char* to_string(Priority priority) noexcept {
   return "unknown";
 }
 
-/// Why a micro-batch was closed (reported per batch for the serving
-/// histograms; tests pin the trigger semantics).
+/// How a micro-batch closed (reported per batch for the serving
+/// histograms; tests pin each case).
 enum class BatchClose {
-  kSize,     ///< lane reached max_batch — closed immediately
-  kTimeout,  ///< head request hit the max_wait latency budget
+  kSize,     ///< took max_batch requests
+  kPartial,  ///< took every queued request of its lane, below max_batch
   kDrain,    ///< queue closed (shutdown): ship whatever is left
 };
 
@@ -119,8 +116,7 @@ class RequestQueue {
   struct Options {
     std::size_t capacity = 1024;       ///< global bound (all lanes)
     std::size_t max_lane_depth = 256;  ///< per-lane admission bound
-    std::size_t max_batch = 8;         ///< micro-batch size trigger
-    std::chrono::microseconds max_wait{200};  ///< latency budget
+    std::size_t max_batch = 8;         ///< most requests per batch
     /// Per-class admission watermarks, fractions of capacity /
     /// max_lane_depth (indexed by class_index). Must be in (0, 1] and
     /// non-increasing from kHigh to kBestEffort — lower classes shed
@@ -132,17 +128,21 @@ class RequestQueue {
   /// Sentinel for "no deadline".
   static constexpr Clock::time_point kNoDeadline = Clock::time_point::max();
 
+  /// One queued request: the item, its enqueue stamp (for
+  /// queueing-delay accounting downstream) and its absolute deadline
+  /// (kNoDeadline when none) — the consumer sheds expired requests at
+  /// claim time.
+  struct Request {
+    T item;
+    Clock::time_point enqueued;
+    Clock::time_point deadline;
+  };
+
   struct Batch {
     std::uint64_t lane = 0;
     BatchClose close = BatchClose::kSize;
-    std::vector<T> items;
-    /// Each item's enqueue stamp (parallel to items) and the close
-    /// stamp, for queueing-delay accounting downstream.
-    std::vector<Clock::time_point> enqueued;
-    /// Each item's absolute deadline (parallel to items; kNoDeadline
-    /// when none) — the consumer sheds expired items at claim time.
-    std::vector<Clock::time_point> deadlines;
-    Clock::time_point closed_at{};
+    std::vector<Request> requests;  ///< oldest first
+    Clock::time_point closed_at{};  ///< when a consumer took the batch
   };
 
   explicit RequestQueue(const Options& options) : options_(options) {
@@ -164,10 +164,9 @@ class RequestQueue {
   /// Non-blocking admission: sheds instead of waiting (the caller
   /// converts a shed into an immediate client-visible response).
   /// `deadline` is the request's absolute expiry (kNoDeadline = none);
-  /// it travels with the item and steers the consumer's batch-close
-  /// wait. `priority` selects the admission watermarks and becomes the
-  /// lane's claiming class (the caller keys lanes by priority, so one
-  /// lane never mixes classes).
+  /// it travels with the item to the consumer. `priority` selects the
+  /// admission watermarks and becomes the lane's claiming class (the
+  /// caller keys lanes by priority, so one lane never mixes classes).
   PushOutcome try_push(std::uint64_t lane_id, T item,
                        Clock::time_point deadline = kNoDeadline,
                        Priority priority = Priority::kNormal)
@@ -190,34 +189,34 @@ class RequestQueue {
       }
       lane.priority = priority;
       lane.slots.push_back(
-          Slot{std::move(item), Clock::now(), deadline, seq_++});
+          Slot{Request{std::move(item), Clock::now(), deadline}, seq_++});
       ++total_;
       ++accepted_;
     }
-    // All consumers wake: one to claim the lane if idle, and a
-    // consumer already waiting on this lane's deadline to re-check
-    // its size trigger.
-    work_cv_.notify_all();
+    // One new request needs one consumer; a busy one finds it when it
+    // next calls next_batch().
+    work_cv_.notify_one();
     return PushOutcome::kAccepted;
   }
 
-  /// Blocks until a micro-batch closes (size/timeout/drain trigger) or
-  /// the queue is closed AND empty — then nullopt, telling the worker
-  /// to exit. Safe for any number of concurrent consumers.
+  /// Blocks until some lane holds a request, then takes up to
+  /// max_batch of the most urgent lane's requests at once; returns
+  /// nullopt once the queue is closed AND empty, telling the worker to
+  /// exit. Safe for any number of concurrent consumers.
   std::optional<Batch> next_batch() SPARSENN_EXCLUDES(mutex_) {
     sync::UniqueLock lock(mutex_);
+    Lane* lane = nullptr;
+    std::uint64_t lane_id = 0;
     for (;;) {
-      Lane* lane = nullptr;
-      std::uint64_t lane_id = 0;
       // Oldest-highest-first claim: the most urgent priority class
-      // among serviceable lanes wins; the oldest head request breaks
-      // ties within a class. A best-effort flood therefore never
-      // delays a waiting high-priority head by more than the batch
-      // already being assembled.
+      // among non-empty lanes wins; the oldest head request breaks
+      // ties within a class. The wait loop is hand-rolled (no
+      // predicate lambda) so the guarded reads stay inside this
+      // annotated function for the thread-safety analysis.
       auto best_pri = static_cast<std::uint8_t>(0xFF);
       std::uint64_t best_seq = ~std::uint64_t{0};
       for (auto& [id, candidate] : lanes_) {
-        if (candidate.in_service || candidate.slots.empty()) continue;
+        if (candidate.slots.empty()) continue;
         const auto pri = static_cast<std::uint8_t>(candidate.priority);
         const std::uint64_t seq = candidate.slots.front().seq;
         if (pri < best_pri || (pri == best_pri && seq < best_seq)) {
@@ -227,68 +226,31 @@ class RequestQueue {
           lane_id = id;
         }
       }
-      if (lane == nullptr) {
-        if (closed_ && total_ == 0) return std::nullopt;
-        work_cv_.wait(lock);
-        continue;
-      }
-
-      lane->in_service = true;
-      BatchClose close = BatchClose::kSize;
-      if (closed_) {
-        close = BatchClose::kDrain;
-      } else if (lane->slots.size() < options_.max_batch) {
-        // Hold the batch open until the size trigger, the head
-        // request's latency budget, or the head request's own
-        // deadline expires — whichever first. A head about to die
-        // must ship now (to be shed by the consumer) rather than
-        // idle out the batching budget. The wait loop is hand-rolled
-        // (no predicate lambda) so the guarded reads stay inside this
-        // annotated function for the thread-safety analysis; the
-        // semantics match wait_until-with-predicate exactly.
-        const Clock::time_point deadline =
-            std::min(lane->slots.front().enqueued + options_.max_wait,
-                     lane->slots.front().deadline);
-        while (lane->slots.size() < options_.max_batch && !closed_) {
-          if (work_cv_.wait_until(lock, deadline) ==
-              std::cv_status::timeout) {
-            break;
-          }
-        }
-        if (closed_) {
-          close = BatchClose::kDrain;
-        } else if (lane->slots.size() < options_.max_batch) {
-          close = BatchClose::kTimeout;
-        }
-      }
-
-      Batch batch;
-      batch.lane = lane_id;
-      batch.close = close;
-      batch.closed_at = Clock::now();
-      const std::size_t take =
-          std::min(lane->slots.size(), options_.max_batch);
-      batch.items.reserve(take);
-      batch.enqueued.reserve(take);
-      batch.deadlines.reserve(take);
-      for (std::size_t i = 0; i < take; ++i) {
-        batch.items.push_back(std::move(lane->slots.front().item));
-        batch.enqueued.push_back(lane->slots.front().enqueued);
-        batch.deadlines.push_back(lane->slots.front().deadline);
-        lane->slots.pop_front();
-      }
-      total_ -= take;
-      lane->in_service = false;
-      ++batches_;
-      // Wake the others when leftovers form a claimable batch, and
-      // always during shutdown — a consumer may be blocked waiting
-      // for this (possibly last) in-service lane to resolve before it
-      // can observe "closed and drained" and exit.
-      const bool notify = !lane->slots.empty() || closed_;
-      lock.unlock();
-      if (notify) work_cv_.notify_all();
-      return batch;
+      if (lane != nullptr) break;
+      if (closed_) return std::nullopt;  // closed and empty
+      work_cv_.wait(lock);
     }
+
+    const std::size_t take = std::min(lane->slots.size(), options_.max_batch);
+    Batch batch;
+    batch.lane = lane_id;
+    batch.close = closed_ ? BatchClose::kDrain
+                  : take == options_.max_batch ? BatchClose::kSize
+                                               : BatchClose::kPartial;
+    batch.closed_at = Clock::now();
+    batch.requests.reserve(take);
+    for (std::size_t i = 0; i < take; ++i) {
+      batch.requests.push_back(std::move(lane->slots.front().request));
+      lane->slots.pop_front();
+    }
+    total_ -= take;
+    ++batches_;
+    // Requests left behind (in this lane or another) wake one more
+    // consumer; a busy one finds them on its next call.
+    const bool more = total_ > 0;
+    lock.unlock();
+    if (more) work_cv_.notify_one();
+    return batch;
   }
 
   /// Stops admission and wakes every consumer; queued requests still
@@ -332,14 +294,11 @@ class RequestQueue {
 
  private:
   struct Slot {
-    T item;
-    Clock::time_point enqueued;
-    Clock::time_point deadline;
-    std::uint64_t seq;
+    Request request;
+    std::uint64_t seq;  ///< push order across lanes: the claim's age
   };
   struct Lane {
     std::deque<Slot> slots;
-    bool in_service = false;
     Priority priority = Priority::kNormal;  ///< claiming class
   };
 

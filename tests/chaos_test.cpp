@@ -152,7 +152,6 @@ ServingOptions chaos_options(std::size_t workers = 2) {
   ServingOptions o;
   o.num_workers = workers;
   o.max_batch = 4;
-  o.max_wait_us = 500;
   o.engine = EngineKind::kAnalytic;
   return o;
 }
@@ -467,7 +466,6 @@ TEST(ChaosStorm, ThousandsOfRequestsUnderARandomizedFaultStorm) {
   ServingOptions options;
   options.num_workers = 3;
   options.max_batch = 4;
-  options.max_wait_us = 200;
   options.engine = EngineKind::kAnalytic;
   options.queue_capacity = 4096;
   options.max_queued_per_model = 4096;

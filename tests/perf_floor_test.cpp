@@ -293,7 +293,6 @@ TEST(PerfFloor, ServingClosedLoopSaturation) {
   options.num_workers =
       std::max<std::size_t>(2, std::thread::hardware_concurrency() / 2);
   options.max_batch = 16;
-  options.max_wait_us = 200;
   options.engine = EngineKind::kAnalytic;
   // Every client's request fits: a shed is a frontend bug, not load.
   options.queue_capacity = kClients + options.max_batch;

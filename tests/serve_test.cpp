@@ -1,5 +1,6 @@
-// Tests for the serving tier (src/serve/): micro-batch close triggers,
-// admission-control shedding, drain-on-shutdown, mixed-arch routing —
+// Tests for the serving tier (src/serve/): work-conserving micro-batch
+// close, admission-control shedding, drain-on-shutdown, mixed-arch
+// routing —
 // and the acceptance bar: a served result is bit-identical to a direct
 // simulation of the same input on both engine backends. Batching only
 // changes *when* an inference runs, never its arithmetic.
@@ -16,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/fault.hpp"
 #include "common/sync.hpp"
 #include "serve/frontend.hpp"
 #include "serve/request_queue.hpp"
@@ -31,25 +33,23 @@ using Fixture = test_fixtures::BatchFixture;
 using namespace std::chrono_literals;
 
 // ---------------------------------------------------------------------------
-// RequestQueue: the close triggers and admission control are
-// deterministic at this level (no worker threads racing the clock).
+// RequestQueue: batch close and admission control are deterministic at
+// this level (no worker threads racing the clock).
 
 RequestQueue<int>::Options queue_options(std::size_t capacity,
                                          std::size_t lane_depth,
-                                         std::size_t max_batch,
-                                         std::chrono::microseconds wait) {
+                                         std::size_t max_batch) {
   RequestQueue<int>::Options o;
   o.capacity = capacity;
   o.max_lane_depth = lane_depth;
   o.max_batch = max_batch;
-  o.max_wait = wait;
   return o;
 }
 
 TEST(RequestQueue, SizeTriggerClosesImmediately) {
-  // A lane already holding max_batch requests must close without
-  // consuming any of the latency budget.
-  RequestQueue<int> q(queue_options(64, 64, 4, /*wait=*/10s));
+  // A lane already holding max_batch requests closes as kSize, at
+  // claim, with the requests in push order.
+  RequestQueue<int> q(queue_options(64, 64, 4));
   for (int i = 0; i < 4; ++i)
     ASSERT_EQ(q.try_push(/*lane=*/7, int{i}), PushOutcome::kAccepted);
 
@@ -59,47 +59,42 @@ TEST(RequestQueue, SizeTriggerClosesImmediately) {
   ASSERT_TRUE(batch.has_value());
   EXPECT_EQ(batch->close, BatchClose::kSize);
   EXPECT_EQ(batch->lane, 7u);
-  ASSERT_EQ(batch->items.size(), 4u);
-  ASSERT_EQ(batch->enqueued.size(), 4u);
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(batch->items[i], i);
-  EXPECT_LT(elapsed, 5s);  // did not sit out the 10s budget
+  ASSERT_EQ(batch->requests.size(), 4u);
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(batch->requests[i].item, i);
+  EXPECT_LT(elapsed, 5s);  // closed at claim, without waiting
   EXPECT_EQ(q.size(), 0u);
 }
 
-TEST(RequestQueue, TimeoutTriggerShipsPartialBatch) {
-  // Fewer than max_batch requests: the batch must ship when the HEAD
-  // request's budget expires, carrying whatever arrived.
-  RequestQueue<int> q(queue_options(64, 64, 8, /*wait=*/2ms));
+TEST(RequestQueue, PartialBatchShipsAtClaim) {
+  // Fewer than max_batch requests queued: a free consumer takes them
+  // at once as a kPartial batch instead of waiting for the lane to
+  // fill — first a lone request, then the two that arrive next.
+  RequestQueue<int> q(queue_options(64, 64, /*max_batch=*/8));
   ASSERT_EQ(q.try_push(0, 1), PushOutcome::kAccepted);
+  const auto start = RequestQueue<int>::Clock::now();
+  const auto lone = q.next_batch();
+  ASSERT_TRUE(lone.has_value());
+  EXPECT_EQ(lone->close, BatchClose::kPartial);
+  ASSERT_EQ(lone->requests.size(), 1u);
+  EXPECT_EQ(lone->requests[0].item, 1);
+
   ASSERT_EQ(q.try_push(0, 2), PushOutcome::kAccepted);
-
-  const auto batch = q.next_batch();
-  ASSERT_TRUE(batch.has_value());
-  EXPECT_EQ(batch->close, BatchClose::kTimeout);
-  ASSERT_EQ(batch->items.size(), 2u);
-  EXPECT_GE(batch->closed_at - batch->enqueued.front(), 2ms);
-}
-
-TEST(RequestQueue, LateArrivalsJoinAnOpenBatchUpToTheSizeTrigger) {
-  // A consumer already waiting on a lane must still take pushes that
-  // arrive before its deadline — and close early once full.
-  RequestQueue<int> q(queue_options(64, 64, 3, /*wait=*/5s));
-  ASSERT_EQ(q.try_push(0, 0), PushOutcome::kAccepted);
-  std::thread producer([&q] {
-    std::this_thread::sleep_for(10ms);
-    (void)q.try_push(0, 1);
-    (void)q.try_push(0, 2);
-  });
-  const auto batch = q.next_batch();
-  producer.join();
-  ASSERT_TRUE(batch.has_value());
-  EXPECT_EQ(batch->close, BatchClose::kSize);
-  EXPECT_EQ(batch->items.size(), 3u);
+  ASSERT_EQ(q.try_push(0, 3), PushOutcome::kAccepted);
+  const auto pair = q.next_batch();
+  const auto elapsed = RequestQueue<int>::Clock::now() - start;
+  ASSERT_TRUE(pair.has_value());
+  EXPECT_EQ(pair->close, BatchClose::kPartial);
+  ASSERT_EQ(pair->requests.size(), 2u);
+  EXPECT_EQ(pair->requests[0].item, 2);
+  EXPECT_EQ(pair->requests[1].item, 3);
+  EXPECT_GE(pair->closed_at, pair->requests[1].enqueued);
+  EXPECT_LT(elapsed, 5s);  // neither claim waited for the lane to fill
+  EXPECT_EQ(q.size(), 0u);
 }
 
 TEST(RequestQueue, ShedsOnGlobalAndPerLaneBounds) {
   RequestQueue<int> q(queue_options(/*capacity=*/3, /*lane_depth=*/2,
-                                    /*max_batch=*/8, 10s));
+                                    /*max_batch=*/8));
   EXPECT_EQ(q.try_push(0, 0), PushOutcome::kAccepted);
   EXPECT_EQ(q.try_push(0, 1), PushOutcome::kAccepted);
   // Lane 0 is at its depth bound; the queue still has room.
@@ -114,7 +109,7 @@ TEST(RequestQueue, ShedsOnGlobalAndPerLaneBounds) {
 }
 
 TEST(RequestQueue, ShutdownDrainsThenSignalsExit) {
-  RequestQueue<int> q(queue_options(64, 64, /*max_batch=*/2, 10s));
+  RequestQueue<int> q(queue_options(64, 64, /*max_batch=*/2));
   for (int i = 0; i < 5; ++i)
     ASSERT_EQ(q.try_push(/*lane=*/i % 2, int{i}), PushOutcome::kAccepted);
   q.shutdown();
@@ -122,8 +117,8 @@ TEST(RequestQueue, ShutdownDrainsThenSignalsExit) {
 
   std::size_t drained = 0;
   while (const auto batch = q.next_batch()) {
-    EXPECT_LE(batch->items.size(), 2u);
-    drained += batch->items.size();
+    EXPECT_LE(batch->requests.size(), 2u);
+    drained += batch->requests.size();
   }
   EXPECT_EQ(drained, 5u);
   EXPECT_EQ(q.next_batch(), std::nullopt);  // stays terminal
@@ -132,7 +127,7 @@ TEST(RequestQueue, ShutdownDrainsThenSignalsExit) {
 TEST(RequestQueue, ManyProducersManyConsumersLoseNothing) {
   // The MPMC contract under the sanitizer jobs: every accepted item
   // comes out in exactly one batch.
-  RequestQueue<int> q(queue_options(4096, 4096, 4, /*wait=*/500us));
+  RequestQueue<int> q(queue_options(4096, 4096, 4));
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 200;
 
@@ -155,8 +150,8 @@ TEST(RequestQueue, ManyProducersManyConsumersLoseNothing) {
     consumers.emplace_back([&] {
       while (const auto batch = q.next_batch()) {
         const sync::MutexLock lock(seen.mutex);
-        seen.items.insert(seen.items.end(), batch->items.begin(),
-                          batch->items.end());
+        for (const auto& request : batch->requests)
+          seen.items.push_back(request.item);
       }
     });
   }
@@ -179,9 +174,32 @@ ServingOptions serving_options(EngineKind kind) {
   ServingOptions o;
   o.num_workers = 2;
   o.max_batch = 4;
-  o.max_wait_us = 500;
   o.engine = kind;
   return o;
+}
+
+/// Arms `storm` to stall every batch a worker claims by `delay_us` at
+/// the serve.worker.batch point, before the batch is touched: requests
+/// submitted meanwhile stay queued behind the stalled workers.
+void stall_every_batch(fault::ScopedFaultStorm& storm,
+                       std::uint64_t delay_us) {
+  storm.add({.point = "serve.worker.batch",
+             .action = fault::FaultAction::kDelay, .probability = 1.0,
+             .delay_us = delay_us});
+}
+
+/// Waits until `batches` claimed batches have entered the stall armed
+/// by stall_every_batch (each stalled worker holds one). False after
+/// 10 s.
+bool await_stalled_batches(std::uint64_t batches) {
+  const auto give_up = std::chrono::steady_clock::now() + 10s;
+  for (;;) {
+    const auto points = fault::snapshot();
+    const auto it = points.find("serve.worker.batch");
+    if (it != points.end() && it->second.delays >= batches) return true;
+    if (std::chrono::steady_clock::now() >= give_up) return false;
+    std::this_thread::sleep_for(100us);
+  }
 }
 
 class ServeEngines : public ::testing::TestWithParam<EngineKind> {};
@@ -266,15 +284,14 @@ TEST(ServingFrontend, MixedArchConfigsServeSideBySide) {
 }
 
 TEST(ServingFrontend, ShedsUnderOverloadInsteadOfQueueingUnboundedly) {
-  // Tiny queue + a batcher holding its lane open for far longer than
-  // the submit burst takes: almost everything past the capacity must
-  // shed, immediately, with a diagnosable status — and every accepted
-  // request must still complete.
+  // Tiny queue + a worker stalled on its first batch for far longer
+  // than the submit burst takes: almost everything past the capacity
+  // must shed, immediately, with a diagnosable status — and every
+  // accepted request must still complete.
   const Fixture f = make_batch_fixture(1, /*seed=*/57);
   ServingOptions options;
   options.num_workers = 1;
-  options.max_batch = 64;        // never reached (capacity is smaller)
-  options.max_wait_us = 200000;  // 200ms: the burst below takes µs
+  options.max_batch = 64;  // never reached (capacity is smaller)
   options.queue_capacity = 4;
   options.max_queued_per_model = 4;
   ServingFrontend frontend(options);
@@ -282,8 +299,12 @@ TEST(ServingFrontend, ShedsUnderOverloadInsteadOfQueueingUnboundedly) {
 
   constexpr std::size_t kBurst = 32;
   std::vector<std::future<ServeResult>> futures;
-  for (std::size_t i = 0; i < kBurst; ++i)
-    futures.push_back(frontend.submit(model, f.data.image(0)));
+  {
+    fault::ScopedFaultStorm storm(57);
+    stall_every_batch(storm, 200000);  // 200ms: the burst below takes µs
+    for (std::size_t i = 0; i < kBurst; ++i)
+      futures.push_back(frontend.submit(model, f.data.image(0)));
+  }  // disarmed: the batches after the stalled one run at once
 
   std::size_t ok = 0, shed = 0;
   for (auto& fut : futures) {
@@ -315,13 +336,22 @@ TEST(ServingFrontend, ShedsUnderOverloadInsteadOfQueueingUnboundedly) {
 TEST(ServingFrontend, ShutdownDrainsAcceptedWorkAndRefusesNewWork) {
   const Fixture f = make_batch_fixture(6, /*seed=*/59);
   ServingOptions options = serving_options(EngineKind::kAnalytic);
-  options.max_wait_us = 200000;  // requests are queued when we shut down
   ServingFrontend frontend(options);
   const std::size_t model = frontend.register_model(f.network, tiny_arch());
 
+  // Requests are queued when we shut down: each of the two workers
+  // stalls on a one-request batch, and the other four queue behind.
   std::vector<std::future<ServeResult>> futures;
-  for (std::size_t i = 0; i < f.data.size(); ++i)
-    futures.push_back(frontend.submit(model, f.data.image(i)));
+  {
+    fault::ScopedFaultStorm storm(59);
+    stall_every_batch(storm, 200000);
+    for (std::size_t i = 0; i < f.data.size(); ++i) {
+      futures.push_back(frontend.submit(model, f.data.image(i)));
+      if (i < options.num_workers) {
+        ASSERT_TRUE(await_stalled_batches(i + 1));
+      }
+    }
+  }
   frontend.shutdown();  // drains; idempotent with the destructor
 
   for (auto& fut : futures) EXPECT_EQ(fut.get().status, ServeStatus::kOk);
@@ -329,6 +359,7 @@ TEST(ServingFrontend, ShutdownDrainsAcceptedWorkAndRefusesNewWork) {
       frontend.submit(model, f.data.image(0)).get();
   EXPECT_EQ(refused.status, ServeStatus::kShutdown);
   EXPECT_EQ(frontend.stats().completed, f.data.size());
+  EXPECT_GE(frontend.stats().drain_closes, 1u);
 }
 
 TEST(ServingFrontend, BatchSizeHistogramAccountsEveryBatch) {
@@ -354,23 +385,29 @@ TEST(ServingFrontend, BatchSizeHistogramAccountsEveryBatch) {
 }
 
 TEST(ServingFrontend, DestructionWithQueuedWorkResolvesEveryFuture) {
-  // Destroying the frontend while requests are still queued (a long
-  // latency budget keeps them waiting for a batch to close) must not
-  // break a single promise: the drain-close path either executes or
-  // resolves each one, and get() never throws std::future_error.
+  // Destroying the frontend while requests are still queued (the one
+  // worker is stalled on the first, so the rest wait behind it) must
+  // not break a single promise: the drain-close path either executes
+  // or resolves each one, and get() never throws std::future_error.
   const Fixture f = make_batch_fixture(16, /*seed=*/67);
   std::vector<std::future<ServeResult>> futures;
   {
     ServingOptions options = serving_options(EngineKind::kAnalytic);
     options.num_workers = 1;
     options.max_batch = 16;
-    options.max_wait_us = 10'000'000;  // close only on size or drain
     ServingFrontend frontend(options);
     const std::size_t model =
         frontend.register_model(f.network, tiny_arch());
-    for (std::size_t i = 0; i < f.data.size() - 1; ++i)
+    fault::ScopedFaultStorm storm(67);
+    stall_every_batch(storm, 50000);
+    for (std::size_t i = 0; i < f.data.size() - 1; ++i) {
       futures.push_back(frontend.submit(model, f.data.image(i)));
-    // Frontend destroyed here with 15 requests parked in the queue.
+      if (i == 0) {
+        ASSERT_TRUE(await_stalled_batches(1));
+      }
+    }
+    // The storm disarms, then the frontend is destroyed here with 14
+    // requests parked in the queue behind the stalled one.
   }
   for (auto& fut : futures) {
     const ServeResult r = fut.get();  // must not throw
@@ -382,26 +419,31 @@ TEST(ServingFrontend, DestructionWithQueuedWorkResolvesEveryFuture) {
 
 TEST(ServingFrontend, ExpiredDeadlineIsShedBeforeExecution) {
   // A request whose deadline has already passed when a worker claims
-  // it resolves kDeadlineExceeded without touching the engine, and the
-  // deadline-aware batch close ships it long before the lane's full
-  // latency budget.
+  // it resolves kDeadlineExceeded without touching the engine, and it
+  // ships in a batch of its own instead of waiting for the lane to
+  // fill.
   const Fixture f = make_batch_fixture(2, /*seed=*/59);
   ServingOptions options = serving_options(EngineKind::kAnalytic);
   options.num_workers = 1;
   options.max_batch = 8;
-  options.max_wait_us = 2'000'000;  // 2s budget the deadline undercuts
   ServingFrontend frontend(options);
   const std::size_t model = frontend.register_model(f.network, tiny_arch());
 
   SubmitOptions expired;
   expired.deadline_us = 1;  // expires before any worker can claim it
   const auto start = std::chrono::steady_clock::now();
-  const ServeResult r =
-      frontend.submit(model, f.data.image(0), expired).get();
+  ServeResult r;
+  {
+    // A 2ms stall at batch entry guarantees the 1µs deadline has
+    // passed by claim time.
+    fault::ScopedFaultStorm storm(61);
+    stall_every_batch(storm, 2000);
+    r = frontend.submit(model, f.data.image(0), expired).get();
+  }
   const auto elapsed = std::chrono::steady_clock::now() - start;
   EXPECT_EQ(r.status, ServeStatus::kDeadlineExceeded);
   EXPECT_TRUE(r.result.layers.empty());
-  EXPECT_LT(elapsed, 1s) << "deadline did not cut the batch-close wait";
+  EXPECT_LT(elapsed, 1s) << "the expired request waited for a full batch";
   // The shed result carries the request's identity and batch, but no
   // execution time: it never reached an engine.
   EXPECT_EQ(r.exec_us, 0.0);
@@ -438,7 +480,6 @@ TEST(ServingFrontend, LiveStatsNeverShowMoreResolvedThanSubmitted) {
   // the push; every live snapshot must satisfy the ledger inequality.
   const Fixture f = make_batch_fixture(8, /*seed=*/91);
   ServingOptions options = serving_options(EngineKind::kAnalytic);
-  options.max_wait_us = 100;
   ServingFrontend frontend(options);
   const std::size_t model = frontend.register_model(f.network, tiny_arch());
 
