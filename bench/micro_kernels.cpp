@@ -1,8 +1,9 @@
 // google-benchmark microbenchmarks of the computational kernels the
 // reproduction is built on: the fixed-point SIMD kernel layer
 // (common/kernels.hpp, scalar reference vs every ISA this host can
-// run), dense matvec, truncated SVD, quantisation, router arbitration
-// throughput, and the PE W-phase consumption loop.
+// run), dense matvec, truncated SVD, quantisation, the paper net's
+// QuantizedNetwork constructor, router arbitration throughput, and the
+// PE W-phase consumption loop.
 //
 // Run with --benchmark_format=json for a machine-readable section; the
 // custom context records the dispatched SIMD ISA so recorded numbers
@@ -19,6 +20,9 @@
 #include "common/kernels.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
+#include "data/dataset.hpp"
+#include "nn/quantized.hpp"
+#include "nn/trainer.hpp"
 #include "noc/htree.hpp"
 #include "tensor/matrix.hpp"
 #include "tensor/svd.hpp"
@@ -257,6 +261,30 @@ void BM_Quantize(benchmark::State& state) {
                           static_cast<std::int64_t>(values.size()));
 }
 BENCHMARK(BM_Quantize);
+
+/// Deployment of the paper net (784-1000-1000-1000-10, rank-15 random
+/// predictors) calibrated on the first 8 or 64 MNIST-BASIC training
+/// images: perfbench's sweeps calibrate on 8, System and the CLI on 64.
+void BM_QuantizedNetworkCtor(benchmark::State& state) {
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  Rng rng{4};
+  Network net{five_layer_topology(1000), rng};
+  for (std::size_t l = 0; l < net.num_hidden_layers(); ++l) {
+    const auto sizes = net.layer_sizes();
+    net.set_predictor(l, Predictor::random(sizes[l + 1], sizes[l], 15, rng));
+  }
+  const DatasetSplit data = make_dataset(
+      DatasetVariant::kBasic, {.train_size = 64, .test_size = 1});
+  for (auto _ : state) {
+    const QuantizedNetwork quantized(net, data.train.inputs, rows);
+    benchmark::DoNotOptimize(quantized.layer(0).w_t.data.data());
+  }
+}
+BENCHMARK(BM_QuantizedNetworkCtor)
+    ->Arg(8)
+    ->Arg(64)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_HTreeThroughput(benchmark::State& state) {
   const ArchParams params = ArchParams::paper();

@@ -57,6 +57,10 @@ FixedPointFormat choose_format(std::span<const float> values) {
     lane_max[0] = std::max(lane_max[0], std::abs(values[i]));
   double max_abs = 0.0;
   for (const float m : lane_max) max_abs = std::max(max_abs, double{m});
+  return format_for_max_abs(max_abs);
+}
+
+FixedPointFormat format_for_max_abs(double max_abs) noexcept {
   // Need int_bits such that 2^int_bits > max_abs (one guard bit keeps
   // accumulated rounding from saturating). frac_bits = 15 - int_bits.
   int int_bits = 0;

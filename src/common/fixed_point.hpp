@@ -115,6 +115,10 @@ std::vector<float> dequantize(std::span<const std::int16_t> raw,
 /// Falls back to the widest-range format if values exceed all formats.
 FixedPointFormat choose_format(std::span<const float> values);
 
+/// The format choose_format picks for a span whose max|v| is `max_abs`
+/// (choose_format is this applied to its scan).
+FixedPointFormat format_for_max_abs(double max_abs) noexcept;
+
 /// Worst-case quantisation signal-to-noise ratio in dB for the span under
 /// the given format; used by tests to validate format choice.
 double quantization_snr_db(std::span<const float> values,

@@ -4,9 +4,11 @@
 #include <array>
 #include <atomic>
 #include <cmath>
+#include <thread>
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/fork_join.hpp"
 #include "common/kernels.hpp"
 #include "tensor/ops.hpp"
 
@@ -29,34 +31,36 @@ void quantize_into(std::span<const float> in, FixedPointFormat fmt,
                              static_cast<float>(fmt.scale()), out.data());
 }
 
-QuantizedTensor quantize_matrix(const Matrix& m) {
+QuantizedTensor quantize_matrix(const Matrix& m, FixedPointFormat fmt) {
   QuantizedTensor out;
   out.rows = m.rows();
   out.cols = m.cols();
-  out.fmt = choose_format(m.flat());
+  out.fmt = fmt;
   quantize_into(m.flat(), out.fmt, out.data);
   return out;
 }
 
+/// The format of a calibrated range: the maximum is rounded to float
+/// first, as it would be in a float span choose_format scans.
 FixedPointFormat format_for_max(double max_abs) {
-  std::vector<float> probe{static_cast<float>(max_abs)};
-  return choose_format(probe);
+  return format_for_max_abs(static_cast<float>(max_abs));
 }
 
-/// Quantises `m` straight into its column-major layout: the
-/// cols × rows tensor whose row c is column c of `m`, in one tiled
-/// pass. Each tile's row segments go through the dispatched kernel
-/// into an L1-resident block, which is then written out one output row
-/// at a time, so the columns being written stay cache-resident (a plain
-/// row-at-a-time scatter misses on nearly every store at paper sizes).
-/// Bit-identical to quantising row-major and then transposing: the
-/// format comes from the same choose_format scan and every word from
-/// the same elementwise kernel.
-QuantizedTensor quantize_transposed(const Matrix& m) {
-  QuantizedTensor out;
+/// Quantises `m` in `fmt` straight into `out` in its column-major
+/// layout: the cols × rows tensor whose row c is column c of `m`, in
+/// one tiled pass. `out.data` is only resized, so capacity reserved
+/// beforehand is kept. Each tile's row segments go through the
+/// dispatched kernel into an L1-resident block, which is then written
+/// out one output row at a time, so the columns being written stay
+/// cache-resident (a plain row-at-a-time scatter misses on nearly
+/// every store at paper sizes). Bit-identical to quantising row-major
+/// and then transposing: every word comes from the same elementwise
+/// kernel.
+void quantize_transposed(const Matrix& m, FixedPointFormat fmt,
+                         QuantizedTensor& out) {
   out.rows = m.cols();
   out.cols = m.rows();
-  out.fmt = choose_format(m.flat());
+  out.fmt = fmt;
   out.data.resize(m.size());
   const float scale = static_cast<float>(out.fmt.scale());
   const KernelTable& kern = kernels();
@@ -76,7 +80,13 @@ QuantizedTensor quantize_transposed(const Matrix& m) {
       }
     }
   }
-  return out;
+}
+
+/// W of the given layer, in its own format.
+void quantize_weight(const Network& network, std::size_t l,
+                     QuantizedTensor& out) {
+  const Matrix& w = network.weight(l);
+  quantize_transposed(w, choose_format(w.flat()), out);
 }
 
 }  // namespace
@@ -185,28 +195,54 @@ CalibrationRanges calibration_ranges(const Network& network,
 
 QuantizedNetwork::QuantizedNetwork(const Network& network,
                                    const Matrix& calibration,
-                                   std::size_t calibration_limit) {
-  const std::size_t nl = network.num_weight_layers();
-  const detail::CalibrationRanges ranges =
-      detail::calibration_ranges(network, calibration, calibration_limit);
-
-  layers_.reserve(nl);
+                                   std::size_t calibration_limit)
+    : layers_(network.num_weight_layers()) {
+  const std::size_t nl = layers_.size();
+  const auto is_large = [&](std::size_t l) {
+    return network.weight(l).size() >= kParallelQuantizeWords;
+  };
+  std::vector<std::size_t> large;  // layers whose W gets a task of its own
   for (std::size_t l = 0; l < nl; ++l) {
-    QuantizedLayer q;
-    q.w_t = quantize_transposed(network.weight(l));
-    q.is_output = (l + 1 == nl);
-    q.in_fmt = format_for_max(ranges.act_max[l]);
-    q.out_fmt = format_for_max(ranges.act_max[l + 1]);
-    if (!q.is_output && network.has_predictor(l)) {
-      const Predictor& p = network.predictor(l);
-      q.u = quantize_matrix(p.u());
-      q.v = quantize_matrix(p.v());
-      q.u_t = quantize_transposed(p.u());
-      q.v_t = quantize_transposed(p.v());
-      q.mid_fmt = format_for_max(ranges.mid_max[l]);
-    }
-    layers_.push_back(std::move(q));
+    if (!is_large(l)) continue;
+    large.push_back(l);
+    // Allocated here, not on the worker: glibc would serve a worker's
+    // malloc from a per-thread arena, which keeps what the buffer frees
+    // and so raises the process's peak RSS on every redeployment.
+    layers_[l].w_t.data.reserve(network.weight(l).size());
   }
+  const std::size_t threads =
+      large.empty() ? 1
+                    : std::max(1u, std::thread::hardware_concurrency());
+
+  // Task 0, on the calling thread: calibration, then every small
+  // tensor. Task k > 0: the k-th large W. Every task writes only its
+  // own members of layers_, so no word depends on the thread count.
+  fork_join(1 + large.size(), threads, [&](std::size_t task) {
+    if (task > 0) {
+      const std::size_t l = large[task - 1];
+      quantize_weight(network, l, layers_[l].w_t);
+      return;
+    }
+    const detail::CalibrationRanges ranges =
+        detail::calibration_ranges(network, calibration, calibration_limit);
+    for (std::size_t l = 0; l < nl; ++l) {
+      QuantizedLayer& q = layers_[l];
+      if (!is_large(l)) quantize_weight(network, l, q.w_t);
+      q.is_output = (l + 1 == nl);
+      q.in_fmt = format_for_max(ranges.act_max[l]);
+      q.out_fmt = format_for_max(ranges.act_max[l + 1]);
+      if (!q.is_output && network.has_predictor(l)) {
+        const Predictor& p = network.predictor(l);
+        const FixedPointFormat u_fmt = choose_format(p.u().flat());
+        const FixedPointFormat v_fmt = choose_format(p.v().flat());
+        q.u = quantize_matrix(p.u(), u_fmt);
+        q.v = quantize_matrix(p.v(), v_fmt);
+        quantize_transposed(p.u(), u_fmt, q.u_t.emplace());
+        quantize_transposed(p.v(), v_fmt, q.v_t.emplace());
+        q.mid_fmt = format_for_max(ranges.mid_max[l]);
+      }
+    }
+  });
 }
 
 std::vector<std::int16_t> QuantizedNetwork::quantize_input(

@@ -112,11 +112,29 @@ CalibrationRanges calibration_ranges(const Network& network,
 
 }  // namespace detail
 
+/// Weight matrices with at least this many words are quantised on a
+/// worker thread of their own by the QuantizedNetwork constructor. On
+/// the 4-vCPU AVX2 host one thread start and join took ≈38 µs (median
+/// of 2000) and quantising a W of 2^16 words ≈165–185 µs (median of
+/// 200), so a worker pays for itself about four times over here; at
+/// 2^14 words (≈41–46 µs) it would not pay at all.
+inline constexpr std::size_t kParallelQuantizeWords = std::size_t{1} << 16;
+
 /// The deployable network image.
 class QuantizedNetwork {
  public:
   /// Quantises `network`, calibrating activation ranges on up to
   /// `calibration_limit` rows of `calibration` (N × n_in).
+  ///
+  /// Each W of at least kParallelQuantizeWords words is quantised on
+  /// a worker thread of its own, while the calling thread calibrates
+  /// and then quantises the small tensors (small W, U, V and their
+  /// mirrors). At most std::thread::hardware_concurrency() threads
+  /// run, the caller included; without a large W no thread starts and
+  /// hardware_concurrency() is not called. Every word and format is
+  /// the same for any thread count. An exception (such as the
+  /// calibration width check's) is rethrown once every worker has
+  /// been joined.
   QuantizedNetwork(const Network& network, const Matrix& calibration,
                    std::size_t calibration_limit = 64);
 

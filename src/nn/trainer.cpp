@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "common/check.hpp"
+#include "common/fork_join.hpp"
 #include "common/logging.hpp"
 #include "data/digits.hpp"
 #include "nn/loss.hpp"
@@ -206,24 +207,21 @@ TrainReport train(Network& network, const DatasetSplit& split,
          batch = batches.next()) {
       for (auto& g : worker_grads) g.reset();
 
+      // Chunk t always lands in worker_grads[t], whichever thread runs
+      // it, so the reduction below sees the same partial sums.
       const std::size_t chunk =
           (batch.size() + threads - 1) / threads;
-      std::vector<std::thread> pool;
-      pool.reserve(threads);
-      for (std::size_t t = 0; t < threads; ++t) {
-        const std::size_t lo = std::min(t * chunk, batch.size());
-        const std::size_t hi = std::min(lo + chunk, batch.size());
-        if (lo >= hi) break;
-        pool.emplace_back([&, t, lo, hi] {
-          for (std::size_t k = lo; k < hi; ++k) {
-            const std::size_t idx = batch[k];
-            accumulate_sample(network, split.train.image(idx),
-                              split.train.labels[idx], options.lambda, e2e,
-                              worker_grads[t]);
-          }
-        });
-      }
-      for (auto& th : pool) th.join();
+      fork_join((batch.size() + chunk - 1) / chunk, threads,
+                [&](std::size_t t) {
+                  const std::size_t hi =
+                      std::min((t + 1) * chunk, batch.size());
+                  for (std::size_t k = t * chunk; k < hi; ++k) {
+                    const std::size_t idx = batch[k];
+                    accumulate_sample(network, split.train.image(idx),
+                                      split.train.labels[idx],
+                                      options.lambda, e2e, worker_grads[t]);
+                  }
+                });
 
       // Deterministic reduction order: worker 0 absorbs 1..T-1 in order.
       for (std::size_t t = 1; t < worker_grads.size(); ++t)

@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <exception>
 #include <memory>
 #include <thread>
 
 #include "common/check.hpp"
-#include "common/sync.hpp"
+#include "common/fork_join.hpp"
 #include "sim/result_arena.hpp"
 
 namespace sparsenn {
@@ -138,12 +137,6 @@ BatchResult BatchRunner::run(const CompiledNetwork& compiled,
   // per-worker flag would validate once per thread, scaling the
   // redundant golden recomputation with the pool size).
   std::atomic<bool> batch_validated{false};
-  // First-error slot: a local struct so the GUARDED_BY contract is
-  // statically checked even for this function-scoped mutex.
-  struct ErrorSlot {
-    sync::Mutex mutex;
-    std::exception_ptr first SPARSENN_GUARDED_BY(mutex);
-  } error_slot;
 
   const auto worker = [&](std::size_t worker_id) {
     // One private engine per worker: backends carry per-inference
@@ -181,40 +174,14 @@ BatchResult BatchRunner::run(const CompiledNetwork& compiled,
         }
       }
     } catch (...) {
-      {
-        const sync::MutexLock lock(error_slot.mutex);
-        if (!error_slot.first) error_slot.first = std::current_exception();
-      }
       cursor.store(total, std::memory_order_relaxed);  // stop the others
+      throw;  // fork_join rethrows the first one on the calling thread
     }
   };
 
   const auto start = std::chrono::steady_clock::now();
-  if (threads == 1) {
-    worker(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    try {
-      for (std::size_t t = 0; t < threads; ++t)
-        pool.emplace_back(worker, t);
-    } catch (...) {
-      // Thread creation failed (e.g. RLIMIT_NPROC): stop the workers
-      // that did start and join them before propagating, so the pool
-      // never destructs joinable threads (std::terminate).
-      cursor.store(total, std::memory_order_relaxed);
-      for (std::thread& t : pool) t.join();
-      throw;
-    }
-    for (std::thread& t : pool) t.join();
-  }
+  fork_join(threads, threads, worker);
   const auto stop = std::chrono::steady_clock::now();
-  {
-    // All workers are joined; the lock is uncontended and keeps the
-    // read inside the static contract.
-    const sync::MutexLock lock(error_slot.mutex);
-    if (error_slot.first) std::rethrow_exception(error_slot.first);
-  }
 
   BatchResult out;
   out.num_inferences = total;

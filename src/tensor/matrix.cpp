@@ -3,6 +3,12 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/simd.hpp"
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
+
 namespace sparsenn {
 
 Matrix Matrix::from_rows(const std::vector<std::vector<float>>& rows) {
@@ -80,12 +86,77 @@ Vector matvec(const Matrix& a, std::span<const float> x) {
   return y;
 }
 
+namespace {
+
+/// Samples per matvec_rows panel.
+constexpr std::size_t kPanel = 8;
+
+/// Row-pair pass of matvec_rows: writes
+///   acc0[s] = Σ_c w0[c] · panel[c · kPanel + s]
+/// and likewise acc1 for w1, each summed in ascending c. Two weight
+/// rows give 2 × kPanel independent accumulator chains (portable loop,
+/// auto-vectorised for the baseline ISA).
+void row_pair_portable(const float* w0, const float* w1, const double* panel,
+                       std::size_t n, double* acc0, double* acc1) {
+  // Local sums: acc0/acc1 could alias the panel, which would force a
+  // store per product.
+  double sum0[kPanel] = {};
+  double sum1[kPanel] = {};
+  for (std::size_t c = 0; c < n; ++c) {
+    const double* x = panel + c * kPanel;
+    const double a0 = w0[c];
+    const double a1 = w1[c];
+    for (std::size_t s = 0; s < kPanel; ++s) {
+      sum0[s] += a0 * x[s];
+      sum1[s] += a1 * x[s];
+    }
+  }
+  std::copy_n(sum0, kPanel, acc0);
+  std::copy_n(sum1, kPanel, acc1);
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+/// The same pass four doubles per instruction. target("avx2") alone
+/// enables no FMA, so every lane multiplies, rounds and adds exactly
+/// as the portable loop does.
+__attribute__((target("avx2"))) void row_pair_avx2(
+    const float* w0, const float* w1, const double* panel, std::size_t n,
+    double* acc0, double* acc1) {
+  static_assert(kPanel == 8, "two __m256d lanes per panel column");
+  __m256d lo0 = _mm256_setzero_pd();
+  __m256d hi0 = _mm256_setzero_pd();
+  __m256d lo1 = _mm256_setzero_pd();
+  __m256d hi1 = _mm256_setzero_pd();
+  for (std::size_t c = 0; c < n; ++c) {
+    const __m256d xlo = _mm256_loadu_pd(panel + c * kPanel);
+    const __m256d xhi = _mm256_loadu_pd(panel + c * kPanel + 4);
+    const __m256d a0 = _mm256_set1_pd(w0[c]);
+    const __m256d a1 = _mm256_set1_pd(w1[c]);
+    lo0 = _mm256_add_pd(lo0, _mm256_mul_pd(a0, xlo));
+    hi0 = _mm256_add_pd(hi0, _mm256_mul_pd(a0, xhi));
+    lo1 = _mm256_add_pd(lo1, _mm256_mul_pd(a1, xlo));
+    hi1 = _mm256_add_pd(hi1, _mm256_mul_pd(a1, xhi));
+  }
+  _mm256_storeu_pd(acc0, lo0);
+  _mm256_storeu_pd(acc0 + 4, hi0);
+  _mm256_storeu_pd(acc1, lo1);
+  _mm256_storeu_pd(acc1 + 4, hi1);
+}
+#endif
+
+}  // namespace
+
 Matrix matvec_rows(const Matrix& a, const Matrix& xs) {
   expects(a.cols() == xs.cols(), "matvec_rows dimension mismatch");
-  constexpr std::size_t kPanel = 8;
   const std::size_t n = a.cols();
   const std::size_t m = a.rows();
   Matrix y(xs.rows(), m);
+  // The AVX2 build whenever the kernel table dispatches to AVX2, so
+  // SPARSENN_FORCE_SCALAR also selects the portable loop here.
+  auto* row_pair = &row_pair_portable;
+#if defined(__x86_64__) || defined(__i386__)
+  if (active_simd_isa() == SimdIsa::kAvx2) row_pair = &row_pair_avx2;
+#endif
   // Up to kPanel samples, widened once into a column-major panel:
   // column c of every sample sits in one contiguous run of kPanel
   // doubles, so one weight multiplies all of them. Lanes past the last
@@ -98,39 +169,19 @@ Matrix matvec_rows(const Matrix& a, const Matrix& xs) {
       const float* x = xs.row(s0 + s).data();
       for (std::size_t c = 0; c < n; ++c) panel[c * kPanel + s] = x[c];
     }
-    // Two weight rows per pass: 2 × kPanel independent accumulator
-    // chains. Every (row, sample) output still sums its exact double
-    // products in ascending column order, as matvec does.
-    std::size_t r = 0;
-    for (; r + 2 <= m; r += 2) {
-      const float* w0 = a.row(r).data();
-      const float* w1 = w0 + n;
-      double acc0[kPanel] = {};
-      double acc1[kPanel] = {};
-      for (std::size_t c = 0; c < n; ++c) {
-        const double* x = &panel[c * kPanel];
-        const double a0 = w0[c];
-        const double a1 = w1[c];
-        for (std::size_t s = 0; s < kPanel; ++s) {
-          acc0[s] += a0 * x[s];
-          acc1[s] += a1 * x[s];
-        }
-      }
+    // Every (row, sample) output sums its exact double products in
+    // ascending column order, as matvec does. An odd last row runs as
+    // a pair with itself.
+    for (std::size_t r = 0; r < m; r += 2) {
+      const std::size_t r1 = std::min(r + 1, m - 1);
+      double acc0[kPanel];
+      double acc1[kPanel];
+      row_pair(a.row(r).data(), a.row(r1).data(), panel.data(), n, acc0,
+               acc1);
       for (std::size_t s = 0; s < k; ++s) {
         y(s0 + s, r) = static_cast<float>(acc0[s]);
-        y(s0 + s, r + 1) = static_cast<float>(acc1[s]);
+        y(s0 + s, r1) = static_cast<float>(acc1[s]);
       }
-    }
-    if (r < m) {
-      const float* w0 = a.row(r).data();
-      double acc0[kPanel] = {};
-      for (std::size_t c = 0; c < n; ++c) {
-        const double* x = &panel[c * kPanel];
-        const double a0 = w0[c];
-        for (std::size_t s = 0; s < kPanel; ++s) acc0[s] += a0 * x[s];
-      }
-      for (std::size_t s = 0; s < k; ++s)
-        y(s0 + s, r) = static_cast<float>(acc0[s]);
     }
   }
   return y;

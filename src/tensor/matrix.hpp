@@ -82,6 +82,8 @@ Vector matvec(const Matrix& a, std::span<const float> x);
 /// Y = X Aᵀ: row i of the result is matvec(a, xs.row(i)) bit for bit,
 /// but each weight of `a` is read once per eight rows of `xs` instead
 /// of once per row (the batched form of calibration's forward passes).
+/// Runs an AVX2 build of its inner loop whenever active_simd_isa() is
+/// kAvx2, with the same rounding as the portable one.
 Matrix matvec_rows(const Matrix& a, const Matrix& xs);
 
 /// y = A^T x without materialising the transpose (row-sweep accumulate).

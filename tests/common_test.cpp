@@ -1,13 +1,19 @@
 // Unit tests for src/common: RNG determinism and distributions,
-// fixed-point arithmetic, tables and statistics.
+// fixed-point arithmetic, tables, statistics and the fork-join helper.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/fixed_point.hpp"
+#include "common/fork_join.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -157,6 +163,17 @@ TEST(FixedPoint, ChooseFormatCoversRange) {
   EXPECT_LT(f2.frac_bits, f1.frac_bits);
 }
 
+// format_for_max_abs is choose_format's last step: a span's format is
+// the one its max|v| gets.
+TEST(FixedPoint, FormatForMaxAbsMatchesChooseFormat) {
+  for (const float max_abs :
+       {0.0f, 1e-6f, 0.24f, 0.25f, 0.5f, 1.0f, 3.9f, 100.0f, 16383.0f,
+        16384.0f, 1e30f}) {
+    const std::vector<float> span{0.5f * max_abs, -max_abs};
+    EXPECT_EQ(format_for_max_abs(max_abs), choose_format(span)) << max_abs;
+  }
+}
+
 TEST(FixedPoint, QuantizationSnrReasonable) {
   Rng rng{31};
   std::vector<float> values(4096);
@@ -230,6 +247,74 @@ TEST(Table, CsvEscaping) {
 TEST(Table, RowWidthMismatchThrows) {
   Table t({"a", "b"});
   EXPECT_THROW(t.add_row({"only-one"}), std::invalid_argument);
+}
+
+/// Per-task run counters driven through fork_join.
+struct CountedTasks {
+  std::vector<std::atomic<int>> runs;
+  std::thread::id task0_thread;
+
+  explicit CountedTasks(std::size_t tasks) : runs(tasks) {}
+
+  /// Every task counts its run; task `thrower` then throws.
+  void run(std::size_t threads, std::size_t thrower = ~std::size_t{0}) {
+    fork_join(runs.size(), threads, [&](std::size_t i) {
+      runs[i].fetch_add(1);
+      if (i == 0) task0_thread = std::this_thread::get_id();
+      if (i == thrower) throw std::runtime_error("task failed");
+    });
+  }
+
+  bool each_ran_once() const {
+    return std::all_of(runs.begin(), runs.end(),
+                       [](const std::atomic<int>& r) { return r == 1; });
+  }
+};
+
+TEST(ForkJoin, RunsEveryTaskOnceWithTaskZeroOnTheCaller) {
+  for (const std::size_t threads : {0u, 1u, 2u, 4u, 16u}) {
+    for (const std::size_t tasks : {1u, 2u, 7u, 64u}) {
+      CountedTasks counted(tasks);
+      counted.run(threads);
+      EXPECT_TRUE(counted.each_ran_once())
+          << tasks << " tasks, " << threads << " threads";
+      EXPECT_EQ(counted.task0_thread, std::this_thread::get_id());
+    }
+  }
+  bool called = false;
+  fork_join(0, 4, [&](std::size_t) { called = true; });
+  EXPECT_FALSE(called);
+}
+
+TEST(ForkJoin, StartsNoThreadForOneTaskOrOneThread) {
+  for (const auto& [tasks, threads] :
+       {std::pair<std::size_t, std::size_t>{1, 8}, {5, 1}, {5, 0}}) {
+    std::vector<std::thread::id> ran_on(tasks);
+    fork_join(tasks, threads,
+              [&](std::size_t i) { ran_on[i] = std::this_thread::get_id(); });
+    EXPECT_EQ(ran_on, std::vector<std::thread::id>(
+                          tasks, std::this_thread::get_id()));
+  }
+}
+
+// One task throws: every other task still runs exactly once, every
+// helper is joined (a joinable std::thread would terminate the test),
+// and the caller receives the exception, whether the caller's own
+// task 0 or a helper's task threw it.
+TEST(ForkJoin, ThrowingTaskStillRunsEveryOtherAndRethrowsOnTheCaller) {
+  for (const std::size_t threads : {1u, 3u, 8u}) {
+    for (const std::size_t thrower : {0u, 5u, 11u}) {
+      CountedTasks counted(12);
+      try {
+        counted.run(threads, thrower);
+        ADD_FAILURE() << "no exception, thrower " << thrower;
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "task failed");
+      }
+      EXPECT_TRUE(counted.each_ran_once())
+          << "thrower " << thrower << ", " << threads << " threads";
+    }
+  }
 }
 
 }  // namespace

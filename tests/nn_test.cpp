@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/simd.hpp"
 #include "data/dataset.hpp"
 #include "data/digits.hpp"
 #include "nn/loss.hpp"
@@ -532,6 +533,97 @@ TEST(QuantizedNetwork, BatchedCalibrationMatchesPerSampleForward) {
           << rows;
     }
   }
+}
+
+/// {300, 400, 300, 10} with rank-4 predictors: both hidden layers' W
+/// cross the parallel-quantisation threshold, the output W does not.
+/// Each weight matrix's largest magnitude sits in its last word, so a
+/// format drawn from less than the whole matrix shows.
+Network parallel_deployment_network() {
+  static_assert(300 * 400 >= kParallelQuantizeWords);
+  static_assert(10 * 300 < kParallelQuantizeWords);
+  Rng rng{60};
+  Network net{{300, 400, 300, 10}, rng};
+  net.set_predictor(0, Predictor::random(400, 300, 4, rng));
+  net.set_predictor(1, Predictor::random(300, 400, 4, rng));
+  const auto plant_max_last = [](Matrix& m) { m.flat().back() = -40.0f; };
+  for (std::size_t l = 0; l < net.num_weight_layers(); ++l)
+    plant_max_last(net.weight(l));
+  for (std::size_t l = 0; l < net.num_hidden_layers(); ++l) {
+    plant_max_last(net.predictor(l).u());
+    plant_max_last(net.predictor(l).v());
+  }
+  return net;
+}
+
+/// Every word of `t`, read as row-major `m` (or as its transpose when
+/// `transposed`), is choose_format(m) applied by Fixed16::quantize_raw.
+void expect_quantized(const QuantizedTensor& t, const Matrix& m,
+                      bool transposed, const char* what, std::size_t l) {
+  const FixedPointFormat fmt = choose_format(m.flat());
+  EXPECT_EQ(t.fmt, fmt) << what << " layer " << l;
+  ASSERT_EQ(t.rows, transposed ? m.cols() : m.rows()) << what << " " << l;
+  ASSERT_EQ(t.cols, transposed ? m.rows() : m.cols()) << what << " " << l;
+  ASSERT_EQ(t.data.size(), m.size()) << what << " " << l;
+  std::size_t mismatches = 0;
+  for (std::size_t r = 0; r < m.rows(); ++r)
+    for (std::size_t c = 0; c < m.cols(); ++c)
+      if ((transposed ? t.at(c, r) : t.at(r, c)) !=
+          Fixed16::quantize_raw(m(r, c), fmt))
+        ++mismatches;
+  EXPECT_EQ(mismatches, 0u) << what << " layer " << l;
+}
+
+// The constructor quantises each large W on a worker thread beside the
+// caller's calibration. Every word and format must equal a reference
+// built from public pieces, under the dispatched kernels (and AVX2
+// calibration where the host has it) and under the scalar ones.
+TEST(QuantizedNetwork, ParallelDeploymentMatchesSerialReference) {
+  const Network net = parallel_deployment_network();
+  Rng rng{61};
+  Matrix calib(9, 300);
+  for (float& v : calib.flat())
+    v = rng.bernoulli(0.3) ? 0.0f : static_cast<float>(rng.normal(0.0, 2.0));
+  const detail::CalibrationRanges ranges =
+      detail::calibration_ranges(net, calib, 64);
+  const auto format_of = [](double max_abs) {
+    return choose_format(std::vector<float>{static_cast<float>(max_abs)});
+  };
+
+  for (const bool scalar : {false, true}) {
+    force_scalar_kernels(scalar);
+    const QuantizedNetwork q(net, calib);
+    ASSERT_EQ(q.num_layers(), 3u);
+    for (std::size_t l = 0; l < q.num_layers(); ++l) {
+      SCOPED_TRACE(scalar ? "scalar kernels" : "dispatched kernels");
+      const QuantizedLayer& layer = q.layer(l);
+      expect_quantized(layer.w_t, net.weight(l), true, "w_t", l);
+      EXPECT_EQ(layer.in_fmt, format_of(ranges.act_max[l])) << l;
+      EXPECT_EQ(layer.out_fmt, format_of(ranges.act_max[l + 1])) << l;
+      EXPECT_EQ(layer.is_output, l == 2);
+      if (l == 2) {
+        EXPECT_FALSE(layer.has_predictor());
+        continue;
+      }
+      const Predictor& p = net.predictor(l);
+      ASSERT_TRUE(layer.has_predictor() && layer.u_t && layer.v_t);
+      expect_quantized(*layer.u, p.u(), false, "u", l);
+      expect_quantized(*layer.u_t, p.u(), true, "u_t", l);
+      expect_quantized(*layer.v, p.v(), false, "v", l);
+      expect_quantized(*layer.v_t, p.v(), true, "v_t", l);
+      EXPECT_EQ(layer.mid_fmt, format_of(ranges.mid_max[l])) << l;
+    }
+  }
+  force_scalar_kernels(false);
+}
+
+// A calibration matrix of the wrong width fails calibration's width
+// check on the calling thread while workers quantise the large W; the
+// constructor must join them and rethrow that error (a joinable
+// std::thread would terminate the test instead).
+TEST(QuantizedNetwork, ParallelDeploymentRethrowsCalibrationError) {
+  const Network net = parallel_deployment_network();
+  EXPECT_THROW(QuantizedNetwork(net, Matrix(4, 299)), std::invalid_argument);
 }
 
 }  // namespace

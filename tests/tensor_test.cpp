@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "tensor/matrix.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/svd.hpp"
@@ -54,10 +57,11 @@ TEST(Matrix, MatvecAgainstManual) {
 // for a panel of up to 8 samples; every output must still be the plain
 // one-row double-accumulated dot in ascending column order, bit for
 // bit, at every row count around the block sizes and every sample
-// count around the panel width (and their tails). Each row opens with
-// 1, 2^60, -2^60 against inputs opening with 1, 1, 1: summed in order
-// the 1 is absorbed before the big terms cancel, so any other column
-// order shows.
+// count around the panel width (and their tails), and matvec_rows
+// must give the same words from its AVX2 build as from its portable
+// loop. Each row opens with 1, 2^60, -2^60 against inputs opening with
+// 1, 1, 1: summed in order the 1 is absorbed before the big terms
+// cancel, so any other column order shows.
 TEST(Matrix, MatvecMatchesOneRowReferenceBitForBit) {
   for (std::size_t rows = 1; rows <= 9; ++rows) {
     Matrix m = random_matrix(rows, 37, 10 + rows);
@@ -93,6 +97,17 @@ TEST(Matrix, MatvecMatchesOneRowReferenceBitForBit) {
           EXPECT_EQ(ys(i, r), reference(xs.row(i), r))
               << "rows " << rows << " samples " << samples << " sample "
               << i << " row " << r;
+
+      // The dispatched build (AVX2 where the host has it) and the
+      // portable loop the scalar override selects: the same words.
+      force_scalar_kernels(true);
+      const Matrix portable = matvec_rows(m, xs);
+      force_scalar_kernels(false);
+      for (std::size_t i = 0; i < ys.size(); ++i)
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(ys.flat()[i]),
+                  std::bit_cast<std::uint32_t>(portable.flat()[i]))
+            << to_string(active_simd_isa()) << ", rows " << rows
+            << " samples " << samples << " word " << i;
     }
   }
   EXPECT_THROW(matvec_rows(Matrix(2, 3), Matrix(4, 2)),
