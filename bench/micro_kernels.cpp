@@ -38,7 +38,6 @@ struct KernelInputs {
   std::vector<std::int16_t> b;
   std::vector<std::int64_t> acc;
   std::vector<std::uint32_t> idx;
-  std::vector<std::int16_t> vals;
   std::vector<float> floats;
   std::vector<std::int16_t> out16;
   std::vector<std::uint32_t> out32;
@@ -56,12 +55,8 @@ KernelInputs make_kernel_inputs(std::size_t n, double density) {
     in.b[i] = static_cast<std::int16_t>(val(rng));
   }
   in.acc.assign(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (in.a[i] != 0) {
-      in.idx.push_back(static_cast<std::uint32_t>(i));
-      in.vals.push_back(in.a[i]);
-    }
-  }
+  for (std::size_t i = 0; i < n; ++i)
+    if (in.a[i] != 0) in.idx.push_back(static_cast<std::uint32_t>(i));
   std::uniform_real_distribution<float> f(-40.0f, 40.0f);
   in.floats.resize(n);
   for (auto& v : in.floats) v = f(rng);
@@ -73,34 +68,6 @@ KernelInputs make_kernel_inputs(std::size_t n, double density) {
 const KernelTable& table_for(bool dispatched) {
   return dispatched ? kernels() : scalar_kernels();
 }
-
-void BM_KernelDot(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto& k = table_for(state.range(1) != 0);
-  KernelInputs in = make_kernel_inputs(n, 1.0);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(k.dot_i16(in.a.data(), in.b.data(), n));
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-  state.SetLabel(to_string(k.isa));
-}
-BENCHMARK(BM_KernelDot)
-    ->ArgsProduct({{256, 784}, {0, 1}});
-
-void BM_KernelGatherDot(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto& k = table_for(state.range(1) != 0);
-  KernelInputs in = make_kernel_inputs(n, 0.35);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        k.dot_i16_gather(in.b.data(), n, in.idx.data(), in.vals.data(),
-                         in.idx.size()));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(in.idx.size()));
-  state.SetLabel(to_string(k.isa));
-}
-BENCHMARK(BM_KernelGatherDot)->ArgsProduct({{784}, {0, 1}});
 
 void BM_KernelAxpy(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -115,21 +82,6 @@ void BM_KernelAxpy(benchmark::State& state) {
   state.SetLabel(to_string(k.isa));
 }
 BENCHMARK(BM_KernelAxpy)->ArgsProduct({{256}, {0, 1}});
-
-void BM_KernelAxpy2(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto& k = table_for(state.range(1) != 0);
-  KernelInputs in = make_kernel_inputs(n, 1.0);
-  for (auto _ : state) {
-    k.axpy2_i16_i64(in.acc.data(), in.a.data(), 1234, in.b.data(), -567,
-                    n);
-    benchmark::DoNotOptimize(in.acc.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(2 * n));
-  state.SetLabel(to_string(k.isa));
-}
-BENCHMARK(BM_KernelAxpy2)->ArgsProduct({{256}, {0, 1}});
 
 void BM_KernelSparseMatvec(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -154,9 +106,8 @@ BENCHMARK(BM_KernelSparseMatvec)->ArgsProduct({{784}, {0, 1}});
 
 void BM_KernelMacCol(benchmark::State& state) {
   // The PE's W-phase masked column accumulate at a 784-word stride
-  // with a 60%-active LNZD subset: 40 rows stays under the AVX2
-  // gather cutoff (scalar both ways), 128 rows exercises the gather
-  // path of the dispatched table.
+  // with a 60%-active LNZD subset, at 40 and 128 rows (scalar in
+  // every table).
   const auto nrows = static_cast<std::size_t>(state.range(0));
   const auto& k = table_for(state.range(1) != 0);
   const std::size_t stride = 784;

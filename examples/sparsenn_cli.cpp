@@ -7,16 +7,13 @@
 //   sparsenn_cli simulate --model model.bin [--variant v] [--samples n]
 //                         [--uv on|off|both] [--trace trace.csv]
 //                         [--engine cycle|analytic]
-//                         [--stepping per_cycle|event]
 //   sparsenn_cli batch    --model model.bin [--variant v] [--samples n]
 //                         [--threads t] [--uv on|off]
 //                         [--engine cycle|analytic]
-//                         [--stepping per_cycle|event]
 //   sparsenn_cli serve-bench --model model.bin [--variant v]
 //                         [--clients n] [--requests n] [--workers w]
 //                         [--max-batch b]
 //                         [--uv on|off] [--engine cycle|analytic]
-//                         [--stepping per_cycle|event]
 //                         [--deadline-us us] [--priority-mix h,n,b]
 //                         [--breaker-window n] [--breaker-threshold f]
 //                         [--degraded on|off]
@@ -36,9 +33,7 @@
 // cycle-accurate simulator, `analytic` the closed-form fast path with
 // bit-identical predictions, per-layer cycle counts equal to the cycle
 // engine's on the default buffered fabric (low on contended fabrics)
-// and estimated event counts. `--stepping` picks how the cycle backend
-// advances time: `event` (the default, sim/event_core.hpp) or the
-// `per_cycle` reference, bit-identical to each other.
+// and estimated event counts.
 // serve-bench's overload knobs exercise the control tier: a
 // per-request deadline, a high,normal,best_effort request mix (with
 // best-effort admission watermarked so it sheds first), a per-model
@@ -98,18 +93,6 @@ EngineKind parse_engine(const Args& args) {
     throw UsageError("--engine takes cycle|analytic, got '" + name + "'");
   }
   return *kind;
-}
-
-/// --stepping per_cycle|event (sim/engine.hpp), bit-identical to each
-/// other; anything else is a UsageError (exit 2).
-SteppingMode parse_stepping(const Args& args) {
-  const std::string name = args.get("stepping", "event");
-  const std::optional<SteppingMode> mode = parse_stepping_mode(name);
-  if (!mode) {
-    throw UsageError("--stepping takes per_cycle|event, got '" + name +
-                     "'");
-  }
-  return *mode;
 }
 
 /// --simd auto|scalar (any command): `scalar` forces the scalar
@@ -198,8 +181,8 @@ int cmd_simulate(const Args& args) {
   const DatasetSplit& split = model.split;
   const QuantizedNetwork& quantized = model.quantized;
 
-  const std::unique_ptr<ExecutionEngine> engine = make_engine(
-      engine_kind, ArchParams::paper(), parse_stepping(args));
+  const std::unique_ptr<ExecutionEngine> engine =
+      make_engine(engine_kind, ArchParams::paper());
   TraceLog log;
   const std::string trace_path = args.get("trace", "");
   if (!trace_path.empty()) engine->set_trace(&log);
@@ -264,7 +247,6 @@ int cmd_batch(const Args& args) {
   options.use_predictor = uv == "on";
   options.keep_results = false;  // aggregate stats only
   options.engine = parse_engine(args);
-  options.stepping = parse_stepping(args);
 
   const LoadedModel model = load_model(args);
   const BatchRunner runner(ArchParams::paper(), options);
@@ -345,7 +327,6 @@ int cmd_serve_bench(const Args& args) {
   options.num_workers = args.get_size("workers", 2);
   options.max_batch = args.get_size("max-batch", 8);
   options.engine = parse_engine(args);
-  options.stepping = parse_stepping(args);
   options.breaker.window = args.get_size("breaker-window", 0);
   options.breaker.failure_threshold = breaker_threshold;
   options.allow_degraded = degraded == "on";
@@ -506,7 +487,7 @@ constexpr std::string_view kKnownFlags[] = {
     // train
     "kind", "rank", "epochs", "hidden", "layers", "out",
     // simulate/batch/serve-bench
-    "samples", "uv", "engine", "stepping", "trace", "threads",
+    "samples", "uv", "engine", "trace", "threads",
     // serve-bench
     "clients", "requests", "workers", "max-batch", "deadline-us",
     "priority-mix", "breaker-window", "breaker-threshold", "degraded",

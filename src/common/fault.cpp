@@ -128,14 +128,6 @@ std::map<std::string, PointStats> snapshot() {
   return out;
 }
 
-std::uint64_t total_fired() {
-  Registry& r = registry();
-  const sync::MutexLock lock(r.mutex);
-  std::uint64_t total = 0;
-  for (const auto& [name, state] : r.points) total += state.stats.fires();
-  return total;
-}
-
 namespace detail {
 
 bool hit(std::string_view point_name) {

@@ -158,9 +158,6 @@ std::uint64_t seed() noexcept;
 /// least one armed spec appear.
 std::map<std::string, PointStats> snapshot();
 
-/// Total fires across all points/actions since arm().
-std::uint64_t total_fired();
-
 /// RAII fault storm for tests: arms on construction, disarms on
 /// destruction (exception-safe — a failing ASSERT cannot leave the
 /// process-global registry armed for the next test).

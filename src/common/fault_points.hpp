@@ -44,10 +44,4 @@ static_assert(std::adjacent_find(std::begin(kAll), std::end(kAll)) ==
                   std::end(kAll),
               "fault-point names must be unique");
 
-/// True when `name` is a registered fault point (used by tests that
-/// want to assert their spec names are canonical).
-constexpr bool is_registered(std::string_view name) noexcept {
-  return std::find(std::begin(kAll), std::end(kAll), name) != std::end(kAll);
-}
-
 }  // namespace sparsenn::fault_points

@@ -13,17 +13,6 @@ std::int16_t Fixed16::quantize_raw(double value,
   return static_cast<std::int16_t>(clamped);
 }
 
-std::int16_t FixedAccumulator::to_fixed16() const noexcept {
-  // Round-half-away-from-zero on the discarded fractional bits, then
-  // saturate — matching a rounding shifter followed by a clamp.
-  const std::int64_t half = std::int64_t{1} << (fmt_.frac_bits - 1);
-  const std::int64_t shifted =
-      acc_ >= 0 ? (acc_ + half) >> fmt_.frac_bits
-                : -((-acc_ + half) >> fmt_.frac_bits);
-  const std::int64_t sat = std::clamp<std::int64_t>(shifted, -32768, 32767);
-  return static_cast<std::int16_t>(sat);
-}
-
 std::vector<std::int16_t> quantize(std::span<const float> values,
                                    FixedPointFormat fmt) {
   std::vector<std::int16_t> out(values.size());

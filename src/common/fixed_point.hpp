@@ -5,10 +5,10 @@
 // The hardware stores activations and weights as signed 16-bit Q(m.n)
 // values and accumulates in a wider register. We model:
 //   - a runtime-configurable Q format (FixedPointFormat),
-//   - saturating conversion from float with round-to-nearest,
-//   - the multiply path: 16x16 -> 32-bit product, accumulated in 32 bits,
-//     then rescaled/saturated back to 16 bits at write-back, exactly as a
-//     MAC unit with a single post-accumulation shifter would do.
+//   - saturating conversion from float with round-to-nearest.
+// The MAC datapath's single post-accumulation shifter (exact products
+// accumulated wide, rounded and saturated back to 16 bits at
+// write-back) is rescale_to_i16 in nn/quantized.hpp.
 //
 // Keeping the format runtime-valued (rather than a template parameter)
 // lets experiments sweep precision without recompiling.
@@ -25,7 +25,6 @@ namespace sparsenn {
 struct FixedPointFormat {
   int frac_bits = 9;  ///< default Q6.9: range ±63.998, resolution ~2e-3
 
-  constexpr int total_bits() const noexcept { return 16; }
   constexpr int int_bits() const noexcept { return 15 - frac_bits; }
   constexpr double scale() const noexcept {
     return static_cast<double>(std::int64_t{1} << frac_bits);
@@ -64,41 +63,6 @@ class Fixed16 {
 
  private:
   std::int16_t raw_ = 0;
-  FixedPointFormat fmt_{};
-};
-
-/// 32-bit accumulator mirroring the PE's MAC register. Products of two
-/// Q(m.n) values are Q(2m.2n); the accumulator keeps 2n fractional bits
-/// and saturates only at the final 16-bit write-back, like the hardware.
-class FixedAccumulator {
- public:
-  explicit FixedAccumulator(FixedPointFormat operand_fmt) noexcept
-      : fmt_(operand_fmt) {}
-
-  /// acc += a * b (both operands share the operand format).
-  void mac(std::int16_t a, std::int16_t b) noexcept {
-    acc_ += static_cast<std::int64_t>(a) * static_cast<std::int64_t>(b);
-  }
-
-  /// Adds a pre-shifted 16-bit value (e.g. a bias or router partial sum
-  /// that is already in operand format).
-  void add_operand(std::int16_t v) noexcept {
-    acc_ += static_cast<std::int64_t>(v) << fmt_.frac_bits;
-  }
-
-  std::int64_t raw() const noexcept { return acc_; }
-  void reset() noexcept { acc_ = 0; }
-
-  /// Write-back: shift out the extra fractional bits with rounding and
-  /// saturate into 16 bits.
-  std::int16_t to_fixed16() const noexcept;
-
-  double to_double() const noexcept {
-    return static_cast<double>(acc_) / (fmt_.scale() * fmt_.scale());
-  }
-
- private:
-  std::int64_t acc_ = 0;
   FixedPointFormat fmt_{};
 };
 

@@ -10,12 +10,6 @@
 // integer arithmetic, so every table produces bit-identical results —
 // tests/kernels_test.cpp pins this property across widths, alignments,
 // ragged tails and int16 saturation extremes.
-//
-// Two sparsity-aware dot products exist because zero terms contribute
-// exactly zero to an integer accumulator: dot_i16 over the full dense
-// row equals the ascending nonzero-index walk bit-for-bit, and
-// dot_i16_gather walks only the nonzero indices. Callers pick by
-// density (the choice affects speed only, never results).
 
 #include <cstddef>
 #include <cstdint>
@@ -29,35 +23,17 @@ namespace sparsenn {
 struct KernelTable {
   SimdIsa isa = SimdIsa::kScalar;
 
-  /// Exact dense dot product: Σ_{c<n} a[c]·b[c] in int64.
-  std::int64_t (*dot_i16)(const std::int16_t* a, const std::int16_t* b,
-                          std::size_t n);
-
-  /// Exact sparse dot product over ascending nonzero indices:
-  /// Σ_i row[idx[i]]·vals[i], where idx[i] < n for all i (n is the row
-  /// length — the gather implementations need it to stay in bounds).
-  std::int64_t (*dot_i16_gather)(const std::int16_t* row, std::size_t n,
-                                 const std::uint32_t* idx,
-                                 const std::int16_t* vals,
-                                 std::size_t nnz);
-
   /// acc[j] += w[j]·a for j < n (the PE's V-phase column MAC burst).
   void (*axpy_i16_i64)(std::int64_t* acc, const std::int16_t* w,
                        std::int16_t a, std::size_t n);
 
-  /// Fused pair of column sweeps: acc[j] += w0[j]·a0 + w1[j]·a1 —
-  /// halves the accumulator-bank traffic of the column-major matvec
-  /// (the functional forward pass pairs its nonzero inputs).
-  void (*axpy2_i16_i64)(std::int64_t* acc, const std::int16_t* w0,
-                        std::int16_t a0, const std::int16_t* w1,
-                        std::int16_t a1, std::size_t n);
-
   /// Whole input-sparse column-major matvec:
   /// acc[j] += Σ_i cols[idx[i]·m + j] · act[idx[i]] for j < m, where
   /// `cols` is the transposed matrix (one m-wide row per input) and
-  /// idx the ascending nonzero input indices. The vector forms tile
-  /// the accumulators in registers across all columns, eliminating the
-  /// per-sweep bank round trips — the dominant cost of repeated axpy.
+  /// idx the ascending nonzero input indices. The AVX2 and NEON forms
+  /// sweep the columns in pairs, one fused two-column axpy per pair of
+  /// inputs, which halves the accumulator-bank traffic of repeated
+  /// axpy; the SSE4.2 form sweeps one column at a time.
   void (*sparse_matvec_i16_i64)(std::int64_t* acc,
                                 const std::int16_t* cols, std::size_t m,
                                 const std::uint32_t* idx, std::size_t nnz,

@@ -33,8 +33,6 @@ class Table {
   explicit Table(std::vector<std::string> header);
 
   Table& add_row(std::vector<Cell> cells);
-  std::size_t row_count() const noexcept { return rows_.size(); }
-  std::size_t column_count() const noexcept { return header_.size(); }
 
   /// Pretty prints with aligned columns and a rule under the header.
   void print(std::ostream& out) const;

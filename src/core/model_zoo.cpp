@@ -4,6 +4,18 @@
 #include "common/fault.hpp"
 
 namespace sparsenn {
+namespace {
+
+/// Whether `image` is the zoo entry for key (network's version, arch,
+/// uv).
+bool is_image_of(const CompiledNetwork& image,
+                 const QuantizedNetwork& network, const ArchParams& arch,
+                 bool use_predictor) {
+  return image.network().same_version(network) &&
+         image.use_predictor() == use_predictor && image.params() == arch;
+}
+
+}  // namespace
 
 ModelZoo::ModelZoo(std::size_t capacity) : capacity_(capacity) {
   expects(capacity_ > 0, "ModelZoo capacity must be at least 1");
@@ -17,30 +29,14 @@ std::size_t ModelZoo::size() const {
 std::shared_ptr<const CompiledNetwork> ModelZoo::get(
     const QuantizedNetwork& network, const ArchParams& arch,
     bool use_predictor) {
-  const std::uint64_t uid = network.uid();
-  const std::uint64_t epoch = network.epoch();
   const sync::MutexLock lock(mutex_);
-
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    const CompiledNetwork& image = **it;
-    if (image.source_uid() != uid) {
-      ++it;
-      continue;
-    }
-    if (image.source_epoch() != epoch) {
-      // The network mutated since this image was compiled: the image
-      // is stale on every arch and can never be served again. Only
-      // this network's entries are touched — other networks stay warm.
-      it = entries_.erase(it);
-      continue;
-    }
-    if (image.use_predictor() == use_predictor && image.params() == arch) {
+  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+    if (is_image_of(**it, network, arch, use_predictor)) {
       // Hit: refresh recency (MRU first) and serve.
       ++hit_count_;
       entries_.splice(entries_.begin(), entries_, it);
       return entries_.front();
     }
-    ++it;
   }
 
   // Miss. A bad arch throws here, before it can cost a warm image or
@@ -68,12 +64,8 @@ std::shared_ptr<const CompiledNetwork> ModelZoo::get(
 bool ModelZoo::contains(const QuantizedNetwork& network,
                         const ArchParams& arch, bool use_predictor) const {
   const sync::MutexLock lock(mutex_);
-  for (const std::shared_ptr<const CompiledNetwork>& image : entries_) {
-    if (image->compiled_from(network) &&
-        image->use_predictor() == use_predictor && image->params() == arch) {
-      return true;
-    }
-  }
+  for (const std::shared_ptr<const CompiledNetwork>& image : entries_)
+    if (is_image_of(*image, network, arch, use_predictor)) return true;
   return false;
 }
 
@@ -82,11 +74,11 @@ void ModelZoo::invalidate() {
   entries_.clear();
 }
 
-std::size_t ModelZoo::invalidate(std::uint64_t uid) {
+std::size_t ModelZoo::invalidate(const QuantizedNetwork& network) {
   const sync::MutexLock lock(mutex_);
   return entries_.remove_if(
-      [uid](const std::shared_ptr<const CompiledNetwork>& image) {
-        return image->source_uid() == uid;
+      [&network](const std::shared_ptr<const CompiledNetwork>& image) {
+        return image->network().same_version(network);
       });
 }
 

@@ -1,8 +1,8 @@
 #pragma once
 // The compiled-image cache: one capacity-bounded LRU of compiled
-// per-PE slice images keyed on (arch, network uid, network epoch, uv
-// mode). A compiled image is only meaningful for the architecture it
-// was sliced for, so the arch is part of the key, and one zoo serves
+// per-PE slice images keyed on (arch, network version, uv mode). A
+// compiled image is only meaningful for the architecture it was
+// sliced for, so the arch is part of the key, and one zoo serves
 // models deployed against mixed ArchParams configs (paper 64-PE next
 // to reduced 16-PE experiments) side by side. The arch is matched by
 // value (ArchParams::operator==): a fetch builds no string key.
@@ -15,10 +15,12 @@
 //     network simply recompiles — images are pure functions of
 //     (network state, arch, uv), so results are bit-identical after
 //     recompilation (tests/model_zoo_test pins it);
-//   - a network mutation (epoch bump, e.g. set_prediction_threshold)
-//     invalidates only that network's entries: get() drops same-uid
-//     entries whose epoch moved, on every arch; other networks stay
-//     warm;
+//   - a network version is its shared layer list
+//     (QuantizedNetwork::same_version): every copy of a network hits
+//     the same images, and a threshold change makes a new version that
+//     compiles afresh. The old version's images stay valid — each image
+//     holds its own copy of its network — until evicted or dropped by
+//     invalidate(network);
 //   - an invalid arch throws std::invalid_argument from get() before
 //     anything is evicted or counted.
 //
@@ -31,10 +33,7 @@
 // invalidation only drop the zoo's own reference, so an image held by
 // an in-flight inference stays alive (and bit-exact) until that
 // inference releases it — an eviction can race an arbitrarily long
-// cycle-engine run under multi-model serving churn. The source
-// QuantizedNetwork must still outlive any pinned image: the image's
-// stale() check reads through its network pointer, and its W views
-// point into the network's weights.
+// cycle-engine run under multi-model serving churn.
 
 #include <cstdint>
 #include <list>
@@ -60,28 +59,27 @@ class ModelZoo {
   /// the capacity).
   std::size_t size() const SPARSENN_EXCLUDES(mutex_);
 
-  /// The compiled image of (network@its-current-epoch, uv) for `arch`:
-  /// a hit refreshes the entry's recency; a miss compiles, inserting
-  /// as most-recent and evicting the LRU entry when full. Same-uid
-  /// entries compiled at an older epoch are dropped on the way. The
-  /// returned pointer pins the image: it stays valid (and bit-exact)
-  /// even if the entry is evicted or invalidated while held.
+  /// The compiled image of (network's version, uv) for `arch`: a hit
+  /// refreshes the entry's recency; a miss compiles, inserting as
+  /// most-recent and evicting the LRU entry when full. The returned
+  /// pointer pins the image: it stays valid (and bit-exact) even if
+  /// the entry is evicted or invalidated while held.
   std::shared_ptr<const CompiledNetwork> get(const QuantizedNetwork& network,
                                              const ArchParams& arch,
                                              bool use_predictor)
       SPARSENN_EXCLUDES(mutex_);
 
-  /// Whether a live image exists for (network@its-current-epoch,
-  /// arch, uv).
+  /// Whether a live image exists for (network's version, arch, uv).
   bool contains(const QuantizedNetwork& network, const ArchParams& arch,
                 bool use_predictor) const SPARSENN_EXCLUDES(mutex_);
 
-  /// Drops every image (e.g. when source networks die before the zoo).
+  /// Drops every image.
   void invalidate() SPARSENN_EXCLUDES(mutex_);
 
-  /// Drops all of one network's images (every arch, both uv modes, any
-  /// epoch); returns how many were dropped.
-  std::size_t invalidate(std::uint64_t uid) SPARSENN_EXCLUDES(mutex_);
+  /// Drops all images of `network`'s version (every arch, both uv
+  /// modes); returns how many were dropped.
+  std::size_t invalidate(const QuantizedNetwork& network)
+      SPARSENN_EXCLUDES(mutex_);
 
   // Observability for tests and serving dashboards.
   std::uint64_t compile_count() const SPARSENN_EXCLUDES(mutex_);
@@ -91,8 +89,8 @@ class ModelZoo {
  private:
   const std::size_t capacity_;
   mutable sync::Mutex mutex_;
-  /// MRU first. Each image records its own key (params(), source_uid(),
-  /// source_epoch(), use_predictor()).
+  /// MRU first. Each image carries its own key (params(), network(),
+  /// use_predictor()).
   std::list<std::shared_ptr<const CompiledNetwork>> entries_
       SPARSENN_GUARDED_BY(mutex_);
   std::uint64_t compile_count_ SPARSENN_GUARDED_BY(mutex_) = 0;

@@ -27,11 +27,9 @@ void System::prepare() {
 
   log_info("system", "quantising to 16-bit fixed point");
   quantized_.emplace(model_->network, split_->train.inputs);
-  engine_ = make_engine(options_.engine, options_.arch, options_.stepping);
+  engine_ = make_engine(options_.engine, options_.arch);
 
-  // A re-prepare()d network carries a fresh uid, so images compiled
-  // from the previous one can never be served again (the zoo key is
-  // (uid, epoch), not the address) — drop them eagerly.
+  // No earlier image can match the new network; drop any eagerly.
   zoo_.invalidate();
 }
 
@@ -73,12 +71,11 @@ BatchResult System::simulate_batch(const BatchOptions& options) const {
   expects(prepared(), "call prepare() first");
   // The per-PE slice image comes from the system zoo and is shared
   // read-only across the runner's workers (sim/compiled_network.hpp),
-  // and across repeated batches at the same network epoch. An unset
+  // and across repeated batches at the same threshold. An unset
   // BatchOptions::engine inherits the system's configured backend;
   // an explicit one overrides it per batch.
   BatchOptions resolved = options;
   if (!resolved.engine) resolved.engine = options_.engine;
-  if (!resolved.stepping) resolved.stepping = options_.stepping;
   const BatchRunner runner(options_.arch, resolved);
   // The pin outlives the whole batch, so no zoo churn can free the
   // image under the workers.
@@ -151,11 +148,10 @@ HardwareComparison System::compare_hardware(std::size_t samples) {
 
 void System::set_prediction_threshold(double threshold) {
   expects(prepared(), "call prepare() first");
+  // Drop the outgoing version's images before switching, so a K-point
+  // threshold sweep holds one version's layers, not K.
+  zoo_.invalidate(*quantized_);
   quantized_->set_prediction_threshold(threshold);
-  // The epoch bump above already marks this network's cached images
-  // stale; drop them eagerly so a threshold sweep never holds dead
-  // images across its K points.
-  zoo_.invalidate(quantized_->uid());
 }
 
 AreaBreakdown System::area() const { return compute_area(options_.arch); }

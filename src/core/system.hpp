@@ -41,9 +41,6 @@ struct SystemOptions {
   /// kAnalytic keeps predictions bit-identical while replacing
   /// per-cycle simulation with closed-form schedule math.
   EngineKind engine = EngineKind::kCycle;
-  /// How the cycle backend advances time; both modes are
-  /// bit-identical. The analytic backend ignores it.
-  SteppingMode stepping = SteppingMode::kEvent;
 };
 
 /// Mean per-layer hardware cost over a set of inferences.
@@ -82,7 +79,7 @@ class System {
   /// One inference of one test sample on the configured backend
   /// (SystemOptions::engine). The network's per-PE slice image comes
   /// from the system's ModelZoo, so repeated calls (rank/threshold
-  /// sweeps, the fig benches) compile once per (epoch, uv mode)
+  /// sweeps, the fig benches) compile once per (threshold, uv mode)
   /// instead of once per call; on the cycle backend the golden-model
   /// cross-check stays on (single runs are the paper's verification
   /// path).
@@ -106,9 +103,9 @@ class System {
 
   /// Deploy-time prediction threshold θ (see
   /// QuantizedLayer::prediction_threshold): rows compute only when
-  /// U V a > θ. Affects subsequent simulate()/compare_hardware() calls;
-  /// invalidates the compiled-network cache (the network epoch moves),
-  /// so the next simulation recompiles against the new threshold.
+  /// U V a > θ. Affects subsequent simulate()/compare_hardware() calls:
+  /// the previous version's compiled images are dropped, and the next
+  /// simulation compiles against the new threshold.
   void set_prediction_threshold(double threshold);
 
   /// Real compilations performed so far by the system's ModelZoo —
@@ -134,11 +131,9 @@ class System {
   /// The zoo is thread-safe, so concurrent *const* calls (e.g. two
   /// threads in simulate_batch()) serialize only the image fetch and
   /// share the filled entry read-only. The returned shared_ptr pins
-  /// the image, so a caller's in-flight inference survives even an
-  /// eviction or a concurrent-epoch invalidation — only the source
-  /// network itself (quantized_) must stay alive, which mutating calls
-  /// (set_prediction_threshold, prepare) guarantee by not running
-  /// concurrently with readers.
+  /// the image (and with it the network version it was compiled
+  /// from), so a caller's in-flight inference survives an eviction or
+  /// an invalidation.
   mutable ModelZoo zoo_;
 
   std::shared_ptr<const CompiledNetwork> compiled(bool use_predictor) const {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cmath>
 #include <thread>
 #include <utility>
@@ -112,37 +111,6 @@ std::int16_t rescale_to_i16(std::int64_t acc, int from_frac,
       std::clamp<std::int64_t>(shifted, -32768, 32767));
 }
 
-std::uint64_t QuantizedNetwork::next_uid() noexcept {
-  static std::atomic<std::uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
-QuantizedNetwork::QuantizedNetwork(const QuantizedNetwork& other)
-    : layers_(other.layers_) {}
-
-QuantizedNetwork::QuantizedNetwork(QuantizedNetwork&& other) noexcept
-    : layers_(std::move(other.layers_)) {
-  other.uid_ = next_uid();
-}
-
-QuantizedNetwork& QuantizedNetwork::operator=(
-    const QuantizedNetwork& other) {
-  layers_ = other.layers_;
-  uid_ = next_uid();
-  epoch_ = 0;
-  return *this;
-}
-
-QuantizedNetwork& QuantizedNetwork::operator=(
-    QuantizedNetwork&& other) noexcept {
-  if (this == &other) return *this;
-  layers_ = std::move(other.layers_);
-  uid_ = next_uid();
-  epoch_ = 0;
-  other.uid_ = next_uid();
-  return *this;
-}
-
 namespace detail {
 
 CalibrationRanges calibration_ranges(const Network& network,
@@ -195,9 +163,11 @@ CalibrationRanges calibration_ranges(const Network& network,
 
 QuantizedNetwork::QuantizedNetwork(const Network& network,
                                    const Matrix& calibration,
-                                   std::size_t calibration_limit)
-    : layers_(network.num_weight_layers()) {
-  const std::size_t nl = layers_.size();
+                                   std::size_t calibration_limit) {
+  auto owned = std::make_shared<std::vector<QuantizedLayer>>(
+      network.num_weight_layers());
+  std::vector<QuantizedLayer>& layers = *owned;
+  const std::size_t nl = layers.size();
   const auto is_large = [&](std::size_t l) {
     return network.weight(l).size() >= kParallelQuantizeWords;
   };
@@ -208,7 +178,7 @@ QuantizedNetwork::QuantizedNetwork(const Network& network,
     // Allocated here, not on the worker: glibc would serve a worker's
     // malloc from a per-thread arena, which keeps what the buffer frees
     // and so raises the process's peak RSS on every redeployment.
-    layers_[l].w_t.data.reserve(network.weight(l).size());
+    layers[l].w_t.data.reserve(network.weight(l).size());
   }
   const std::size_t threads =
       large.empty() ? 1
@@ -216,17 +186,17 @@ QuantizedNetwork::QuantizedNetwork(const Network& network,
 
   // Task 0, on the calling thread: calibration, then every small
   // tensor. Task k > 0: the k-th large W. Every task writes only its
-  // own members of layers_, so no word depends on the thread count.
+  // own members of `layers`, so no word depends on the thread count.
   fork_join(1 + large.size(), threads, [&](std::size_t task) {
     if (task > 0) {
       const std::size_t l = large[task - 1];
-      quantize_weight(network, l, layers_[l].w_t);
+      quantize_weight(network, l, layers[l].w_t);
       return;
     }
     const detail::CalibrationRanges ranges =
         detail::calibration_ranges(network, calibration, calibration_limit);
     for (std::size_t l = 0; l < nl; ++l) {
-      QuantizedLayer& q = layers_[l];
+      QuantizedLayer& q = layers[l];
       if (!is_large(l)) quantize_weight(network, l, q.w_t);
       q.is_output = (l + 1 == nl);
       q.in_fmt = format_for_max(ranges.act_max[l]);
@@ -243,6 +213,7 @@ QuantizedNetwork::QuantizedNetwork(const Network& network,
       }
     }
   });
+  layers_ = std::move(owned);
 }
 
 std::vector<std::int16_t> QuantizedNetwork::quantize_input(
@@ -254,10 +225,10 @@ std::vector<std::int16_t> QuantizedNetwork::quantize_input(
 
 void QuantizedNetwork::quantize_input_into(
     std::span<const float> input, std::vector<std::int16_t>& out) const {
-  expects(!layers_.empty(), "empty network");
-  expects(input.size() == layers_.front().in_dim(),
+  expects(!layers_->empty(), "empty network");
+  expects(input.size() == layers_->front().in_dim(),
           "input dimension mismatch");
-  quantize_into(input, layers_.front().in_fmt, out);
+  quantize_into(input, layers_->front().in_fmt, out);
 }
 
 QuantizedLayerResult QuantizedNetwork::forward_layer(
@@ -280,7 +251,7 @@ void QuantizedNetwork::forward_layer_into(
     std::span<const std::uint32_t> nz_idx, bool use_predictor,
     std::vector<std::int16_t>& v_result, std::vector<std::uint8_t>& mask,
     std::vector<std::int16_t>& activations) const {
-  const QuantizedLayer& q = layers_.at(l);
+  const QuantizedLayer& q = layers_->at(l);
   expects(act.size() == q.in_dim(), "activation dimension mismatch");
 
   const std::size_t m = q.out_dim();
@@ -351,7 +322,7 @@ void QuantizedNetwork::forward_layer_into(
 std::vector<std::int16_t> QuantizedNetwork::infer_raw(
     std::span<const float> input, bool use_predictor) const {
   std::vector<std::int16_t> act = quantize_input(input);
-  for (std::size_t l = 0; l < layers_.size(); ++l)
+  for (std::size_t l = 0; l < layers_->size(); ++l)
     act = forward_layer(l, act, use_predictor).activations;
   return act;
 }
@@ -359,14 +330,15 @@ std::vector<std::int16_t> QuantizedNetwork::infer_raw(
 Vector QuantizedNetwork::infer(std::span<const float> input,
                                bool use_predictor) const {
   const std::vector<std::int16_t> raw = infer_raw(input, use_predictor);
-  const std::vector<float> deq = dequantize(raw, layers_.back().out_fmt);
+  const std::vector<float> deq = dequantize(raw, layers_->back().out_fmt);
   return Vector(deq.begin(), deq.end());
 }
 
 void QuantizedNetwork::set_prediction_threshold(double threshold) {
-  for (QuantizedLayer& layer : layers_)
+  auto layers = std::make_shared<std::vector<QuantizedLayer>>(*layers_);
+  for (QuantizedLayer& layer : *layers)
     if (layer.has_predictor()) layer.prediction_threshold = threshold;
-  ++epoch_;  // invalidates every compiled snapshot of this network
+  layers_ = std::move(layers);
 }
 
 double QuantizedNetwork::test_error_rate(const Matrix& inputs,

@@ -14,6 +14,7 @@
 // (detail::calibration_ranges).
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -120,7 +121,16 @@ CalibrationRanges calibration_ranges(const Network& network,
 /// 2^14 words (≈41–46 µs) it would not pay at all.
 inline constexpr std::size_t kParallelQuantizeWords = std::size_t{1} << 16;
 
-/// The deployable network image.
+/// The deployable network image: a value that is cheap to copy. Every
+/// copy shares one immutable layer list, built once by the
+/// constructor, and set_prediction_threshold gives only the object it
+/// is called on a new copy of its layers (copy-on-write). So whoever
+/// holds a copy — a compiled image (sim/compiled_network.hpp), a
+/// serving frontend's model table — keeps exactly the version it was
+/// given, whatever later happens to the caller's object. Distinct
+/// copies may be used from different threads freely; one object, like
+/// any value, must not be assigned or re-thresholded while another
+/// thread reads it.
 class QuantizedNetwork {
  public:
   /// Quantises `network`, calibrating activation ranges on up to
@@ -138,22 +148,21 @@ class QuantizedNetwork {
   QuantizedNetwork(const Network& network, const Matrix& calibration,
                    std::size_t calibration_limit = 64);
 
-  // Every constructed object — including copies and move targets —
-  // gets a fresh uid(), and assignment refreshes the target's uid:
-  // identity tracks the *object's content history*, not the address.
-  // (An address can be reused: System::prepare() re-emplaces its
-  // network into the same std::optional slot, so an address+epoch key
-  // would let a ModelZoo serve the previous network's
-  // image.) Moved-from sources are also re-identified so a cached
-  // image can never match their gutted state.
-  QuantizedNetwork(const QuantizedNetwork& other);
-  QuantizedNetwork(QuantizedNetwork&& other) noexcept;
-  QuantizedNetwork& operator=(const QuantizedNetwork& other);
-  QuantizedNetwork& operator=(QuantizedNetwork&& other) noexcept;
+  // Only copy operations are declared, so a move copies the layer
+  // reference: a moved-from network stays whole and safe to query.
+  QuantizedNetwork(const QuantizedNetwork&) = default;
+  QuantizedNetwork& operator=(const QuantizedNetwork&) = default;
 
-  std::size_t num_layers() const noexcept { return layers_.size(); }
+  std::size_t num_layers() const noexcept { return layers_->size(); }
   const QuantizedLayer& layer(std::size_t l) const {
-    return layers_.at(l);
+    return layers_->at(l);
+  }
+
+  /// Whether `other` shares this object's layers: it is a copy of this
+  /// network (or this of it) and neither changed its threshold since.
+  /// One version's compiled images serve all of its copies.
+  bool same_version(const QuantizedNetwork& other) const noexcept {
+    return layers_ == other.layers_;
   }
 
   std::vector<std::int16_t> quantize_input(
@@ -204,28 +213,12 @@ class QuantizedNetwork {
                          bool use_predictor = true) const;
 
   /// Sets the deploy-time prediction threshold θ on every predictor
-  /// layer (see QuantizedLayer::prediction_threshold). Bumps epoch().
+  /// layer (see QuantizedLayer::prediction_threshold) of a new copy of
+  /// this object's layers; every other copy keeps the old version.
   void set_prediction_threshold(double threshold);
 
-  /// Monotone mutation counter. Every mutator (today:
-  /// set_prediction_threshold; any future one must do the same)
-  /// increments it, so snapshot consumers — sim::CompiledNetwork and
-  /// core/model_zoo.hpp's ModelZoo — can detect a stale image exactly
-  /// instead of silently diverging from the source network.
-  std::uint64_t epoch() const noexcept { return epoch_; }
-
-  /// Process-unique object identity (see the special-member comment
-  /// above). (uid, epoch) uniquely names one immutable network state
-  /// for the lifetime of the process; snapshot consumers key on the
-  /// pair rather than the object's address.
-  std::uint64_t uid() const noexcept { return uid_; }
-
  private:
-  static std::uint64_t next_uid() noexcept;
-
-  std::vector<QuantizedLayer> layers_;
-  std::uint64_t uid_ = next_uid();
-  std::uint64_t epoch_ = 0;
+  std::shared_ptr<const std::vector<QuantizedLayer>> layers_;
 };
 
 }  // namespace sparsenn

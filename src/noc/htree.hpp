@@ -48,7 +48,6 @@ class UpwardTree {
   UpwardTree(const ArchParams& params, RouterMode mode);
 
   std::size_t num_pes() const noexcept { return num_pes_; }
-  std::size_t num_levels() const noexcept { return levels_.size(); }
 
   /// Can PE `pe` inject this cycle? (credit view of its leaf port)
   /// Inline with precomputed parent links — the cycle loop asks for
@@ -163,7 +162,6 @@ class BroadcastChannel {
   /// `latency` = cycles from entry to delivery (levels × hop latency).
   explicit BroadcastChannel(std::size_t latency);
 
-  bool can_send() const noexcept { return true; }  // contention-free
   void send(const Flit& flit);
 
   /// Advances one cycle; returns the flit delivered to all PEs this

@@ -54,7 +54,6 @@ class SramBank {
 
   const std::string& name() const noexcept { return name_; }
   std::size_t capacity_words() const noexcept { return capacity_words_; }
-  std::size_t used_words() const noexcept { return view_.size(); }
 
   /// Binds the bank to one layer's slice. Throws when its rows × cols
   /// words exceed the physical capacity.
@@ -95,7 +94,6 @@ class SramBank {
   void note_reads(std::uint64_t n) noexcept { reads_ += n; }
 
   std::uint64_t reads() const noexcept { return reads_; }
-  void reset_counters() noexcept { reads_ = 0; }
 
  private:
   std::string name_;

@@ -37,7 +37,6 @@ void ProcessingElement::load_layer(const PeLayerSlice& slice) {
   }
   predictor_bits_.assign(slice.global_rows.size(), 0);
   v_results_.assign(slice.rank, 0);
-  v_results_received_ = 0;
 
   // Upper-bound the per-phase scratch so the phases below never grow a
   // buffer mid-inference: the scan outputs hold at most one flit per
@@ -114,7 +113,6 @@ void ProcessingElement::start_v_phase() {
   v_rank_cursor_ = 0;
   v_inject_cursor_ = 0;
   v_results_.assign(slice_.rank, 0);
-  v_results_received_ = 0;
   events_.lnzd_scans += v_inputs_.size();
 }
 
@@ -160,7 +158,6 @@ void ProcessingElement::receive_v_result(std::uint32_t row,
                                          std::int16_t value) {
   expects(row < v_results_.size(), "V result row out of range");
   v_results_[row] = value;
-  ++v_results_received_;
   ++events_.queue_ops;  // results land via the activation queue
 }
 

@@ -27,8 +27,9 @@
 // OwnedPeSlice in tests). Loading a layer binds views instead of
 // copying weights, and the PE's per-phase scratch buffers are members
 // reused across layers and inferences, so the steady-state cycle loop
-// never touches the heap. The network and the slice's backing storage
-// must stay alive while the layer simulates.
+// never touches the heap. The slice's backing storage must stay alive
+// while the layer simulates: a CompiledNetwork holds its pools and its
+// own copy of the network's layers; an OwnedPeSlice needs its layer.
 
 #include <cstdint>
 #include <optional>
@@ -147,12 +148,6 @@ class ProcessingElement {
   }
   /// Broadcast V result arriving from the root (already rescaled).
   void receive_v_result(std::uint32_t row, std::int16_t value);
-  std::size_t v_results_received() const noexcept {
-    return v_results_received_;
-  }
-  std::span<const std::int16_t> v_results() const noexcept {
-    return v_results_;
-  }
 
   // ---- U phase ----
   /// Runs the whole U phase; returns the exact cycle count this PE
@@ -309,7 +304,6 @@ class ProcessingElement {
   std::size_t v_rank_cursor_ = 0;     ///< which MAC within the column
   std::size_t v_inject_cursor_ = 0;
   std::vector<std::int16_t> v_results_;
-  std::size_t v_results_received_ = 0;
 
   // W phase state
   std::vector<std::int64_t> w_accumulators_;  ///< per mapped row

@@ -66,7 +66,7 @@ struct ServingFrontend::WorkerLocal {
       if (slot.arch == arch) return slot;
     EngineSlot& slot = slots.emplace_back();
     slot.arch = arch;
-    slot.engine = make_engine(options.engine, arch, options.stepping);
+    slot.engine = make_engine(options.engine, arch);
     return slot;
   }
 };
@@ -187,8 +187,14 @@ std::size_t ServingFrontend::register_model(const QuantizedNetwork& network,
   }
   const sync::MutexLock lock(models_mutex_);
   expects(!shut_down_, "cannot register models after shutdown");
-  models_.push_back(ModelEntry{&network, arch});
+  models_.push_back(ModelEntry{network, arch});
   return models_.size() - 1;
+}
+
+ServingFrontend::ModelEntry ServingFrontend::model_entry(
+    std::size_t model) const {
+  const sync::MutexLock lock(models_mutex_);
+  return models_[model];
 }
 
 std::size_t ServingFrontend::num_models() const {
@@ -366,11 +372,7 @@ void ServingFrontend::process_batch(RequestQueue<Pending>::Batch& batch,
     // above; an injected delay stalls the worker into watchdog range.
     (void)fault::point("serve.worker.batch");
 
-    ModelEntry entry{};
-    {
-      const sync::MutexLock lock(models_mutex_);
-      entry = models_[lane.model];
-    }
+    const ModelEntry entry = model_entry(lane.model);
 
     const auto claim_time = RequestQueue<Pending>::Clock::now();
     for (std::size_t i = 0; i < n; ++i) {
@@ -387,7 +389,7 @@ void ServingFrontend::process_batch(RequestQueue<Pending>::Batch& batch,
       std::uint64_t backoff_us = options_.retry_backoff_us;
       for (std::uint32_t attempt = 0;; ++attempt) {
         try {
-          image = zoo_.get(*entry.network, entry.arch, lane.use_predictor);
+          image = zoo_.get(entry.network, entry.arch, lane.use_predictor);
           break;
         } catch (const std::exception&) {
           if (attempt >= options_.max_retries) throw;

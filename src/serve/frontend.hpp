@@ -87,10 +87,10 @@
 // serve.result.corrupt, zoo.compile, engine.run —
 // and are zero-cost no-ops unless a test arms them.
 //
-// Lifetime: registered networks must outlive the frontend (the
-// compiled images' stale() checks and W views read through them). The
-// frontend joins its workers in shutdown()/destructor after draining
-// the queue.
+// Ownership: register_model keeps its own copy of the network, so
+// the caller's object may be destroyed or changed at once; requests
+// always run the version that was registered. The frontend joins its
+// workers in shutdown()/destructor after draining the queue.
 
 #include <array>
 #include <atomic>
@@ -125,9 +125,6 @@ struct ServingOptions {
   std::size_t max_queued_per_model = 256;
   /// Backend each worker instantiates per arch config.
   EngineKind engine = EngineKind::kAnalytic;
-  /// How those cycle engines advance time; both modes are
-  /// bit-identical. The analytic backend ignores it.
-  SteppingMode stepping = SteppingMode::kEvent;
   /// Bounded retry for transient compile-image failures: attempts
   /// beyond the first, with exponential backoff starting at
   /// retry_backoff_us and doubling per attempt. 0 = fail fast.
@@ -278,8 +275,8 @@ class ServingFrontend {
 
   /// Registers a deployable model under its own ArchParams (mixed
   /// configs are served side by side through the arch-keyed
-  /// ModelZoo). The network must outlive the frontend and must not
-  /// mutate while registered. Returns the handle submit() takes.
+  /// ModelZoo). The frontend keeps its own copy of `network` (see
+  /// Ownership above). Returns the handle submit() takes.
   std::size_t register_model(const QuantizedNetwork& network,
                              const ArchParams& arch);
 
@@ -327,7 +324,7 @@ class ServingFrontend {
     std::promise<ServeResult> promise;
   };
   struct ModelEntry {
-    const QuantizedNetwork* network;
+    QuantizedNetwork network;
     ArchParams arch;
   };
   /// Per-worker supervision state. Stable address (owned via
@@ -343,6 +340,9 @@ class ServingFrontend {
   struct Lane;         // (model, priority, uv) queue lane key (frontend.cpp)
 
   void worker_main(Worker& self);
+  /// A copy of a registered model's entry (it shares the layers).
+  ModelEntry model_entry(std::size_t model) const
+      SPARSENN_EXCLUDES(models_mutex_);
   void process_batch(RequestQueue<Pending>::Batch& batch, WorkerLocal& local,
                      Worker& self);
   void watchdog_main();

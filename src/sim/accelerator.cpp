@@ -8,12 +8,16 @@
 #include "sim/result_arena.hpp"
 
 namespace sparsenn {
-namespace {
 
-/// Hard ceiling on any phase; hitting it means a flow-control deadlock.
-constexpr std::uint64_t kCycleLimit = 50'000'000;
-
-}  // namespace
+const char* to_string(SteppingMode mode) noexcept {
+  switch (mode) {
+    case SteppingMode::kPerCycle:
+      return "per_cycle";
+    case SteppingMode::kEvent:
+      return "event";
+  }
+  return "unknown";
+}
 
 AcceleratorSim::AcceleratorSim(const ArchParams& params)
     : params_(params),
@@ -65,10 +69,6 @@ void AcceleratorSim::run_into(const CompiledNetwork& compiled,
   (void)fault::point("engine.run");
   expects(compiled.num_pes() == pes_.size(),
           "CompiledNetwork was built for a different PE count");
-  expects(!compiled.stale(),
-          "CompiledNetwork is stale: the source network mutated after "
-          "compilation (e.g. set_prediction_threshold) — recompile, or "
-          "fetch through a ModelZoo");
   const QuantizedNetwork& network = compiled.network();
   network.quantize_input_into(input, input_scratch);
 

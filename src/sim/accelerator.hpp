@@ -35,11 +35,7 @@
 //     allocations in steady state.
 //
 // Results are bit-identical across all entry points and modes; only
-// the wall-clock and allocation profile differ. A stale compiled image
-// (the source network mutated after compilation — see
-// QuantizedNetwork::epoch) is rejected with a precondition failure by
-// every compiled entry point instead of silently simulating outdated
-// weights.
+// the wall-clock and allocation profile differ.
 //
 // The steady-state cycle loop performs no heap allocation: the trees,
 // broadcast channel, queues and scan buffers are preallocated members
@@ -60,6 +56,16 @@
 
 namespace sparsenn {
 
+/// How the cycle engine advances simulated time. Both modes are
+/// bit-identical in every observable (cycles, event counts, NoC stats,
+/// activations) — they differ only in wall-clock speed.
+enum class SteppingMode {
+  kPerCycle,  ///< every component visited every cycle (the oracle)
+  kEvent,     ///< event-driven wake-list core (sim/event_core.hpp)
+};
+
+const char* to_string(SteppingMode mode) noexcept;
+
 class AcceleratorSim final : public ExecutionEngine {
  public:
   explicit AcceleratorSim(const ArchParams& params);
@@ -78,8 +84,7 @@ class AcceleratorSim final : public ExecutionEngine {
 
   /// Runs one inference from a pre-compiled network (see
   /// sim/compiled_network.hpp). `compiled` must have been built with
-  /// this simulator's ArchParams, must not be stale(), and must
-  /// outlive the call.
+  /// this simulator's ArchParams.
   SimResult run(const CompiledNetwork& compiled,
                 std::span<const float> input,
                 ValidationMode validation = ValidationMode::kFull) override;
@@ -98,12 +103,11 @@ class AcceleratorSim final : public ExecutionEngine {
   /// records. Pass nullptr to detach. The log must outlive the sim.
   void set_trace(TraceLog* trace) noexcept override { trace_ = trace; }
 
-  /// How simulated time advances (see SteppingMode in sim/engine.hpp).
-  /// Results, cycle counts, event counters and NoC statistics are
-  /// bit-identical across both modes (tests/compiled_engine_test and
-  /// tests/event_core_test pin this); the knob exists so tests and
-  /// benches can cross-check the event core against pure per-cycle
-  /// runs. Default: kEvent, the fastest mode.
+  /// How simulated time advances. Results, cycle counts, event
+  /// counters and NoC statistics are bit-identical across both modes
+  /// (tests/compiled_engine_test and tests/event_core_test pin this);
+  /// the switch exists so tests and benches can cross-check the event
+  /// core against the per-cycle reference. Default: kEvent.
   void set_stepping_mode(SteppingMode mode) noexcept { stepping_ = mode; }
   SteppingMode stepping_mode() const noexcept { return stepping_; }
 

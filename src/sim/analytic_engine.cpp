@@ -44,10 +44,6 @@ void AnalyticEngine::run_into(const CompiledNetwork& compiled,
   (void)fault::point("engine.run");
   expects(compiled.num_pes() == params_.num_pes,
           "CompiledNetwork was built for a different PE count");
-  expects(!compiled.stale(),
-          "CompiledNetwork is stale: the source network mutated after "
-          "compilation (e.g. set_prediction_threshold) — recompile, or "
-          "fetch through a ModelZoo");
   const QuantizedNetwork& network = compiled.network();
   network.quantize_input_into(input, input_scratch);
 

@@ -107,13 +107,6 @@ BatchResult BatchRunner::run(const CompiledNetwork& compiled,
           "CompiledNetwork was built for a different PE count");
   expects(compiled.use_predictor() == options_.use_predictor,
           "CompiledNetwork was built for the other uv mode");
-  // The per-inference engine re-checks this, but failing here keeps the
-  // stale-snapshot error on the calling thread instead of surfacing as
-  // a rethrown worker exception after threads have spun up.
-  expects(!compiled.stale(),
-          "CompiledNetwork is stale: the source network mutated after "
-          "compilation — recompile, or fetch through a "
-          "ModelZoo");
 
   // Count images, not labels: an unlabeled dataset (inputs only) is
   // still runnable — it just reports error_rate_percent = -1.
@@ -147,9 +140,8 @@ BatchResult BatchRunner::run(const CompiledNetwork& compiled,
     // steady-state inferences are allocation-free on the cycle
     // backend: the SimResult is folded into the accumulator and its
     // storage reused.
-    const std::unique_ptr<ExecutionEngine> engine = make_engine(
-        options_.engine.value_or(EngineKind::kCycle), params_,
-        options_.stepping.value_or(SteppingMode::kEvent));
+    const std::unique_ptr<ExecutionEngine> engine =
+        make_engine(options_.engine.value_or(EngineKind::kCycle), params_);
     ResultArena arena;
     if (!options_.keep_results) arena.reserve(compiled);
     try {

@@ -52,12 +52,6 @@ struct BatchOptions {
   /// inherit: System::simulate_batch fills in the system's configured
   /// engine; a standalone BatchRunner resolves it to kCycle.
   std::optional<EngineKind> engine;
-  /// How each worker's cycle engine advances time; both modes are
-  /// bit-identical. Unset inherits like `engine`:
-  /// System::simulate_batch fills in the system's configured mode; a
-  /// standalone BatchRunner resolves it to kEvent. The analytic
-  /// backend ignores it.
-  std::optional<SteppingMode> stepping;
 };
 
 /// Aggregate per-layer totals over the whole batch (exact integer sums).
@@ -116,7 +110,7 @@ class BatchRunner {
 
   /// Same, from an already-compiled network (shared read-only across
   /// the workers). `compiled` must match this runner's ArchParams and
-  /// options().use_predictor, and must outlive the call.
+  /// options().use_predictor.
   BatchResult run(const CompiledNetwork& compiled, const Dataset& data) const;
 
  private:

@@ -11,19 +11,17 @@ namespace sparsenn {
 CompiledNetwork::CompiledNetwork(const QuantizedNetwork& network,
                                  const ArchParams& params,
                                  bool use_predictor)
-    : network_(&network),
+    : network_(network),
       params_(params),
       use_predictor_(use_predictor),
-      num_layers_(network.num_layers()),
-      source_uid_(network.uid()),
-      source_epoch_(network.epoch()) {
+      num_layers_(network.num_layers()) {
   params_.validate();
 
   // Counting pass: size every pool exactly once, so appending never
   // reallocates and each slice binds its spans as it is appended.
   detail::PeSliceWords total;
   for (std::size_t l = 0; l < num_layers_; ++l) {
-    const QuantizedLayer& layer = network.layer(l);
+    const QuantizedLayer& layer = network_.layer(l);
     // Worst-case broadcast occupancy of this layer's phases: the V
     // phase multicasts `rank` results, the W phase one flit per
     // nonzero input (≤ the layer's input width).
@@ -44,9 +42,9 @@ CompiledNetwork::CompiledNetwork(const QuantizedNetwork& network,
   const auto bases = pool_bases();
   for (std::size_t l = 0; l < num_layers_; ++l) {
     for (std::size_t pe = 0; pe < params_.num_pes; ++pe) {
-      slices_.push_back(detail::append_pe_slice(network.layer(l), params_, pe,
-                                                use_predictor, rows_pool_,
-                                                u_pool_, v_pool_));
+      slices_.push_back(detail::append_pe_slice(
+          network_.layer(l), params_, pe, use_predictor, rows_pool_,
+          u_pool_, v_pool_));
     }
   }
   ensures(pool_bases() == bases,

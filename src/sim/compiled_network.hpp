@@ -18,21 +18,17 @@
 //
 // The compiled image is immutable and read-only shared: every layer,
 // every inference and every BatchRunner worker thread reads the same
-// storage concurrently without synchronisation. It records the
-// network's identity and mutation epoch (QuantizedNetwork::uid/epoch)
-// at compile time; mutating the source afterwards (e.g.
-// set_prediction_threshold) or assigning another network over it
-// makes the image stale(), and every run entry point rejects a stale
-// image with a precondition failure before it reads any weight —
-// after an assignment the W views may point at freed or overwritten
-// words. The referenced QuantizedNetwork and the chosen ArchParams
-// must outlive the CompiledNetwork.
+// storage concurrently without synchronisation. It holds its own copy
+// of the network it was compiled from (QuantizedNetwork copies share
+// one immutable layer list), so the W views stay valid and the image
+// keeps running that version whatever happens to the caller's object
+// afterwards: destroyed, assigned over, or given a new threshold.
 //
 // core/model_zoo.hpp closes the remaining recompile-per-call hole:
 // single-shot sweeps (System::simulate, the CLI simulate command, the
 // fig/ablation benches) fetch images from a ModelZoo — a thread-safe
-// LRU keyed on (arch, uid, epoch, uv mode) — instead of compiling per
-// call.
+// LRU keyed on (arch, network version, uv mode) — instead of compiling
+// per call.
 
 #include <cstdint>
 #include <vector>
@@ -58,35 +54,12 @@ class CompiledNetwork {
   CompiledNetwork(const CompiledNetwork&) = delete;
   CompiledNetwork& operator=(const CompiledNetwork&) = delete;
 
-  const QuantizedNetwork& network() const noexcept { return *network_; }
+  /// The version this image was compiled from (the image's own copy).
+  const QuantizedNetwork& network() const noexcept { return network_; }
   const ArchParams& params() const noexcept { return params_; }
   bool use_predictor() const noexcept { return use_predictor_; }
   std::size_t num_layers() const noexcept { return num_layers_; }
   std::size_t num_pes() const noexcept { return params_.num_pes; }
-
-  /// The network identity/epoch this image was compiled at (see
-  /// QuantizedNetwork::uid): stored values, safe to read even after
-  /// the source network has been destroyed.
-  std::uint64_t source_uid() const noexcept { return source_uid_; }
-  std::uint64_t source_epoch() const noexcept { return source_epoch_; }
-  /// True when the source network mutated (epoch moved) or was
-  /// re-identified (assigned over — uid moved) after compilation; a
-  /// stale image no longer matches the network and must not be
-  /// simulated.
-  bool stale() const noexcept {
-    return network_->uid() != source_uid_ ||
-           network_->epoch() != source_epoch_;
-  }
-
-  /// Whether this image was compiled from `network` at its current
-  /// state. Unlike an address comparison this can never confuse two
-  /// networks that reused the same storage (e.g. re-emplaced into the
-  /// same std::optional slot), and it touches only `network` and
-  /// stored values — never the possibly-dead source pointer.
-  bool compiled_from(const QuantizedNetwork& network) const noexcept {
-    return network.uid() == source_uid_ &&
-           network.epoch() == source_epoch_;
-  }
 
   /// Worst-case broadcast-channel occupancy of any phase of any layer
   /// (rank for V, input width for W) — the simulator pre-sizes the
@@ -102,12 +75,10 @@ class CompiledNetwork {
   }
 
  private:
-  const QuantizedNetwork* network_;
+  QuantizedNetwork network_;
   ArchParams params_;
   bool use_predictor_;
   std::size_t num_layers_;
-  std::uint64_t source_uid_;
-  std::uint64_t source_epoch_;
   std::size_t max_broadcast_flits_ = 0;
 
   // Packed storage, layer-major then PE-major; never resized after

@@ -29,31 +29,11 @@ std::optional<EngineKind> parse_engine_kind(std::string_view name) {
   return std::nullopt;
 }
 
-const char* to_string(SteppingMode mode) noexcept {
-  switch (mode) {
-    case SteppingMode::kPerCycle:
-      return "per_cycle";
-    case SteppingMode::kEvent:
-      return "event";
-  }
-  return "unknown";
-}
-
-std::optional<SteppingMode> parse_stepping_mode(std::string_view name) {
-  if (name == "per_cycle") return SteppingMode::kPerCycle;
-  if (name == "event") return SteppingMode::kEvent;
-  return std::nullopt;
-}
-
 std::unique_ptr<ExecutionEngine> make_engine(EngineKind kind,
-                                             const ArchParams& params,
-                                             SteppingMode stepping) {
+                                             const ArchParams& params) {
   switch (kind) {
-    case EngineKind::kCycle: {
-      auto engine = std::make_unique<AcceleratorSim>(params);
-      engine->set_stepping_mode(stepping);
-      return engine;
-    }
+    case EngineKind::kCycle:
+      return std::make_unique<AcceleratorSim>(params);
     case EngineKind::kAnalytic:
       return std::make_unique<AnalyticEngine>(params);
   }

@@ -96,21 +96,6 @@ const char* to_string(EngineKind kind) noexcept;
 /// anything else.
 std::optional<EngineKind> parse_engine_kind(std::string_view name);
 
-/// How the cycle engine advances simulated time. Both modes are
-/// bit-identical in every observable (cycles, event counts, NoC stats,
-/// activations) — they differ only in wall-clock speed. The analytic
-/// engine ignores the knob (it never ticks).
-enum class SteppingMode {
-  kPerCycle,  ///< every component visited every cycle (the reference)
-  kEvent,     ///< event-driven wake-list core (sim/event_core.hpp)
-};
-
-const char* to_string(SteppingMode mode) noexcept;
-
-/// Parses "per_cycle"/"event" (the CLI's --stepping values); nullopt
-/// on anything else.
-std::optional<SteppingMode> parse_stepping_mode(std::string_view name);
-
 /// Interface every backend implements. Entry points mirror the
 /// original AcceleratorSim surface so existing call sites keep
 /// compiling against either the concrete type or the interface.
@@ -123,8 +108,7 @@ class ExecutionEngine {
 
   /// Runs one inference from a pre-compiled network (see
   /// sim/compiled_network.hpp). `compiled` must have been built with
-  /// this engine's ArchParams, must not be stale(), and must outlive
-  /// the call.
+  /// this engine's ArchParams.
   virtual SimResult run(const CompiledNetwork& compiled,
                         std::span<const float> input,
                         ValidationMode validation = ValidationMode::kFull) = 0;
@@ -143,11 +127,8 @@ class ExecutionEngine {
 };
 
 /// Backend factory: the one place the concrete engine types are named.
-/// `stepping` configures the cycle backend; the analytic backend
-/// ignores it.
-std::unique_ptr<ExecutionEngine> make_engine(
-    EngineKind kind, const ArchParams& params,
-    SteppingMode stepping = SteppingMode::kEvent);
+std::unique_ptr<ExecutionEngine> make_engine(EngineKind kind,
+                                             const ArchParams& params);
 
 /// Appends one layer's V/U/W phase records to `trace` from a filled
 /// LayerSimResult — the shared trace shape of every backend

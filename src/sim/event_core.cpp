@@ -9,11 +9,6 @@
 namespace sparsenn {
 namespace {
 
-/// Hard ceiling on any phase; hitting it means a flow-control deadlock.
-/// Same value and messages as the per-cycle loops in sim/accelerator.cpp
-/// so a deadlock reports identically in every stepping mode.
-constexpr std::uint64_t kCycleLimit = 50'000'000;
-
 /// Activations the W data pass applies across all PEs at a time: 16
 /// columns of a 1000-row layer are 32 KB of W, which stays in L1.
 constexpr std::size_t kApplyBlock = 16;

@@ -55,6 +55,11 @@
 
 namespace sparsenn {
 
+/// Hard ceiling on any phase in either stepping mode; hitting it means
+/// a flow-control deadlock, which both modes report with the same
+/// messages.
+inline constexpr std::uint64_t kCycleLimit = 50'000'000;
+
 /// The event-driven V/W phase loops. Owns only scratch (wake-lists and
 /// the W timing model); the PEs, trees and broadcast channel belong to
 /// the AcceleratorSim that calls in.

@@ -36,7 +36,6 @@ class TraceLog {
   const std::vector<TraceRecord>& records() const noexcept {
     return records_;
   }
-  std::size_t current_inference() const noexcept { return inference_; }
 
   /// Phase totals across the whole log (quick sanity aggregation).
   std::uint64_t total_cycles(const std::string& phase) const;

@@ -128,30 +128,6 @@ TEST(FixedPoint, SaturatesAtRangeEnds) {
   EXPECT_EQ(Fixed16(-1e9, fmt).raw(), -32768);
 }
 
-TEST(FixedPoint, AccumulatorMatchesFloatMac) {
-  const FixedPointFormat fmt{.frac_bits = 9};
-  FixedAccumulator acc(fmt);
-  double reference = 0.0;
-  Rng rng{29};
-  for (int i = 0; i < 64; ++i) {
-    const double a = rng.uniform(-3.0, 3.0);
-    const double b = rng.uniform(-3.0, 3.0);
-    const Fixed16 qa(a, fmt);
-    const Fixed16 qb(b, fmt);
-    acc.mac(qa.raw(), qb.raw());
-    reference += qa.to_double() * qb.to_double();
-  }
-  EXPECT_NEAR(acc.to_double(), reference, 1e-9);
-}
-
-TEST(FixedPoint, AccumulatorWriteBackRounds) {
-  const FixedPointFormat fmt{.frac_bits = 9};
-  FixedAccumulator acc(fmt);
-  acc.mac(Fixed16(1.5, fmt).raw(), Fixed16(2.0, fmt).raw());
-  const Fixed16 y = Fixed16::from_raw(acc.to_fixed16(), fmt);
-  EXPECT_NEAR(y.to_double(), 3.0, fmt.resolution());
-}
-
 TEST(FixedPoint, ChooseFormatCoversRange) {
   const std::vector<float> small{0.1f, -0.2f, 0.3f};
   const FixedPointFormat f1 = choose_format(small);

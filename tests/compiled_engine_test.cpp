@@ -3,15 +3,19 @@
 // inferences from the shared read-only image must be a pure
 // optimisation — SimResult cycles, activations and every EventCounts
 // field bit-identical to a freshly-constructed per-inference run,
-// across predictor modes, validation modes and thread counts.
+// across predictor modes, validation modes and thread counts. An image
+// owns the network version it was compiled from, so nothing the caller
+// does to its own object afterwards changes what the image runs.
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <ranges>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -355,108 +359,184 @@ TEST(CompiledEngine, MismatchedArchitectureIsRejected) {
   EXPECT_THROW((void)sim.run(compiled, x), std::invalid_argument);
 }
 
-TEST(CompiledEngine, StaleSnapshotIsRejectedInEveryMode) {
-  // PR-2 behaviour: a stale image silently simulated the old threshold
-  // under kOff and only kFull *might* notice (when the masks happened
-  // to differ). The epoch counter turns that silent divergence into a
-  // deterministic precondition failure for every validation mode and
-  // every consumer.
-  Rng rng{9};
-  QuantizedNetwork q = seeded_network(rng);
+TEST(CompiledEngine, ImageKeepsItsVersionAcrossAThresholdChange) {
+  // A threshold change gives the caller's object a new version. An
+  // image compiled before it keeps running the version it was compiled
+  // from, in every validation mode and through BatchRunner.
+  const Fixture f = make_batch_fixture(6, /*seed=*/9);
+  QuantizedNetwork q = f.network;
   const CompiledNetwork compiled(q, tiny_arch(), true);
-  EXPECT_FALSE(compiled.stale());
-  EXPECT_EQ(compiled.source_epoch(), q.epoch());
+  std::vector<SimResult> before;
+  for (std::size_t i = 0; i < f.data.size(); ++i)
+    before.push_back(fresh_run(q, f.data.image(i), true));
 
-  q.set_prediction_threshold(0.35);  // mutate AFTER compiling
-  EXPECT_TRUE(compiled.stale());
+  q.set_prediction_threshold(0.35);  // after compiling
+  EXPECT_FALSE(compiled.network().same_version(q));
 
   AcceleratorSim sim(tiny_arch());
-  Vector x(24);
-  for (float& v : x)
-    v = rng.bernoulli(0.3) ? 0.0f
-                           : static_cast<float>(rng.uniform(0.5, 1.0));
-  EXPECT_THROW((void)sim.run(compiled, x, ValidationMode::kOff),
-               std::invalid_argument);
-  EXPECT_THROW((void)sim.run(compiled, x, ValidationMode::kFull),
-               std::invalid_argument);
+  bool threshold_matters = false;
+  for (std::size_t i = 0; i < f.data.size(); ++i) {
+    for (const ValidationMode mode :
+         {ValidationMode::kOff, ValidationMode::kFull}) {
+      EXPECT_EQ(sim.run(compiled, f.data.image(i), mode), before[i])
+          << "input " << i;
+    }
+    threshold_matters = threshold_matters ||
+                        fresh_run(q, f.data.image(i), true) != before[i];
+  }
+  // The check is vacuous unless the new threshold changes some run.
+  EXPECT_TRUE(threshold_matters);
 
-  // BatchRunner rejects the stale image up front, on the calling
-  // thread, before spawning workers.
   BatchOptions options;
   options.num_threads = 2;
-  const Fixture f = make_batch_fixture(4, /*seed=*/9);
-  EXPECT_THROW(
-      (void)BatchRunner(tiny_arch(), options).run(compiled, f.data),
-      std::invalid_argument);
-
-  // Even a no-op mutation bumps the epoch: the image snapshotted the
-  // network, so any mutation after compiling invalidates it.
-  const CompiledNetwork recompiled(q, tiny_arch(), true);
-  q.set_prediction_threshold(0.35);  // same value — still a mutation
-  EXPECT_TRUE(recompiled.stale());
+  const BatchResult batched =
+      BatchRunner(tiny_arch(), options).run(compiled, f.data);
+  ASSERT_EQ(batched.results.size(), before.size());
+  for (std::size_t i = 0; i < before.size(); ++i)
+    EXPECT_EQ(batched.results[i], before[i]) << "input " << i;
 }
 
-/// An image's W views alias its source network, so assigning another
-/// network over the source (copy or move) leaves them pointing at
-/// freed words. Every run entry point must reject the image as stale
-/// before it reads a weight; the sanitizer job reports any read.
-class SourceAssignedOver : public ::testing::TestWithParam<bool> {};
+/// What happens to an image's source object after compiling.
+enum class SourceFate { kDestroyed, kCopiedOver, kMovedOver };
 
-TEST_P(SourceAssignedOver, EveryEntryPointRejectsTheStaleImage) {
-  const bool by_move = GetParam();
+/// An image's W views point into its network's layers, so the image
+/// must own them: whatever happens to the caller's object, every run
+/// entry point reproduces a fresh compile of the original bit for bit.
+/// The sanitizer jobs report any read of freed words.
+class SourceReleased : public ::testing::TestWithParam<SourceFate> {};
+
+TEST_P(SourceReleased, ImageRunsTheVersionItWasCompiledFrom) {
   for (const bool uv_on : {true, false}) {
-    Fixture f = make_batch_fixture(4, /*seed=*/71);
-    const CompiledNetwork image(f.network, tiny_arch(), uv_on);
+    // The source is the only holder of its layers once the fixture's
+    // copy goes out of scope.
+    std::unique_ptr<QuantizedNetwork> source;
+    Dataset data;
+    {
+      Fixture f = make_batch_fixture(4, /*seed=*/71);
+      source = std::make_unique<QuantizedNetwork>(f.network);
+      data = std::move(f.data);
+    }
+    const CompiledNetwork image(*source, tiny_arch(), uv_on);
     ResultArena arena(image);
 
-    // Wider layers than the fixture's, so the assignment reallocates
-    // (and frees) every W buffer the image views.
+    // Reference runs on fresh compiles of the original, taken before
+    // it goes.
+    AnalyticEngine analytic(tiny_arch());
+    std::vector<SimResult> cycle_ref;
+    std::vector<SimResult> analytic_ref;
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      cycle_ref.push_back(fresh_run(*source, data.image(i), uv_on));
+      analytic_ref.push_back(analytic.run(
+          CompiledNetwork(*source, tiny_arch(), uv_on), data.image(i)));
+    }
+
+    // Wider layers than the fixture's, so an assignment would free
+    // every W buffer the image views if the image did not hold them.
     Rng rng{72};
     Network wider{{24, 40, 30, 6}, rng};
     wider.set_predictor(0, Predictor::random(40, 24, 4, rng));
     wider.set_predictor(1, Predictor::random(30, 40, 4, rng));
-    QuantizedNetwork other(wider, f.data.inputs);
-    if (by_move) {
-      f.network = std::move(other);
-    } else {
-      f.network = other;
+    QuantizedNetwork other(wider, data.inputs);
+    switch (GetParam()) {
+      case SourceFate::kDestroyed:
+        source.reset();
+        break;
+      case SourceFate::kCopiedOver:
+        *source = other;
+        break;
+      case SourceFate::kMovedOver:
+        *source = std::move(other);
+        break;
     }
-    EXPECT_TRUE(image.stale());
 
-    const std::span<const float> x = f.data.image(0);
     AcceleratorSim sim(tiny_arch());
-    AnalyticEngine analytic(tiny_arch());
     for (const ValidationMode mode :
          {ValidationMode::kOff, ValidationMode::kFull}) {
-      EXPECT_THROW((void)sim.run(image, x, mode), std::invalid_argument);
-      EXPECT_THROW((void)sim.run(image, x, arena, mode),
-                   std::invalid_argument);
-      EXPECT_THROW((void)analytic.run(image, x, mode),
-                   std::invalid_argument);
-      EXPECT_THROW((void)analytic.run(image, x, arena, mode),
-                   std::invalid_argument);
+      for (std::size_t i = 0; i < data.size(); ++i) {
+        const std::span<const float> x = data.image(i);
+        EXPECT_EQ(sim.run(image, x, mode), cycle_ref[i]) << "input " << i;
+        EXPECT_EQ(sim.run(image, x, arena, mode), cycle_ref[i])
+            << "input " << i;
+        EXPECT_EQ(analytic.run(image, x, mode), analytic_ref[i])
+            << "input " << i;
+        EXPECT_EQ(analytic.run(image, x, arena, mode), analytic_ref[i])
+            << "input " << i;
+      }
     }
+    // Two workers share the image after the caller's network is gone.
     BatchOptions options;
     options.num_threads = 2;
     options.use_predictor = uv_on;
-    EXPECT_THROW((void)BatchRunner(tiny_arch(), options).run(image, f.data),
-                 std::invalid_argument);
+    const BatchResult batched =
+        BatchRunner(tiny_arch(), options).run(image, data);
+    ASSERT_EQ(batched.results.size(), data.size());
+    for (std::size_t i = 0; i < data.size(); ++i)
+      EXPECT_EQ(batched.results[i], cycle_ref[i]) << "input " << i;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(CopyOrMove, SourceAssignedOver,
-                         ::testing::Values(false, true));
-
-TEST(CompiledEngine, EpochIsMonotone) {
-  Rng rng{15};
-  QuantizedNetwork q = seeded_network(rng);
-  const std::uint64_t e0 = q.epoch();
-  q.set_prediction_threshold(0.1);
-  q.set_prediction_threshold(0.2);
-  EXPECT_EQ(q.epoch(), e0 + 2);
+std::string fate_name(const ::testing::TestParamInfo<SourceFate>& info) {
+  switch (info.param) {
+    case SourceFate::kDestroyed:
+      return "Destroyed";
+    case SourceFate::kCopiedOver:
+      return "CopiedOver";
+    case SourceFate::kMovedOver:
+      return "MovedOver";
+  }
+  return "Unknown";
 }
 
-TEST(ModelZooCache, ReusesImagesUntilEpochMoves) {
+INSTANTIATE_TEST_SUITE_P(Fates, SourceReleased,
+                         ::testing::Values(SourceFate::kDestroyed,
+                                           SourceFate::kCopiedOver,
+                                           SourceFate::kMovedOver),
+                         fate_name);
+
+TEST(CompiledEngine, CopiesShareAVersionUntilOneChangesItsThreshold) {
+  Rng rng{15};
+  QuantizedNetwork a = seeded_network(rng);
+  QuantizedNetwork b = a;
+  EXPECT_TRUE(a.same_version(b));
+  EXPECT_EQ(&a.layer(0), &b.layer(0));  // one layer list, not two
+
+  a.set_prediction_threshold(0.2);  // a new version for `a` only
+  EXPECT_FALSE(a.same_version(b));
+  EXPECT_EQ(a.layer(0).prediction_threshold, 0.2);
+  EXPECT_EQ(b.layer(0).prediction_threshold, 0.0);
+  EXPECT_EQ(a.layer(0).w_t.data, b.layer(0).w_t.data);
+
+  const QuantizedNetwork before = a;
+  a.set_prediction_threshold(0.2);  // the same value still makes one
+  EXPECT_FALSE(a.same_version(before));
+
+  b = a;  // copy assignment shares the version too
+  EXPECT_TRUE(b.same_version(a));
+}
+
+TEST(CompiledEngine, MovedFromNetworkStaysWhole) {
+  // QuantizedNetwork declares only copy operations, so a move copies
+  // the layer reference: the moved-from object keeps its version and
+  // still compiles and runs.
+  Rng rng{39};
+  QuantizedNetwork a = seeded_network(rng);
+  const QuantizedNetwork original = a;
+  QuantizedNetwork b = std::move(a);
+  QuantizedNetwork c = seeded_network(rng);
+  c = std::move(b);
+  EXPECT_TRUE(c.same_version(original));
+  // NOLINTBEGIN(bugprone-use-after-move): reading the moved-from
+  // objects is the point of this test.
+  for (const QuantizedNetwork* moved_from : {&a, &b}) {
+    EXPECT_TRUE(moved_from->same_version(original));
+    EXPECT_EQ(moved_from->num_layers(), original.num_layers());
+  }
+  const Vector x(24, 0.5f);
+  EXPECT_EQ(fresh_run(a, x, true), fresh_run(original, x, true));
+  // NOLINTEND(bugprone-use-after-move)
+}
+
+TEST(ModelZooCache, ReusesImagesUntilTheThresholdChanges) {
   Rng rng{27};
   QuantizedNetwork q = seeded_network(rng);
   ModelZoo cache;
@@ -470,19 +550,29 @@ TEST(ModelZooCache, ReusesImagesUntilEpochMoves) {
   EXPECT_TRUE(on->use_predictor());
   EXPECT_FALSE(off->use_predictor());
 
-  // Hits: same network, same epoch, same uv mode → the same image.
+  // Hits: the same version and uv mode → the same image, also for a
+  // copy of the network.
+  const QuantizedNetwork old = q;
   EXPECT_EQ(cache.get(q, tiny_arch(), true), on);
-  EXPECT_EQ(cache.get(q, tiny_arch(), false), off);
+  EXPECT_EQ(cache.get(old, tiny_arch(), false), off);
   EXPECT_EQ(cache.compile_count(), 2u);
 
-  // A mutation moves the epoch; the next get() recompiles, and the
-  // fresh image carries the new threshold (never a stale snapshot).
+  // A threshold change makes a new version: the next get() compiles
+  // an image that carries the new threshold.
   q.set_prediction_threshold(0.25);
   const std::shared_ptr<const CompiledNetwork> on2 =
       cache.get(q, tiny_arch(), true);
   EXPECT_EQ(cache.compile_count(), 3u);
-  EXPECT_FALSE(on2->stale());
-  EXPECT_EQ(on2->source_epoch(), q.epoch());
+  EXPECT_TRUE(on2->network().same_version(q));
+  EXPECT_EQ(on2->network().layer(0).prediction_threshold, 0.25);
+
+  // The old version's images stay valid and cached until evicted or
+  // invalidated.
+  EXPECT_EQ(on->network().layer(0).prediction_threshold, 0.0);
+  EXPECT_EQ(cache.get(old, tiny_arch(), true), on);
+  EXPECT_EQ(cache.invalidate(old), 2u);
+  EXPECT_FALSE(cache.contains(old, tiny_arch(), true));
+  EXPECT_TRUE(cache.contains(q, tiny_arch(), true));
 
   cache.invalidate();
   (void)cache.get(q, tiny_arch(), true);
@@ -492,41 +582,22 @@ TEST(ModelZooCache, ReusesImagesUntilEpochMoves) {
 TEST(ModelZooCache, AddressReuseNeverServesTheOldNetworksImage) {
   // Regression guard for the cache key: System::prepare() re-emplaces
   // its QuantizedNetwork into the same std::optional slot, so a new
-  // network routinely occupies a dead network's address at epoch 0. A
-  // key of (address, epoch) would serve the OLD network's weights; the
-  // (uid, epoch) key must recompile.
+  // network can occupy a dead network's address. The key is the
+  // network version, which every image keeps alive, so the zoo must
+  // recompile.
   Rng rng{35};
   ModelZoo cache;
   std::optional<QuantizedNetwork> slot(seeded_network(rng));
-  (void)cache.get(*slot, tiny_arch(), true);
+  const std::shared_ptr<const CompiledNetwork> first =
+      cache.get(*slot, tiny_arch(), true);
   EXPECT_EQ(cache.compile_count(), 1u);
 
   slot.emplace(seeded_network(rng));  // same address, different weights
   const std::shared_ptr<const CompiledNetwork> recompiled =
       cache.get(*slot, tiny_arch(), true);
   EXPECT_EQ(cache.compile_count(), 2u);
-  EXPECT_TRUE(recompiled->compiled_from(*slot));
-  EXPECT_FALSE(recompiled->stale());
-}
-
-TEST(CompiledEngine, UidIsFreshAcrossCopiesAndAssignment) {
-  // uid() names an object's content history: copies and assignment
-  // targets can diverge from the original, so they must never share a
-  // (uid, epoch) key with it.
-  Rng rng{39};
-  QuantizedNetwork a = seeded_network(rng);
-  QuantizedNetwork b = a;  // copy
-  EXPECT_NE(a.uid(), b.uid());
-
-  const CompiledNetwork compiled_a(a, tiny_arch(), true);
-  EXPECT_FALSE(compiled_a.compiled_from(b));
-
-  b = seeded_network(rng);  // assignment re-identifies the target
-  const std::uint64_t assigned_uid = b.uid();
-  EXPECT_NE(assigned_uid, a.uid());
-
-  QuantizedNetwork c = std::move(b);  // move re-identifies the source
-  EXPECT_NE(c.uid(), b.uid());  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(recompiled->network().same_version(*slot));
+  EXPECT_FALSE(first->network().same_version(*slot));
 }
 
 TEST(ModelZooCache, CachedRunsBitIdenticalToUncached) {

@@ -191,17 +191,5 @@ TEST(EventCoreLifecycle, SteppingFlipMatchesFreshPerCycle) {
   }
 }
 
-TEST(SteppingModeNames, RoundTrip) {
-  for (const SteppingMode mode :
-       {SteppingMode::kPerCycle, SteppingMode::kEvent}) {
-    const auto parsed = parse_stepping_mode(to_string(mode));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, mode);
-  }
-  EXPECT_FALSE(parse_stepping_mode("macro").has_value());
-  EXPECT_FALSE(parse_stepping_mode("warp").has_value());
-  EXPECT_FALSE(parse_stepping_mode("").has_value());
-}
-
 }  // namespace
 }  // namespace sparsenn

@@ -1,6 +1,6 @@
 // Property sweeps of the fixed-point layer across every Q format the
-// datapath can select: round-trip error bounds, MAC-vs-float accuracy,
-// saturation behaviour, and rescaling consistency — the numeric
+// datapath can select: round-trip error bounds, saturation behaviour,
+// and rescaling consistency — the numeric
 // foundations the bit-exact simulator equality rests on.
 
 #include <gtest/gtest.h>
@@ -40,22 +40,6 @@ TEST_P(FormatSweep, SaturationIsClampNotWrap) {
   // Monotonicity across the saturation knee.
   const Fixed16 near_top(f.max_value() * 0.99, f);
   EXPECT_LE(near_top.raw(), over.raw());
-}
-
-TEST_P(FormatSweep, MacAccumulationMatchesFloat) {
-  const FixedPointFormat f = fmt();
-  Rng rng{17u + static_cast<std::uint64_t>(GetParam())};
-  FixedAccumulator acc(f);
-  double reference = 0.0;
-  const double mag = std::min(2.0, f.max_value() / 4.0);
-  for (int i = 0; i < 256; ++i) {
-    const Fixed16 a(rng.uniform(-mag, mag), f);
-    const Fixed16 b(rng.uniform(-mag, mag), f);
-    acc.mac(a.raw(), b.raw());
-    reference += a.to_double() * b.to_double();
-  }
-  // The raw accumulator is exact in the quantised domain.
-  EXPECT_NEAR(acc.to_double(), reference, 1e-9);
 }
 
 TEST_P(FormatSweep, RescaleIdentityWhenFormatsMatch) {

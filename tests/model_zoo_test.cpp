@@ -1,9 +1,9 @@
 // Tests for core/model_zoo.hpp: the arch-keyed, thread-safe LRU of
 // compiled images behind the serving path. Pinned properties: the
 // capacity bound holds, recency protects hot networks, an evicted
-// network recompiles to bit-identical results, an epoch bump (network
-// mutation) invalidates only that network's entries, the arch is part
-// of the key, and concurrent fetches compile each key once.
+// network recompiles to bit-identical results, a threshold change
+// makes a new version that compiles beside the old one, the arch is
+// part of the key, and concurrent fetches compile each key once.
 
 #include <gtest/gtest.h>
 
@@ -106,7 +106,7 @@ TEST(ModelZoo, EvictedNetworkRecompilesIdentically) {
   EXPECT_EQ(before, after);
 }
 
-TEST(ModelZoo, EpochBumpInvalidatesOnlyItsOwnEntries) {
+TEST(ModelZoo, ThresholdChangeCompilesANewVersionBesideTheOld) {
   ModelZoo zoo(/*capacity=*/4);
   QuantizedNetwork a = network_with_seed(1);
   const QuantizedNetwork b = network_with_seed(2);
@@ -117,20 +117,26 @@ TEST(ModelZoo, EpochBumpInvalidatesOnlyItsOwnEntries) {
   EXPECT_EQ(zoo.size(), 3u);
   EXPECT_EQ(zoo.compile_count(), 3u);
 
-  a.set_prediction_threshold(0.1);  // epoch moves → a's images stale
+  const QuantizedNetwork old_a = a;
+  a.set_prediction_threshold(0.1);  // a new version for `a` only
   EXPECT_FALSE(zoo.contains(a, tiny_arch(), true));
   EXPECT_FALSE(zoo.contains(a, tiny_arch(), false));
+  EXPECT_TRUE(zoo.contains(old_a, tiny_arch(), true));
   EXPECT_TRUE(zoo.contains(b, tiny_arch(), true));
 
-  // Re-fetching a recompiles (and sweeps out both stale images);
-  // b's entry was untouched and stays a pure hit.
+  // Fetching the new version compiles; the old version's images stay
+  // until evicted or invalidated, and b stays a pure hit.
   (void)zoo.get(a, tiny_arch(), true);
   EXPECT_EQ(zoo.compile_count(), 4u);
-  EXPECT_EQ(zoo.size(), 2u);  // fresh a(uv_on) + untouched b(uv_on)
+  EXPECT_EQ(zoo.size(), 4u);
   const std::uint64_t hits = zoo.hit_count();
   (void)zoo.get(b, tiny_arch(), true);
   EXPECT_EQ(zoo.hit_count(), hits + 1);
   EXPECT_EQ(zoo.compile_count(), 4u);
+
+  EXPECT_EQ(zoo.invalidate(old_a), 2u);
+  EXPECT_EQ(zoo.size(), 2u);  // new a(uv_on) + b(uv_on)
+  EXPECT_TRUE(zoo.contains(a, tiny_arch(), true));
 }
 
 TEST(ModelZoo, BothUvModesCoexistForOneNetwork) {
@@ -195,8 +201,8 @@ TEST(ModelZoo, KeysImagesOnTheArch) {
   EXPECT_EQ(zoo.compile_count(), 2u);
   EXPECT_EQ(zoo.hit_count(), 1u);
 
-  // Targeted invalidation sweeps the uid out on every arch.
-  EXPECT_EQ(zoo.invalidate(a.uid()), 2u);
+  // Targeted invalidation sweeps the network out on every arch.
+  EXPECT_EQ(zoo.invalidate(a), 2u);
   (void)zoo.get(a, small, true);
   EXPECT_EQ(zoo.compile_count(), 3u);
 }
@@ -262,7 +268,7 @@ TEST(ModelZoo, ConcurrentFetchesCompileEachKeyOnce) {
   std::array<std::shared_ptr<const CompiledNetwork>, kKeys> images;
   for (std::size_t key = 0; key < kKeys; ++key) {
     images[key] = fetch(key);
-    EXPECT_EQ(images[key]->source_uid(), nets[key / 4].uid());
+    EXPECT_TRUE(images[key]->network().same_version(nets[key / 4]));
     EXPECT_EQ(images[key]->params(), archs[key / 2 % 2]);
     EXPECT_EQ(images[key]->use_predictor(), key % 2 == 0);
   }
@@ -280,7 +286,7 @@ TEST(ModelZoo, TargetedInvalidateDropsOneNetwork) {
   (void)zoo.get(a, tiny_arch(), false);
   (void)zoo.get(b, tiny_arch(), true);
 
-  EXPECT_EQ(zoo.invalidate(a.uid()), 2u);
+  EXPECT_EQ(zoo.invalidate(a), 2u);
   EXPECT_EQ(zoo.size(), 1u);
   EXPECT_TRUE(zoo.contains(b, tiny_arch(), true));
 

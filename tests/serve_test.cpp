@@ -1,6 +1,6 @@
 // Tests for the serving tier (src/serve/): work-conserving micro-batch
 // close, admission-control shedding, drain-on-shutdown, mixed-arch
-// routing —
+// routing, ownership of the registered networks —
 // and the acceptance bar: a served result is bit-identical to a direct
 // simulation of the same input on both engine backends. Batching only
 // changes *when* an inference runs, never its arithmetic.
@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <future>
+#include <memory>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -28,6 +29,7 @@ namespace sparsenn {
 namespace {
 
 using test_fixtures::make_batch_fixture;
+using test_fixtures::seeded_network;
 using test_fixtures::tiny_arch;
 using Fixture = test_fixtures::BatchFixture;
 using namespace std::chrono_literals;
@@ -250,6 +252,96 @@ TEST_P(ServeEngines, ServedResultsBitIdenticalToDirectSimulation) {
 INSTANTIATE_TEST_SUITE_P(Backends, ServeEngines,
                          ::testing::Values(EngineKind::kCycle,
                                            EngineKind::kAnalytic));
+
+TEST(ServingFrontend, OwnsTheNetworksItServes) {
+  // The frontend keeps its own copy of each registered network, so the
+  // caller may destroy its object, or change its threshold, right after
+  // register_model. Thirteen models in both uv modes against the zoo's
+  // eight slots: the traffic evicts and recompiles images of networks
+  // whose caller-side objects are gone.
+  constexpr std::size_t kDestroyed = 12;
+  constexpr std::size_t kModels = kDestroyed + 1;  // + one re-thresholded
+  const Fixture f = make_batch_fixture(8, /*seed=*/95);
+  ServingFrontend frontend(serving_options(EngineKind::kAnalytic));
+  const auto engine = make_engine(EngineKind::kAnalytic, tiny_arch());
+  const auto direct = [&](const QuantizedNetwork& network, std::size_t i,
+                          bool uv) {
+    return engine->run(CompiledNetwork(network, tiny_arch(), uv),
+                       f.data.image(i));
+  };
+
+  // expected[m][2·i + uv]: a direct run of a copy of model m taken at
+  // registration. The copies go with the loop body, so only the
+  // frontend holds the destroyed models' layers afterwards.
+  std::vector<std::vector<SimResult>> expected(kModels);
+  std::vector<std::size_t> handles;
+  std::unique_ptr<QuantizedNetwork> kept;
+  for (std::size_t m = 0; m < kModels; ++m) {
+    Rng rng{200 + m};
+    auto network = std::make_unique<QuantizedNetwork>(seeded_network(rng));
+    handles.push_back(frontend.register_model(*network, tiny_arch()));
+    const QuantizedNetwork at_registration = *network;
+    for (std::size_t i = 0; i < f.data.size(); ++i)
+      for (const bool uv : {false, true})
+        expected[m].push_back(direct(at_registration, i, uv));
+    if (m < kDestroyed) {
+      network.reset();
+    } else {
+      kept = std::move(network);
+    }
+  }
+  kept->set_prediction_threshold(0.35);
+  bool threshold_matters = false;  // else the last model proves nothing
+  for (std::size_t i = 0; i < f.data.size(); ++i)
+    threshold_matters = threshold_matters ||
+                        direct(*kept, i, true) != expected.back()[2 * i + 1];
+  EXPECT_TRUE(threshold_matters);
+
+  struct Sent {
+    std::size_t model = 0;
+    std::size_t input = 0;
+    bool uv = true;
+    std::future<ServeResult> result;
+  };
+  constexpr std::size_t kClients = 4;
+  constexpr std::size_t kPerClient = 64;
+  std::vector<std::vector<Sent>> sent(kClients);
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      Rng rng{300 + c};
+      for (std::size_t r = 0; r < kPerClient; ++r) {
+        Sent s;
+        s.model = rng.uniform_index(kModels);
+        s.input = rng.uniform_index(f.data.size());
+        s.uv = rng.bernoulli(0.5);
+        s.result =
+            frontend.submit(handles[s.model], f.data.image(s.input), s.uv);
+        sent[c].push_back(std::move(s));
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+
+  for (std::vector<Sent>& client : sent) {
+    for (Sent& s : client) {
+      const ServeResult served = s.result.get();
+      ASSERT_EQ(served.status, ServeStatus::kOk) << served.error;
+      const std::size_t k = 2 * s.input + (s.uv ? 1 : 0);
+      EXPECT_EQ(served.result, expected[s.model][k])
+          << "model " << s.model << " input " << s.input << " uv " << s.uv;
+    }
+  }
+  frontend.shutdown();
+  const ServingStats stats = frontend.stats();
+  constexpr std::uint64_t kTotal = kClients * kPerClient;
+  EXPECT_EQ(stats.submitted, kTotal);
+  EXPECT_EQ(stats.completed, kTotal);
+  EXPECT_EQ(stats.shed, 0u);
+  EXPECT_EQ(stats.failed, 0u);
+  // More compiles than slots: images were evicted and recompiled.
+  EXPECT_GT(stats.zoo_compiles, ModelZoo::kDefaultCapacity);
+}
 
 TEST(ServingFrontend, MixedArchConfigsServeSideBySide) {
   // One arch-keyed zoo: one process, one frontend, two ArchParams.
