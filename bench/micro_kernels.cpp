@@ -104,34 +104,6 @@ void BM_KernelSparseMatvec(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelSparseMatvec)->ArgsProduct({{784}, {0, 1}});
 
-void BM_KernelMacCol(benchmark::State& state) {
-  // The PE's W-phase masked column accumulate at a 784-word stride
-  // with a 60%-active LNZD subset, at 40 and 128 rows (scalar in
-  // every table).
-  const auto nrows = static_cast<std::size_t>(state.range(0));
-  const auto& k = table_for(state.range(1) != 0);
-  const std::size_t stride = 784;
-  std::mt19937 rng(13);
-  std::uniform_int_distribution<int> val(-32768, 32767);
-  std::vector<std::int16_t> w(nrows * stride);
-  for (auto& v : w) v = static_cast<std::int16_t>(val(rng));
-  std::vector<std::uint32_t> rows;
-  std::bernoulli_distribution keep(0.6);
-  for (std::size_t r = 0; r < nrows; ++r)
-    if (keep(rng) || r + 1 == nrows)
-      rows.push_back(static_cast<std::uint32_t>(r));
-  std::vector<std::int64_t> acc(nrows, 0);
-  for (auto _ : state) {
-    k.mac_col_i16(acc.data(), w.data(), stride, w.size(), rows.data(),
-                  rows.size(), 300, 777);
-    benchmark::DoNotOptimize(acc.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(rows.size()));
-  state.SetLabel(to_string(k.isa));
-}
-BENCHMARK(BM_KernelMacCol)->ArgsProduct({{40, 128}, {0, 1}});
-
 void BM_KernelNonzeroScan(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto& k = table_for(state.range(1) != 0);

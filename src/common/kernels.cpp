@@ -61,17 +61,6 @@ void predict_bits_scalar(const std::int16_t* u, std::size_t rows,
     bits[r] = dot_scalar(u + r * rank, s, rank) > threshold ? 1 : 0;
 }
 
-void mac_col_scalar(std::int64_t* acc, const std::int16_t* w,
-                    std::size_t stride, std::size_t total_words,
-                    const std::uint32_t* rows, std::size_t nrows,
-                    std::size_t col, std::int16_t a) {
-  (void)total_words;
-  for (std::size_t i = 0; i < nrows; ++i) {
-    const std::size_t r = rows[i];
-    acc[r] += std::int64_t{w[r * stride + col]} * std::int64_t{a};
-  }
-}
-
 void quantize_scalar(const float* in, std::size_t n, float scale,
                      std::int16_t* out) {
   // Mirrors Fixed16::quantize_raw: exact power-of-two scaling, round
@@ -86,8 +75,7 @@ void quantize_scalar(const float* in, std::size_t n, float scale,
 
 constexpr KernelTable kScalarTable{
     SimdIsa::kScalar,    axpy_scalar,         sparse_matvec_scalar,
-    scan_scalar,         predict_bits_scalar, mac_col_scalar,
-    quantize_scalar,
+    scan_scalar,         predict_bits_scalar, quantize_scalar,
 };
 
 // --------------------------------------------------------------- AVX2
@@ -282,12 +270,6 @@ __attribute__((target("avx2"))) void predict_bits_avx2(
     bits[r] = dot_avx2(u + r * rank, s, rank) > threshold ? 1 : 0;
 }
 
-// mac_col stays scalar in every table: the destinations acc[rows[i]]
-// are scattered (no AVX2 scatter store exists), and a strided-gather
-// variant measured slower than the scalar loop at every row count
-// bench/micro_kernels covers (0.89G vs 1.35G MAC/s even at 128 rows)
-// — paper-scale PEs map a handful of rows anyway.
-
 __attribute__((target("avx2"))) void quantize_avx2(const float* in,
                                                    std::size_t n,
                                                    float scale,
@@ -313,8 +295,7 @@ __attribute__((target("avx2"))) void quantize_avx2(const float* in,
 
 constexpr KernelTable kAvx2Table{
     SimdIsa::kAvx2,    axpy_avx2,         sparse_matvec_avx2,
-    scan_avx2,         predict_bits_avx2, mac_col_scalar,
-    quantize_avx2,
+    scan_avx2,         predict_bits_avx2, quantize_avx2,
 };
 
 // ------------------------------------------------------------- SSE4.2
@@ -428,8 +409,7 @@ __attribute__((target("sse4.2"))) void quantize_sse42(const float* in,
 
 constexpr KernelTable kSse42Table{
     SimdIsa::kSse42,    axpy_sse42,         sparse_matvec_sse42,
-    scan_sse42,         predict_bits_sse42, mac_col_scalar,
-    quantize_sse42,
+    scan_sse42,         predict_bits_sse42, quantize_sse42,
 };
 
 #endif  // SPARSENN_X86
@@ -558,8 +538,7 @@ void quantize_neon(const float* in, std::size_t n, float scale,
 
 constexpr KernelTable kNeonTable{
     SimdIsa::kNeon,    axpy_neon,         sparse_matvec_neon,
-    scan_neon,         predict_bits_neon, mac_col_scalar,
-    quantize_neon,
+    scan_neon,         predict_bits_neon, quantize_neon,
 };
 
 #endif  // SPARSENN_NEON

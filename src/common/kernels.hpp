@@ -3,8 +3,9 @@
 //
 // Every hot integer inner loop of the simulator routes through this
 // table: the functional layer pass (nn/quantized.cpp), the analytic
-// engine's nonzero census, and the PE's V/U/W phase datapaths
-// (pe/pe.cpp). Each entry has a scalar reference implementation plus
+// engine's nonzero census, the PE's V/U phase datapaths (pe/pe.cpp)
+// and the event core's whole-layer W pass (sim/event_core.cpp). Each
+// entry has a scalar reference implementation plus
 // AVX2/SSE4.2/NEON specialisations selected at runtime
 // (common/simd.hpp); all implementations accumulate in exact 64-bit
 // integer arithmetic, so every table produces bit-identical results —
@@ -50,21 +51,6 @@ struct KernelTable {
   void (*predict_bits_i16)(const std::int16_t* u, std::size_t rows,
                            std::size_t rank, const std::int16_t* s,
                            std::int64_t threshold, std::uint8_t* bits);
-
-  /// W-phase LNZD-masked column accumulate: for each of the nrows
-  /// ascending row ids r = rows[i], acc[r] += w[r·stride + col]·a.
-  /// total_words is the size of the w block — a bounds budget for
-  /// implementations that read wider-than-16-bit lanes. The PE's W
-  /// view passes one column of its strided slice (col 0, stride P,
-  /// budget (rows − 1)·P + 1), so the budget ends exactly on the last
-  /// word the call may read. (Scalar in
-  /// every current table: the scattered destinations defeat vector
-  /// stores, and a strided-gather variant measured slower at every
-  /// row count bench/micro_kernels covers.)
-  void (*mac_col_i16)(std::int64_t* acc, const std::int16_t* w,
-                      std::size_t stride, std::size_t total_words,
-                      const std::uint32_t* rows, std::size_t nrows,
-                      std::size_t col, std::int16_t a);
 
   /// Input quantisation: out[i] = clamp(nearbyint(in[i]·scale)) into
   /// int16, matching Fixed16::quantize_raw bit-for-bit. `scale` is a

@@ -28,9 +28,6 @@ void System::prepare() {
   log_info("system", "quantising to 16-bit fixed point");
   quantized_.emplace(model_->network, split_->train.inputs);
   engine_ = make_engine(options_.engine, options_.arch);
-
-  // No earlier image can match the new network; drop any eagerly.
-  zoo_.invalidate();
 }
 
 const DatasetSplit& System::dataset() const {

@@ -22,10 +22,13 @@
 // returns the structure to its freshly-built state so one tree can
 // serve every layer of every inference.
 
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "arch/params.hpp"
+#include "common/ring_buffer.hpp"
 #include "noc/router.hpp"
 
 namespace sparsenn {
@@ -78,13 +81,6 @@ class UpwardTree {
   /// step()'s existing commit pass.
   bool idle() const noexcept { return buffered_total_ == 0; }
 
-  /// True when the last step() moved at least one flit (any router
-  /// granted an output). Cheap gate for the event core's stall window:
-  /// a tree that just moved something is almost never static.
-  bool last_step_transferred() const noexcept {
-    return last_step_transferred_;
-  }
-
   /// True when the last step() was a pure wait cycle: no router made an
   /// output decision (not even one cancelled by a closed parent credit
   /// window — a cancelled ACC still charges acc_operations and a
@@ -110,18 +106,6 @@ class UpwardTree {
   /// occupancy denominators). Requires idle().
   void skip_idle(std::uint64_t k);
 
-  /// True when stepping with root_ready == false provably changes
-  /// nothing: arbitrate mode, quiet credits everywhere, and every
-  /// router holding flits has a closed parent credit window — so each
-  /// cycle repeats the same stalled decisions. (The caller guarantees
-  /// root_ready stays false for the window it skips.)
-  bool stalled_static() const;
-
-  /// Advances `k` cycles of the stalled pattern stalled_static()
-  /// verified — bit-identical to k step(false) calls in that state
-  /// (stall/conflict counters and occupancy sums advance per cycle).
-  void skip_stalled(std::uint64_t k);
-
   /// Empties every router, reopens all injectors and zeroes the phase
   /// statistics — bit-identical to constructing a fresh tree, without
   /// the allocations.
@@ -129,9 +113,81 @@ class UpwardTree {
 
   NocStats stats() const;
 
+  // ---- Event-driven arbitration (the event core's W phase) ----
+  //
+  // The same kArbitrate tree, stepped only where a flit can move. An
+  // empty router, or one whose head flits wait on a closed parent
+  // credit window, repeats the same decision every cycle, so it is not
+  // visited: its clock (Router::clock) marks the cycle its counters
+  // are settled to, and Router::settle adds the frozen cycles at once
+  // when a push, a grant or a returning credit next changes it (or its
+  // parent's port is read), and at phase end. A cycle steps only the
+  // routers that may grant — those that granted, took a flit or had a
+  // parent credit return since the last cycle, and the root while its
+  // consumer is ready — and offers injection only to PEs whose leaf
+  // port has room; a full port is offered again when the credit of
+  // its next grant returns. Bit-identical to inject() and step() on
+  // every cycle; tests/event_core_test.cpp pins it.
+  //
+  // One phase: reset(); add_injector() for every PE holding flits;
+  // then for t = next_cycle(·) (cycle 1 first, or any later cycle the
+  // caller has work in), until it returns kNoCycle and the caller has
+  // none: begin_cycle(t), inject_lazy() for PEs it offers, then
+  // step_lazy(); finally settle(the phase's last cycle).
+
+  /// next_cycle()'s answer when the tree has nothing scheduled.
+  static constexpr std::uint64_t kNoCycle = UINT64_MAX;
+
+  /// PE `pe` holds flits to inject: it is offered injection at cycle 1.
+  void add_injector(std::size_t pe);
+
+  /// Starts cycle `t`, which must come after the last one started and
+  /// no later than next_cycle(·). Returns the PEs whose leaf port can
+  /// take a flit this cycle (each may inject one).
+  std::span<const std::uint32_t> begin_cycle(std::uint64_t t);
+
+  /// Injects `flit` from `pe`, one of begin_cycle()'s PEs; `more` says
+  /// whether the PE holds further flits.
+  void inject_lazy(std::size_t pe, const Flit& flit, bool more);
+
+  /// Steps this cycle's routers that may grant, with `root_ready` the
+  /// credit view of the root's consumer. Returns the flit leaving the
+  /// root.
+  std::optional<Flit> step_lazy(bool root_ready);
+
+  /// The next cycle the tree has work in if the root's consumer stays
+  /// at `root_ready`: the next cycle when a router may grant or a PE
+  /// may inject, else the next credit return, else kNoCycle.
+  std::uint64_t next_cycle(bool root_ready) const;
+
+  /// Brings every router's counters up to `cycle` (phase end).
+  void settle(std::uint64_t cycle);
+
  private:
   Router& root() noexcept { return levels_.back().front(); }
   const Router& root() const noexcept { return levels_.back().front(); }
+
+  /// Flat router ids, leaves first, level by level up to the root.
+  Router& router(std::uint32_t id) noexcept {
+    const std::uint32_t lvl = level_of_[id];
+    return levels_[lvl][id - level_base_[lvl]];
+  }
+  std::uint32_t root_id() const noexcept {
+    return static_cast<std::uint32_t>(level_of_.size() - 1);
+  }
+  /// Lists router `id` (once) for a check at `cycle`, this cycle or
+  /// the next. The root is never listed: step_lazy() checks it.
+  void list_router(std::uint32_t id, std::uint64_t cycle);
+  /// Offers PE `pe` (once) injection at `cycle`, this cycle or the
+  /// next.
+  void offer_injection(std::uint32_t pe, std::uint64_t cycle);
+  /// Runs router `id`'s real step() this cycle after settling it, and
+  /// records it for commit.
+  void touch(std::uint32_t id, bool parent_ready);
+  /// A credit reaches `target` (a Wake target) at `cycle`: lists the
+  /// router or offers the PE injection then, queueing it in wakes_
+  /// when that is later than the next cycle.
+  void schedule_wake(std::uint32_t target, std::uint64_t cycle);
 
   std::size_t radix_;
   std::size_t num_pes_;
@@ -146,14 +202,45 @@ class UpwardTree {
   std::vector<std::vector<std::uint32_t>> parent_idx_;
   std::vector<std::vector<std::uint32_t>> parent_port_;
   std::size_t buffered_total_ = 0;  ///< flits sitting in any router
-  /// Whether the previous step() granted any output anywhere. Starts
-  /// (and resets) true so the first cycle of a phase always runs the
-  /// full per-cycle path.
-  bool last_step_transferred_ = true;
   /// Whether the previous step() was a pure wait cycle (no decisions,
   /// no closure change). Starts (and resets) false — conservative: the
   /// first cycle after any reset must execute for real.
   bool last_step_quiet_ = false;
+
+  // ---- event-driven arbitration state (reset() clears it) ----
+  struct Grant {
+    std::uint32_t router;  ///< flat id
+    std::uint32_t port;    ///< input port it granted
+    Flit flit;
+  };
+  /// A credit returning to a child: the router `target`, or the PE
+  /// `target & ~kPeTarget` when kPeTarget is set.
+  struct Wake {
+    std::uint64_t cycle;
+    std::uint32_t target;
+  };
+  static constexpr std::uint32_t kPeTarget = 1u << 31;
+
+  std::vector<std::uint32_t> level_base_;  ///< first flat id per level
+  std::vector<std::uint32_t> level_of_;    ///< level per flat id
+  std::vector<std::uint32_t> parent_of_;   ///< parent's flat id
+  std::vector<std::uint32_t> port_of_;     ///< port in the parent
+  /// Cycles from a grant until its child sees the freed slot: 1 for
+  /// buffered credits, the credit latency for the unbuffered handshake.
+  std::uint64_t credit_delay_ = 1;
+  std::uint64_t cycle_ = 0;                 ///< the cycle begun last
+  std::vector<std::uint64_t> listed_at_;    ///< router: cycle it is due
+  std::vector<std::uint64_t> touched_at_;   ///< router: cycle stepped
+  std::vector<std::uint64_t> offered_at_;   ///< PE: cycle offered
+  std::vector<std::uint8_t> injecting_;     ///< PE: holds further flits
+  std::vector<std::uint32_t> due_;          ///< routers to check now
+  std::vector<std::uint32_t> due_next_;     ///< ... next cycle
+  std::vector<std::uint32_t> offers_;       ///< PEs offered now
+  std::vector<std::uint32_t> offers_next_;  ///< ... next cycle
+  std::vector<std::uint32_t> injected_;     ///< PEs that injected now
+  std::vector<std::uint32_t> touched_;      ///< routers stepped now
+  std::vector<Grant> grants_;               ///< this cycle's grants
+  RingBuffer<Wake> wakes_;  ///< credit returns later than next cycle
 };
 
 /// Root-to-PEs pipelined multicast with fixed per-level latency.
@@ -187,8 +274,16 @@ class BroadcastChannel {
     return in_flight_.size() - head_;
   }
 
-  /// Advances `k` cycles with nothing in flight — bit-identical to k
-  /// step() calls returning nothing. Requires idle().
+  /// The cycle step() delivers the oldest in-flight flit (the clock
+  /// counts step() and skip() cycles since reset()), or UINT64_MAX
+  /// when idle.
+  std::uint64_t next_delivery() const noexcept {
+    return idle() ? UINT64_MAX : in_flight_[head_].deliver_at;
+  }
+
+  /// Advances `k` cycles that deliver nothing — bit-identical to k
+  /// step() calls returning nothing. Requires next_delivery() to come
+  /// after them.
   void skip(std::uint64_t k) noexcept { now_ += k; }
 
   /// Drops any in-flight flits and rewinds the clock; the backing

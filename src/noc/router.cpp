@@ -119,17 +119,11 @@ void Router::drop_expired_credits() {
   }
 }
 
-void Router::skip_idle(std::uint64_t k) {
-  expects(buffered_ == 0, "skip_idle on a router holding flits");
-  // buffer_occupancy_sum += 0 per skipped cycle.
-  stats_.cycles += k;
-  now_ += k;
-  drop_expired_credits();
-}
-
-void Router::skip_stalled(std::uint64_t k) {
+void Router::advance_frozen(std::uint64_t cycle) {
+  expects(cycle > now_, "settle cannot move a router's clock back");
   expects(mode_ == RouterMode::kArbitrate || buffered_ == 0,
-          "skip_stalled models the arbitration stall pattern only");
+          "settle models the arbitration stall pattern only");
+  const std::uint64_t k = cycle - now_;
   if (buffered_ > 0) {
     // Each stalled cycle re-runs the same arbitration: a conflict is
     // charged when more than one port has a head flit, then the grant
@@ -143,7 +137,7 @@ void Router::skip_stalled(std::uint64_t k) {
   stats_.buffer_occupancy_sum += buffered_ * k;
   stats_.cycles += k;
   now_ += k;
-  drop_expired_credits();
+  if (credit_latency_ > 1) drop_expired_credits();
 }
 
 void Router::skip_waiting(std::uint64_t k) {

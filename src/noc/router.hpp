@@ -139,20 +139,29 @@ class Router {
   /// True when every input port has been closed (phase drained).
   bool all_closed() const;
 
-  /// Advances `k` cycles in which this router provably does nothing:
-  /// requires idle(). Bit-identical to k step(·)+commit() pairs on an
-  /// empty router — the cycle counter and (zero-delta) occupancy stats
-  /// advance, and in-flight credits expire exactly as they would have.
-  void skip_idle(std::uint64_t k);
+  /// Cycles committed so far (commit(), settle() and skip_waiting()
+  /// advance it); every counter covers exactly these cycles.
+  std::uint64_t clock() const noexcept { return now_; }
 
-  /// Advances `k` cycles of a fully-stalled arbitration pattern: the
-  /// router's head flits cannot move (parent credit closed the whole
-  /// time), so each skipped cycle repeats the same decision.
-  /// Bit-identical to k step(false)+commit() pairs: conflict and
-  /// credit-stall counters advance per cycle, occupancy accumulates
-  /// the frozen buffer population. Requires kArbitrate mode (or an
-  /// empty router) and quiet credits.
-  void skip_stalled(std::uint64_t k);
+  /// Brings clock() up to `cycle` through cycles in which the router
+  /// granted nothing: it was empty, or its head flits waited on a
+  /// closed parent credit window the whole time, so each cycle repeats
+  /// the same decision. Bit-identical to (cycle − clock()) step(false)
+  /// + commit() pairs in that state: the conflict and credit-stall
+  /// counters advance per cycle, occupancy accumulates the frozen
+  /// buffer population, and in-flight credits expire exactly as they
+  /// would have. Requires kArbitrate mode (or an empty router) and
+  /// cycle >= clock(). Inline: the event core's W phase settles a
+  /// router before every read of its ports, mostly a no-op.
+  void settle(std::uint64_t cycle) {
+    if (cycle != now_) advance_frozen(cycle);
+  }
+
+  /// The input port the last step() granted in kArbitrate mode, until
+  /// commit() retires it.
+  std::optional<std::size_t> granted_port() const noexcept {
+    return granted_port_;
+  }
 
   /// Advances `k` pure wait cycles: the router may hold flits but its
   /// last step decided nothing (see last_step_decided), its state is
@@ -211,6 +220,9 @@ class Router {
   /// Erases credits that would have expired during cycles now passed
   /// (a commit at clock t erases stamps <= t before advancing).
   void drop_expired_credits();
+
+  /// Slow half of settle(): the frozen cycles up to `cycle`.
+  void advance_frozen(std::uint64_t cycle);
 
   std::vector<Port> inputs_;
   std::size_t buffer_depth_;

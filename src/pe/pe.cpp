@@ -218,43 +218,18 @@ void ProcessingElement::pop_injection() {
   ++events_.act_reg_reads;
 }
 
-void ProcessingElement::apply_w_activations(std::span<const Flit> acts) {
+void ProcessingElement::apply_w_sums(std::span<const std::int64_t> row_sums,
+                                     std::size_t delivered) {
   const std::size_t n_active = active_local_rows_.size();
-  for (const Flit& act : acts) {
-    expects(act.index < slice_.layer_input_dim,
-            "activation index out of layer range");
-  }
-  if (n_active > 0 && !acts.empty()) {
-    const WordView& w = w_mem_.view();
-    if (n_active <= 8) {
-      // Row-outer traversal keeps each accumulator in a register
-      // across the whole activation list; the sum per row is the same
-      // exact int64 value the per-cycle order produces.
-      for (const std::uint32_t r : active_local_rows_) {
-        std::int64_t acc = w_accumulators_[r];
-        const std::int16_t* row = w.base + r * w.row_stride;
-        for (const Flit& act : acts) {
-          acc += std::int64_t{row[act.index * w.col_stride]} *
-                 std::int64_t{static_cast<std::int16_t>(act.payload)};
-        }
-        w_accumulators_[r] = acc;
-      }
-    } else {
-      const std::size_t budget = w_col_words();
-      for (const Flit& act : acts) {
-        kern_->mac_col_i16(w_accumulators_.data(),
-                           w.base + act.index * w.col_stride, w.row_stride,
-                           budget, active_local_rows_.data(), n_active, 0,
-                           static_cast<std::int16_t>(act.payload));
-      }
-    }
-    w_mem_.note_reads(acts.size() * n_active);
-    events_.w_mem_reads += acts.size() * n_active;
-    events_.macs += acts.size() * n_active;
-  }
-  events_.queue_ops += 2 * acts.size();  // push + pop per activation
+  for (const std::uint32_t r : active_local_rows_)
+    w_accumulators_[r] = row_sums[slice_.global_rows[r]];
+  const std::size_t macs = delivered * n_active;
+  w_mem_.note_reads(macs);
+  events_.w_mem_reads += macs;
+  events_.macs += macs;
+  events_.queue_ops += 2 * delivered;  // push + pop per activation
   events_.pe_active_cycles +=
-      acts.size() * std::max<std::size_t>(std::size_t{1}, n_active);
+      delivered * std::max<std::size_t>(std::size_t{1}, n_active);
 }
 
 std::span<const std::pair<std::uint32_t, std::int16_t>>

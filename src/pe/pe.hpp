@@ -205,14 +205,18 @@ class ProcessingElement {
   std::size_t w_active_row_count() const noexcept {
     return active_local_rows_.size();
   }
-  /// Bulk W-phase datapath: accumulates every activation in `acts`
-  /// into the local accumulators and charges the per-activation event
-  /// totals (2 queue ops, max(1, active) busy cycles, active W-mem
-  /// reads and MACs each) — bit-identical in data and counters to
-  /// enqueueing and consuming them one cycle at a time, because int64
-  /// accumulation is exact and order-independent. The event core pairs
-  /// this with its cycle-timing model, which never touches the PE.
-  void apply_w_activations(std::span<const Flit> acts);
+  /// Bulk W-phase datapath for a phase that delivered `delivered`
+  /// activations: each predicted-active mapped row takes its sum from
+  /// `row_sums` (one int64 per global row of the layer: Σ W[row][c]·a_c
+  /// over every delivered activation), and the per-activation event
+  /// totals are charged in closed form (2 queue ops, max(1, active)
+  /// busy cycles, active W-mem reads and MACs each) — bit-identical in
+  /// data and counters to enqueueing and consuming the activations one
+  /// cycle at a time, because int64 accumulation is exact and
+  /// order-independent. The event core pairs this with its cycle-timing
+  /// model, which never touches the PE.
+  void apply_w_sums(std::span<const std::int64_t> row_sums,
+                    std::size_t delivered);
 
   /// Rescales accumulators and writes the destination register file;
   /// returns (global index, value) pairs of the produced activations.
@@ -236,18 +240,8 @@ class ProcessingElement {
   /// LNZD scan into a reusable buffer (clears, then fills).
   void scan_source_nonzeros_into(std::vector<Flit>& out);
 
-  /// Words one column of the bound W view spans, first mapped row to
-  /// last: the mac_col_i16 bounds budget, ending exactly on the last
-  /// word a column MAC can read. Precondition: at least one row.
-  std::size_t w_col_words() const noexcept {
-    const WordView& w = w_mem_.view();
-    return (w.rows - 1) * w.row_stride + 1;
-  }
-
   /// Slow path of step_w_consume(): pops the queue head and runs the
-  /// LNZD-masked column MACs. At paper scale a PE maps only a handful
-  /// of rows, so the common case is a direct scalar loop (identical
-  /// arithmetic); wide slices route through the kernel layer.
+  /// LNZD-masked column MACs.
   void consume_front() {
     const Flit act = queue_.front();
     queue_.pop();
@@ -263,15 +257,9 @@ class ProcessingElement {
       const std::int16_t a = static_cast<std::int16_t>(act.payload);
       const WordView& w = w_mem_.view();
       const std::int16_t* col = w.base + act.index * w.col_stride;
-      if (n_active <= 8) {
-        for (const std::uint32_t r : active_local_rows_) {
-          w_accumulators_[r] +=
-              std::int64_t{col[r * w.row_stride]} * std::int64_t{a};
-        }
-      } else {
-        kern_->mac_col_i16(w_accumulators_.data(), col, w.row_stride,
-                           w_col_words(), active_local_rows_.data(),
-                           n_active, 0, a);
+      for (const std::uint32_t r : active_local_rows_) {
+        w_accumulators_[r] +=
+            std::int64_t{col[r * w.row_stride]} * std::int64_t{a};
       }
       w_mem_.note_reads(n_active);
       events_.w_mem_reads += n_active;

@@ -127,11 +127,15 @@ void AcceleratorSim::run_layer_into(const CompiledNetwork& compiled,
   result.v_noc = NocStats{};
   result.nnz_inputs = 0;
   result.active_rows = 0;
+  result.max_pe_nnz_inputs = 0;
+  result.max_pe_active_rows = 0;
 
   for (std::size_t i = 0; i < pes_.size(); ++i) {
     pes_[i].reset_events();
     pes_[i].load_layer(compiled.slice(l, i));
-    result.nnz_inputs += pes_[i].scan_source_nonzeros().size();
+    const std::size_t nnz = pes_[i].scan_source_nonzeros().size();
+    result.nnz_inputs += nnz;
+    result.max_pe_nnz_inputs = std::max(result.max_pe_nnz_inputs, nnz);
   }
 
   const bool event = stepping_ == SteppingMode::kEvent;
@@ -155,7 +159,7 @@ void AcceleratorSim::run_layer_into(const CompiledNetwork& compiled,
 
   result.w_cycles = event
                         ? event_core_.run_w_phase(pes_, w_tree_, broadcast_,
-                                                  layer.in_dim(), result)
+                                                  layer, result)
                         : simulate_w_phase(result);
   result.total_cycles = result.v_cycles + result.u_cycles + result.w_cycles;
 
@@ -166,6 +170,8 @@ void AcceleratorSim::run_layer_into(const CompiledNetwork& compiled,
       result.activations[global] = value;
     for (const std::uint8_t bit : pe.predictor_bits())
       result.active_rows += bit;
+    result.max_pe_active_rows =
+        std::max(result.max_pe_active_rows, pe.w_active_row_count());
   }
 
   result.events = collect_pe_events();

@@ -123,6 +123,8 @@ void AnalyticEngine::run_layer_into(const CompiledNetwork& compiled,
   result.active_rows = active_rows;
   const std::size_t max_active =
       *std::max_element(pe_active_.begin(), pe_active_.end());
+  result.max_pe_nnz_inputs = max_local_nnz;
+  result.max_pe_active_rows = max_active;
 
   // --- Schedule math (closed-form cycle estimates; see the header).
   const std::size_t max_rows_per_pe = (m + num_pes - 1) / num_pes;

@@ -68,6 +68,11 @@ struct LayerSimResult {
   std::vector<std::int16_t> activations;  ///< produced layer output
   std::size_t nnz_inputs = 0;   ///< nonzero input activations
   std::size_t active_rows = 0;  ///< rows actually computed
+  /// The slowest PE of each phase: the most nonzero inputs any one PE
+  /// holds (V costs it this × rank MACs) and the most predicted-active
+  /// rows any one PE maps (each W delivery busies it this many cycles).
+  std::size_t max_pe_nnz_inputs = 0;
+  std::size_t max_pe_active_rows = 0;
 
   friend bool operator==(const LayerSimResult&,
                          const LayerSimResult&) = default;

@@ -1,19 +1,12 @@
 #include "sim/event_core.hpp"
 
 #include <algorithm>
-#include <functional>
 
 #include "common/check.hpp"
+#include "common/kernels.hpp"
 #include "nn/quantized.hpp"
 
 namespace sparsenn {
-namespace {
-
-/// Activations the W data pass applies across all PEs at a time: 16
-/// columns of a 1000-row layer are 32 KB of W, which stays in L1.
-constexpr std::size_t kApplyBlock = 16;
-
-}  // namespace
 
 // ---------------------------------------------------------------- EventCore
 
@@ -139,228 +132,104 @@ std::uint64_t EventCore::run_v_phase(std::span<ProcessingElement> pes,
 
 // ------------------------------------------------------------------ W phase
 
-void EventCore::do_pop(std::size_t g, std::uint64_t t) {
-  ++pops_[g];
-  sched_t_[g] = t + cost_[g];
-  max_busy_until_ = std::max(max_busy_until_, t + cost_[g] - 1);
-}
-
 std::uint64_t EventCore::run_w_phase(std::span<ProcessingElement> pes,
                                      UpwardTree& tree,
                                      BroadcastChannel& broadcast,
-                                     std::size_t input_dim,
+                                     const QuantizedLayer& layer,
                                      LayerSimResult& result) {
   tree.reset();
   broadcast.reset();
-  const std::size_t num_pes = pes.size();
   const std::uint64_t queue_depth = params_.act_queue_depth;
 
-  // The flit list scales with this input's nnz; size its capacity by
-  // the structural bound (one flit per input element) so steady-state
-  // inferences never regrow it — the arena path's zero-allocation
-  // contract.
-  acts_.reserve(input_dim);
-
-  // Phase start; record each PE's fixed per-pop datapath cost.
-  pe_cost_.resize(num_pes);
-  for (std::size_t i = 0; i < num_pes; ++i) {
+  // Every PE receives the same delivery stream and pops it at its own
+  // fixed cost per activation, max(1, active rows). Pop times are
+  // monotone in that cost, so the PE with the most active rows (the
+  // laggard) always holds the fullest queue — the root's credit view
+  // — and finishes last: its queue is the only PE timing the phase
+  // observes.
+  std::uint64_t cost = 1;
+  std::uint64_t total = 0;  // flits the phase injects
+  for (std::size_t i = 0; i < pes.size(); ++i) {
     pes[i].start_w_phase();
-    pe_cost_[i] = std::max<std::uint64_t>(std::uint64_t{1},
-                                          pes[i].w_active_row_count());
+    cost = std::max<std::uint64_t>(cost, pes[i].w_active_row_count());
+    total += pes[i].w_injection_flits().size();
+    if (pes[i].has_injection()) tree.add_injector(i);
   }
 
-  // Collapse PEs into cost groups. Every PE sees the same delivery
-  // stream and pops at its fixed cost, so the pop schedule is a pure
-  // function of the cost — equal-cost PEs are indistinguishable to the
-  // timing model and one group stands in for all of them. Sorted by
-  // descending cost: pop times are monotone in the cost, so group 0
-  // (the laggard) always holds the minimum pop count over all PEs —
-  // the fullest queue, i.e. the root's credit view, read in O(1).
-  cost_.clear();
-  for (const std::uint64_t c : pe_cost_) {
-    if (std::find(cost_.begin(), cost_.end(), c) == cost_.end())
-      cost_.push_back(c);
-  }
-  std::sort(cost_.begin(), cost_.end(), std::greater<>{});
-  const std::size_t num_groups = cost_.size();
+  // The data pass's input: every delivery lands in one dense vector.
+  const std::size_t n = layer.in_dim();
+  dense_.assign(n, 0);
 
-  // Everything the phase will deliver is known up front: the broadcast
-  // multicasts every injected flit to every PE, so the data pass at
-  // the end applies this one PE-major list everywhere (int64
-  // accumulation is exact and order-independent).
-  acts_.clear();
-  pending_inj_.clear();
-  for (std::size_t i = 0; i < num_pes; ++i) {
-    const auto flits = pes[i].w_injection_flits();
-    acts_.insert(acts_.end(), flits.begin(), flits.end());
-    if (!flits.empty()) pending_inj_.push_back(static_cast<std::uint32_t>(i));
-  }
-  const std::uint64_t total = acts_.size();
-  bool all_injected = pending_inj_.empty();
-
-  // Timing-model state: every group starts idle (empty queue, free
-  // datapath) with zero pops.
-  pops_.assign(num_groups, 0);
-  sched_t_.assign(num_groups, 0);
-  scheduled_.clear();
-  idle_.clear();
-  for (std::size_t g = 0; g < num_groups; ++g)
-    idle_.push_back(static_cast<std::uint32_t>(g));
-  max_busy_until_ = 0;
-  delivered_ = 0;
-  std::uint64_t cycles = 0;
+  std::uint64_t delivered = 0;
+  std::uint64_t popped = 0;    // the laggard's pops
+  std::uint64_t free_at = 0;   // first cycle its datapath is free
+  std::uint64_t now = 0;       // last cycle run; the broadcast's clock
   std::uint64_t executed = 0;
+  // The root issues only when every queue can absorb what is in flight
+  // plus one more flit, read from the previous cycle's end state.
+  const auto root_ready = [&] {
+    return queue_depth - (delivered - popped) > broadcast.in_flight();
+  };
 
-  // Same termination predicate as the reference, read off the model:
-  // queues empty everywhere <=> the laggard group has popped
-  // everything; datapaths free <=> past the busy horizon.
-  while (!(all_injected && pops_[0] == delivered_ &&
-           cycles >= max_busy_until_ && tree.idle() && broadcast.idle())) {
-    // Drain jump: every flit is injected and the NoC is empty, so the
-    // rest of the phase is each PE independently grinding down its
-    // queue at its fixed per-pop cost — closed form.
-    if (all_injected && tree.idle() && broadcast.idle()) {
-      std::uint64_t fin = std::max(cycles, max_busy_until_);
-      for (const std::uint32_t g : scheduled_) {
-        const std::uint64_t queued = delivered_ - pops_[g];
-        if (queued > 0)
-          fin = std::max(fin, sched_t_[g] + queued * cost_[g] - 1);
-      }
-      tree.skip_idle(fin - cycles);
-      broadcast.skip(fin - cycles);
-      cycles = fin;
-      ensures(cycles < kCycleLimit, "W-phase deadlock");
-      break;
-    }
-
-    // Stall window: nothing in the broadcast pipe, the tree holds
-    // flits but provably cannot move one, every pending injection is
-    // credit-blocked, and some queue is full (so the root stays
-    // back-pressured until its first pop). Until then each cycle only
-    // repeats the same stalled decisions while datapaths count down.
-    if (broadcast.idle() && !tree.idle() && !tree.last_step_transferred()) {
-      bool blocked = true;
-      for (const std::uint32_t i : pending_inj_) {
-        if (tree.can_inject(i)) {
-          blocked = false;
-          break;
-        }
-      }
-      if (blocked && delivered_ - pops_[0] == queue_depth) {
-        std::uint64_t burst = UINT64_MAX;
-        for (const std::uint32_t g : scheduled_) {
-          if (delivered_ - pops_[g] == queue_depth)
-            burst = std::min(burst, sched_t_[g] - cycles);
-        }
-        if (burst > 1 && tree.stalled_static()) {
-          // Advance the model through the window: pops fire at their
-          // scheduled times (no deliveries arrive — the pipe is empty
-          // and the root is stalled).
-          const std::uint64_t end = cycles + burst;
-          std::size_t kept = 0;
-          for (std::size_t s = 0; s < scheduled_.size(); ++s) {
-            const std::uint32_t g = scheduled_[s];
-            while (sched_t_[g] <= end && pops_[g] < delivered_)
-              do_pop(g, sched_t_[g]);
-            if (sched_t_[g] <= end) {
-              idle_.push_back(g);  // found its queue empty
-            } else {
-              scheduled_[kept++] = g;
-            }
-          }
-          scheduled_.resize(kept);
-          tree.skip_stalled(burst);
-          broadcast.skip(burst);
-          cycles += burst;
-          ensures(cycles < kCycleLimit, "W-phase deadlock");
-          continue;
-        }
-      }
-    }
-
-    ensures(++cycles < kCycleLimit, "W-phase deadlock");
+  // Run only cycles in which something happens — a router grant, an
+  // injection, a delivery or a pop — and jump straight to the next,
+  // until the laggard has popped every flit.
+  for (std::uint64_t t = tree.next_cycle(false); popped < total;) {
+    ensures(t < kCycleLimit, "W-phase deadlock");
     ++executed;
+    broadcast.skip(t - 1 - now);
+    now = t;
 
-    // Injection pass, ascending PE order (cursor and counters are the
-    // PE's own — peek/pop are the real calls).
-    if (!all_injected) {
-      std::size_t kept = 0;
-      for (std::size_t p = 0; p < pending_inj_.size(); ++p) {
-        const std::uint32_t i = pending_inj_[p];
-        if (tree.can_inject(i)) {
-          tree.inject(i, pes[i].peek_injection());
-          pes[i].pop_injection();
-          if (!pes[i].has_injection()) continue;  // drained: drop
-        }
-        pending_inj_[kept++] = i;
-      }
-      pending_inj_.resize(kept);
-      all_injected = pending_inj_.empty();
+    for (const std::uint32_t i : tree.begin_cycle(t)) {
+      const Flit& flit = pes[i].peek_injection();  // pop keeps the list
+      pes[i].pop_injection();
+      tree.inject_lazy(i, flit, pes[i].has_injection());
+    }
+    if (const auto out = tree.step_lazy(root_ready())) broadcast.send(*out);
+    if (const auto d = broadcast.step()) {
+      expects(d->index < n, "activation index out of layer range");
+      dense_[d->index] = static_cast<std::int16_t>(d->payload);
+      ++delivered;
+    }
+    if (delivered > popped && free_at <= t) {
+      ++popped;
+      free_at = t + cost;
     }
 
-    // Root credit view from end-of-previous-cycle queue state, exactly
-    // like the reference's carried-over min_free scan (the laggard
-    // group's queue is always the fullest).
-    const std::uint64_t min_free =
-        queue_depth - (delivered_ - pops_[0]);
-    const bool root_ready = min_free > broadcast.in_flight();
-
-    if (const auto out = tree.step(root_ready)) broadcast.send(*out);
-
-    if (broadcast.step()) {
-      ++delivered_;
-      // Every idle group pops the fresh delivery this very cycle (its
-      // datapath was free and its queue was empty until now).
-      for (const std::uint32_t g : idle_) {
-        do_pop(g, cycles);
-        scheduled_.push_back(g);
-      }
-      idle_.clear();
-    }
-
-    // Scheduled pass: datapaths that free up this cycle either pop the
-    // next queued activation or go idle.
-    std::size_t kept = 0;
-    for (std::size_t s = 0; s < scheduled_.size(); ++s) {
-      const std::uint32_t g = scheduled_[s];
-      if (sched_t_[g] == cycles) {
-        if (pops_[g] < delivered_) {
-          do_pop(g, cycles);
-        } else {
-          idle_.push_back(g);
-          continue;
-        }
-      }
-      scheduled_[kept++] = g;
-    }
-    scheduled_.resize(kept);
+    t = std::min(tree.next_cycle(root_ready()), broadcast.next_delivery());
+    if (delivered > popped) t = std::min(t, free_at);
   }
+  // The phase ends when the laggard's datapath finishes its last pop.
+  const std::uint64_t cycles = total == 0 ? 0 : free_at - 1;
+  tree.settle(cycles);
 
-  ensures(delivered_ == total && total == result.nnz_inputs,
+  ensures(tree.idle() && delivered == result.nnz_inputs,
           "broadcast delivered a different number of activations than "
           "were injected");
 
-  // The bulk data pass — every PE accumulates every delivered
-  // activation and charges the per-activation event totals. The PEs'
-  // W views interleave into one column-major W, so neighbouring PEs'
-  // rows of a column share cache lines: a block of activations goes
-  // across all PEs before the next block, loading each column's lines
-  // once per block rather than once per PE. Accumulation and event
-  // totals are exact and linear in the activations, so the split is
-  // bit-identical to one call per PE.
-  const std::span<const Flit> acts = acts_;
-  for (std::size_t b = 0; b < acts.size(); b += kApplyBlock) {
-    const auto block =
-        acts.subspan(b, std::min(kApplyBlock, acts.size() - b));
-    for (ProcessingElement& pe : pes) pe.apply_w_activations(block);
-  }
+  // The data pass: one whole-layer input-sparse matvec over the
+  // network's column-major W gives every global row's sum over the
+  // delivered activations (int64 accumulation is exact, so delivery
+  // order cannot matter), and each PE takes its active rows' sums.
+  // A flit delivered twice would leave fewer nonzero inputs than
+  // deliveries.
+  const KernelTable& kern = kernels();
+  idx_.resize(n);
+  idx_.resize(kern.nonzero_scan_i16(dense_.data(), n, idx_.data()));
+  ensures(idx_.size() == delivered,
+          "broadcast delivered an activation more than once");
+  const std::size_t m = layer.out_dim();
+  sums_.assign(m, 0);
+  kern.sparse_matvec_i16_i64(sums_.data(), layer.w_t.data.data(), m,
+                             idx_.data(), idx_.size(), dense_.data());
+  for (ProcessingElement& pe : pes) pe.apply_w_sums(sums_, delivered);
 
   stats_.cycles_ticked += cycles;
   stats_.events_executed += executed;
 
   result.w_noc = tree.stats();
   result.w_noc.flit_hops +=
-      delivered_ * params_.total_routers();  // downward multicast
+      delivered * params_.total_routers();  // downward multicast
   return cycles + params_.pe_pipeline_stages;
 }
 

@@ -17,24 +17,26 @@
 //     UpwardTree::last_step_quiet), the loop jumps straight to the
 //     next wake time.
 //
-//   W phase — PE timing is decoupled from PE data. Every delivered
-//     activation reaches every PE and int64 accumulation is exact and
-//     order-independent, so the datapath work and its event counters
-//     are applied in one bulk pass at phase end, a block of
-//     activations across all PEs at a time so neighbouring PEs' rows
-//     share the column-major W's cache lines
-//     (ProcessingElement::apply_w_activations), while the cycle loop
-//     runs a compact queue-timing model over *cost groups*: every PE
-//     sees the same delivery stream and pops at a fixed per-phase
-//     cost, so PEs with equal cost have identical pop schedules and
-//     collapse into one modelled group. Pop times are monotone in the
-//     cost, so the fullest queue (the root's credit view) is always
-//     the max-cost group's — an O(1) read, no histogram.
-//     The phase tail (all flits injected, NoC drained) collapses into
-//     a closed-form jump, and a fully-stalled NoC window advances in
-//     one shot — like the V phase's initial burst, these skip windows
-//     fall out of "no pending event => no execution" instead of being
-//     special cases.
+//   W phase — PE timing is decoupled from PE data, and the loop runs
+//     only the cycles in which a flit moves. The arbitrate tree steps
+//     only the routers that may grant (UpwardTree's event-driven
+//     arbitration): an empty or credit-blocked router repeats the same
+//     decision every cycle, so its counters are settled in one go when
+//     a push, a grant or a returning credit next changes it, and at
+//     phase end. A PE is offered injection only while its leaf port has
+//     room, and again when that port's next credit returns. The PE
+//     side is one queue: every PE sees the same delivery stream and
+//     pops it at a fixed per-activation cost, max(1, active rows), and
+//     pop times are monotone in that cost, so the PE with the most
+//     active rows always holds the fullest queue (the root's credit
+//     view) and finishes last. Between cycles that grant, inject,
+//     deliver or pop, the loop jumps straight to the next one. After
+//     the loop, the delivered activations are scattered into one dense
+//     input and a single input-sparse matvec over the layer's
+//     column-major W (QuantizedLayer::w_t, the functional model's own
+//     kernel) gives every row's sum; each PE takes its active rows'
+//     sums and charges its W counters in closed form
+//     (ProcessingElement::apply_w_sums).
 //
 // Every observable — cycle counts, event tallies, NoC statistics,
 // activations — is bit-identical to the per-cycle reference; the
@@ -54,6 +56,8 @@
 #include "sim/engine.hpp"
 
 namespace sparsenn {
+
+struct QuantizedLayer;  // nn/quantized.hpp
 
 /// Hard ceiling on any phase in either stepping mode; hitting it means
 /// a flow-control deadlock, which both modes report with the same
@@ -91,25 +95,18 @@ class EventCore {
 
   /// Event-driven W phase: identical contract and observables to
   /// AcceleratorSim::simulate_w_phase (start_w_phase through the last
-  /// drained cycle plus the bulk data pass). `input_dim` is the
-  /// layer's input dimension — the structural upper bound on injected
-  /// flits, used to pre-size scratch so steady-state inferences stay
-  /// allocation-free. Fills result.w_noc and returns the phase cycles
-  /// including the PE pipeline drain.
+  /// drained cycle, then the whole-layer data pass over `layer`'s W).
+  /// Fills result.w_noc and returns the phase cycles including the PE
+  /// pipeline drain.
   std::uint64_t run_w_phase(std::span<ProcessingElement> pes,
                             UpwardTree& tree, BroadcastChannel& broadcast,
-                            std::size_t input_dim, LayerSimResult& result);
+                            const QuantizedLayer& layer,
+                            LayerSimResult& result);
 
   const Stats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = Stats{}; }
 
  private:
-  /// Records cost group `g` popping its queue at cycle `t` in the W
-  /// timing model: pop count, busy horizon and next-free time. Groups
-  /// are sorted by descending cost, so group 0 is the laggard and its
-  /// pop count is the minimum over all PEs (the root's credit view).
-  void do_pop(std::size_t g, std::uint64_t t);
-
   ArchParams params_;
   Stats stats_;
 
@@ -117,17 +114,10 @@ class EventCore {
   std::vector<std::uint64_t> wake_;      ///< per-PE local-burst length
   std::vector<std::uint32_t> pending_;   ///< open injectors, ascending
 
-  // ---- W phase scratch (the cost-group queue-timing model) ----
-  std::vector<Flit> acts_;               ///< all activations, PE-major
-  std::vector<std::uint64_t> pe_cost_;   ///< per-PE cycles per pop
-  std::vector<std::uint64_t> cost_;      ///< per-group cycles per pop, desc
-  std::vector<std::uint64_t> pops_;      ///< per-group pops so far
-  std::vector<std::uint64_t> sched_t_;   ///< per-group next datapath-free cycle
-  std::vector<std::uint32_t> scheduled_; ///< groups with a pending sched_t_
-  std::vector<std::uint32_t> idle_;      ///< groups waiting for a delivery
-  std::vector<std::uint32_t> pending_inj_;  ///< PEs still injecting
-  std::uint64_t delivered_ = 0;
-  std::uint64_t max_busy_until_ = 0;     ///< last cycle any datapath busy
+  // ---- W phase data-pass scratch (capacity kept across layers) ----
+  std::vector<std::int16_t> dense_;   ///< delivered activations, by index
+  std::vector<std::uint32_t> idx_;    ///< their ascending indices
+  std::vector<std::int64_t> sums_;    ///< per global row: Σ W[row][c]·a_c
 };
 
 }  // namespace sparsenn

@@ -281,8 +281,8 @@ INSTANTIATE_TEST_SUITE_P(UvModes, CompiledEngineExactness,
 /// SimResult field — cycle counts, event counters, NoC statistics
 /// (conflicts, credit stalls, occupancy sums), activations — must be
 /// bit-identical. Runs both uv modes and several queue depths so the
-/// deterministic-burst, drain-tail and stalled-NoC windows all fire
-/// with different frequencies.
+/// V-burst and wait-skip windows and the W phase's stalled, draining
+/// and lazily settled routers all occur with different frequencies.
 class SteppingEquivalence : public ::testing::TestWithParam<bool> {};
 
 TEST_P(SteppingEquivalence, BitIdenticalToPerCycleEngine) {

@@ -1,6 +1,7 @@
 // Cross-backend equivalence (sim/engine.hpp): the analytic engine's
-// predictions — per-layer activations, nnz/active-row counts, output
-// logits and therefore argmax labels — must be bit-exact vs the
+// predictions — per-layer activations, nnz/active-row counts (and the
+// slowest PE's shares of each), output logits and therefore argmax
+// labels — must be bit-exact vs the
 // cycle-accurate engine on real data, for both uv modes, from the same
 // ModelZoo-served compiled image. This is the contract that lets a
 // serving path swap backends per request without changing a single
@@ -81,6 +82,15 @@ void expect_equivalent(const QuantizedNetwork& network,
             << "layer " << l << " sample " << i << " uv " << uv_on;
         EXPECT_EQ(exact.layers[l].nnz_inputs, fast.layers[l].nnz_inputs);
         EXPECT_EQ(exact.layers[l].active_rows, fast.layers[l].active_rows);
+        // The slowest PE's shares, which set the V and W terms: the
+        // cycle engine reads them off its PEs, the analytic engine off
+        // its interleave census.
+        EXPECT_EQ(exact.layers[l].max_pe_nnz_inputs,
+                  fast.layers[l].max_pe_nnz_inputs)
+            << "layer " << l << " sample " << i << " uv " << uv_on;
+        EXPECT_EQ(exact.layers[l].max_pe_active_rows,
+                  fast.layers[l].max_pe_active_rows)
+            << "layer " << l << " sample " << i << " uv " << uv_on;
         // The U phase is analytic even in the cycle engine (slowest
         // PE's rows × rank), and on this uncontended fabric the V and
         // W closed forms are exact too, so all three phases agree.
@@ -144,8 +154,8 @@ TEST(EngineEquivalence, IdxTinyMnist) {
 /// 3-level NoC, 784-wide input): full SimResult equality — cycles,
 /// events, arbitration conflicts, credit stalls, occupancy sums — for
 /// both uv modes. The wide first layer keeps the NoC saturated long
-/// enough that the stalled-NoC window is exercised, not just the
-/// V-burst and drain-tail windows.
+/// enough that W-phase routers sit credit-blocked for stretches the
+/// event core settles lazily, not just the V-burst window.
 TEST(EngineEquivalence, SteppingModesBitIdenticalAtPaperScale) {
   DatasetOptions options;
   options.train_size = 16;

@@ -7,12 +7,16 @@
 // depth, flow control) the same way noc_fuzz_test randomises traffic.
 
 #include <cstdint>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "arch/params.hpp"
 #include "common/rng.hpp"
+#include "nn/network.hpp"
+#include "nn/predictor.hpp"
 #include "sim/accelerator.hpp"
 #include "sim/compiled_network.hpp"
 #include "sim/engine.hpp"
@@ -128,8 +132,8 @@ TEST(EventCoreFuzz, RandomizedWakeOrderings) {
 
 // The event core must actually skip work: simulated cycles strictly
 // exceed the executed cycle iterations on a workload with slack — deep
-// activation queues (no backpressure, so the W drain tail collapses
-// into the closed-form jump) and a dense input (every PE has a
+// activation queues (the W queues drain with nothing else to do, so
+// the loop jumps from pop to pop) and a dense input (every PE has a
 // non-empty V burst, so the initial wake jump fires too).
 TEST(EventCoreStats, SkipsCycles) {
   const auto fixture = make_batch_fixture(1, /*seed=*/73);
@@ -190,6 +194,99 @@ TEST(EventCoreLifecycle, SteppingFlipMatchesFreshPerCycle) {
     }
   }
 }
+
+// Fabrics that stress the event core's lazy router accounting: routers
+// that sit credit-blocked for long stretches (every input nonzero at
+// paper scale), one- and two-slot router buffers, a single-slot
+// activation queue, the unbuffered handshake's multi-cycle credits on
+// a three-level tree, and radix-2 and radix-8 trees of three or more
+// levels. Each runs a {784, 96, 64, 10} network with rank-6 predictors
+// in both uv modes, on an all-nonzero input and a sparse one.
+struct Fabric {
+  const char* name;
+  ArchParams arch;
+
+  friend void PrintTo(const Fabric& fabric, std::ostream* os) {
+    *os << fabric.name;
+  }
+};
+
+ArchParams tree_of(std::size_t radix, std::size_t levels) {
+  ArchParams arch = ArchParams::paper();
+  arch.router_radix = radix;
+  arch.router_levels = levels;
+  arch.num_pes = 1;
+  for (std::size_t l = 0; l < levels; ++l) arch.num_pes *= radix;
+  // Room for the 784-wide input in the activation registers.
+  arch.act_regs_per_pe = (1024 + arch.num_pes - 1) / arch.num_pes;
+  return arch;
+}
+
+std::vector<Fabric> stress_fabrics() {
+  std::vector<Fabric> fabrics{{"paper", ArchParams::paper()},
+                              {"radix2_3_levels", tree_of(2, 3)},
+                              {"radix2_5_levels", tree_of(2, 5)},
+                              {"radix8_3_levels", tree_of(8, 3)}};
+  for (const std::size_t depth : {std::size_t{1}, std::size_t{2}}) {
+    ArchParams arch = ArchParams::paper();
+    arch.router_buffer_depth = depth;
+    fabrics.push_back({depth == 1 ? "router_buffer_1" : "router_buffer_2",
+                       arch});
+  }
+  ArchParams unbuffered = ArchParams::paper();
+  unbuffered.flow_control = FlowControl::kUnbuffered;
+  fabrics.push_back({"unbuffered", unbuffered});
+  ArchParams queue1 = ArchParams::paper();
+  queue1.act_queue_depth = 1;
+  fabrics.push_back({"act_queue_1", queue1});
+  return fabrics;
+}
+
+class EventCoreFabric : public ::testing::TestWithParam<Fabric> {};
+
+TEST_P(EventCoreFabric, BitIdenticalToPerCycle) {
+  const ArchParams& arch = GetParam().arch;
+  Rng rng{7331};
+  Network net{{784, 96, 64, 10}, rng};
+  net.set_predictor(0, Predictor::random(96, 784, 6, rng));
+  net.set_predictor(1, Predictor::random(64, 96, 6, rng));
+  Matrix calib(4, 784);
+  for (std::size_t i = 0; i < calib.size(); ++i)
+    calib.flat()[i] = static_cast<float>(rng.uniform(0.05, 1.0));
+  const QuantizedNetwork network(net, calib);
+
+  std::vector<float> dense(784), sparse(784, 0.0f);
+  for (float& x : dense) x = static_cast<float>(rng.uniform(0.05, 1.0));
+  for (float& x : sparse) {
+    if (rng.bernoulli(0.3)) x = static_cast<float>(rng.uniform(0.05, 1.0));
+  }
+
+  for (const bool use_predictor : {true, false}) {
+    const CompiledNetwork compiled(network, arch, use_predictor);
+    for (const auto* input : {&dense, &sparse}) {
+      const SimResult per_cycle =
+          run_mode(compiled, *input, arch, SteppingMode::kPerCycle);
+      const SimResult event =
+          run_mode(compiled, *input, arch, SteppingMode::kEvent);
+      EXPECT_EQ(per_cycle, event)
+          << GetParam().name << " uv=" << use_predictor
+          << (input == &dense ? " dense" : " sparse");
+    }
+  }
+  // The all-nonzero input keeps routers credit-blocked: the frozen
+  // cycles the lazy accounting settles are really there.
+  const CompiledNetwork uv_off(network, arch, false);
+  const SimResult dense_run =
+      run_mode(uv_off, dense, arch, SteppingMode::kEvent);
+  EXPECT_EQ(dense_run.layers.front().nnz_inputs, 784u);
+  EXPECT_GT(dense_run.layers.front().w_noc.credit_stalls, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Stress, EventCoreFabric,
+                         ::testing::ValuesIn(stress_fabrics()),
+                         [](const auto& info) {
+                           return std::string(info.param.name);
+                         });
 
 }  // namespace
 }  // namespace sparsenn

@@ -194,51 +194,6 @@ TEST(KernelsTest, PredictBitsMatchesScalar) {
   }
 }
 
-TEST(KernelsTest, MacColMatchesScalarIncludingLastWordEdge) {
-  std::mt19937 rng(707);
-  const auto& scalar = scalar_kernels();
-  for (const KernelTable* t : available_tables()) {
-    for (const std::size_t rows : {1u, 4u, 16u, 40u}) {
-      for (const std::size_t stride : {1u, 13u, 64u}) {
-        const auto w = random_i16(rng, rows * stride, 0.1);
-        // Random ascending subset that always includes the last row,
-        // combined with col == stride-1 this hits the final word of
-        // the block (the edge of the total_words budget).
-        std::vector<std::uint32_t> sel;
-        std::bernoulli_distribution keep(0.6);
-        for (std::size_t r = 0; r + 1 < rows; ++r)
-          if (keep(rng)) sel.push_back(static_cast<std::uint32_t>(r));
-        sel.push_back(static_cast<std::uint32_t>(rows - 1));
-        for (const std::size_t col : {std::size_t{0}, stride - 1}) {
-          std::vector<std::int64_t> got(rows, 3), expected(rows, 3);
-          const std::int16_t a = random_extreme_i16(rng);
-          t->mac_col_i16(got.data(), w.data(), stride, w.size(),
-                         sel.data(), sel.size(), col, a);
-          scalar.mac_col_i16(expected.data(), w.data(), stride, w.size(),
-                             sel.data(), sel.size(), col, a);
-          EXPECT_EQ(got, expected)
-              << to_string(t->isa) << " rows=" << rows
-              << " stride=" << stride << " col=" << col;
-        }
-
-        // The PE's W view issues each column MAC at the column's first
-        // word with the PE count as the row stride, col 0 and a budget
-        // of (rows − 1)·stride + 1 words: the block ends exactly on the
-        // last word read, so nothing past it may be touched.
-        const auto column = random_i16(rng, (rows - 1) * stride + 1, 0.1);
-        std::vector<std::int64_t> got(rows, 3), expected(rows, 3);
-        const std::int16_t a = random_extreme_i16(rng);
-        t->mac_col_i16(got.data(), column.data(), stride, column.size(),
-                       sel.data(), sel.size(), 0, a);
-        scalar.mac_col_i16(expected.data(), column.data(), stride,
-                           column.size(), sel.data(), sel.size(), 0, a);
-        EXPECT_EQ(got, expected) << to_string(t->isa) << " W view rows="
-                                 << rows << " stride=" << stride;
-      }
-    }
-  }
-}
-
 TEST(KernelsTest, QuantizeMatchesScalarIncludingTiesAndSaturation) {
   std::mt19937 rng(808);
   const auto& scalar = scalar_kernels();

@@ -75,8 +75,12 @@ constexpr double kBaselineCompiledRate = 902.924;
 constexpr double kBaselineArenaRate = 980.177;
 constexpr double kBaselineAnalyticRate = 55385.4;
 constexpr double kBaselineCompiledSpeedup = 1.78014;  // vs per-inference
-constexpr double kBaselineAnalyticSpeedup = 61.6112;  // vs compiled
 constexpr double kBaselineEventSpeedup = 1.65955;     // vs per-cycle
+// The analytic engine is gated against the per-cycle engine, not the
+// event core, so a faster event core cannot fail it: the median of 11
+// runs' analytic/per-cycle medians of this suite (97.8–115.9) on the
+// same host.
+constexpr double kBaselineAnalyticOverPerCycle = 106.954;
 
 // CI failed a metric more than 20% below its baseline.
 constexpr double kTolerance = 0.8;
@@ -104,8 +108,8 @@ struct RatioFloor {
 // 80% of the baseline's ratio.
 const std::array<RatioFloor, 5> kFloors = {{
     {kCompiled, kPerInference, kTolerance * kBaselineCompiledSpeedup},
-    {kAnalytic, kCompiled,
-     std::max(10.0, kTolerance * kBaselineAnalyticSpeedup)},
+    {kAnalytic, kPerCycle,
+     std::max(10.0, kTolerance * kBaselineAnalyticOverPerCycle)},
     {kEvent, kPerCycle, std::max(1.5, kTolerance * kBaselineEventSpeedup)},
     {kArena, kCompiled,
      kTolerance * kBaselineArenaRate / kBaselineCompiledRate},
