@@ -12,6 +12,11 @@
 //     next layer's input sparsity);
 //   - power reduction ≈ 50% roughly uniformly (fewer W-memory reads,
 //     cheap U/V accesses).
+//
+// The phase table decomposes every point into V, U and W cycles beside
+// the mean nonzero inputs and the slowest PE's active rows: W costs
+// about nnz_in × that PE's active rows, so a layer gains only where
+// uv_on's W saving exceeds its V + U cost (layer 1's break-even).
 
 #include <iostream>
 
@@ -33,6 +38,8 @@ int main() {
   Table cycles({"layer", "dataset", "uv_off", "uv_on", "reduction(%)"});
   Table power({"layer", "dataset", "uv_off(mW)", "uv_on(mW)",
                "reduction(%)"});
+  Table phases({"layer", "dataset", "mode", "V", "U", "W", "nnz_in",
+                "slowest PE active rows"});
 
   for (const DatasetVariant variant : kAllVariants) {
     SystemOptions options;
@@ -57,6 +64,14 @@ int main() {
       power.add_row({Cell{l + 1}, std::string{to_string(variant)},
                      Cell{p_off, 1}, Cell{p_on, 1},
                      Cell{100.0 * (1.0 - p_on / p_off), 1}});
+      for (const bool on : {false, true}) {
+        const LayerHardwareCost& c = on ? hw.uv_on[l] : hw.uv_off[l];
+        phases.add_row({Cell{l + 1}, std::string{to_string(variant)},
+                        on ? "uv_on" : "uv_off", Cell{c.mean_v_cycles, 0},
+                        Cell{c.mean_u_cycles, 0}, Cell{c.mean_w_cycles, 0},
+                        Cell{c.mean_nnz_inputs, 1},
+                        Cell{c.mean_max_pe_active_rows, 1}});
+      }
     }
   }
 
@@ -64,6 +79,12 @@ int main() {
                 "Fig. 7 (top) — execution cycles per hidden layer");
   cycles.print(std::cout);
   cycles.save_csv("fig7_cycles.csv");
+
+  print_section(std::cout,
+                "Fig. 7 (top, by phase) — V/U/W cycles, nonzero inputs "
+                "and the slowest PE's active rows");
+  phases.print(std::cout);
+  phases.save_csv("fig7_phases.csv");
 
   print_section(std::cout,
                 "Fig. 7 (bottom) — power consumption per hidden layer");

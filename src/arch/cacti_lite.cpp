@@ -41,7 +41,6 @@ SramCharacteristics sram_model(const SramConfig& config) {
   const double tech28 = static_cast<double>(config.tech_nm) / 28.0;
   out.read_energy_pj =
       kEnergyBasePj * tech28 * tech28 * std::pow(kb / 1024.0, 0.35);
-  out.write_energy_pj = 1.15 * out.read_energy_pj;
 
   // Access time grows with capacity; ~1.74ns at 128KB (the paper notes
   // ">1.7ns", which forces the 2ns clock target).

@@ -26,7 +26,6 @@ struct SramConfig {
 struct SramCharacteristics {
   double area_um2 = 0.0;
   double read_energy_pj = 0.0;   ///< per word read
-  double write_energy_pj = 0.0;  ///< per word write
   double access_time_ns = 0.0;
   double leakage_mw = 0.0;       ///< static power of the macro
 };

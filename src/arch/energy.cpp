@@ -6,7 +6,6 @@ EventCounts& EventCounts::operator+=(const EventCounts& other) noexcept {
   w_mem_reads += other.w_mem_reads;
   u_mem_reads += other.u_mem_reads;
   v_mem_reads += other.v_mem_reads;
-  mem_writes += other.mem_writes;
   macs += other.macs;
   act_reg_reads += other.act_reg_reads;
   act_reg_writes += other.act_reg_writes;
@@ -35,7 +34,6 @@ EnergyModel::EnergyModel(const ArchParams& params,
   w_read_pj_ = w.read_energy_pj;
   u_read_pj_ = u.read_energy_pj;
   v_read_pj_ = v.read_energy_pj;
-  write_pj_ = w.write_energy_pj;
 
   const auto pes = static_cast<double>(params.num_pes);
   leakage_mw_ = (w.leakage_mw + u.leakage_mw + v.leakage_mw) * pes;
@@ -51,8 +49,7 @@ EnergyReport EnergyModel::report(const EventCounts& counts) const {
   EnergyReport out;
   out.w_mem_uj = n(counts.w_mem_reads) * w_read_pj_ * 1e-6;
   out.uv_mem_uj = (n(counts.u_mem_reads) * u_read_pj_ +
-                   n(counts.v_mem_reads) * v_read_pj_ +
-                   n(counts.mem_writes) * write_pj_) *
+                   n(counts.v_mem_reads) * v_read_pj_) *
                   1e-6;
   out.datapath_uj = (n(counts.macs) * constants_.mac_pj +
                      (n(counts.act_reg_reads) + n(counts.act_reg_writes)) *

@@ -1,12 +1,14 @@
 #pragma once
 // Event-based energy model.
 //
-// The cycle-accurate simulator counts microarchitectural events (memory
-// reads, MACs, register-file and queue accesses, router traversals);
-// this model converts counts plus elapsed cycles into energy and power,
-// the way PrimeTime converts toggling activity into mW in the paper's
-// flow. Per-event energies come from cacti_lite for the SRAMs and from
-// 65nm datapath constants for logic, with leakage charged per cycle.
+// The census (sim/census.hpp), the one source of counts for both
+// engines, turns each layer's per-PE work into microarchitectural
+// events (memory reads, MACs, register-file and queue accesses, router
+// traversals); this model converts counts plus elapsed cycles into
+// energy and power, the way PrimeTime converts toggling activity into
+// mW in the paper's flow. Per-event energies come from cacti_lite for
+// the SRAMs and from 65nm datapath constants for logic, with leakage
+// charged per cycle.
 
 #include <cstdint>
 
@@ -15,13 +17,13 @@
 
 namespace sparsenn {
 
-/// Everything the simulator counts during a run. Aggregated over all
-/// PEs and routers.
+/// Everything the census counts for a run. Aggregated over all PEs and
+/// routers. The weight SRAMs are read-only during inference: a layer's
+/// outputs go to the activation register file (act_reg_writes).
 struct EventCounts {
   std::uint64_t w_mem_reads = 0;   ///< 16-bit words read from W SRAM
   std::uint64_t u_mem_reads = 0;
   std::uint64_t v_mem_reads = 0;
-  std::uint64_t mem_writes = 0;    ///< write-backs to any SRAM
   std::uint64_t macs = 0;          ///< multiply-accumulate operations
   std::uint64_t act_reg_reads = 0;
   std::uint64_t act_reg_writes = 0;
@@ -85,7 +87,6 @@ class EnergyModel {
   double w_read_pj_;
   double u_read_pj_;
   double v_read_pj_;
-  double write_pj_;
   double leakage_mw_;  ///< whole-chip static power
   double tech_logic_scale_;
 };

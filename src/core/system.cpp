@@ -108,6 +108,8 @@ HardwareComparison System::compare_hardware(std::size_t samples) {
       cost.mean_energy_uj += e.total_uj;
       cost.mean_nnz_inputs += static_cast<double>(layer.nnz_inputs);
       cost.mean_active_rows += static_cast<double>(layer.active_rows);
+      cost.mean_max_pe_active_rows +=
+          static_cast<double>(layer.max_pe_active_rows);
     }
   };
 
@@ -136,6 +138,7 @@ HardwareComparison System::compare_hardware(std::size_t samples) {
       cost.mean_energy_uj /= n;
       cost.mean_nnz_inputs /= n;
       cost.mean_active_rows /= n;
+      cost.mean_max_pe_active_rows /= n;
     }
   };
   finish(out.uv_on);

@@ -53,6 +53,7 @@ struct LayerHardwareCost {
   double mean_energy_uj = 0.0;
   double mean_nnz_inputs = 0.0;
   double mean_active_rows = 0.0;
+  double mean_max_pe_active_rows = 0.0;  ///< the slowest PE's active rows
 };
 
 /// Side-by-side uv_on / uv_off measurement (the paper's Fig. 7 data).

@@ -83,8 +83,8 @@ class UpwardTree {
 
   /// True when the last step() was a pure wait cycle: no router made an
   /// output decision (not even one cancelled by a closed parent credit
-  /// window — a cancelled ACC still charges acc_operations and a
-  /// credit stall) and no closure flag was newly propagated. Because
+  /// window — a cancelled decision still charges a credit stall) and
+  /// no closure flag was newly propagated. Because
   /// router decisions are pure functions of buffer/closure/credit
   /// state, a quiet step with frozen inputs proves every following
   /// cycle is quiet too until an injection or credit expiry changes the

@@ -59,16 +59,12 @@ std::optional<Flit> Router::accumulate() {
 
   Flit combined;
   combined.index = row;
-  std::size_t contributors = 0;
   for (const Port& p : inputs_) {
     if (!p.buffer.empty() && p.buffer.front().index == row) {
       combined.payload += p.buffer.front().payload;
       combined.source = p.buffer.front().source;
-      ++contributors;
     }
   }
-  ensures(contributors > 0, "accumulate fired without contributors");
-  stats_.acc_operations += contributors - 1;
   granted_all_ = true;
   granted_row_cache_ = row;
   return combined;
@@ -86,6 +82,7 @@ void Router::commit_grant() {
     ++stats_.flits_forwarded;
     ++stats_.busy_cycles;
   } else if (granted_all_) {
+    std::size_t contributors = 0;
     for (Port& p : inputs_) {
       if (!p.buffer.empty() &&
           p.buffer.front().index == granted_row_cache_) {
@@ -93,8 +90,13 @@ void Router::commit_grant() {
         --buffered_;
         if (track_credits)
           p.pending_credits.push_back(now_ + credit_latency_);
+        ++contributors;
       }
     }
+    // A reduction's adds are charged once, when it commits: a decision
+    // that a closed parent credit window cancels adds nothing.
+    ensures(contributors > 0, "accumulate fired without contributors");
+    stats_.acc_operations += contributors - 1;
     ++stats_.flits_forwarded;
     ++stats_.busy_cycles;
   }

@@ -100,8 +100,8 @@ class Router {
 
   /// True when the last step() produced an output decision — even one
   /// that was then cancelled by a closed parent credit window (a
-  /// cancelled decision still charges statistics, so a cycle containing
-  /// one is never a pure wait cycle). The event core's wait-skip window
+  /// cancelled decision still charges a credit stall, so a cycle
+  /// containing one is never a pure wait cycle). The event core's wait-skip window
   /// requires every router's last step to have decided nothing.
   bool last_step_decided() const noexcept { return last_step_decided_; }
 

@@ -5,8 +5,6 @@
 // even when consumption rates differ across PEs. Backed by a fixed
 // RingBuffer, so the per-cycle push/pop never touches the heap.
 
-#include <cstdint>
-
 #include "common/check.hpp"
 #include "common/ring_buffer.hpp"
 #include "noc/flit.hpp"
@@ -25,12 +23,10 @@ class ActQueue {
   std::size_t free_slots() const noexcept {
     return ring_.capacity() - ring_.size();
   }
-  std::size_t depth() const noexcept { return ring_.capacity(); }
 
   void push(const Flit& flit) {
     ensures(!full(), "ActQueue overflow (backpressure violated)");
     ring_.push_back(flit);
-    ++pushes_;
   }
 
   const Flit& front() const {
@@ -41,16 +37,10 @@ class ActQueue {
   void pop() {
     expects(!empty(), "ActQueue underflow");
     ring_.pop_front();
-    ++pops_;
   }
-
-  std::uint64_t pushes() const noexcept { return pushes_; }
-  std::uint64_t pops() const noexcept { return pops_; }
 
  private:
   RingBuffer<Flit> ring_;
-  std::uint64_t pushes_ = 0;
-  std::uint64_t pops_ = 0;
 };
 
 }  // namespace sparsenn

@@ -1,6 +1,6 @@
 #pragma once
-// Access-counted local SRAM banks of one PE (the per-PE W/U/V memories
-// of paper Table II). The bank addresses a rows × cols block of 16-bit
+// The local SRAM banks of one PE (the per-PE W/U/V memories of paper
+// Table II). The bank addresses a rows × cols block of 16-bit
 // words and checks the configured capacity — a layer that does not fit
 // the distributed memory is a configuration error the simulator must
 // surface, exactly like exceeding the real chip's 128KB/PE would be.
@@ -11,12 +11,10 @@
 // column-major W (QuantizedLayer::w_t) in place through two strides;
 // the U and V banks view a CompiledNetwork's packed row-major slices.
 // The backing storage must outlive the simulation of the loaded layer;
-// every read is counted either way.
+// the census (sim/census.hpp) counts the reads.
 
 #include <cstdint>
 #include <span>
-#include <string>
-#include <utility>
 
 #include "common/check.hpp"
 
@@ -49,10 +47,9 @@ struct WordView {
 
 class SramBank {
  public:
-  SramBank(std::string name, std::size_t capacity_kb)
-      : name_(std::move(name)), capacity_words_(capacity_kb * 1024 / 2) {}
+  explicit SramBank(std::size_t capacity_kb)
+      : capacity_words_(capacity_kb * 1024 / 2) {}
 
-  const std::string& name() const noexcept { return name_; }
   std::size_t capacity_words() const noexcept { return capacity_words_; }
 
   /// Binds the bank to one layer's slice. Throws when its rows × cols
@@ -68,10 +65,9 @@ class SramBank {
     load(WordView::row_major(words, stride));
   }
 
-  std::int16_t read_row_word(std::size_t row, std::size_t offset) {
+  std::int16_t read_row_word(std::size_t row, std::size_t offset) const {
     expects(row < view_.rows && offset < view_.cols,
             "SRAM read out of range");
-    ++reads_;
     return view_.at(row, offset);
   }
 
@@ -85,21 +81,12 @@ class SramBank {
   std::size_t num_rows() const noexcept { return view_.rows; }
 
   /// The bound view, for the kernel layer's bulk MAC loops
-  /// (common/kernels.hpp). No read charge — callers account the whole
-  /// burst with note_reads().
+  /// (common/kernels.hpp).
   const WordView& view() const noexcept { return view_; }
 
-  /// Bulk read charge for a kernel that touched `n` words — keeps the
-  /// access counter identical to n single-word reads.
-  void note_reads(std::uint64_t n) noexcept { reads_ += n; }
-
-  std::uint64_t reads() const noexcept { return reads_; }
-
  private:
-  std::string name_;
   std::size_t capacity_words_;
   WordView view_;
-  std::uint64_t reads_ = 0;
 };
 
 }  // namespace sparsenn

@@ -14,9 +14,9 @@ ProcessingElement::ProcessingElement(std::size_t id,
       params_(params),
       regfiles_(params.act_regs_per_pe),
       queue_(params.act_queue_depth),
-      w_mem_("W", params.w_mem_kb_per_pe),
-      u_mem_("U", params.u_mem_kb_per_pe),
-      v_mem_("V", params.v_mem_kb_per_pe) {
+      w_mem_(params.w_mem_kb_per_pe),
+      u_mem_(params.u_mem_kb_per_pe),
+      v_mem_(params.v_mem_kb_per_pe) {
   expects(id < params.num_pes, "PE id out of range");
 }
 
@@ -66,7 +66,6 @@ void ProcessingElement::load_input(
        ++slot) {
     regfiles_.source().write(slot, full_input[global_index_of_slot(slot)]);
   }
-  events_.act_reg_writes += regfiles_.source().size();
 }
 
 void ProcessingElement::swap_regfiles() { regfiles_.swap(); }
@@ -113,16 +112,9 @@ void ProcessingElement::start_v_phase() {
   v_rank_cursor_ = 0;
   v_inject_cursor_ = 0;
   v_results_.assign(slice_.rank, 0);
-  events_.lnzd_scans += v_inputs_.size();
 }
 
 void ProcessingElement::burst_v_compute(std::size_t k) {
-  // Bulk event charge first: every burst cycle is one MAC, one V-mem
-  // read and one active cycle, exactly like k step_v_compute() calls.
-  events_.v_mem_reads += k;
-  events_.macs += k;
-  events_.pe_active_cycles += k;
-  v_mem_.note_reads(k);
   while (k > 0) {
     const Flit& in = v_inputs_[v_input_cursor_];
     const std::size_t slot = static_cast<std::size_t>(in.index) / num_pes_;
@@ -136,7 +128,6 @@ void ProcessingElement::burst_v_compute(std::size_t k) {
     if (v_rank_cursor_ >= slice_.rank) {
       v_rank_cursor_ = 0;
       ++v_input_cursor_;
-      ++events_.act_reg_reads;
     }
   }
 }
@@ -151,14 +142,12 @@ Flit ProcessingElement::peek_partial() const {
 void ProcessingElement::pop_partial() {
   expects(has_partial_ready(), "no partial sum ready");
   ++v_inject_cursor_;
-  ++events_.pe_active_cycles;
 }
 
 void ProcessingElement::receive_v_result(std::uint32_t row,
                                          std::int16_t value) {
   expects(row < v_results_.size(), "V result row out of range");
   v_results_[row] = value;
-  ++events_.queue_ops;  // results land via the activation queue
 }
 
 // ---------------- U phase ----------------
@@ -167,8 +156,8 @@ std::size_t ProcessingElement::run_u_phase() {
   ensures(slice_.has_predictor, "U phase requires a predictor slice");
   const std::size_t rows = slice_.global_rows.size();
   // Row MACs + predictor-bit pack in one kernel sweep over the U bank
-  // (rows × rank words, row stride = rank), with the event counters
-  // charged in bulk — identical to the per-word loop.
+  // (rows × rank words, row stride = rank) — identical to the per-word
+  // loop.
   if (rows > 0 && slice_.rank > 0) {
     kern_->predict_bits_i16(u_mem_.view().base, rows, slice_.rank,
                             v_results_.data(),
@@ -178,13 +167,7 @@ std::size_t ProcessingElement::run_u_phase() {
     for (std::size_t r = 0; r < rows; ++r)
       predictor_bits_[r] = 0 > slice_.predictor_threshold_raw ? 1 : 0;
   }
-  const std::size_t macs = rows * slice_.rank;
-  u_mem_.note_reads(macs);
-  events_.u_mem_reads += macs;
-  events_.macs += macs;
-  events_.predictor_bits += rows;
-  events_.pe_active_cycles += macs;
-  return macs;
+  return rows * slice_.rank;
 }
 
 void ProcessingElement::force_all_rows_active() {
@@ -199,12 +182,10 @@ void ProcessingElement::start_w_phase() {
   for (std::size_t r = 0; r < predictor_bits_.size(); ++r) {
     if (predictor_bits_[r])
       active_local_rows_.push_back(static_cast<std::uint32_t>(r));
-    ++events_.predictor_bits;  // LNZD reads the bank once per row
   }
   scan_source_nonzeros_into(w_injections_);
   w_inject_cursor_ = 0;
   w_busy_cycles_ = 0;
-  events_.lnzd_scans += w_injections_.size();
 }
 
 const Flit& ProcessingElement::peek_injection() const {
@@ -215,21 +196,11 @@ const Flit& ProcessingElement::peek_injection() const {
 void ProcessingElement::pop_injection() {
   expects(has_injection(), "no injection pending");
   ++w_inject_cursor_;
-  ++events_.act_reg_reads;
 }
 
-void ProcessingElement::apply_w_sums(std::span<const std::int64_t> row_sums,
-                                     std::size_t delivered) {
-  const std::size_t n_active = active_local_rows_.size();
+void ProcessingElement::apply_w_sums(std::span<const std::int64_t> row_sums) {
   for (const std::uint32_t r : active_local_rows_)
     w_accumulators_[r] = row_sums[slice_.global_rows[r]];
-  const std::size_t macs = delivered * n_active;
-  w_mem_.note_reads(macs);
-  events_.w_mem_reads += macs;
-  events_.macs += macs;
-  events_.queue_ops += 2 * delivered;  // push + pop per activation
-  events_.pe_active_cycles +=
-      delivered * std::max<std::size_t>(std::size_t{1}, n_active);
 }
 
 std::span<const std::pair<std::uint32_t, std::int16_t>>
@@ -249,7 +220,6 @@ ProcessingElement::write_back() {
     regfiles_.destination().write(static_cast<std::size_t>(global) /
                                       num_pes_,
                                   value);
-    ++events_.act_reg_writes;
     write_back_buffer_.emplace_back(global, value);
   }
   return write_back_buffer_;

@@ -18,8 +18,9 @@
 //     the predictor bank), accumulating into destination registers.
 //
 // The cycle loop lives in src/sim; the PE exposes per-cycle step
-// methods and precise event counters. All arithmetic is int16/int64
-// fixed point and must match nn::QuantizedNetwork bit-for-bit.
+// methods, whose events the census (sim/census.hpp) counts. All
+// arithmetic is int16/int64 fixed point and must match
+// nn::QuantizedNetwork bit-for-bit.
 //
 // A PeLayerSlice is a bundle of read-only views: W into the quantised
 // network's own column-major W, U and V into packed storage owned by
@@ -32,12 +33,10 @@
 // own copy of the network's layers; an OwnedPeSlice needs its layer.
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
 
-#include "arch/energy.hpp"
 #include "arch/params.hpp"
 #include "common/kernels.hpp"
 #include "noc/flit.hpp"
@@ -114,13 +113,9 @@ class ProcessingElement {
     const std::int16_t w = v_mem_.read_row_word(slot, v_rank_cursor_);
     v_partials_[v_rank_cursor_] +=
         std::int64_t{w} * std::int64_t{in.payload};
-    ++events_.v_mem_reads;
-    ++events_.macs;
-    ++events_.pe_active_cycles;
     if (++v_rank_cursor_ >= slice_.rank) {
       v_rank_cursor_ = 0;
       ++v_input_cursor_;
-      ++events_.act_reg_reads;
     }
   }
   /// Local V MAC cycles left before this PE's compute is done (its
@@ -133,8 +128,8 @@ class ProcessingElement {
                      v_rank_cursor_;
   }
   /// Executes exactly `k` step_v_compute() cycles in one shot through
-  /// the vectorised column-MAC kernel — cursors, partial sums and
-  /// every event counter end bit-identical to k single steps.
+  /// the vectorised column-MAC kernel — cursors and partial sums end
+  /// bit-identical to k single steps.
   /// Precondition: k <= v_burst_cycles().
   void burst_v_compute(std::size_t k);
   /// Partial-sum injection (after local compute): one flit per row.
@@ -172,17 +167,13 @@ class ProcessingElement {
   std::size_t queue_free_slots() const noexcept {
     return queue_.free_slots();
   }
-  void enqueue_activation(const Flit& flit) {
-    queue_.push(flit);
-    ++events_.queue_ops;
-  }
+  void enqueue_activation(const Flit& flit) { queue_.push(flit); }
   /// One consumption cycle; returns true if the PE did work. Inlined
   /// fast paths (busy countdown / idle) — the cycle loop calls this
   /// once per PE per cycle.
   bool step_w_consume() {
     if (w_busy_cycles_ > 0) {
       --w_busy_cycles_;
-      ++events_.pe_active_cycles;
       return true;
     }
     if (queue_.empty()) return false;
@@ -205,31 +196,23 @@ class ProcessingElement {
   std::size_t w_active_row_count() const noexcept {
     return active_local_rows_.size();
   }
-  /// Bulk W-phase datapath for a phase that delivered `delivered`
-  /// activations: each predicted-active mapped row takes its sum from
-  /// `row_sums` (one int64 per global row of the layer: Σ W[row][c]·a_c
-  /// over every delivered activation), and the per-activation event
-  /// totals are charged in closed form (2 queue ops, max(1, active)
-  /// busy cycles, active W-mem reads and MACs each) — bit-identical in
-  /// data and counters to enqueueing and consuming the activations one
-  /// cycle at a time, because int64 accumulation is exact and
-  /// order-independent. The event core pairs this with its cycle-timing
-  /// model, which never touches the PE.
-  void apply_w_sums(std::span<const std::int64_t> row_sums,
-                    std::size_t delivered);
+  /// Bulk W-phase datapath: each predicted-active mapped row takes its
+  /// sum from `row_sums` (one int64 per global row of the layer:
+  /// Σ W[row][c]·a_c over every delivered activation) — bit-identical
+  /// to enqueueing and consuming the activations one cycle at a time,
+  /// because int64 accumulation is exact and order-independent. The
+  /// event core pairs this with its cycle-timing model, which never
+  /// touches the PE.
+  void apply_w_sums(std::span<const std::int64_t> row_sums);
 
   /// Rescales accumulators and writes the destination register file;
   /// returns (global index, value) pairs of the produced activations.
   /// The view is into a member buffer, valid until the next call.
   std::span<const std::pair<std::uint32_t, std::int16_t>> write_back();
 
-  const EventCounts& events() const noexcept { return events_; }
-  void reset_events() noexcept { events_ = EventCounts{}; }
-
   /// Local (slot, value) nonzeros of the source register file —
-  /// exactly the LNZD scan output (no event charge; the phase starts
-  /// meter their own scans). The view is into a member buffer reused
-  /// across calls, valid until the next call.
+  /// exactly the LNZD scan output. The view is into a member buffer
+  /// reused across calls, valid until the next call.
   std::span<const Flit> scan_source_nonzeros();
 
  private:
@@ -245,7 +228,6 @@ class ProcessingElement {
   void consume_front() {
     const Flit act = queue_.front();
     queue_.pop();
-    ++events_.queue_ops;
     expects(act.index < slice_.layer_input_dim,
             "activation index out of layer range");
 
@@ -261,12 +243,8 @@ class ProcessingElement {
         w_accumulators_[r] +=
             std::int64_t{col[r * w.row_stride]} * std::int64_t{a};
       }
-      w_mem_.note_reads(n_active);
-      events_.w_mem_reads += n_active;
-      events_.macs += n_active;
     }
     w_busy_cycles_ = n_active == 0 ? 0 : n_active - 1;
-    ++events_.pe_active_cycles;
   }
 
   std::size_t id_;
@@ -304,8 +282,6 @@ class ProcessingElement {
   std::vector<Flit> scan_buffer_;
   std::vector<std::uint32_t> scan_idx_buffer_;  ///< kernel scan output
   std::vector<std::pair<std::uint32_t, std::int16_t>> write_back_buffer_;
-
-  EventCounts events_;
 };
 
 }  // namespace sparsenn

@@ -13,8 +13,8 @@
 
 namespace sparsenn {
 
-/// One 16-bit register file. Accesses are metered by the PE's
-/// EventCounts (act_reg_reads / act_reg_writes), not here.
+/// One 16-bit register file. Accesses are counted per layer by the
+/// census (sim/census.hpp: act_reg_reads / act_reg_writes), not here.
 class ActRegFile {
  public:
   explicit ActRegFile(std::size_t num_regs) : regs_(num_regs, 0) {}

@@ -1,10 +1,12 @@
 #include "sim/accelerator.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/fault.hpp"
 #include "common/logging.hpp"
+#include "sim/census.hpp"
 #include "sim/result_arena.hpp"
 
 namespace sparsenn {
@@ -21,6 +23,8 @@ const char* to_string(SteppingMode mode) noexcept {
 
 AcceleratorSim::AcceleratorSim(const ArchParams& params)
     : params_(params),
+      pe_nnz_(params.num_pes),
+      pe_active_(params.num_pes),
       v_tree_(params_, RouterMode::kAccumulate),   // ctor validates params
       w_tree_(params_, RouterMode::kArbitrate),
       broadcast_(params_.router_levels),
@@ -116,33 +120,25 @@ void AcceleratorSim::run_layer_into(const CompiledNetwork& compiled,
                                     std::size_t l, LayerSimResult& result) {
   const QuantizedLayer& layer = compiled.network().layer(l);
   // The result slot may be reused storage from a previous inference:
-  // reset every counter; activations is assign()ed below, which reuses
-  // its capacity.
-  result.v_cycles = 0;
-  result.u_cycles = 0;
-  result.w_cycles = 0;
-  result.total_cycles = 0;
-  result.events = EventCounts{};
-  result.w_noc = NocStats{};
-  result.v_noc = NocStats{};
-  result.nnz_inputs = 0;
-  result.active_rows = 0;
-  result.max_pe_nnz_inputs = 0;
-  result.max_pe_active_rows = 0;
+  // reset every field but keep the activations' capacity (assign()ed
+  // below, allocation-free once warm).
+  LayerSimResult fresh;
+  fresh.activations.swap(result.activations);
+  result = std::move(fresh);
 
   for (std::size_t i = 0; i < pes_.size(); ++i) {
-    pes_[i].reset_events();
     pes_[i].load_layer(compiled.slice(l, i));
-    const std::size_t nnz = pes_[i].scan_source_nonzeros().size();
-    result.nnz_inputs += nnz;
-    result.max_pe_nnz_inputs = std::max(result.max_pe_nnz_inputs, nnz);
+    pe_nnz_[i] = pes_[i].scan_source_nonzeros().size();
+    result.nnz_inputs += pe_nnz_[i];
+    result.max_pe_nnz_inputs =
+        std::max(result.max_pe_nnz_inputs, pe_nnz_[i]);
   }
 
   const bool event = stepping_ == SteppingMode::kEvent;
   const bool predict = compiled.use_predictor() && layer.has_predictor() &&
                        !layer.is_output;
+  const std::size_t rank = predict ? layer.rank() : 0;
   if (predict) {
-    const std::size_t rank = layer.rank();
     const int from_frac = layer.in_fmt.frac_bits + layer.v->fmt.frac_bits;
     const int mid_frac = layer.mid_fmt.frac_bits;
     result.v_cycles =
@@ -165,21 +161,18 @@ void AcceleratorSim::run_layer_into(const CompiledNetwork& compiled,
 
   // Gather the produced activations (and count computed rows).
   result.activations.assign(layer.out_dim(), 0);
-  for (auto& pe : pes_) {
-    for (const auto& [global, value] : pe.write_back())
+  for (std::size_t i = 0; i < pes_.size(); ++i) {
+    for (const auto& [global, value] : pes_[i].write_back())
       result.activations[global] = value;
-    for (const std::uint8_t bit : pe.predictor_bits())
-      result.active_rows += bit;
+    pe_active_[i] = pes_[i].w_active_row_count();
+    result.active_rows += pe_active_[i];
     result.max_pe_active_rows =
-        std::max(result.max_pe_active_rows, pe.w_active_row_count());
+        std::max(result.max_pe_active_rows, pe_active_[i]);
   }
 
-  result.events = collect_pe_events();
-  result.events.router_flits =
-      result.v_noc.flit_hops + result.w_noc.flit_hops;
-  result.events.router_acc_ops =
-      result.v_noc.acc_operations + result.w_noc.acc_operations;
-  result.events.cycles = result.total_cycles;
+  result.events = take_census(
+      params_, {layer.out_dim(), rank, pe_nnz_, pe_active_},
+      result.total_cycles).events;
 
   if (trace_) record_layer_trace(*trace_, l, result);
 }
@@ -318,12 +311,6 @@ std::uint64_t AcceleratorSim::simulate_w_phase(LayerSimResult& result) {
   result.w_noc.flit_hops +=
       delivered_count * params_.total_routers();  // downward multicast
   return cycles + params_.pe_pipeline_stages;
-}
-
-EventCounts AcceleratorSim::collect_pe_events() {
-  EventCounts total;
-  for (auto& pe : pes_) total += pe.events();
-  return total;
 }
 
 }  // namespace sparsenn

@@ -136,10 +136,11 @@ class AcceleratorSim final : public ExecutionEngine {
                                  int mid_frac, LayerSimResult& result);
   std::uint64_t simulate_w_phase(LayerSimResult& result);
 
-  EventCounts collect_pe_events();
-
   ArchParams params_;
   std::vector<ProcessingElement> pes_;
+  // Per-PE work of the current layer, the census's input (sized once).
+  std::vector<std::size_t> pe_nnz_;
+  std::vector<std::size_t> pe_active_;
 
   // Persistent NoC instances, reset at each phase start instead of
   // rebuilt — reset is bit-identical to fresh construction.

@@ -6,6 +6,7 @@
 #include "common/fault.hpp"
 #include "common/kernels.hpp"
 #include "noc/htree.hpp"
+#include "sim/census.hpp"
 #include "sim/result_arena.hpp"
 #include "sim/trace.hpp"
 
@@ -69,9 +70,6 @@ void AnalyticEngine::run_layer_into(const CompiledNetwork& compiled,
   const std::size_t num_pes = params_.num_pes;
   const std::size_t m = layer.out_dim();
   const auto u64 = [](std::size_t v) { return static_cast<std::uint64_t>(v); };
-
-  result.w_noc = NocStats{};
-  result.v_noc = NocStats{};
 
   // --- Input census: the ascending nonzero index list (the LNZD scan
   // output — every MAC loop below walks it instead of scanning zero
@@ -152,40 +150,14 @@ void AnalyticEngine::run_layer_into(const CompiledNetwork& compiled,
   result.total_cycles =
       result.v_cycles + result.u_cycles + result.w_cycles;
 
-  // --- NoC statistics: flit counts are exact (they follow from the
-  // schedule), contention terms (conflicts/stalls/occupancy) are left
-  // at zero — the analytic model assumes a congestion-free fabric.
-  const std::uint64_t routers = u64(params_.total_routers());
-  if (predict) {
-    result.v_noc.root_flits = rank;
-    result.v_noc.acc_operations = u64(rank) * (num_pes - 1);
-    // Accumulate mode forwards each reduced row once per router on the
-    // way up, and the result multicast traverses every router down.
-    result.v_noc.flit_hops = 2 * u64(rank) * routers;
-  }
-  result.w_noc.root_flits = nnz_in;
-  result.w_noc.flit_hops =
-      u64(nnz_in) * u64(params_.router_levels)  // one router per level up
-      + u64(nnz_in) * routers;                  // downward multicast
-
-  // --- Event estimates: datapath counts follow exactly from the
-  // functional work; register/queue counts use the broadcast fan-out.
-  EventCounts& e = result.events;
-  e = EventCounts{};
-  e.w_mem_reads = u64(nnz_in) * u64(active_rows);
-  e.v_mem_reads = u64(nnz_in) * rank;
-  e.u_mem_reads = u64(m) * rank;
-  e.macs = e.w_mem_reads + e.v_mem_reads + e.u_mem_reads;
-  e.mem_writes = active_rows;
-  e.act_reg_reads = nnz_in * (predict ? 2 : 1);  // V scan + W scan
-  e.act_reg_writes = u64(active_rows) + u64(rank) * num_pes;
-  e.queue_ops = 2 * u64(nnz_in) * num_pes;  // push+pop at every PE
-  e.predictor_bits = u64(m) + u64(active_rows);
-  e.lnzd_scans = u64(nnz_in) + u64(active_rows);
-  e.router_flits = result.v_noc.flit_hops + result.w_noc.flit_hops;
-  e.router_acc_ops = result.v_noc.acc_operations;
-  e.cycles = result.total_cycles;
-  e.pe_active_cycles = e.macs;
+  // --- Events and NoC flit counts from the census of the per-PE work;
+  // contention terms (conflicts/stalls/occupancy) stay zero — the
+  // analytic model assumes a congestion-free fabric.
+  const LayerCensus census = take_census(
+      params_, {m, rank, pe_nnz_, pe_active_}, result.total_cycles);
+  result.events = census.events;
+  result.v_noc = census.v_noc;
+  result.w_noc = census.w_noc;
 
   if (trace_) record_layer_trace(*trace_, l, result);
 }

@@ -7,11 +7,12 @@
 // hardware is verified against — the same integer MAC/rescale/mask
 // arithmetic, so activations, predictor masks, nnz/active-row counts
 // and therefore predicted labels are bit-identical to the cycle
-// backend (tests/engine_equivalence_test pins this). Cycles, event
-// counts and NoC statistics are then *derived* from the per-layer
-// schedule math of Section V (the same reasoning as
-// bench/ablation_schedule's estimators, but fed with the exact per-PE
-// work distribution of this input instead of balanced averages):
+// backend (tests/engine_equivalence_test pins this), and so is the
+// per-PE work the census (sim/census.hpp) turns into event and flit
+// counts. Cycles are *derived* from the per-layer schedule math of
+// Section V (the same reasoning as bench/ablation_schedule's
+// estimators, but fed with the exact per-PE work distribution of this
+// input instead of balanced averages):
 //
 //   V phase — the slowest PE's local column MACs (its local nonzero
 //     inputs × rank) plus the `rank` results pipelined through the
@@ -26,12 +27,13 @@
 //     the flight time; with no nonzero input nothing is sent and the
 //     phase is the PE pipeline flush alone.
 //
-// tests/engine_equivalence_test pins the V, U and W estimates equal to
-// the cycle engine's counts on every layer at paper scale (64 PEs,
-// radix 4, buffered credit flow control), both uv modes, an all-zero
-// image included. The closed form does not model arbitration conflicts
-// or credit stalls, so where a fabric contends (unbuffered flow
-// control, one-slot buffers or activation queues) it runs low. Callers
+// tests/engine_equivalence_test pins the V, U and W estimates and every
+// event count equal to the cycle engine's on every layer at paper
+// scale (64 PEs, radix 4, buffered credit flow control), both uv modes,
+// an all-zero image included. The closed form does not model
+// arbitration conflicts or credit stalls, so where a fabric contends
+// (unbuffered flow control, one-slot buffers or activation queues) its
+// cycles run low. Callers
 // that need exact cycle truth everywhere use the cycle backend; callers
 // that need throughput (model-zoo serving, accuracy sweeps, dataset
 // scoring) get an order-of-magnitude faster inference with identical

@@ -11,19 +11,19 @@
 //   EngineKind::kAnalytic — AnalyticEngine (sim/analytic_engine.hpp):
 //     the functional fixed-point forward pass (bit-exact activations,
 //     predictor masks and labels) with closed-form per-layer schedule
-//     math for cycles, events and NoC statistics — no per-cycle
-//     stepping, so single-inference latency drops by an order of
-//     magnitude.
+//     math for cycles — no per-cycle stepping, so single-inference
+//     latency drops by an order of magnitude.
 //
 // Both backends implement ExecutionEngine below and fill the same
 // SimResult shape, so System, BatchRunner, the CLI and the benches
 // select a backend with one knob. Predictions (activations/output) are
-// bit-identical across backends. The analytic engine's per-layer V/U/W
-// cycle counts equal the cycle engine's on the default buffered fabric
-// and run low where the fabric contends (unbuffered flow control,
-// shallow router or activation queues); its event counts remain
-// estimates. tests/engine_equivalence_test pins the predictions and the
-// per-layer cycle equality, tests/perf_floor_test the speedup.
+// bit-identical across backends. Both fill LayerSimResult::events from
+// one census of the layer's per-PE work (sim/census.hpp). The analytic
+// engine's per-layer V/U/W cycle counts equal the cycle engine's on
+// the default buffered fabric and run low where the fabric contends
+// (unbuffered flow control, shallow router or activation queues).
+// tests/engine_equivalence_test pins the predictions and the per-layer
+// cycle and event equality, tests/perf_floor_test the speedup.
 //
 // Engines are stateful scratch owners, exactly like AcceleratorSim
 // always was: one engine per thread, never shared concurrently. The
@@ -62,7 +62,7 @@ struct LayerSimResult {
   std::uint64_t u_cycles = 0;
   std::uint64_t w_cycles = 0;
   std::uint64_t total_cycles = 0;
-  EventCounts events;           ///< all PEs + routers, this layer
+  EventCounts events;           ///< all PEs + routers (the census)
   NocStats w_noc;               ///< W-phase network statistics
   NocStats v_noc;               ///< V-phase reduction statistics
   std::vector<std::int16_t> activations;  ///< produced layer output

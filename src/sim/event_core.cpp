@@ -222,7 +222,7 @@ std::uint64_t EventCore::run_w_phase(std::span<ProcessingElement> pes,
   sums_.assign(m, 0);
   kern.sparse_matvec_i16_i64(sums_.data(), layer.w_t.data.data(), m,
                              idx_.data(), idx_.size(), dense_.data());
-  for (ProcessingElement& pe : pes) pe.apply_w_sums(sums_, delivered);
+  for (ProcessingElement& pe : pes) pe.apply_w_sums(sums_);
 
   stats_.cycles_ticked += cycles;
   stats_.events_executed += executed;

@@ -34,13 +34,13 @@
 //     the loop, the delivered activations are scattered into one dense
 //     input and a single input-sparse matvec over the layer's
 //     column-major W (QuantizedLayer::w_t, the functional model's own
-//     kernel) gives every row's sum; each PE takes its active rows'
-//     sums and charges its W counters in closed form
-//     (ProcessingElement::apply_w_sums).
+//     kernel) gives every row's sum, and each PE takes its active rows'
+//     sums (ProcessingElement::apply_w_sums).
 //
-// Every observable — cycle counts, event tallies, NoC statistics,
-// activations — is bit-identical to the per-cycle reference; the
-// equivalence suites in tests/event_core_test.cpp and
+// Every observable — cycle counts, NoC statistics, activations, and so
+// the event counts the census (sim/census.hpp) derives from the PEs'
+// work — is bit-identical to the per-cycle reference; the equivalence
+// suites in tests/event_core_test.cpp and
 // tests/compiled_engine_test.cpp pin it. The core runs on the calling
 // thread and allocates nothing in steady state (the arena path's
 // zero-allocation contract covers it); parallelism lives across
@@ -73,7 +73,8 @@ class EventCore {
   /// phases since the last reset_stats(). The per-cycle reference
   /// executes every simulated cycle, so events_executed ==
   /// cycles_ticked there; the event core's ratio is the fraction of
-  /// simulated cycles it could not prove away.
+  /// simulated cycles it could not prove away. It does not track host
+  /// cost: an executed W cycle steps only the routers that can move.
   struct Stats {
     std::uint64_t cycles_ticked = 0;    ///< simulated cycles (total)
     std::uint64_t events_executed = 0;  ///< cycle iterations executed

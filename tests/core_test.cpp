@@ -85,13 +85,15 @@ TEST(System, AnalyticEngineServesIdenticalPredictions) {
   (void)system.simulate(1, true);
   EXPECT_EQ(system.compiled_network_compile_count(), 2u);
 
-  // An unset BatchOptions::engine inherits the system's backend: the
-  // batch totals carry the analytic engine's estimates, not the cycle
-  // engine's counts (an explicit override still wins). The two agree
-  // on cycles here, so the event totals tell the backends apart.
+  // An unset BatchOptions::engine inherits the system's backend (an
+  // explicit override still wins). The two agree on cycles and on
+  // every event count here, so the per-inference NoC statistics tell
+  // them apart: only the cycle engine models contention (leaf-buffer
+  // occupancy, arbitration conflicts), which the analytic one reports
+  // as zero.
   BatchOptions batch;
   batch.max_samples = 4;
-  batch.keep_results = false;
+  batch.keep_results = true;
   const BatchResult inherited = system.simulate_batch(batch);
   batch.engine = EngineKind::kAnalytic;
   const BatchResult analytic = system.simulate_batch(batch);
@@ -99,8 +101,12 @@ TEST(System, AnalyticEngineServesIdenticalPredictions) {
   const BatchResult cycle = system.simulate_batch(batch);
   EXPECT_EQ(inherited.total_cycles, analytic.total_cycles);
   EXPECT_EQ(inherited.total_events, analytic.total_events);
+  EXPECT_EQ(inherited.results, analytic.results);
   EXPECT_EQ(inherited.error_rate_percent, cycle.error_rate_percent);
-  EXPECT_NE(cycle.total_events, analytic.total_events);
+  EXPECT_EQ(cycle.total_events, analytic.total_events);
+  EXPECT_NE(inherited.results, cycle.results);
+  EXPECT_GT(cycle.results.front().layers.front().w_noc.mean_leaf_occupancy,
+            0.0);
 }
 
 TEST(System, CompareHardwareShapes) {

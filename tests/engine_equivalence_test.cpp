@@ -5,7 +5,12 @@
 // cycle-accurate engine on real data, for both uv modes, from the same
 // ModelZoo-served compiled image. This is the contract that lets a
 // serving path swap backends per request without changing a single
-// classification.
+// classification. On the paper's fabric the costs agree too: V/U/W
+// cycles, every event count (both engines count from the census,
+// sim/census.hpp) and the NoC flit counts. Only the contention
+// statistics — arbitration conflicts, credit stalls, leaf occupancy —
+// are the cycle engine's alone: the analytic engine models no
+// congestion and leaves them at zero.
 //
 // Two datasets per the acceptance criteria: the procedural digits
 // generator (the repo's default benchmark) and the checked-in 4-image
@@ -24,7 +29,9 @@
 #include "data/mnist_io.hpp"
 #include "nn/predictor.hpp"
 #include "nn/quantized.hpp"
+#include "nn/trainer.hpp"
 #include "sim/accelerator.hpp"
+#include "sim/analytic_engine.hpp"
 #include "sim/batch_runner.hpp"
 #include "sim/engine.hpp"
 #include "sim/result_arena.hpp"
@@ -44,14 +51,30 @@ QuantizedNetwork make_network(const Matrix& calibration) {
   return QuantizedNetwork(net, calibration);
 }
 
+/// The EventCounts fields in declaration order, so a mismatch prints
+/// which one differs.
+std::vector<std::uint64_t> fields(const EventCounts& e) {
+  return {e.w_mem_reads,    e.u_mem_reads,    e.v_mem_reads,
+          e.macs,           e.act_reg_reads,  e.act_reg_writes,
+          e.queue_ops,      e.predictor_bits, e.lnzd_scans,
+          e.router_flits,   e.router_acc_ops, e.cycles,
+          e.pe_active_cycles};
+}
+
+/// The timing-independent NoC statistics: flit hops, reduction adds
+/// and root flits (conflicts, stalls and occupancy are contention).
+std::vector<std::uint64_t> flit_counts(const NocStats& n) {
+  return {n.flit_hops, n.acc_operations, n.root_flits};
+}
+
 std::size_t argmax_i16(const std::vector<std::int16_t>& v) {
   return static_cast<std::size_t>(
       std::max_element(v.begin(), v.end()) - v.begin());
 }
 
 /// Runs every image on both backends from one shared zoo image and
-/// asserts the prediction contract (plus the U-phase cycle formula,
-/// which both backends compute identically).
+/// asserts the prediction contract, plus, on this paper fabric, equal
+/// per-layer cycles, event counts and NoC flit counts.
 void expect_equivalent(const QuantizedNetwork& network,
                        const Matrix& images, std::size_t samples) {
   const ArchParams arch = ArchParams::paper();
@@ -99,13 +122,21 @@ void expect_equivalent(const QuantizedNetwork& network,
         EXPECT_EQ(exact.layers[l].u_cycles, fast.layers[l].u_cycles);
         EXPECT_EQ(exact.layers[l].w_cycles, fast.layers[l].w_cycles)
             << "layer " << l << " sample " << i << " uv " << uv_on;
+        // Every event count, and so every energy term, and the NoC's
+        // flit counts; contention statistics are the named exception.
+        EXPECT_EQ(fields(exact.layers[l].events),
+                  fields(fast.layers[l].events))
+            << "layer " << l << " sample " << i << " uv " << uv_on;
+        EXPECT_EQ(flit_counts(exact.layers[l].v_noc),
+                  flit_counts(fast.layers[l].v_noc))
+            << "layer " << l << " sample " << i << " uv " << uv_on;
+        EXPECT_EQ(flit_counts(exact.layers[l].w_noc),
+                  flit_counts(fast.layers[l].w_noc))
+            << "layer " << l << " sample " << i << " uv " << uv_on;
       }
       EXPECT_EQ(exact.output, fast.output) << "sample " << i;
       EXPECT_EQ(argmax_i16(exact.output), argmax_i16(fast.output));
-      // Estimates must at least be live numbers in the right shape; the
-      // MAC count follows exactly from the functional work.
       EXPECT_GT(fast.total_cycles, 0u);
-      EXPECT_EQ(exact.total_events().macs, fast.total_events().macs);
       if (exact.layers.front().nnz_inputs > 0) {
         EXPECT_GT(fast.total_events().macs, 0u);
       }
@@ -148,6 +179,90 @@ TEST(EngineEquivalence, IdxTinyMnist) {
   ASSERT_EQ(images->cols(), 784u);
   const QuantizedNetwork network = make_network(*images);
   expect_equivalent(network, *images, images->rows());
+}
+
+// Per-layer EventCounts sums of the census probe below, recorded from
+// the cycle engine's per-PE event counters before the census replaced
+// them. Those counters charged a V-phase reduction again each cycle a
+// closed parent credit window cancelled it; router_acc_ops is entered
+// at one charge per committed reduction instead: (P − 1)·rank =
+// 63·15 per V phase, 9 images. Field order as in fields().
+constexpr std::uint64_t kProbeSums[2][4][13] = {
+    {// uv_on
+     {1732507, 135000, 52530, 1920037, 7004, 9000, 456896, 18000, 7004,
+      89718, 8505, 47005, 1928677},
+     {984875, 135000, 29625, 1149500, 3950, 9000, 261440, 18000, 3950,
+      53070, 8505, 26625, 1158140},
+     {981931, 135000, 29835, 1146766, 3978, 9000, 263232, 18000, 3978,
+      53406, 8505, 27550, 1155406},
+     {19630, 0, 0, 19630, 1963, 90, 251264, 90, 1963, 47112, 0, 2040,
+      125632}},
+    {// uv_off
+     {3502000, 0, 0, 3502000, 3502, 9000, 448256, 9000, 3502, 84048, 0,
+      56109, 3502000},
+     {4038000, 0, 0, 4038000, 4038, 9000, 516864, 9000, 4038, 96912, 0,
+      64685, 4038000},
+     {4059000, 0, 0, 4059000, 4059, 9000, 519552, 9000, 4059, 97416, 0,
+      65021, 4059000},
+     {39540, 0, 0, 39540, 3954, 90, 506112, 90, 3954, 94896, 0, 4031,
+      253056}}};
+
+// The census probe: the paper's 784-1000-1000-1000-10 net with rank-15
+// random predictors (seed 20), calibrated on 8 BASIC training images,
+// run on 4 BASIC and 4 BG-RAND test images and an all-zero one. Both
+// engines' per-layer sums must equal the recorded counts in both uv
+// modes.
+TEST(EngineEquivalence, CensusReproducesRecordedCountsOnThePaperNet) {
+  DatasetOptions options;
+  options.train_size = 8;
+  options.test_size = 4;
+  const DatasetSplit basic = make_dataset(DatasetVariant::kBasic, options);
+  const DatasetSplit bg_rand =
+      make_dataset(DatasetVariant::kBgRand, options);
+  Rng rng{20};
+  Network net{five_layer_topology(1000), rng};
+  for (std::size_t l = 0; l < net.num_hidden_layers(); ++l) {
+    const auto sizes = net.layer_sizes();
+    net.set_predictor(l,
+                      Predictor::random(sizes[l + 1], sizes[l], 15, rng));
+  }
+  const QuantizedNetwork network(net, basic.train.inputs);
+  Matrix images(9, 784, 0.0f);  // row 8 stays all-zero
+  for (std::size_t i = 0; i < 4; ++i) {
+    std::copy(basic.test.image(i).begin(), basic.test.image(i).end(),
+              images.row(i).begin());
+    std::copy(bg_rand.test.image(i).begin(), bg_rand.test.image(i).end(),
+              images.row(4 + i).begin());
+  }
+
+  const ArchParams arch = ArchParams::paper();
+  AcceleratorSim cycle(arch);
+  AnalyticEngine analytic(arch);
+  for (const bool uv_on : {true, false}) {
+    const CompiledNetwork compiled(network, arch, uv_on);
+    std::vector<EventCounts> cycle_sums(4), analytic_sums(4);
+    for (std::size_t i = 0; i < images.rows(); ++i) {
+      const SimResult exact =
+          cycle.run(compiled, images.row(i), ValidationMode::kFull);
+      const SimResult fast =
+          analytic.run(compiled, images.row(i), ValidationMode::kOff);
+      ASSERT_EQ(exact.layers.size(), 4u);
+      ASSERT_EQ(fast.layers.size(), 4u);
+      for (std::size_t l = 0; l < 4; ++l) {
+        cycle_sums[l] += exact.layers[l].events;
+        analytic_sums[l] += fast.layers[l].events;
+      }
+    }
+    for (std::size_t l = 0; l < 4; ++l) {
+      const auto& row = kProbeSums[uv_on ? 0 : 1][l];
+      const std::vector<std::uint64_t> recorded(std::begin(row),
+                                                std::end(row));
+      EXPECT_EQ(fields(cycle_sums[l]), recorded)
+          << "cycle layer " << l << " uv " << uv_on;
+      EXPECT_EQ(fields(analytic_sums[l]), recorded)
+          << "analytic layer " << l << " uv " << uv_on;
+    }
+  }
 }
 
 /// Event-driven advancement vs pure per-cycle at paper scale (64 PEs,

@@ -1,5 +1,6 @@
-// Tests for src/pe: activation queue, register files, SRAM banks, and
-// the processing element's V/U/W phase arithmetic.
+// Tests for src/pe: activation queue, register files, SRAM banks, the
+// processing element's V/U/W phase arithmetic, and the census's counts
+// of the steps the PEs take.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 #include "pe/memory.hpp"
 #include "pe/pe.hpp"
 #include "pe/regfile.hpp"
+#include "sim/census.hpp"
 #include "sim/schedule.hpp"
 
 namespace sparsenn {
@@ -26,8 +28,8 @@ TEST(ActQueue, FifoSemantics) {
   EXPECT_EQ(q.front().index, 1u);
   q.pop();
   EXPECT_EQ(q.front().index, 2u);
-  EXPECT_EQ(q.pushes(), 2u);
-  EXPECT_EQ(q.pops(), 1u);
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.free_slots(), 2u);
 }
 
 TEST(ActQueue, OverflowAndUnderflowGuards) {
@@ -57,7 +59,7 @@ TEST(RegFile, PingPongSwap) {
 }
 
 TEST(SramBank, CapacityEnforced) {
-  SramBank bank("W", 1);  // 1KB = 512 words
+  SramBank bank(1);  // 1KB = 512 words
   EXPECT_EQ(bank.capacity_words(), 512u);
   // The bank views caller-owned words (it no longer copies).
   const std::vector<std::int16_t> fits(512, 1);
@@ -67,13 +69,12 @@ TEST(SramBank, CapacityEnforced) {
                std::invalid_argument);
 }
 
-TEST(SramBank, RowAccessAndCounting) {
-  SramBank bank("U", 1);
+TEST(SramBank, RowAccess) {
+  SramBank bank(1);
   const std::vector<std::int16_t> words{1, 2, 3, 4, 5, 6};
   bank.load_rows(words, 3);
   EXPECT_EQ(bank.num_rows(), 2u);
   EXPECT_EQ(bank.read_row_word(1, 2), 6);
-  EXPECT_EQ(bank.reads(), 1u);
   EXPECT_THROW(bank.read_row_word(2, 0), std::invalid_argument);
   EXPECT_THROW(bank.read_row_word(0, 3), std::invalid_argument);
   const auto row = bank.row(0);
@@ -228,27 +229,105 @@ TEST(ProcessingElement, CapacityViolationSurfaces) {
   EXPECT_THROW(pe.load_layer(slice.view), std::invalid_argument);
 }
 
-TEST(ProcessingElement, EventCountersTrackWork) {
+// The census (sim/census.hpp) counts a layer's events from each PE's
+// work instead of from counters in the PE. Run one layer's V, U and W
+// phases on all four PEs a step at a time, the way the per-cycle engine
+// drives them, and check every count against the steps taken: each V
+// or U step is one SRAM read, one MAC and one busy cycle; each W
+// delivery is one queue push and pop at every PE and busies PE i for
+// max(1, a_i) cycles, one W read and MAC per active row.
+TEST(ProcessingElement, CensusCountsTheStepsThePesTake) {
   PeFixture f;
-  ProcessingElement pe(0, f.params);
-  const OwnedPeSlice slice =
-      make_pe_slice(f.quantized->layer(0), f.params, 0, true);
-  pe.load_layer(slice.view);
-  std::vector<std::int16_t> input(8, 100);
-  pe.load_input(input);
-  pe.force_all_rows_active();
-  pe.start_w_phase();
-  pe.enqueue_activation(flit(0, 100));
-  while (pe.step_w_consume()) {
+  const QuantizedLayer& layer = f.quantized->layer(0);
+  const Vector x{0.9f, 0.0f, 0.4f, 0.2f, 0.0f, 0.7f, 0.1f, 0.3f};
+  const auto qx = f.quantized->quantize_input(x);
+  const std::size_t num_pes = f.params.num_pes;
+  const std::size_t rank = layer.rank();
+  ASSERT_GT(rank, 0u);
+
+  std::vector<ProcessingElement> pes;
+  std::vector<OwnedPeSlice> slices;  // must outlive the PEs' use
+  std::vector<std::size_t> nnz(num_pes), active(num_pes);
+  std::uint64_t v_steps = 0, partials = 0, inputs_read = 0;
+  std::vector<std::int64_t> sums(rank, 0);
+  for (std::size_t id = 0; id < num_pes; ++id) {
+    pes.emplace_back(id, f.params);
+    slices.push_back(make_pe_slice(layer, f.params, id, true));
+    ProcessingElement& pe = pes.back();
+    pe.load_layer(slices.back().view);
+    pe.load_input(qx);
+    nnz[id] = pe.scan_source_nonzeros().size();
+    pe.start_v_phase();
+    std::uint64_t steps = 0;
+    while (!pe.v_compute_done()) {
+      pe.step_v_compute();
+      ++steps;
+    }
+    v_steps += steps;
+    inputs_read += steps / rank;  // one register read per input column
+    while (pe.has_partial_ready()) {
+      const Flit p = pe.peek_partial();
+      sums[p.index] += p.payload;
+      pe.pop_partial();
+      ++partials;
+    }
   }
-  const EventCounts& e = pe.events();
-  // PE 0 maps rows {0, 4} of the 6-row layer: 2 MACs for 1 activation.
-  EXPECT_EQ(e.macs, 2u);
-  EXPECT_EQ(e.w_mem_reads, 2u);
-  EXPECT_GE(e.queue_ops, 2u);  // push + pop
-  EXPECT_GT(e.pe_active_cycles, 0u);
-  pe.reset_events();
-  EXPECT_EQ(pe.events().macs, 0u);
+  const int from_frac = layer.in_fmt.frac_bits + layer.v->fmt.frac_bits;
+  std::uint64_t results_queued = 0;
+  for (std::uint32_t row = 0; row < rank; ++row) {
+    for (auto& pe : pes) {
+      pe.receive_v_result(row, rescale_to_i16(sums[row], from_frac,
+                                              layer.mid_fmt.frac_bits));
+      ++results_queued;
+    }
+  }
+  std::uint64_t u_steps = 0, bank_rows = 0;
+  for (auto& pe : pes) {
+    u_steps += pe.run_u_phase();
+    bank_rows += pe.predictor_bits().size();  // U writes, W reads
+  }
+
+  // Every PE injects its local nonzeros (one register read each); the
+  // root broadcasts each to every PE.
+  std::vector<Flit> deliveries;
+  for (std::size_t id = 0; id < num_pes; ++id) {
+    pes[id].start_w_phase();
+    active[id] = pes[id].w_active_row_count();
+    while (pes[id].has_injection()) {
+      deliveries.push_back(pes[id].peek_injection());
+      pes[id].pop_injection();
+    }
+  }
+  std::uint64_t busy = 0, w_macs = 0, writes = 0;
+  for (std::size_t id = 0; id < num_pes; ++id) {
+    for (const Flit& d : deliveries) {
+      pes[id].enqueue_activation(d);
+      std::uint64_t cycles = 0;
+      while (pes[id].step_w_consume()) ++cycles;
+      EXPECT_EQ(cycles, std::max<std::size_t>(1, active[id]));
+      busy += cycles;
+    }
+    EXPECT_TRUE(pes[id].w_done());
+    w_macs += deliveries.size() * active[id];
+    writes += pes[id].write_back().size();
+  }
+  // PE 0 maps rows {0, 4} of the 6-row layer.
+  EXPECT_EQ(pes[0].predictor_bits().size(), 2u);
+  ASSERT_EQ(deliveries.size(), 6u);  // x has 6 nonzeros
+  EXPECT_EQ(v_steps, deliveries.size() * rank);
+
+  const EventCounts e =
+      take_census(f.params, {layer.out_dim(), rank, nnz, active}, 0).events;
+  EXPECT_EQ(e.v_mem_reads, v_steps);
+  EXPECT_EQ(e.u_mem_reads, u_steps);
+  EXPECT_EQ(e.w_mem_reads, w_macs);
+  EXPECT_EQ(e.macs, v_steps + u_steps + w_macs);
+  EXPECT_EQ(e.pe_active_cycles, v_steps + partials + u_steps + busy);
+  EXPECT_EQ(e.queue_ops, results_queued + 2 * deliveries.size() * num_pes);
+  EXPECT_EQ(e.act_reg_reads, inputs_read + deliveries.size());
+  EXPECT_EQ(e.act_reg_writes, writes);
+  EXPECT_EQ(e.lnzd_scans, inputs_read + deliveries.size());
+  EXPECT_EQ(e.predictor_bits, 2 * bank_rows);
 }
 
 }  // namespace

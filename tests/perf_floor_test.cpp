@@ -74,13 +74,21 @@ constexpr double kBaselinePerCycleRate = 576.482;
 constexpr double kBaselineCompiledRate = 902.924;
 constexpr double kBaselineArenaRate = 980.177;
 constexpr double kBaselineAnalyticRate = 55385.4;
-constexpr double kBaselineCompiledSpeedup = 1.78014;  // vs per-inference
-constexpr double kBaselineEventSpeedup = 1.65955;     // vs per-cycle
+// This suite's own medians for the event core, over 12 Release runs on
+// the same host once the census (sim/census.hpp) replaced the PE's
+// per-event counters: event/per-cycle 2.275–2.432, compiled/
+// per-inference 2.415–2.574.
+constexpr double kBaselineEventOverPerCycle = 2.385;
+constexpr double kBaselineCompiledOverPerInference = 2.494;
 // The analytic engine is gated against the per-cycle engine, not the
 // event core, so a faster event core cannot fail it: the median of 11
 // runs' analytic/per-cycle medians of this suite (97.8–115.9) on the
-// same host.
+// same host, measured while the PE still kept per-event counters.
+// Dropping them sped up the per-cycle reference alone, by the median
+// of 12 alternating before/after runs' per-cycle rates; dividing by
+// that keeps the floor on the same analytic speed.
 constexpr double kBaselineAnalyticOverPerCycle = 106.954;
+constexpr double kPerCycleSpeedupWithoutPeCounters = 1.101;
 
 // CI failed a metric more than 20% below its baseline.
 constexpr double kTolerance = 0.8;
@@ -104,13 +112,15 @@ struct RatioFloor {
   double floor;
 };
 
-// Each floor is the larger of CI's hard floor (where it had one) and
-// 80% of the baseline's ratio.
+// Each floor is 80% of its baseline ratio (the analytic one at least
+// 10, CI's old hard floor).
 const std::array<RatioFloor, 5> kFloors = {{
-    {kCompiled, kPerInference, kTolerance * kBaselineCompiledSpeedup},
+    {kCompiled, kPerInference,
+     kTolerance * kBaselineCompiledOverPerInference},
     {kAnalytic, kPerCycle,
-     std::max(10.0, kTolerance * kBaselineAnalyticOverPerCycle)},
-    {kEvent, kPerCycle, std::max(1.5, kTolerance * kBaselineEventSpeedup)},
+     std::max(10.0, kTolerance * kBaselineAnalyticOverPerCycle /
+                        kPerCycleSpeedupWithoutPeCounters)},
+    {kEvent, kPerCycle, kTolerance * kBaselineEventOverPerCycle},
     {kArena, kCompiled,
      kTolerance * kBaselineArenaRate / kBaselineCompiledRate},
     {kPerCycle, kPerInference,
@@ -122,7 +132,8 @@ constexpr std::size_t kCycleWindow = 32;  // inferences per window
 constexpr std::size_t kAnalyticWindow = 2048;
 
 /// Predictions across backends: activations, sparsity counts and
-/// logits, but not the analytic engine's estimated events.
+/// logits, but not the cycles and contention statistics the analytic
+/// engine does not model exactly.
 bool same_predictions(const SimResult& a, const SimResult& b) {
   if (a.output != b.output || a.layers.size() != b.layers.size())
     return false;
