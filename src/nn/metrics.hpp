@@ -27,9 +27,6 @@ struct EvalResult {
 /// Full evaluation pass; uses predictors when present.
 EvalResult evaluate(const Network& network, const Dataset& dataset);
 
-/// TER only — cheaper, used inside training loops.
-double test_error_rate(const Network& network, const Dataset& dataset);
-
 /// Fraction (percent) of prediction mask disagreements against the true
 /// post-ReLU zero pattern, split by error type. Used to study predictor
 /// quality beyond what the paper reports.

@@ -49,77 +49,50 @@ const Predictor& Network::predictor(std::size_t layer) const {
   return *predictors_[layer];
 }
 
-ForwardTrace Network::forward(std::span<const float> input) const {
-  expects(input.size() == sizes_.front(), "input dimension mismatch");
-  ForwardTrace trace;
+ForwardTrace Network::forward(Matrix inputs) const {
+  expects(inputs.cols() == sizes_.front(), "input dimension mismatch");
   const std::size_t nl = weights_.size();
-  trace.activations.reserve(nl + 1);
-  trace.pre_activations.resize(nl);
-  trace.unmasked.resize(nl);
-  trace.predictor_pre_sign.resize(nl);
-  trace.predictor_mid.resize(nl);
-  trace.masks.resize(nl);
-
-  trace.activations.emplace_back(input.begin(), input.end());
+  ForwardTrace trace;
+  trace.activations.push_back(std::move(inputs));
   for (std::size_t l = 0; l < nl; ++l) {
-    const Vector& a = trace.activations.back();
-    Vector z = matvec(weights_[l], a);
-    trace.pre_activations[l] = z;
-
-    const bool is_output = (l + 1 == nl);
-    if (is_output) {
-      trace.unmasked[l] = z;
-      trace.activations.push_back(std::move(z));
-      continue;
-    }
-
-    Vector a_ori = relu(z);
-    trace.unmasked[l] = a_ori;
-    if (predictors_[l]) {
-      Vector s = predictors_[l]->project(a);
-      Vector t = predictors_[l]->expand(s);
-      Vector mask = positive_mask(t);
-      Vector a_next = hadamard(mask, a_ori);
-      trace.predictor_mid[l] = std::move(s);
-      trace.predictor_pre_sign[l] = std::move(t);
-      trace.masks[l] = std::move(mask);
-      trace.activations.push_back(std::move(a_next));
-    } else {
-      trace.activations.push_back(std::move(a_ori));
-    }
+    LayerForward step = forward_layer(l, trace.activations.back());
+    trace.pre_activations.push_back(std::move(step.z));
+    trace.unmasked.push_back(std::move(step.unmasked));
+    trace.predictor_mid.push_back(std::move(step.s));
+    trace.predictor_pre_sign.push_back(std::move(step.t));
+    trace.masks.push_back(std::move(step.mask));
+    trace.activations.push_back(std::move(step.a));
   }
   return trace;
 }
 
-Vector Network::infer(std::span<const float> input,
-                      bool use_predictor) const {
-  expects(input.size() == sizes_.front(), "input dimension mismatch");
-  Vector a(input.begin(), input.end());
-  const std::size_t nl = weights_.size();
-  for (std::size_t l = 0; l < nl; ++l) {
-    const bool is_output = (l + 1 == nl);
-    if (is_output) {
-      a = matvec(weights_[l], a);
-      break;
-    }
-    if (use_predictor && predictors_[l]) {
-      // Deployment order: predict first, compute only unmasked rows.
-      const Vector mask = predictors_[l]->mask(a);
-      Vector next(weights_[l].rows(), 0.0f);
-      for (std::size_t r = 0; r < next.size(); ++r) {
-        if (mask[r] == 0.0f) continue;
-        const auto row = weights_[l].row(r);
-        double acc = 0.0;
-        for (std::size_t c = 0; c < row.size(); ++c)
-          acc += double{row[c]} * double{a[c]};
-        next[r] = std::max(0.0f, static_cast<float>(acc));
-      }
-      a = std::move(next);
-    } else {
-      a = relu(matvec(weights_[l], a));
-    }
+LayerForward Network::forward_layer(std::size_t layer,
+                                    const Matrix& a) const {
+  LayerForward out;
+  out.z = matvec_rows(weights_.at(layer), a);
+  out.unmasked = out.z;
+  if (layer + 1 == weights_.size()) {
+    out.a = out.z;  // linear output layer
+    return out;
   }
-  return a;
+  relu_inplace(out.unmasked.flat());
+  if (!predictors_[layer]) {
+    out.a = out.unmasked;
+    return out;
+  }
+  out.s = matvec_rows(predictors_[layer]->v(), a);
+  out.t = matvec_rows(predictors_[layer]->u(), out.s);
+  out.mask = Matrix(out.t.rows(), out.t.cols());
+  out.a = Matrix(out.t.rows(), out.t.cols());
+  const std::span<const float> t = out.t.flat();
+  const std::span<const float> unmasked = out.unmasked.flat();
+  const std::span<float> mask = out.mask.flat();
+  const std::span<float> next = out.a.flat();
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    mask[i] = t[i] > 0.0f ? 1.0f : 0.0f;
+    next[i] = mask[i] * unmasked[i];
+  }
+  return out;
 }
 
 std::size_t Network::parameter_count() const noexcept {

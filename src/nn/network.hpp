@@ -16,23 +16,40 @@
 
 namespace sparsenn {
 
-/// Everything the backward pass needs from one forward evaluation.
+/// One layer of the float forward pass over a batch of samples: row i
+/// of every matrix is sample i. A hidden layer computes z = W a and,
+/// with a predictor, s = V a, t = U s, mask = [t > 0] and
+/// a' = mask ⊙ ReLU(z); without one, a' = ReLU(z). The output layer is
+/// linear (a' = z).
+struct LayerForward {
+  Matrix z;         ///< W a
+  Matrix unmasked;  ///< ReLU(z) on a hidden layer, z on the output layer
+  Matrix s;         ///< V a (empty without a predictor)
+  Matrix t;         ///< U s, the pre-sign values (empty without one)
+  Matrix mask;      ///< 1 where t > 0, else 0 (empty without one)
+  Matrix a;         ///< the next layer's input a'
+};
+
+/// Everything the backward pass needs from one batched forward
+/// evaluation. Each field holds one matrix per layer; row i of every
+/// matrix is sample i.
 struct ForwardTrace {
-  /// a(1)..a(L): activations per layer of units, post mask.
-  std::vector<Vector> activations;
+  /// a(1)..a(L): activations per layer of units, post mask (entry 0 is
+  /// the input).
+  std::vector<Matrix> activations;
   /// z(l) = W(l) a(l) pre-nonlinearity, per weight layer.
-  std::vector<Vector> pre_activations;
+  std::vector<Matrix> pre_activations;
   /// a_ori = ReLU(z) before predictor masking (hidden layers only; the
   /// entry for the output layer holds z unchanged).
-  std::vector<Vector> unmasked;
+  std::vector<Matrix> unmasked;
   /// t = U V a predictor pre-sign values (empty when no predictor).
-  std::vector<Vector> predictor_pre_sign;
+  std::vector<Matrix> predictor_pre_sign;
   /// s = V a intermediate (empty when no predictor).
-  std::vector<Vector> predictor_mid;
+  std::vector<Matrix> predictor_mid;
   /// Heaviside masks actually applied (empty when no predictor).
-  std::vector<Vector> masks;
+  std::vector<Matrix> masks;
 
-  const Vector& output() const { return activations.back(); }
+  const Matrix& output() const { return activations.back(); }
 };
 
 /// MLP with optional per-hidden-layer sparsity predictors.
@@ -62,12 +79,15 @@ class Network {
   Predictor& predictor(std::size_t layer);
   const Predictor& predictor(std::size_t layer) const;
 
-  /// Full forward pass retaining intermediates for training.
-  ForwardTrace forward(std::span<const float> input) const;
+  /// Forward pass of every row of `inputs` (one sample per row),
+  /// retaining the intermediates for training and evaluation.
+  ForwardTrace forward(Matrix inputs) const;
 
-  /// Inference-only forward (no trace); `use_predictor=false` gives the
-  /// NO-UV / uv_off behaviour on the same weights.
-  Vector infer(std::span<const float> input, bool use_predictor = true) const;
+  /// Weight layer `layer` applied to the batch `a` (rows are samples):
+  /// the float layer arithmetic of forward(). Each product reads each
+  /// weight once per eight rows (matvec_rows), and every output equals
+  /// matvec() of its row bit for bit.
+  LayerForward forward_layer(std::size_t layer, const Matrix& a) const;
 
   /// Total trainable parameter count (W + U + V).
   std::size_t parameter_count() const noexcept;

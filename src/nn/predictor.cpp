@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/check.hpp"
-#include "tensor/ops.hpp"
 
 namespace sparsenn {
 
@@ -43,22 +42,6 @@ Predictor Predictor::from_svd(const Matrix& w, std::size_t rank,
     for (std::size_t c = 0; c < row.size(); ++c) row[c] *= svd.sigma[c];
   }
   return Predictor{std::move(u), svd.v.transposed()};
-}
-
-Vector Predictor::project(std::span<const float> input) const {
-  return matvec(v_, input);
-}
-
-Vector Predictor::expand(std::span<const float> mid) const {
-  return matvec(u_, mid);
-}
-
-Vector Predictor::pre_sign(std::span<const float> input) const {
-  return expand(project(input));
-}
-
-Vector Predictor::mask(std::span<const float> input) const {
-  return positive_mask(pre_sign(input));
 }
 
 double Predictor::relative_cost() const noexcept {

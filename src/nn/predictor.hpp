@@ -1,8 +1,9 @@
 #pragma once
 // The low-rank output-sparsity predictor p = sign(U V a) of Sections
-// III.B/IV. A Predictor owns the factor pair and evaluates the
-// prediction; how U and V are obtained (truncated SVD vs end-to-end
-// training) is the trainer's concern.
+// III.B/IV. A Predictor owns the factor pair; the network's forward
+// pass evaluates the prediction (Network::forward_layer), and how U and
+// V are obtained (truncated SVD vs end-to-end training) is the
+// trainer's concern.
 
 #include <cstdint>
 
@@ -42,15 +43,6 @@ class Predictor {
   const Matrix& u() const noexcept { return u_; }
   Matrix& v() noexcept { return v_; }
   const Matrix& v() const noexcept { return v_; }
-
-  /// s = V a (the cheap projection).
-  Vector project(std::span<const float> input) const;
-  /// t = U s (pre-sign values).
-  Vector expand(std::span<const float> mid) const;
-  /// Full pre-sign evaluation t = U V a.
-  Vector pre_sign(std::span<const float> input) const;
-  /// Deployed 0/1 mask: 1 where t > 0.
-  Vector mask(std::span<const float> input) const;
 
   /// Multiply–accumulate cost of one prediction relative to the full
   /// layer (the paper's "<5% overhead" figure): r(m+n) / (mn).

@@ -130,30 +130,17 @@ CalibrationRanges calibration_ranges(const Network& network,
       max_abs = std::max(max_abs, std::abs(double{v}));
   };
 
-  // All samples advance through the network together, one layer at a
-  // time, so each weight is read once per matvec_rows panel rather
-  // than once per sample. Row i of every matrix is sample i.
+  // All samples advance through the network's forward pass together,
+  // one layer at a time, so each weight is read once per matvec_rows
+  // panel rather than once per sample. Row i of every matrix is
+  // sample i.
   Matrix a(samples, calibration.cols());
   std::copy_n(calibration.flat().begin(), a.size(), a.flat().begin());
   for (std::size_t l = 0; l < nl; ++l) {
     fold_max(ranges.act_max[l], a);
-    Matrix z = matvec_rows(network.weight(l), a);
-    if (l + 1 < nl) {
-      // a' = mask(U V a) × ReLU(z), the float ops of Network::forward.
-      std::span<float> zf = z.flat();
-      if (network.has_predictor(l)) {
-        const Predictor& p = network.predictor(l);
-        const Matrix s = matvec_rows(p.v(), a);
-        fold_max(ranges.mid_max[l], s);
-        const Matrix t = matvec_rows(p.u(), s);
-        const std::span<const float> tf = t.flat();
-        for (std::size_t i = 0; i < zf.size(); ++i)
-          zf[i] = (tf[i] > 0.0f ? 1.0f : 0.0f) * std::max(zf[i], 0.0f);
-      } else {
-        relu_inplace(zf);
-      }
-    }
-    a = std::move(z);
+    LayerForward step = network.forward_layer(l, a);
+    fold_max(ranges.mid_max[l], step.s);  // empty without a predictor
+    a = std::move(step.a);
   }
   fold_max(ranges.act_max[nl], a);
   return ranges;

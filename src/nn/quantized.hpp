@@ -103,10 +103,10 @@ struct CalibrationRanges {
 };
 
 /// The ranges the QuantizedNetwork constructor derives its activation
-/// formats from: one batched float forward pass (matvec_rows) over the
-/// first min(rows, calibration_limit) rows of `calibration`, with the
-/// same float arithmetic as Network::forward — so every maximum equals
-/// the one per-sample forward() calls would give.
+/// formats from: max |a| and max |V a| folded over
+/// Network::forward_layer, layer by layer, for the first
+/// min(rows, calibration_limit) rows of `calibration` — so every
+/// maximum equals the one a forward() over those rows would give.
 CalibrationRanges calibration_ranges(const Network& network,
                                      const Matrix& calibration,
                                      std::size_t calibration_limit);

@@ -55,40 +55,41 @@ struct Gradients {
   }
 };
 
-/// Backpropagation for one sample, following Alg. 1 line by line.
-/// `train_predictor` is true only in the end-to-end regime: the SVD
-/// baseline keeps U/V frozen within an epoch (static update rule).
-void accumulate_sample(const Network& net, std::span<const float> input,
-                       int label, double lambda, bool train_predictor,
-                       Gradients& grads) {
-  const ForwardTrace trace = net.forward(input);
+/// Backpropagation for sample `i` of a batched forward trace, following
+/// Alg. 1 line by line. `train_predictor` is true only in the
+/// end-to-end regime: the SVD baseline keeps U/V frozen within an epoch
+/// (static update rule).
+void accumulate_sample(const Network& net, const ForwardTrace& trace,
+                       std::size_t i, int label, double lambda,
+                       bool train_predictor, Gradients& grads) {
   const std::size_t nl = net.num_weight_layers();
+  const std::span<const float> logits = trace.output().row(i);
 
-  grads.loss += cross_entropy_loss(trace.output(), label);
+  grads.loss += cross_entropy_loss(logits, label);
 
   // δ at the output of the top layer.
-  Vector delta = cross_entropy_gradient(trace.output(), label);
+  Vector delta = cross_entropy_gradient(logits, label);
 
   for (std::size_t l = nl; l-- > 0;) {
-    const Vector& a_in = trace.activations[l];
+    const std::span<const float> a_in = trace.activations[l].row(i);
     const bool is_output = (l + 1 == nl);
 
     if (is_output) {
       // Linear output layer: γ = δ directly.
       add_outer(grads.w[l], 1.0f, delta, a_in);
-      delta = matvec_transposed(net.weight(l), delta);
+      if (l > 0) delta = matvec_transposed(net.weight(l), delta);
       continue;
     }
 
     // Hidden layer. delta currently holds ∂ℓ/∂a(l+1).
-    const Vector& a_ori = trace.unmasked[l];
-    const Vector& z = trace.pre_activations[l];
+    const std::span<const float> a_ori = trace.unmasked[l].row(i);
+    const std::span<const float> z = trace.pre_activations[l].row(i);
 
     Vector gamma;  // ∂ℓ/∂(W a), the masked ReLU-gated error
     if (net.has_predictor(l)) {
-      const Vector& mask = trace.masks[l];
-      const Vector& t = trace.predictor_pre_sign[l];
-      const Vector& s = trace.predictor_mid[l];
+      const std::span<const float> mask = trace.masks[l].row(i);
+      const std::span<const float> t = trace.predictor_pre_sign[l].row(i);
+      const std::span<const float> s = trace.predictor_mid[l].row(i);
 
       // ∂ℓ/∂p = δ ∘ a_ori (+ λ sign(p), Eq. 4). p = sign(t).
       // θ = ∂ℓ/∂p gated by the straight-through window 1[|t|<1].
@@ -120,7 +121,9 @@ void accumulate_sample(const Network& net, std::span<const float> input,
 
     add_outer(grads.w[l], 1.0f, gamma, a_in);
     // Alg. 1: δ(l) = W^T γ (the predictor path into δ is dropped).
-    delta = matvec_transposed(net.weight(l), gamma);
+    // Nothing reads the input layer's δ, so l = 0 skips it, here and
+    // in the output branch above.
+    if (l > 0) delta = matvec_transposed(net.weight(l), gamma);
   }
 }
 
@@ -208,19 +211,26 @@ TrainReport train(Network& network, const DatasetSplit& split,
       for (auto& g : worker_grads) g.reset();
 
       // Chunk t always lands in worker_grads[t], whichever thread runs
-      // it, so the reduction below sees the same partial sums.
+      // it, so the reduction below sees the same partial sums. Each
+      // chunk runs one batched forward pass, then back-propagates its
+      // samples in order.
       const std::size_t chunk =
           (batch.size() + threads - 1) / threads;
       fork_join((batch.size() + chunk - 1) / chunk, threads,
                 [&](std::size_t t) {
+                  const std::size_t lo = t * chunk;
                   const std::size_t hi =
-                      std::min((t + 1) * chunk, batch.size());
-                  for (std::size_t k = t * chunk; k < hi; ++k) {
-                    const std::size_t idx = batch[k];
-                    accumulate_sample(network, split.train.image(idx),
-                                      split.train.labels[idx],
+                      std::min(lo + chunk, batch.size());
+                  Matrix inputs(hi - lo, split.train.inputs.cols());
+                  for (std::size_t k = lo; k < hi; ++k)
+                    std::ranges::copy(split.train.image(batch[k]),
+                                      inputs.row(k - lo).begin());
+                  const ForwardTrace trace =
+                      network.forward(std::move(inputs));
+                  for (std::size_t k = lo; k < hi; ++k)
+                    accumulate_sample(network, trace, k - lo,
+                                      split.train.labels[batch[k]],
                                       options.lambda, e2e, worker_grads[t]);
-                  }
                 });
 
       // Deterministic reduction order: worker 0 absorbs 1..T-1 in order.

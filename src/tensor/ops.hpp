@@ -15,7 +15,7 @@ Vector relu(std::span<const float> x);
 
 /// sign(x) in {-1, +1}; sign(0) = +1 to match the paper's "predicted
 /// nonzero when UVa = 0" reading (the hardware predictor bit is UVa > 0,
-/// see predictor.hpp for where the distinction matters).
+/// see nn/network.hpp's LayerForward for where the distinction matters).
 Vector sign(std::span<const float> x);
 
 /// Heaviside mask: 1 when x > 0, else 0. The deployed predictor bit.

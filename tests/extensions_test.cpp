@@ -60,9 +60,9 @@ TEST(Serialize, RestoredModelInfersIdentically) {
   const Network restored = load_network(buffer);
   Rng rng{4};
   for (int trial = 0; trial < 10; ++trial) {
-    Vector x(20);
-    for (float& v : x) v = static_cast<float>(rng.uniform(0.0, 1.0));
-    EXPECT_EQ(original.infer(x), restored.infer(x));
+    Matrix x(1, 20);
+    for (float& v : x.flat()) v = static_cast<float>(rng.uniform(0.0, 1.0));
+    EXPECT_EQ(original.forward(x).output(), restored.forward(x).output());
   }
 }
 

@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "common/simd.hpp"
 #include "data/dataset.hpp"
@@ -26,6 +28,76 @@ Network tiny_network(std::vector<std::size_t> sizes, std::uint64_t seed) {
   return Network{std::move(sizes), rng};
 }
 
+/// `x` as a one-sample batch for Network::forward.
+Matrix one_row(std::span<const float> x) {
+  Matrix m(1, x.size());
+  std::ranges::copy(x, m.row(0).begin());
+  return m;
+}
+
+/// One sample's forward pass written out with the per-vector ops, the
+/// oracle of the batched Network::forward: every field is a vector per
+/// layer, empty where ForwardTrace's matrix is empty.
+struct RowTrace {
+  std::vector<Vector> activations;
+  std::vector<Vector> pre_activations;
+  std::vector<Vector> unmasked;
+  std::vector<Vector> predictor_pre_sign;
+  std::vector<Vector> predictor_mid;
+  std::vector<Vector> masks;
+};
+
+RowTrace reference_forward(const Network& net, std::span<const float> x) {
+  const std::size_t nl = net.num_weight_layers();
+  RowTrace out;
+  out.activations.emplace_back(x.begin(), x.end());
+  out.predictor_pre_sign.resize(nl);
+  out.predictor_mid.resize(nl);
+  out.masks.resize(nl);
+  for (std::size_t l = 0; l < nl; ++l) {
+    const Vector a = out.activations.back();
+    const Vector z = matvec(net.weight(l), a);
+    out.pre_activations.push_back(z);
+    if (l + 1 == nl) {  // linear output layer
+      out.unmasked.push_back(z);
+      out.activations.push_back(z);
+      continue;
+    }
+    const Vector a_ori = relu(z);
+    out.unmasked.push_back(a_ori);
+    if (!net.has_predictor(l)) {
+      out.activations.push_back(a_ori);
+      continue;
+    }
+    out.predictor_mid[l] = matvec(net.predictor(l).v(), a);
+    out.predictor_pre_sign[l] =
+        matvec(net.predictor(l).u(), out.predictor_mid[l]);
+    out.masks[l] = positive_mask(out.predictor_pre_sign[l]);
+    out.activations.push_back(hadamard(out.masks[l], a_ori));
+  }
+  return out;
+}
+
+/// Rows of `m` open with 1, 2^60, -2^60: against inputs opening with
+/// 1, 1, 1, a sum taken in any but ascending column order moves.
+void open_rows(Matrix& m) {
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    m(r, 0) = 1.0f;
+    m(r, 1) = 0x1p60f;
+    m(r, 2) = -0x1p60f;
+  }
+}
+
+/// `rows` samples of width `cols`: about 30% zeros, the rest N(0, 2),
+/// each opening with 1, 1, 1 (see open_rows).
+Matrix opened_inputs(std::size_t rows, std::size_t cols, Rng& rng) {
+  Matrix x(rows, cols);
+  for (float& v : x.flat())
+    v = rng.bernoulli(0.3) ? 0.0f : static_cast<float>(rng.normal(0.0, 2.0));
+  for (std::size_t i = 0; i < rows; ++i) x(i, 0) = x(i, 1) = x(i, 2) = 1.0f;
+  return x;
+}
+
 TEST(Network, TopologyAndShapes) {
   const Network net = tiny_network({6, 8, 4}, 1);
   EXPECT_EQ(net.num_weight_layers(), 2u);
@@ -39,12 +111,12 @@ TEST(Network, TopologyAndShapes) {
 TEST(Network, ForwardDimensionsAndReLU) {
   const Network net = tiny_network({6, 8, 4}, 3);
   const Vector x(6, 0.5f);
-  const ForwardTrace trace = net.forward(x);
+  const ForwardTrace trace = net.forward(one_row(x));
   EXPECT_EQ(trace.activations.size(), 3u);
-  EXPECT_EQ(trace.activations[1].size(), 8u);
-  EXPECT_EQ(trace.output().size(), 4u);
-  for (float v : trace.activations[1]) EXPECT_GE(v, 0.0f);  // ReLU
-  EXPECT_THROW(net.forward(Vector(5, 0.0f)), std::invalid_argument);
+  EXPECT_EQ(trace.activations[1].row(0).size(), 8u);
+  EXPECT_EQ(trace.output().row(0).size(), 4u);
+  for (float v : trace.activations[1].row(0)) EXPECT_GE(v, 0.0f);  // ReLU
+  EXPECT_THROW(net.forward(one_row(Vector(5, 0.0f))), std::invalid_argument);
 }
 
 TEST(Network, PredictorMaskingAppliedInForward) {
@@ -52,21 +124,21 @@ TEST(Network, PredictorMaskingAppliedInForward) {
   Rng rng{5};
   net.set_predictor(0, Predictor::random(8, 6, 3, rng));
   const Vector x(6, 0.7f);
-  const ForwardTrace trace = net.forward(x);
-  ASSERT_EQ(trace.masks[0].size(), 8u);
+  const ForwardTrace trace = net.forward(one_row(x));
+  ASSERT_EQ(trace.masks[0].row(0).size(), 8u);
   for (std::size_t j = 0; j < 8; ++j) {
-    if (trace.masks[0][j] == 0.0f) {
-      EXPECT_FLOAT_EQ(trace.activations[1][j], 0.0f);
+    if (trace.masks[0](0, j) == 0.0f) {
+      EXPECT_FLOAT_EQ(trace.activations[1](0, j), 0.0f);
     } else {
-      EXPECT_FLOAT_EQ(trace.activations[1][j], trace.unmasked[0][j]);
+      EXPECT_FLOAT_EQ(trace.activations[1](0, j), trace.unmasked[0](0, j));
     }
     // The mask is the Heaviside of the pre-sign value.
-    EXPECT_EQ(trace.masks[0][j] > 0.0f,
-              trace.predictor_pre_sign[0][j] > 0.0f);
+    EXPECT_EQ(trace.masks[0](0, j) > 0.0f,
+              trace.predictor_pre_sign[0](0, j) > 0.0f);
   }
 }
 
-TEST(Network, InferMatchesForwardWithAndWithoutPredictor) {
+TEST(Network, ClearedPredictorsComputeEveryRow) {
   Network net = tiny_network({6, 8, 4}, 6);
   Rng rng{7};
   net.set_predictor(0, Predictor::random(8, 6, 3, rng));
@@ -74,19 +146,101 @@ TEST(Network, InferMatchesForwardWithAndWithoutPredictor) {
   for (int trial = 0; trial < 20; ++trial) {
     Vector x(6);
     for (float& v : x) v = static_cast<float>(xr.uniform(0.0, 1.0));
-    const ForwardTrace trace = net.forward(x);
-    const Vector fast = net.infer(x, /*use_predictor=*/true);
-    ASSERT_EQ(fast.size(), trace.output().size());
-    for (std::size_t i = 0; i < fast.size(); ++i)
-      EXPECT_NEAR(fast[i], trace.output()[i], 1e-4);
+    const ForwardTrace trace = net.forward(one_row(x));
 
-    // uv_off inference ignores the predictor entirely.
+    // uv_off is the same weights on a clear_predictors() copy, which
+    // ignores the predictor entirely: every row passes its ReLU.
     Network bare = net;
     bare.clear_predictors();
-    const Vector off = net.infer(x, /*use_predictor=*/false);
-    const Vector ref = bare.infer(x, /*use_predictor=*/true);
-    for (std::size_t i = 0; i < off.size(); ++i)
-      EXPECT_NEAR(off[i], ref[i], 1e-4);
+    const ForwardTrace off = bare.forward(one_row(x));
+    EXPECT_TRUE(off.masks[0].empty());
+    EXPECT_EQ(off.activations[1], trace.unmasked[0]);
+    EXPECT_EQ(off.output(),
+              one_row(matvec(net.weight(1), trace.unmasked[0].row(0))));
+  }
+}
+
+// The batched forward against the per-row reference, field by field and
+// bit for bit (a -0/+0 flip fails). 1, 7, 8, 9, 17 and 70 rows leave
+// ragged eight-row panels; odd widths leave remainders on matvec_rows'
+// row pairs. Predictors are SVD ones (as train() attaches them), random
+// ones (which mask about half the rows) or none, and the first layer's
+// W and V rows open with 1, 2^60, -2^60, so a reordered sum shows.
+TEST(Network, BatchedForwardMatchesPerRowReference) {
+  enum class Kind { kNone, kSvd, kRandom };
+  struct Case {
+    std::vector<std::size_t> sizes;
+    Kind kind;
+    std::vector<std::size_t> ranks;  ///< per hidden layer; 0 = none
+  };
+  const std::vector<Case> cases = {
+      {{13, 11, 9, 5}, Kind::kNone, {0, 0}},
+      {{13, 11, 9, 5}, Kind::kRandom, {3, 2}},
+      {{13, 11, 9, 5}, Kind::kSvd, {4, 4}},
+      {{21, 17, 6, 15, 3}, Kind::kRandom, {4, 0, 1}},
+      {{21, 17, 6, 15, 3}, Kind::kSvd, {15, 15, 15}},
+  };
+  const auto same_bits = [](std::span<const float> row, const Vector& ref) {
+    return row.size() == ref.size() &&
+           std::memcmp(row.data(), ref.data(), ref.size() * sizeof(float)) ==
+               0;
+  };
+  const auto expect_field = [&](const std::vector<Matrix>& batched,
+                                const std::vector<RowTrace>& refs,
+                                std::vector<Vector> RowTrace::*field,
+                                const char* name) {
+    const std::size_t rows = refs.size();
+    ASSERT_EQ(batched.size(), (refs.front().*field).size()) << name;
+    for (std::size_t l = 0; l < batched.size(); ++l) {
+      if ((refs.front().*field)[l].empty()) {
+        EXPECT_TRUE(batched[l].empty()) << name << " layer " << l;
+        continue;
+      }
+      ASSERT_EQ(batched[l].rows(), rows) << name << " layer " << l;
+      for (std::size_t i = 0; i < rows; ++i)
+        EXPECT_TRUE(same_bits(batched[l].row(i), (refs[i].*field)[l]))
+            << name << " layer " << l << " row " << i << " of " << rows;
+    }
+  };
+
+  std::uint64_t seed = 70;
+  for (const Case& c : cases) {
+    Rng rng{++seed};
+    Network net{c.sizes, rng};
+    for (std::size_t l = 0; l < c.ranks.size(); ++l) {
+      if (c.ranks[l] == 0) continue;
+      const std::size_t m = c.sizes[l + 1];
+      const std::size_t n = c.sizes[l];
+      net.set_predictor(
+          l, c.kind == Kind::kSvd
+                 ? Predictor::from_svd(net.weight(l),
+                                       std::min({c.ranks[l], m, n}))
+                 : Predictor::random(m, n, c.ranks[l], rng));
+    }
+    open_rows(net.weight(0));
+    if (net.has_predictor(0)) open_rows(net.predictor(0).v());
+
+    for (const std::size_t rows : {1u, 7u, 8u, 9u, 17u, 70u}) {
+      SCOPED_TRACE("case seed " + std::to_string(seed) + ", " +
+                   std::to_string(rows) + " rows");
+      const Matrix inputs = opened_inputs(rows, c.sizes.front(), rng);
+      std::vector<RowTrace> refs;
+      for (std::size_t i = 0; i < rows; ++i)
+        refs.push_back(reference_forward(net, inputs.row(i)));
+      const ForwardTrace trace = net.forward(inputs);
+      expect_field(trace.activations, refs, &RowTrace::activations,
+                   "activations");
+      expect_field(trace.pre_activations, refs, &RowTrace::pre_activations,
+                   "pre_activations");
+      expect_field(trace.unmasked, refs, &RowTrace::unmasked, "unmasked");
+      expect_field(trace.predictor_pre_sign, refs,
+                   &RowTrace::predictor_pre_sign, "predictor_pre_sign");
+      expect_field(trace.predictor_mid, refs, &RowTrace::predictor_mid,
+                   "predictor_mid");
+      expect_field(trace.masks, refs, &RowTrace::masks, "masks");
+    }
+    EXPECT_THROW(net.forward(Matrix(3, c.sizes.front() + 1)),
+                 std::invalid_argument);
   }
 }
 
@@ -126,7 +280,7 @@ TEST(Predictor, SvdPredictorAgreesOnStrongRows) {
   Vector x(14);
   for (float& v : x) v = static_cast<float>(rng.uniform(0.0, 1.0));
   const Vector exact = matvec(w, x);
-  const Vector predicted = p.pre_sign(x);
+  const Vector predicted = matvec(p.u(), matvec(p.v(), x));
   for (std::size_t i = 0; i < exact.size(); ++i) {
     if (std::abs(exact[i]) > 0.5f) {
       EXPECT_EQ(exact[i] > 0.0f, predicted[i] > 0.0f) << "row " << i;
@@ -194,7 +348,7 @@ TEST(Trainer, PlainBackpropMatchesFiniteDifferences) {
   const int label = 1;
 
   const auto loss_at = [&](const Network& n) {
-    return cross_entropy_loss(n.forward(x).output(), label);
+    return cross_entropy_loss(n.forward(one_row(x)).output().row(0), label);
   };
 
   // Extract the analytic gradient by running train() for one batch of
@@ -448,7 +602,8 @@ TEST(Quantized, InputSparsitySkipsAreExact) {
   x[6] = 0.4f;
   const auto raw = q.infer_raw(x, false);
   // Reference: dense accumulate in double precision then quantise.
-  const Vector logits = net.infer(x, false);
+  const ForwardTrace trace = net.forward(one_row(x));
+  const std::span<const float> logits = trace.output().row(0);
   const Vector deq = q.infer(x, false);
   for (std::size_t i = 0; i < logits.size(); ++i)
     EXPECT_NEAR(deq[i], logits[i], 0.05f + 0.02f * std::abs(logits[i]));
@@ -456,7 +611,7 @@ TEST(Quantized, InputSparsitySkipsAreExact) {
 }
 
 /// The per-sample calibration loop the batched pass replaced, kept as
-/// its oracle: one Network::forward per sample, folding max |v| over
+/// its oracle: one reference_forward per sample, folding max |v| over
 /// every layer's activations and every predictor's s = V a.
 detail::CalibrationRanges per_sample_ranges(const Network& net,
                                             const Matrix& calibration,
@@ -466,7 +621,7 @@ detail::CalibrationRanges per_sample_ranges(const Network& net,
   detail::CalibrationRanges ranges{std::vector<double>(nl + 1, 1e-6),
                                    std::vector<double>(nl, 1e-6)};
   for (std::size_t i = 0; i < samples; ++i) {
-    const ForwardTrace trace = net.forward(calibration.row(i));
+    const RowTrace trace = reference_forward(net, calibration.row(i));
     for (std::size_t l = 0; l <= nl; ++l)
       for (float v : trace.activations[l])
         ranges.act_max[l] = std::max(ranges.act_max[l], std::abs(double{v}));
@@ -479,7 +634,7 @@ detail::CalibrationRanges per_sample_ranges(const Network& net,
 
 // Calibration runs every sample through the network at once
 // (matvec_rows); its ranges, and so every format, must equal the
-// per-sample forward() loop exactly. Odd widths leave remainders on the
+// per-sample reference loop exactly. Odd widths leave remainders on the
 // row pairs, 1/8/9/17 samples on the 8-sample panel, and 70 rows test
 // the default limit of 64. The first layer's W (and V) rows open with
 // 1, 2^60, -2^60 against inputs opening with 1, 1, 1, so a sum taken in
@@ -503,23 +658,11 @@ TEST(QuantizedNetwork, BatchedCalibrationMatchesPerSampleForward) {
       if (c.ranks[l] > 0)
         net.set_predictor(l, Predictor::random(c.sizes[l + 1], c.sizes[l],
                                                c.ranks[l], rng));
-    const auto open_rows = [](Matrix& m) {
-      for (std::size_t r = 0; r < m.rows(); ++r) {
-        m(r, 0) = 1.0f;
-        m(r, 1) = 0x1p60f;
-        m(r, 2) = -0x1p60f;
-      }
-    };
     open_rows(net.weight(0));
     if (net.has_predictor(0)) open_rows(net.predictor(0).v());
 
     for (const std::size_t rows : {1u, 8u, 9u, 17u, 70u}) {
-      Matrix calib(rows, c.sizes.front());
-      for (float& v : calib.flat())
-        v = rng.bernoulli(0.3) ? 0.0f
-                               : static_cast<float>(rng.normal(0.0, 2.0));
-      for (std::size_t i = 0; i < rows; ++i)
-        calib(i, 0) = calib(i, 1) = calib(i, 2) = 1.0f;
+      const Matrix calib = opened_inputs(rows, c.sizes.front(), rng);
 
       const detail::CalibrationRanges batched =
           detail::calibration_ranges(net, calib, 64);
