@@ -125,7 +125,7 @@ void BM_KernelPredictBits(benchmark::State& state) {
   KernelInputs in = make_kernel_inputs(rows * rank, 1.0);
   std::vector<std::uint8_t> bits(rows);
   for (auto _ : state) {
-    k.predict_bits_i16(in.a.data(), rows, rank, in.b.data(), 0,
+    k.predict_bits_i16(in.a.data(), rank, rows, rank, in.b.data(), 0,
                        bits.data());
     benchmark::DoNotOptimize(bits.data());
   }

@@ -54,11 +54,12 @@ std::size_t scan_scalar(const std::int16_t* v, std::size_t n,
   return count;
 }
 
-void predict_bits_scalar(const std::int16_t* u, std::size_t rows,
-                         std::size_t rank, const std::int16_t* s,
-                         std::int64_t threshold, std::uint8_t* bits) {
+void predict_bits_scalar(const std::int16_t* u, std::size_t stride,
+                         std::size_t rows, std::size_t rank,
+                         const std::int16_t* s, std::int64_t threshold,
+                         std::uint8_t* bits) {
   for (std::size_t r = 0; r < rows; ++r)
-    bits[r] = dot_scalar(u + r * rank, s, rank) > threshold ? 1 : 0;
+    bits[r] = dot_scalar(u + r * stride, s, rank) > threshold ? 1 : 0;
 }
 
 void quantize_scalar(const float* in, std::size_t n, float scale,
@@ -264,10 +265,11 @@ __attribute__((target("avx2"))) std::size_t scan_avx2(
 }
 
 __attribute__((target("avx2"))) void predict_bits_avx2(
-    const std::int16_t* u, std::size_t rows, std::size_t rank,
-    const std::int16_t* s, std::int64_t threshold, std::uint8_t* bits) {
+    const std::int16_t* u, std::size_t stride, std::size_t rows,
+    std::size_t rank, const std::int16_t* s, std::int64_t threshold,
+    std::uint8_t* bits) {
   for (std::size_t r = 0; r < rows; ++r)
-    bits[r] = dot_avx2(u + r * rank, s, rank) > threshold ? 1 : 0;
+    bits[r] = dot_avx2(u + r * stride, s, rank) > threshold ? 1 : 0;
 }
 
 __attribute__((target("avx2"))) void quantize_avx2(const float* in,
@@ -381,10 +383,11 @@ __attribute__((target("sse4.2"))) std::size_t scan_sse42(
 }
 
 __attribute__((target("sse4.2"))) void predict_bits_sse42(
-    const std::int16_t* u, std::size_t rows, std::size_t rank,
-    const std::int16_t* s, std::int64_t threshold, std::uint8_t* bits) {
+    const std::int16_t* u, std::size_t stride, std::size_t rows,
+    std::size_t rank, const std::int16_t* s, std::int64_t threshold,
+    std::uint8_t* bits) {
   for (std::size_t r = 0; r < rows; ++r)
-    bits[r] = dot_sse42(u + r * rank, s, rank) > threshold ? 1 : 0;
+    bits[r] = dot_sse42(u + r * stride, s, rank) > threshold ? 1 : 0;
 }
 
 __attribute__((target("sse4.2"))) void quantize_sse42(const float* in,
@@ -510,11 +513,12 @@ std::size_t scan_neon(const std::int16_t* v, std::size_t n,
   return count;
 }
 
-void predict_bits_neon(const std::int16_t* u, std::size_t rows,
-                       std::size_t rank, const std::int16_t* s,
-                       std::int64_t threshold, std::uint8_t* bits) {
+void predict_bits_neon(const std::int16_t* u, std::size_t stride,
+                       std::size_t rows, std::size_t rank,
+                       const std::int16_t* s, std::int64_t threshold,
+                       std::uint8_t* bits) {
   for (std::size_t r = 0; r < rows; ++r)
-    bits[r] = dot_neon(u + r * rank, s, rank) > threshold ? 1 : 0;
+    bits[r] = dot_neon(u + r * stride, s, rank) > threshold ? 1 : 0;
 }
 
 void quantize_neon(const float* in, std::size_t n, float scale,

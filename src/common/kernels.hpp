@@ -46,11 +46,14 @@ struct KernelTable {
   std::size_t (*nonzero_scan_i16)(const std::int16_t* v, std::size_t n,
                                   std::uint32_t* out);
 
-  /// U-phase row MACs + predictor-bit pack: for each r < rows,
-  /// bits[r] = (Σ_{k<rank} u[r·rank+k]·s[k]) > threshold ? 1 : 0.
-  void (*predict_bits_i16)(const std::int16_t* u, std::size_t rows,
-                           std::size_t rank, const std::int16_t* s,
-                           std::int64_t threshold, std::uint8_t* bits);
+  /// U-phase row MACs + predictor-bit pack over rows `stride` words
+  /// apart (a PE's U view: every P-th row of the layer's U): for each
+  /// r < rows,
+  /// bits[r] = (Σ_{k<rank} u[r·stride+k]·s[k]) > threshold ? 1 : 0.
+  void (*predict_bits_i16)(const std::int16_t* u, std::size_t stride,
+                           std::size_t rows, std::size_t rank,
+                           const std::int16_t* s, std::int64_t threshold,
+                           std::uint8_t* bits);
 
   /// Input quantisation: out[i] = clamp(nearbyint(in[i]·scale)) into
   /// int16, matching Fixed16::quantize_raw bit-for-bit. `scale` is a

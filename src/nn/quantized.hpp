@@ -54,8 +54,8 @@ struct QuantizedLayer {
   /// Column-major mirrors of the small predictor factors (u_t is r × m,
   /// v_t is n × r) for the same column sweeps (short U rows defeat row
   /// SIMD); exact integer accumulation makes the reordering
-  /// bit-identical to the row-major nonzero walk. The row-major u and
-  /// v feed the compiled images' packed U rows and V columns.
+  /// bit-identical to the row-major nonzero walk. A compiled image's
+  /// PE slices view U by row in u and V by column in v_t.
   std::optional<QuantizedTensor> u_t;
   std::optional<QuantizedTensor> v_t;
   FixedPointFormat in_fmt{};            ///< format of incoming activations

@@ -7,11 +7,12 @@
 //
 // The bank is a *view* over externally owned words, which models the
 // weights already resident on chip: loading a layer binds the view
-// instead of copying the slice. The W bank views the network's single
-// column-major W (QuantizedLayer::w_t) in place through two strides;
-// the U and V banks view a CompiledNetwork's packed row-major slices.
-// The backing storage must outlive the simulation of the loaded layer;
-// the census (sim/census.hpp) counts the reads.
+// instead of copying the slice. Every bank views one of the quantised
+// layer's own buffers in place through two strides: W the column-major
+// w_t, U the row-major u and V the column-major v_t (the last two one
+// contiguous rank-word row per local row or input slot). The backing
+// storage must outlive the simulation of the loaded layer; the census
+// (sim/census.hpp) counts the reads.
 
 #include <cstdint>
 #include <span>
@@ -21,23 +22,16 @@
 namespace sparsenn {
 
 /// A read-only rows × cols block of 16-bit words addressed through two
-/// strides: word (r, c) is base[r·row_stride + c·col_stride]. A packed
-/// row-major block has col_stride 1; PE p's W slice of an m-row layer
-/// on P PEs has base w_t + p, row stride P and column stride m.
+/// strides: word (r, c) is base[r·row_stride + c·col_stride]. PE p's
+/// slice of an m-row layer on P PEs views W with base w_t + p, row
+/// stride P and column stride m, and U with base u + p·rank, row stride
+/// P·rank and column stride 1 (V likewise in v_t).
 struct WordView {
   const std::int16_t* base = nullptr;
   std::size_t rows = 0;
   std::size_t cols = 0;
   std::size_t row_stride = 0;
   std::size_t col_stride = 1;
-
-  /// The packed row-major block `words` with `cols`-word rows.
-  static WordView row_major(std::span<const std::int16_t> words,
-                            std::size_t cols) {
-    expects(cols > 0 && words.size() % cols == 0,
-            "a row-major block holds whole rows");
-    return {words.data(), words.size() / cols, cols, cols, 1};
-  }
 
   std::size_t size() const noexcept { return rows * cols; }
   std::int16_t at(std::size_t r, std::size_t c) const noexcept {
@@ -60,18 +54,13 @@ class SramBank {
     view_ = view;
   }
 
-  /// Binds a packed row-major block of `stride`-word rows.
-  void load_rows(std::span<const std::int16_t> words, std::size_t stride) {
-    load(WordView::row_major(words, stride));
-  }
-
   std::int16_t read_row_word(std::size_t row, std::size_t offset) const {
     expects(row < view_.rows && offset < view_.cols,
             "SRAM read out of range");
     return view_.at(row, offset);
   }
 
-  /// Row r of a bank bound to contiguous rows (col_stride 1).
+  /// Row r of a bank whose rows are contiguous (col_stride 1).
   std::span<const std::int16_t> row(std::size_t r) const {
     expects(r < view_.rows, "SRAM row out of range");
     expects(view_.col_stride == 1, "SRAM rows are not contiguous");

@@ -28,14 +28,9 @@ void ProcessingElement::load_layer(const PeLayerSlice& slice) {
   kern_ = &kernels();  // re-resolve once per layer (picks up overrides)
   slice_ = slice;
   w_mem_.load(slice.w_view);
-  if (slice.has_predictor) {
-    u_mem_.load_rows(slice.u_words, std::max<std::size_t>(1, slice.rank));
-    v_mem_.load_rows(slice.v_words, std::max<std::size_t>(1, slice.rank));
-  } else {
-    u_mem_.load_rows({}, 1);
-    v_mem_.load_rows({}, 1);
-  }
-  predictor_bits_.assign(slice.global_rows.size(), 0);
+  u_mem_.load(slice.u_view);
+  v_mem_.load(slice.v_view);
+  predictor_bits_.assign(slice.w_view.rows, 0);
   v_results_.assign(slice.rank, 0);
 
   // Upper-bound the per-phase scratch so the phases below never grow a
@@ -44,7 +39,7 @@ void ProcessingElement::load_layer(const PeLayerSlice& slice) {
   // mapped row. Reserving here (no-op once warm) makes the steady
   // state allocation-free for every input, not just for inputs no
   // denser than those already seen.
-  const std::size_t rows = slice.global_rows.size();
+  const std::size_t rows = slice.w_view.rows;
   const std::size_t slots =
       (slice.layer_input_dim + num_pes_ - 1) / num_pes_;
   scan_buffer_.reserve(slots);
@@ -154,12 +149,13 @@ void ProcessingElement::receive_v_result(std::uint32_t row,
 
 std::size_t ProcessingElement::run_u_phase() {
   ensures(slice_.has_predictor, "U phase requires a predictor slice");
-  const std::size_t rows = slice_.global_rows.size();
+  const std::size_t rows = slice_.w_view.rows;
   // Row MACs + predictor-bit pack in one kernel sweep over the U bank
-  // (rows × rank words, row stride = rank) — identical to the per-word
-  // loop.
+  // (rows × rank words at the view's row stride) — identical to the
+  // per-word loop.
   if (rows > 0 && slice_.rank > 0) {
-    kern_->predict_bits_i16(u_mem_.view().base, rows, slice_.rank,
+    const WordView& u = u_mem_.view();
+    kern_->predict_bits_i16(u.base, u.row_stride, rows, slice_.rank,
                             v_results_.data(),
                             slice_.predictor_threshold_raw,
                             predictor_bits_.data());
@@ -171,13 +167,13 @@ std::size_t ProcessingElement::run_u_phase() {
 }
 
 void ProcessingElement::force_all_rows_active() {
-  predictor_bits_.assign(slice_.global_rows.size(), 1);
+  predictor_bits_.assign(slice_.w_view.rows, 1);
 }
 
 // ---------------- W phase ----------------
 
 void ProcessingElement::start_w_phase() {
-  w_accumulators_.assign(slice_.global_rows.size(), 0);
+  w_accumulators_.assign(slice_.w_view.rows, 0);
   active_local_rows_.clear();
   for (std::size_t r = 0; r < predictor_bits_.size(); ++r) {
     if (predictor_bits_[r])
@@ -200,7 +196,7 @@ void ProcessingElement::pop_injection() {
 
 void ProcessingElement::apply_w_sums(std::span<const std::int64_t> row_sums) {
   for (const std::uint32_t r : active_local_rows_)
-    w_accumulators_[r] = row_sums[slice_.global_rows[r]];
+    w_accumulators_[r] = row_sums[global_index_of_slot(r)];
 }
 
 std::span<const std::pair<std::uint32_t, std::int16_t>>
@@ -208,7 +204,7 @@ ProcessingElement::write_back() {
   regfiles_.destination().clear();
   write_back_buffer_.clear();
   const int from_frac = slice_.in_frac + slice_.w_frac;
-  for (std::size_t r = 0; r < slice_.global_rows.size(); ++r) {
+  for (std::size_t r = 0; r < slice_.w_view.rows; ++r) {
     std::int16_t value = 0;
     if (predictor_bits_.empty() || predictor_bits_[r]) {
       value = rescale_to_i16(w_accumulators_.empty() ? 0
@@ -216,11 +212,9 @@ ProcessingElement::write_back() {
                              from_frac, slice_.out_frac);
       if (!slice_.is_output) value = std::max<std::int16_t>(value, 0);
     }
-    const std::uint32_t global = slice_.global_rows[r];
-    regfiles_.destination().write(static_cast<std::size_t>(global) /
-                                      num_pes_,
-                                  value);
-    write_back_buffer_.emplace_back(global, value);
+    regfiles_.destination().write(r, value);
+    write_back_buffer_.emplace_back(
+        static_cast<std::uint32_t>(global_index_of_slot(r)), value);
   }
   return write_back_buffer_;
 }

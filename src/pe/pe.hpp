@@ -22,15 +22,15 @@
 // arithmetic is int16/int64 fixed point and must match
 // nn::QuantizedNetwork bit-for-bit.
 //
-// A PeLayerSlice is a bundle of read-only views: W into the quantised
-// network's own column-major W, U and V into packed storage owned by
-// whoever compiled the network (sim::CompiledNetwork, or an
-// OwnedPeSlice in tests). Loading a layer binds views instead of
-// copying weights, and the PE's per-phase scratch buffers are members
-// reused across layers and inferences, so the steady-state cycle loop
-// never touches the heap. The slice's backing storage must stay alive
-// while the layer simulates: a CompiledNetwork holds its pools and its
-// own copy of the network's layers; an OwnedPeSlice needs its layer.
+// A PeLayerSlice is a bundle of read-only views into the quantised
+// layer's own buffers: W into its column-major w_t, U into its
+// row-major u and V into its column-major v_t, each strided so that it
+// reads only this PE's interleaved rows or columns. Loading a layer
+// binds views instead of copying weights, and the PE's per-phase
+// scratch buffers are members reused across layers and inferences, so
+// the steady-state cycle loop never touches the heap. The layer must
+// stay alive while it simulates: a CompiledNetwork holds its own copy
+// of the network's layers.
 
 #include <cstdint>
 #include <span>
@@ -55,18 +55,20 @@ struct PeLayerSlice {
   bool has_predictor = false;
   bool is_output = false;
 
-  /// Global indices of the W/U rows mapped here, ascending.
-  std::span<const std::uint32_t> global_rows;
-  /// The mapped W rows, global_rows.size() × layer_input_dim: word
-  /// (r, c) is W[global_rows[r]][c]. A strided view into the network's
-  /// single column-major W (QuantizedLayer::w_t) — PE p's local row r
-  /// of input column c is w_t[c·m + p + r·P] — so no W word is copied.
+  /// The mapped W rows, w_view.rows × layer_input_dim: local row r is
+  /// global row p + r·P (p the PE's id, P the PE count), and word
+  /// (r, c) is W[p + r·P][c]. A strided view into the network's single
+  /// column-major W (QuantizedLayer::w_t) — PE p's local row r of input
+  /// column c is w_t[c·m + p + r·P] — so no W word is copied.
   WordView w_view;
-  /// U rows, row-major, stride = rank.
-  std::span<const std::int16_t> u_words;
-  /// V columns for the local input slots, row-major, stride = rank;
-  /// entry s covers global input index s * num_pes + pe_id.
-  std::span<const std::int16_t> v_words;
+  /// The mapped U rows, w_view.rows × rank: word (r, k) is
+  /// U[p + r·P][k], viewed in QuantizedLayer::u (base u + p·rank, row
+  /// stride P·rank). Empty without a predictor.
+  WordView u_view;
+  /// V columns for the local input slots, slots × rank: word (s, k) is
+  /// V[k][s·P + p], viewed in QuantizedLayer::v_t (base v_t + p·rank,
+  /// row stride P·rank). Empty without a predictor.
+  WordView v_view;
 
   int in_frac = 9;
   int out_frac = 9;
@@ -216,6 +218,8 @@ class ProcessingElement {
   std::span<const Flit> scan_source_nonzeros();
 
  private:
+  /// The interleave shared by input slots and mapped rows: local slot
+  /// or row r is global index r·P + id.
   std::size_t global_index_of_slot(std::size_t slot) const noexcept {
     return slot * num_pes_ + id_;
   }

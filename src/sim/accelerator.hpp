@@ -18,7 +18,7 @@
 // row computes — this is exactly the EIE-style input-sparsity-only
 // baseline the paper calls uv_off.
 //
-// Two entry points share the engine:
+// Three entry points share the engine:
 //
 //   run(network, input, use_predictor) — compiles the network's per-PE
 //     slices for this one inference and cross-checks every layer

@@ -11,17 +11,6 @@
 
 namespace sparsenn {
 
-Matrix Matrix::from_rows(const std::vector<std::vector<float>>& rows) {
-  expects(!rows.empty(), "from_rows needs at least one row");
-  const std::size_t cols = rows.front().size();
-  Matrix m(rows.size(), cols);
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    expects(rows[r].size() == cols, "ragged rows");
-    std::copy(rows[r].begin(), rows[r].end(), m.row(r).begin());
-  }
-  return m;
-}
-
 Matrix Matrix::randn(std::size_t rows, std::size_t cols, float stddev,
                      Rng& rng) {
   Matrix m(rows, cols);

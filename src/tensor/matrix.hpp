@@ -23,9 +23,6 @@ class Matrix {
   Matrix(std::size_t rows, std::size_t cols, float fill = 0.0f)
       : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
-  static Matrix from_rows(
-      const std::vector<std::vector<float>>& rows);
-
   /// Gaussian init with the given stddev (He/Xavier chosen by caller).
   static Matrix randn(std::size_t rows, std::size_t cols, float stddev,
                       Rng& rng);

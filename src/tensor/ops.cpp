@@ -15,13 +15,6 @@ Vector relu(std::span<const float> x) {
   return out;
 }
 
-Vector sign(std::span<const float> x) {
-  Vector out(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i)
-    out[i] = x[i] < 0.0f ? -1.0f : 1.0f;
-  return out;
-}
-
 Vector positive_mask(std::span<const float> x) {
   Vector out(x.size());
   for (std::size_t i = 0; i < x.size(); ++i)
@@ -34,11 +27,6 @@ Vector hadamard(std::span<const float> x, std::span<const float> y) {
   Vector out(x.size());
   for (std::size_t i = 0; i < x.size(); ++i) out[i] = x[i] * y[i];
   return out;
-}
-
-void hadamard_inplace(std::span<float> x, std::span<const float> y) {
-  expects(x.size() == y.size(), "hadamard dimension mismatch");
-  for (std::size_t i = 0; i < x.size(); ++i) x[i] *= y[i];
 }
 
 Vector straight_through_window(std::span<const float> x) {
@@ -66,10 +54,6 @@ std::size_t argmax(std::span<const float> x) {
   expects(!x.empty(), "argmax of empty vector");
   return static_cast<std::size_t>(
       std::distance(x.begin(), std::max_element(x.begin(), x.end())));
-}
-
-void clamp_inplace(std::span<float> x, float lo, float hi) noexcept {
-  for (float& v : x) v = std::clamp(v, lo, hi);
 }
 
 }  // namespace sparsenn

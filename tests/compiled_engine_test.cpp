@@ -14,7 +14,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <ranges>
 #include <string>
 #include <utility>
 #include <vector>
@@ -37,7 +36,7 @@ using test_fixtures::seeded_network;
 using test_fixtures::tiny_arch;
 using Fixture = test_fixtures::BatchFixture;
 
-/// The words of a W view in row-major order.
+/// The words of a view in row-major order.
 std::vector<std::int16_t> row_major_words(const WordView& w) {
   std::vector<std::int16_t> words;
   for (std::size_t r = 0; r < w.rows; ++r)
@@ -63,24 +62,24 @@ TEST(CompiledNetwork, SlicesMatchFreshlyBuiltOnes) {
     ASSERT_EQ(compiled.num_layers(), q.num_layers());
     for (std::size_t l = 0; l < q.num_layers(); ++l) {
       for (std::size_t pe = 0; pe < arch.num_pes; ++pe) {
-        const OwnedPeSlice fresh =
+        const PeLayerSlice fresh =
             make_pe_slice(q.layer(l), arch, pe, uv_on);
         const PeLayerSlice& got = compiled.slice(l, pe);
-        EXPECT_EQ(got.layer_input_dim, fresh.view.layer_input_dim);
-        EXPECT_EQ(got.layer_output_dim, fresh.view.layer_output_dim);
-        EXPECT_EQ(got.rank, fresh.view.rank);
-        EXPECT_EQ(got.has_predictor, fresh.view.has_predictor);
-        EXPECT_EQ(got.is_output, fresh.view.is_output);
+        EXPECT_EQ(got.layer_input_dim, fresh.layer_input_dim);
+        EXPECT_EQ(got.layer_output_dim, fresh.layer_output_dim);
+        EXPECT_EQ(got.rank, fresh.rank);
+        EXPECT_EQ(got.has_predictor, fresh.has_predictor);
+        EXPECT_EQ(got.is_output, fresh.is_output);
         EXPECT_EQ(got.predictor_threshold_raw,
-                  fresh.view.predictor_threshold_raw);
-        EXPECT_TRUE(std::ranges::equal(got.global_rows, fresh.global_rows))
-            << "layer " << l << " pe " << pe;
+                  fresh.predictor_threshold_raw);
         EXPECT_EQ(row_major_words(got.w_view),
-                  row_major_words(fresh.view.w_view))
+                  row_major_words(fresh.w_view))
             << "layer " << l << " pe " << pe;
-        EXPECT_TRUE(std::ranges::equal(got.u_words, fresh.u_words))
+        EXPECT_EQ(row_major_words(got.u_view),
+                  row_major_words(fresh.u_view))
             << "layer " << l << " pe " << pe;
-        EXPECT_TRUE(std::ranges::equal(got.v_words, fresh.v_words))
+        EXPECT_EQ(row_major_words(got.v_view),
+                  row_major_words(fresh.v_view))
             << "layer " << l << " pe " << pe;
       }
     }
@@ -127,8 +126,11 @@ struct Digest {
 /// Deployment pin: every QuantizedLayer word and format and every
 /// CompiledNetwork slice of two seeded nets, folded into two digests
 /// whose values were recorded before quantisation and compilation were
-/// vectorised. The second net's odd sizes put a remainder on every
-/// vector tail (quantise, matvec row blocks) and leave PEs without rows.
+/// vectorised, when each slice still copied its row map and U/V words:
+/// a slice folds its global rows p + r·P, then its W, U and V views'
+/// row-major words, in that order. The second net's odd sizes put a
+/// remainder on every vector tail (quantise, matvec row blocks) and
+/// leave PEs without rows.
 TEST(CompiledNetwork, DeploymentIsBitIdenticalToPinnedDigest) {
   std::vector<QuantizedNetwork> nets;
   {
@@ -169,14 +171,14 @@ TEST(CompiledNetwork, DeploymentIsBitIdenticalToPinnedDigest) {
       for (const bool uv_on : {false, true}) {
         const CompiledNetwork image(q, arch, uv_on);
         compiled.add(image.max_broadcast_flits());
-        // Weight words the slices hold (W + U + V): the pinned digest
+        // Weight words the slices view (W + U + V): the pinned digest
         // folds this count here.
         std::size_t slice_words = 0;
         for (std::size_t l = 0; l < image.num_layers(); ++l) {
           for (std::size_t pe = 0; pe < image.num_pes(); ++pe) {
             const PeLayerSlice& s = image.slice(l, pe);
             slice_words +=
-                s.w_view.size() + s.u_words.size() + s.v_words.size();
+                s.w_view.size() + s.u_view.size() + s.v_view.size();
           }
         }
         compiled.add(slice_words);
@@ -188,10 +190,14 @@ TEST(CompiledNetwork, DeploymentIsBitIdenticalToPinnedDigest) {
               compiled.add(v);
             compiled.add(s.has_predictor);
             compiled.add(s.is_output);
-            compiled.add_words(s.global_rows);
+            std::vector<std::uint32_t> global_rows;
+            for (std::size_t r = 0; r < s.w_view.rows; ++r)
+              global_rows.push_back(
+                  static_cast<std::uint32_t>(pe + r * image.num_pes()));
+            compiled.add_words(std::span<const std::uint32_t>(global_rows));
             compiled.add_view(s.w_view);
-            compiled.add_words(s.u_words);
-            compiled.add_words(s.v_words);
+            compiled.add_view(s.u_view);
+            compiled.add_view(s.v_view);
             for (const int frac : {s.in_frac, s.out_frac, s.mid_frac,
                                    s.w_frac, s.u_frac, s.v_frac})
               compiled.add(static_cast<std::uint64_t>(frac));
@@ -206,45 +212,84 @@ TEST(CompiledNetwork, DeploymentIsBitIdenticalToPinnedDigest) {
   EXPECT_EQ(compiled.h, 0xc376cca52b85b903ull);
 }
 
-/// Zero-copy pin: every PE's W slice is a view into its layer's one
-/// column-major W buffer — compiling copies no W word, on a PE array
-/// with a few rows per PE and on one where most PEs hold none — and
-/// make_pe_slice builds the same view. The words it reads are the
-/// row-major W the digest above pins.
-TEST(CompiledNetwork, WViewsLieInsideTheNetworksOneWBuffer) {
+/// True when every word of `v` lies inside `buffer`.
+bool lies_inside(const WordView& v, const std::vector<std::int16_t>& buffer) {
+  if (v.size() == 0) return true;
+  const std::less<const std::int16_t*> before;
+  const std::int16_t* begin = buffer.data();
+  const std::int16_t* end = begin + buffer.size();
+  const std::int16_t* last =
+      v.base + (v.rows - 1) * v.row_stride + (v.cols - 1) * v.col_stride;
+  return !before(v.base, begin) && before(last, end);
+}
+
+/// Zero-copy pin: every PE's W, U and V slice is a view into its
+/// layer's own w_t, u and v_t buffer — compiling copies no weight word,
+/// on a PE array with a few rows per PE and on one where most PEs hold
+/// none — and make_pe_slice builds the same views. W and U hold the
+/// rows p + r·P and V the columns p + s·P of PE p; the words they read
+/// are the ones the digest above pins.
+TEST(CompiledNetwork, SliceViewsLieInsideTheLayersOwnBuffers) {
   Rng rng{4};
   const QuantizedNetwork q = seeded_network(rng);
-  const std::less<const std::int16_t*> before;
   for (const ArchParams& arch : {tiny_arch(), ArchParams::paper()}) {
+    const std::size_t num_pes = arch.num_pes;
     for (const bool uv_on : {false, true}) {
       const CompiledNetwork image(q, arch, uv_on);
       for (std::size_t l = 0; l < image.num_layers(); ++l) {
         const QuantizedLayer& layer = q.layer(l);
-        const std::int16_t* begin = layer.w_t.data.data();
-        const std::int16_t* end = begin + layer.w_t.data.size();
-        for (std::size_t pe = 0; pe < image.num_pes(); ++pe) {
+        const std::size_t m = layer.out_dim();
+        for (std::size_t pe = 0; pe < num_pes; ++pe) {
           const PeLayerSlice& s = image.slice(l, pe);
           const WordView& w = s.w_view;
-          ASSERT_EQ(w.rows, s.global_rows.size());
+          // The view holds exactly the rows ≡ pe (mod P).
+          ASSERT_EQ(w.rows, pe < m ? (m - pe + num_pes - 1) / num_pes : 0);
           ASSERT_EQ(w.cols, layer.in_dim());
 
-          const OwnedPeSlice fresh = make_pe_slice(layer, arch, pe, uv_on);
-          const WordView& f = fresh.view.w_view;
-          EXPECT_EQ(f.base, w.base) << "layer " << l << " pe " << pe;
-          EXPECT_EQ(f.rows, w.rows);
-          EXPECT_EQ(f.row_stride, w.row_stride);
-          EXPECT_EQ(f.col_stride, w.col_stride);
+          const PeLayerSlice fresh = make_pe_slice(layer, arch, pe, uv_on);
+          for (const auto& [got, want] :
+               {std::pair{w, fresh.w_view}, std::pair{s.u_view, fresh.u_view},
+                std::pair{s.v_view, fresh.v_view}}) {
+            EXPECT_EQ(want.base, got.base) << "layer " << l << " pe " << pe;
+            EXPECT_EQ(want.rows, got.rows);
+            EXPECT_EQ(want.cols, got.cols);
+            EXPECT_EQ(want.row_stride, got.row_stride);
+            EXPECT_EQ(want.col_stride, got.col_stride);
+          }
 
-          if (w.size() == 0) continue;
-          const std::int16_t* last = w.base + (w.rows - 1) * w.row_stride +
-                                     (w.cols - 1) * w.col_stride;
-          EXPECT_FALSE(before(w.base, begin))
+          EXPECT_TRUE(lies_inside(w, layer.w_t.data))
               << "layer " << l << " pe " << pe;
-          EXPECT_TRUE(before(last, end)) << "layer " << l << " pe " << pe;
           for (std::size_t r = 0; r < w.rows; ++r)
             for (std::size_t c = 0; c < w.cols; ++c)
-              ASSERT_EQ(w.at(r, c), layer.w_t.at(c, s.global_rows[r]))
+              ASSERT_EQ(w.at(r, c), layer.w_t.at(c, pe + r * num_pes))
                   << "layer " << l << " pe " << pe << " row " << r;
+
+          if (!s.has_predictor) {
+            EXPECT_EQ(s.u_view.size(), 0u) << "layer " << l << " pe " << pe;
+            EXPECT_EQ(s.v_view.size(), 0u) << "layer " << l << " pe " << pe;
+            continue;
+          }
+          const QuantizedTensor& u = *layer.u;
+          const QuantizedTensor& v = *layer.v;
+          ASSERT_EQ(s.u_view.rows, w.rows);
+          ASSERT_EQ(s.u_view.cols, s.rank);
+          EXPECT_TRUE(lies_inside(s.u_view, u.data))
+              << "layer " << l << " pe " << pe;
+          for (std::size_t r = 0; r < s.u_view.rows; ++r)
+            for (std::size_t k = 0; k < s.rank; ++k)
+              ASSERT_EQ(s.u_view.at(r, k), u.at(pe + r * num_pes, k))
+                  << "layer " << l << " pe " << pe << " U row " << r;
+
+          const std::size_t n = layer.in_dim();
+          ASSERT_EQ(s.v_view.rows,
+                    pe < n ? (n - pe + num_pes - 1) / num_pes : 0);
+          ASSERT_EQ(s.v_view.cols, s.rank);
+          EXPECT_TRUE(lies_inside(s.v_view, layer.v_t->data))
+              << "layer " << l << " pe " << pe;
+          for (std::size_t slot = 0; slot < s.v_view.rows; ++slot)
+            for (std::size_t k = 0; k < s.rank; ++k)
+              ASSERT_EQ(s.v_view.at(slot, k), v.at(k, pe + slot * num_pes))
+                  << "layer " << l << " pe " << pe << " V slot " << slot;
         }
       }
     }
@@ -399,10 +444,10 @@ TEST(CompiledEngine, ImageKeepsItsVersionAcrossAThresholdChange) {
 /// What happens to an image's source object after compiling.
 enum class SourceFate { kDestroyed, kCopiedOver, kMovedOver };
 
-/// An image's W views point into its network's layers, so the image
-/// must own them: whatever happens to the caller's object, every run
-/// entry point reproduces a fresh compile of the original bit for bit.
-/// The sanitizer jobs report any read of freed words.
+/// An image's W, U and V views point into its network's layers, so the
+/// image must own them: whatever happens to the caller's object, every
+/// run entry point reproduces a fresh compile of the original bit for
+/// bit. The sanitizer jobs report any read of freed words.
 class SourceReleased : public ::testing::TestWithParam<SourceFate> {};
 
 TEST_P(SourceReleased, ImageRunsTheVersionItWasCompiledFrom) {
@@ -492,6 +537,31 @@ INSTANTIATE_TEST_SUITE_P(Fates, SourceReleased,
                                            SourceFate::kCopiedOver,
                                            SourceFate::kMovedOver),
                          fate_name);
+
+/// A copy of an image shares the layer list its views point into, so
+/// it runs whole after the original image and the caller's network are
+/// gone. The sanitizer jobs report any read of freed words.
+TEST(CompiledEngine, CopiedImageOutlivesItsOriginal) {
+  for (const bool uv_on : {true, false}) {
+    std::optional<CompiledNetwork> copy;
+    std::vector<SimResult> expected;
+    Dataset data;
+    {
+      Fixture f = make_batch_fixture(3, /*seed=*/83);
+      const CompiledNetwork original(f.network, tiny_arch(), uv_on);
+      copy.emplace(original);
+      for (std::size_t i = 0; i < f.data.size(); ++i)
+        expected.push_back(fresh_run(f.network, f.data.image(i), uv_on));
+      data = std::move(f.data);
+    }
+    AcceleratorSim sim(tiny_arch());
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      EXPECT_EQ(sim.run(*copy, data.image(i), ValidationMode::kFull),
+                expected[i])
+          << "input " << i << " uv " << uv_on;
+    }
+  }
+}
 
 TEST(CompiledEngine, CopiesShareAVersionUntilOneChangesItsThreshold) {
   Rng rng{15};

@@ -156,27 +156,41 @@ TEST(KernelsTest, PredictBitsMatchesScalar) {
   // Each row's bit is an exact row·s dot product against the
   // threshold, so ranks sweep every lane-count boundary and ragged
   // tail up to the paper's 784-wide input, from misaligned bases, and
-  // end on the all -32768 extreme.
+  // end on the all -32768 extreme. Rows lie a stride wider than the
+  // rank apart, as in a PE's U view, with nonzero words in the gaps: a
+  // kernel that stepped by the rank would read them.
   std::mt19937 rng(606);
   const auto& scalar = scalar_kernels();
   std::uniform_int_distribution<std::size_t> off(0, 3);
+  std::uniform_int_distribution<std::size_t> gap(1, 19);
   for (const KernelTable* t : available_tables()) {
     for (const std::size_t rows : {0u, 1u, 4u, 13u, 64u}) {
       for (const std::size_t rank : kWidths) {
         const std::size_t ou = off(rng), os = off(rng);
-        const auto u = random_i16(rng, rows * rank + ou, 0.2);
+        const std::size_t stride = rank + gap(rng);
+        const auto u = random_i16(rng, rows * stride + ou, 0.2);
         const auto s = random_i16(rng, rank + os, 0.3);
         std::uniform_int_distribution<std::int64_t> thr(-5'000'000,
                                                         5'000'000);
         for (const std::int64_t threshold : {std::int64_t{0}, thr(rng)}) {
           std::vector<std::uint8_t> got(rows + 1, 7), expected(rows + 1, 7);
-          t->predict_bits_i16(u.data() + ou, rows, rank, s.data() + os,
-                              threshold, got.data());
-          scalar.predict_bits_i16(u.data() + ou, rows, rank, s.data() + os,
-                                  threshold, expected.data());
+          t->predict_bits_i16(u.data() + ou, stride, rows, rank,
+                              s.data() + os, threshold, got.data());
+          scalar.predict_bits_i16(u.data() + ou, stride, rows, rank,
+                                  s.data() + os, threshold,
+                                  expected.data());
           EXPECT_EQ(got, expected)
               << to_string(t->isa) << " rows=" << rows
-              << " rank=" << rank;
+              << " rank=" << rank << " stride=" << stride;
+          // The scalar reference itself against the formula.
+          for (std::size_t r = 0; r < rows; ++r) {
+            std::int64_t dot = 0;
+            for (std::size_t k = 0; k < rank; ++k)
+              dot += std::int64_t{u[ou + r * stride + k]} *
+                     std::int64_t{s[os + k]};
+            ASSERT_EQ(expected[r], dot > threshold ? 1 : 0)
+                << "rows=" << rows << " rank=" << rank << " row " << r;
+          }
         }
       }
     }
@@ -186,9 +200,10 @@ TEST(KernelsTest, PredictBitsMatchesScalar) {
     const std::vector<std::int16_t> lo(784, -32768);
     const std::int64_t sum = 784LL * (32768LL * 32768LL);
     std::uint8_t bits[2] = {7, 7};
-    t->predict_bits_i16(lo.data(), 1, lo.size(), lo.data(), sum - 1,
-                        &bits[0]);
-    t->predict_bits_i16(lo.data(), 1, lo.size(), lo.data(), sum, &bits[1]);
+    t->predict_bits_i16(lo.data(), lo.size(), 1, lo.size(), lo.data(),
+                        sum - 1, &bits[0]);
+    t->predict_bits_i16(lo.data(), lo.size(), 1, lo.size(), lo.data(), sum,
+                        &bits[1]);
     EXPECT_EQ(bits[0], 1) << to_string(t->isa);
     EXPECT_EQ(bits[1], 0) << to_string(t->isa);
   }

@@ -64,21 +64,25 @@ TEST(SramBank, CapacityEnforced) {
   // The bank views caller-owned words (it no longer copies).
   const std::vector<std::int16_t> fits(512, 1);
   const std::vector<std::int16_t> overflows(513, 1);
-  EXPECT_NO_THROW(bank.load_rows(fits, fits.size()));
-  EXPECT_THROW(bank.load_rows(overflows, overflows.size()),
+  EXPECT_NO_THROW(bank.load(WordView{fits.data(), 1, 512, 512, 1}));
+  EXPECT_THROW(bank.load(WordView{overflows.data(), 1, 513, 513, 1}),
                std::invalid_argument);
 }
 
 TEST(SramBank, RowAccess) {
   SramBank bank(1);
-  const std::vector<std::int16_t> words{1, 2, 3, 4, 5, 6};
-  bank.load_rows(words, 3);
+  // Two 3-word rows 4 words apart, as a PE's U or V view strides over
+  // the rows of the other PEs.
+  const std::vector<std::int16_t> words{1, 2, 3, 4, 5, 6, 7, 8};
+  bank.load(WordView{words.data(), 2, 3, 4, 1});
   EXPECT_EQ(bank.num_rows(), 2u);
-  EXPECT_EQ(bank.read_row_word(1, 2), 6);
+  EXPECT_EQ(bank.read_row_word(1, 2), 7);
   EXPECT_THROW(bank.read_row_word(2, 0), std::invalid_argument);
   EXPECT_THROW(bank.read_row_word(0, 3), std::invalid_argument);
-  const auto row = bank.row(0);
-  EXPECT_EQ(row[0], 1);
+  const auto row = bank.row(1);
+  ASSERT_EQ(row.size(), 3u);
+  EXPECT_EQ(row[0], 5);
+  EXPECT_EQ(row[2], 7);
   EXPECT_THROW(bank.row(2), std::invalid_argument);
 }
 
@@ -112,9 +116,7 @@ struct PeFixture {
 TEST(ProcessingElement, InputScatteringByModulo) {
   PeFixture f;
   ProcessingElement pe(1, f.params);
-  const OwnedPeSlice slice =
-      make_pe_slice(f.quantized->layer(0), f.params, 1, true);
-  pe.load_layer(slice.view);
+  pe.load_layer(make_pe_slice(f.quantized->layer(0), f.params, 1, true));
   std::vector<std::int16_t> input{10, 11, 12, 13, 14, 15, 16, 17};
   pe.load_input(input);
   const auto nz = pe.scan_source_nonzeros();
@@ -138,8 +140,7 @@ TEST(ProcessingElement, WPhaseMatchesGoldenRows) {
 
   for (std::size_t pe_id = 0; pe_id < f.params.num_pes; ++pe_id) {
     ProcessingElement pe(pe_id, f.params);
-    const OwnedPeSlice slice = make_pe_slice(layer, f.params, pe_id, true);
-    pe.load_layer(slice.view);
+    pe.load_layer(make_pe_slice(layer, f.params, pe_id, true));
     pe.load_input(qx);
     pe.force_all_rows_active();
     pe.start_w_phase();
@@ -181,11 +182,9 @@ TEST(ProcessingElement, VAndUPhasesReproducePredictorBits) {
   const std::size_t rank = layer.rank();
   std::vector<std::int64_t> sums(rank, 0);
   std::vector<ProcessingElement> pes;
-  std::vector<OwnedPeSlice> slices;  // must outlive the PEs' use
   for (std::size_t id = 0; id < f.params.num_pes; ++id) {
     pes.emplace_back(id, f.params);
-    slices.push_back(make_pe_slice(layer, f.params, id, true));
-    pes.back().load_layer(slices.back().view);
+    pes.back().load_layer(make_pe_slice(layer, f.params, id, true));
     pes.back().load_input(qx);
     pes.back().start_v_phase();
     while (!pes.back().v_compute_done()) pes.back().step_v_compute();
@@ -222,11 +221,11 @@ TEST(ProcessingElement, CapacityViolationSurfaces) {
   p.w_mem_kb_per_pe = 1;  // 512 words only
   PeFixture f;
   ProcessingElement pe(0, p);
-  OwnedPeSlice slice = make_pe_slice(f.quantized->layer(0), p, 0, true);
+  PeLayerSlice slice = make_pe_slice(f.quantized->layer(0), p, 0, true);
   // Inflate the W view beyond 512 words.
   const std::vector<std::int16_t> inflated(600, 1);
-  slice.view.w_view = WordView::row_major(inflated, 8);
-  EXPECT_THROW(pe.load_layer(slice.view), std::invalid_argument);
+  slice.w_view = WordView{inflated.data(), 75, 8, 8, 1};
+  EXPECT_THROW(pe.load_layer(slice), std::invalid_argument);
 }
 
 // The census (sim/census.hpp) counts a layer's events from each PE's
@@ -246,15 +245,13 @@ TEST(ProcessingElement, CensusCountsTheStepsThePesTake) {
   ASSERT_GT(rank, 0u);
 
   std::vector<ProcessingElement> pes;
-  std::vector<OwnedPeSlice> slices;  // must outlive the PEs' use
   std::vector<std::size_t> nnz(num_pes), active(num_pes);
   std::uint64_t v_steps = 0, partials = 0, inputs_read = 0;
   std::vector<std::int64_t> sums(rank, 0);
   for (std::size_t id = 0; id < num_pes; ++id) {
     pes.emplace_back(id, f.params);
-    slices.push_back(make_pe_slice(layer, f.params, id, true));
     ProcessingElement& pe = pes.back();
-    pe.load_layer(slices.back().view);
+    pe.load_layer(make_pe_slice(layer, f.params, id, true));
     pe.load_input(qx);
     nnz[id] = pe.scan_source_nonzeros().size();
     pe.start_v_phase();

@@ -127,9 +127,10 @@ TEST(ResultArena, BatchAggregateOnlyPathIsMarginallyAllocationFree) {
       << "12 extra inferences must not allocate (marginal cost 0)";
 }
 
-// Compiling sizes every pool once up front, so building an image costs
-// a fixed handful of allocations (the pools and the slice table) no
-// matter how many PEs the network is spread over.
+// Compiling copies no weight and no row index: every slice views the
+// network's own buffers, so building an image costs exactly one
+// allocation (the slice table) in either uv mode, no matter how many
+// PEs the network is spread over.
 TEST(CompiledNetworkAllocations, IndependentOfPeCount) {
   const Fixture f = make_batch_fixture(1, /*seed=*/101);
   for (const bool uv_on : {true, false}) {
@@ -140,8 +141,8 @@ TEST(CompiledNetworkAllocations, IndependentOfPeCount) {
     };
     const std::uint64_t pe16 = count(tiny_arch());
     const std::uint64_t pe64 = count(ArchParams::paper());
-    EXPECT_EQ(pe16, pe64) << "uv " << uv_on;
-    EXPECT_LE(pe64, 5u) << "uv " << uv_on;
+    EXPECT_EQ(pe16, 1u) << "uv " << uv_on;
+    EXPECT_EQ(pe64, 1u) << "uv " << uv_on;
   }
 }
 

@@ -16,17 +16,30 @@ namespace {
 
 using test_fixtures::tiny_arch;
 
-TEST(Schedule, RowsForPePartitionsAllRows) {
-  const std::size_t num_rows = 37;
-  const std::size_t num_pes = 8;
-  std::vector<int> seen(num_rows, 0);
-  for (std::size_t pe = 0; pe < num_pes; ++pe) {
-    for (std::uint32_t r : rows_for_pe(num_rows, pe, num_pes)) {
-      EXPECT_EQ(r % num_pes, pe);
-      ++seen[r];
-    }
+/// The slices of one layer split its W/U rows and its V columns among
+/// the PEs: PE p's local row r is global row p + r·P and its slot s is
+/// column p + s·P, so every row and column lands on exactly one PE.
+TEST(Schedule, SlicesPartitionAllRowsAndColumns) {
+  Rng rng{3};
+  Network net{{29, 37, 4}, rng};
+  net.set_predictor(0, Predictor::random(37, 29, 3, rng));
+  Matrix calib(2, 29, 0.5f);
+  const QuantizedNetwork q(net, calib);
+  const QuantizedLayer& layer = q.layer(0);
+  const ArchParams params = tiny_arch();  // 16 PEs: ragged shares
+
+  std::vector<int> rows_seen(layer.out_dim(), 0);
+  std::vector<int> cols_seen(layer.in_dim(), 0);
+  for (std::size_t pe = 0; pe < params.num_pes; ++pe) {
+    const PeLayerSlice slice = make_pe_slice(layer, params, pe, true);
+    ASSERT_EQ(slice.u_view.rows, slice.w_view.rows);
+    for (std::size_t r = 0; r < slice.w_view.rows; ++r)
+      ++rows_seen.at(pe + r * params.num_pes);
+    for (std::size_t s = 0; s < slice.v_view.rows; ++s)
+      ++cols_seen.at(pe + s * params.num_pes);
   }
-  for (int count : seen) EXPECT_EQ(count, 1);
+  for (const int count : rows_seen) EXPECT_EQ(count, 1);
+  for (const int count : cols_seen) EXPECT_EQ(count, 1);
 }
 
 TEST(Schedule, SliceContainsInterleavedRowsAndColumns) {
@@ -35,33 +48,38 @@ TEST(Schedule, SliceContainsInterleavedRowsAndColumns) {
   net.set_predictor(0, Predictor::random(10, 12, 3, rng));
   Matrix calib(2, 12, 0.5f);
   const QuantizedNetwork q(net, calib);
+  const QuantizedLayer& layer = q.layer(0);
   ArchParams params = tiny_arch();
   params.num_pes = 4;
   params.router_levels = 1;
 
-  const OwnedPeSlice owned = make_pe_slice(q.layer(0), params, 1, true);
-  const PeLayerSlice& slice = owned.view;
+  const PeLayerSlice slice = make_pe_slice(layer, params, 1, true);
   EXPECT_EQ(slice.layer_input_dim, 12u);
   EXPECT_EQ(slice.layer_output_dim, 10u);
   EXPECT_EQ(slice.rank, 3u);
   // PE 1 of 4, 10 rows: global rows 1, 5, 9.
-  EXPECT_EQ(owned.global_rows,
-            (std::vector<std::uint32_t>{1, 5, 9}));
+  EXPECT_EQ(slice.w_view.rows, 3u);
   EXPECT_EQ(slice.w_view.size(), 3u * 12u);
-  EXPECT_EQ(slice.u_words.size(), 3u * 3u);
+  EXPECT_EQ(slice.u_view.size(), 3u * 3u);
   // V columns 1, 5, 9 of 12: 3 slots × rank 3.
-  EXPECT_EQ(slice.v_words.size(), 3u * 3u);
+  EXPECT_EQ(slice.v_view.size(), 3u * 3u);
   // Check an actual W word: slice row 1 == global row 5 (W[5][7] is
   // word (7, 5) of the column-major w_t).
-  EXPECT_EQ(slice.w_view.at(1, 7), q.layer(0).w_t.at(7, 5));
+  EXPECT_EQ(slice.w_view.at(1, 7), layer.w_t.at(7, 5));
+  // A U word: slice row 2 == global row 9, entry k=1.
+  EXPECT_EQ(slice.u_view.at(2, 1), layer.u->at(9, 1));
   // And a V word: slot 1 covers global column 5; entry k=2.
-  EXPECT_EQ(slice.v_words[1 * 3 + 2], q.layer(0).v->at(2, 5));
-  // The row map spans the owned storage exactly; W is viewed in place
-  // in the layer's column-major buffer (base row 1, stride 4 PEs).
-  EXPECT_EQ(slice.global_rows.data(), owned.global_rows.data());
-  EXPECT_EQ(slice.w_view.base, q.layer(0).w_t.data.data() + 1);
+  EXPECT_EQ(slice.v_view.at(1, 2), layer.v->at(2, 5));
+  // Every view lies in place in the layer's own buffers: W in w_t
+  // (base row 1, stride 4 PEs), U in u and V in v_t (base row 1,
+  // stride 4 PEs × rank 3).
+  EXPECT_EQ(slice.w_view.base, layer.w_t.data.data() + 1);
   EXPECT_EQ(slice.w_view.row_stride, 4u);
   EXPECT_EQ(slice.w_view.col_stride, 10u);
+  EXPECT_EQ(slice.u_view.base, layer.u->data.data() + 3);
+  EXPECT_EQ(slice.v_view.base, layer.v_t->data.data() + 3);
+  EXPECT_EQ(slice.u_view.row_stride, 12u);
+  EXPECT_EQ(slice.v_view.row_stride, 12u);
 }
 
 TEST(Schedule, UvOffSliceDropsPredictor) {
@@ -70,10 +88,11 @@ TEST(Schedule, UvOffSliceDropsPredictor) {
   net.set_predictor(0, Predictor::random(10, 12, 3, rng));
   Matrix calib(2, 12, 0.5f);
   const QuantizedNetwork q(net, calib);
-  const OwnedPeSlice slice =
+  const PeLayerSlice slice =
       make_pe_slice(q.layer(0), tiny_arch(), 0, /*use_predictor=*/false);
-  EXPECT_FALSE(slice.view.has_predictor);
-  EXPECT_TRUE(slice.view.u_words.empty());
+  EXPECT_FALSE(slice.has_predictor);
+  EXPECT_EQ(slice.u_view.size(), 0u);
+  EXPECT_EQ(slice.v_view.size(), 0u);
 }
 
 /// End-to-end bit-exactness: random networks, random inputs, both
