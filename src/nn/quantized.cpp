@@ -193,7 +193,6 @@ QuantizedNetwork::QuantizedNetwork(const Network& network,
         const FixedPointFormat u_fmt = choose_format(p.u().flat());
         const FixedPointFormat v_fmt = choose_format(p.v().flat());
         q.u = quantize_matrix(p.u(), u_fmt);
-        q.v = quantize_matrix(p.v(), v_fmt);
         quantize_transposed(p.u(), u_fmt, q.u_t.emplace());
         quantize_transposed(p.v(), v_fmt, q.v_t.emplace());
         q.mid_fmt = format_for_max(ranges.mid_max[l]);
@@ -261,12 +260,12 @@ void QuantizedNetwork::forward_layer_into(
 
   // --- Prediction phase: s = V a, t = U s, bit = t > 0 ---
   if (use_predictor && q.has_predictor() && !q.is_output) {
-    const QuantizedTensor& v = *q.v;
+    const QuantizedTensor& v_t = *q.v_t;
     const QuantizedTensor& u_t = *q.u_t;
-    const std::size_t rank = v.rows;
-    const int s_from_frac = q.in_fmt.frac_bits + v.fmt.frac_bits;
+    const std::size_t rank = v_t.cols;
+    const int s_from_frac = q.in_fmt.frac_bits + v_t.fmt.frac_bits;
 
-    sparse_matvec(*q.v_t, rank);
+    sparse_matvec(v_t, rank);
     v_result.assign(rank, 0);
     for (std::size_t r = 0; r < rank; ++r)
       v_result[r] =

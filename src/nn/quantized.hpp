@@ -50,13 +50,15 @@ struct QuantizedLayer {
   /// per-PE W slice is a strided view into it (sim/compiled_network.hpp).
   QuantizedTensor w_t;
   std::optional<QuantizedTensor> u;     ///< m × r
-  std::optional<QuantizedTensor> v;     ///< r × n
-  /// Column-major mirrors of the small predictor factors (u_t is r × m,
-  /// v_t is n × r) for the same column sweeps (short U rows defeat row
-  /// SIMD); exact integer accumulation makes the reordering
-  /// bit-identical to the row-major nonzero walk. A compiled image's
-  /// PE slices view U by row in u and V by column in v_t.
+  /// Column-major mirror of U (r × m) for the same column sweeps (short
+  /// U rows defeat row SIMD); exact integer accumulation makes the
+  /// reordering bit-identical to the row-major nonzero walk.
   std::optional<QuantizedTensor> u_t;
+  /// The layer's only copy of the r × n predictor factor V, stored
+  /// column-major like W: the n × r tensor whose row c is column c of
+  /// V, so V[k][c] is v_t->at(c, k). The s = V·a sweep reads its
+  /// columns, and a compiled image's PE slices view U by row in u and
+  /// V by column in v_t.
   std::optional<QuantizedTensor> v_t;
   FixedPointFormat in_fmt{};            ///< format of incoming activations
   FixedPointFormat out_fmt{};           ///< format of produced activations

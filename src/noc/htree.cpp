@@ -22,213 +22,154 @@ std::size_t buffer_depth_for(const ArchParams& params) {
              : 1;
 }
 
+/// Heap order for UpwardTree::starts_: the earliest cycle on top.
+constexpr auto later = [](const auto& a, const auto& b) {
+  return a.cycle > b.cycle;
+};
+
 }  // namespace
 
 UpwardTree::UpwardTree(const ArchParams& params, RouterMode mode)
-    : radix_(params.router_radix), num_pes_(params.num_pes) {
+    : radix_(params.router_radix), num_pes_(params.num_pes), mode_(mode) {
   params.validate();
+  num_leaves_ = static_cast<std::uint32_t>(num_pes_ / radix_);
   const std::size_t depth = buffer_depth_for(params);
   const std::size_t credit = credit_latency_for(params);
+  const auto radix = static_cast<std::uint32_t>(radix_);
 
-  // Build tiers until a single root remains: 64 PEs → 16 → 4 → 1.
-  std::size_t routers = num_pes_ / radix_;
-  for (;;) {
-    std::vector<Router> tier;
-    tier.reserve(routers);
-    for (std::size_t i = 0; i < routers; ++i)
-      tier.emplace_back(radix_, depth, credit, mode);
-    levels_.push_back(std::move(tier));
-    if (routers == 1) break;
-    ensures(routers % radix_ == 0, "router tier does not tile");
-    routers /= radix_;
-  }
-
-  outputs_scratch_.resize(levels_.size());
-  for (std::size_t lvl = 0; lvl < levels_.size(); ++lvl)
-    outputs_scratch_[lvl].resize(levels_[lvl].size());
-
-  // Flat router ids for the event-driven arbitration, leaves first,
-  // each with its parent's flat id and port (the root's are unused).
-  std::uint32_t base = 0;
-  for (std::size_t lvl = 0; lvl < levels_.size(); ++lvl) {
-    const auto next_base =
-        static_cast<std::uint32_t>(base + levels_[lvl].size());
-    level_base_.push_back(base);
-    for (std::size_t i = 0; i < levels_[lvl].size(); ++i) {
-      level_of_.push_back(static_cast<std::uint32_t>(lvl));
-      parent_of_.push_back(next_base + static_cast<std::uint32_t>(i / radix_));
-      port_of_.push_back(static_cast<std::uint32_t>(i % radix_));
+  // Build tiers until a single root remains: 64 PEs → 16 → 4 → 1. Each
+  // router links to its parent in the next tier and to its first child
+  // in the tier below (the PEs for the leaves).
+  routers_.reserve(params.total_routers());
+  std::uint32_t base = 0;        // first id of this tier
+  std::uint32_t child_base = 0;  // first id of the tier below
+  for (std::uint32_t tier = num_leaves_;; tier /= radix) {
+    const std::uint32_t next_base = base + tier;
+    for (std::uint32_t i = 0; i < tier; ++i) {
+      routers_.emplace_back(radix_, depth, credit, mode);
+      parent_of_.push_back(next_base + i / radix);
+      port_of_.push_back(i % radix);
+      first_child_.push_back(child_base + i * radix);
     }
+    if (tier == 1) break;
+    ensures(tier % radix == 0, "router tier does not tile");
+    child_base = base;
     base = next_base;
   }
-  const std::size_t num_routers = level_of_.size();
+  for (std::uint32_t pe = 0; pe < num_pes_; ++pe) {
+    leaf_of_.push_back(pe / radix);
+    leaf_port_.push_back(pe % radix);
+  }
+  outputs_.resize(routers_.size());
+
+  const std::size_t num_routers = routers_.size();
   credit_delay_ = std::max<std::uint64_t>(1, credit);
   listed_at_.assign(num_routers, 0);
   touched_at_.assign(num_routers, 0);
   offered_at_.assign(num_pes_, 0);
   injecting_.assign(num_pes_, 0);
-  for (auto* list : {&due_, &due_next_, &touched_})
+  for (auto* list : {&due_, &due_next_, &touched_, &drained_})
     list->reserve(num_routers);
-  for (auto* list : {&offers_, &offers_next_, &injected_})
-    list->reserve(num_pes_);
+  for (auto* list : {&offers_, &offers_next_}) list->reserve(num_pes_);
   grants_.reserve(num_routers);
-  // Each grant schedules one credit return credit_delay_ cycles on, and
-  // a router grants at most once a cycle, so this many are ever
-  // pending; a one-cycle return needs no queue.
-  wakes_.assign_capacity(credit_delay_ > 1 ? credit_delay_ * num_routers
-                                           : 0);
-
-  // Precompute every child → parent link (see the member comment):
-  // entry lvl maps the children feeding level lvl (PEs for level 0).
-  parent_idx_.resize(levels_.size());
-  parent_port_.resize(levels_.size());
-  for (std::size_t lvl = 0; lvl < levels_.size(); ++lvl) {
-    const std::size_t children =
-        lvl == 0 ? num_pes_ : levels_[lvl - 1].size();
-    parent_idx_[lvl].resize(children);
-    parent_port_[lvl].resize(children);
-    for (std::size_t i = 0; i < children; ++i) {
-      parent_idx_[lvl][i] = static_cast<std::uint32_t>(i / radix_);
-      parent_port_[lvl][i] = static_cast<std::uint32_t>(i % radix_);
-    }
-  }
+  starts_.reserve(num_pes_);
+  // A grant schedules a credit return credit_delay_ cycles on for each
+  // child it popped, and a router grants at most once a cycle, so each
+  // child has at most credit_delay_ pending; a one-cycle return needs
+  // no queue.
+  wakes_.assign_capacity(
+      credit_delay_ > 1 ? credit_delay_ * (num_routers + num_pes_) : 0);
 }
 
 void UpwardTree::reset() {
-  for (auto& tier : levels_)
-    for (Router& router : tier) router.reset();
-  for (auto& tier : outputs_scratch_)
-    for (auto& out : tier) out.reset();
+  for (Router& router : routers_) router.reset();
+  for (auto& out : outputs_) out.reset();
   buffered_total_ = 0;
-  last_step_quiet_ = false;
 
   cycle_ = 0;
   std::fill(listed_at_.begin(), listed_at_.end(), 0);
   std::fill(touched_at_.begin(), touched_at_.end(), 0);
   std::fill(offered_at_.begin(), offered_at_.end(), 0);
   std::fill(injecting_.begin(), injecting_.end(), 0);
-  for (auto* list : {&due_, &due_next_, &offers_, &offers_next_,
-                     &injected_, &touched_})
+  for (auto* list :
+       {&due_, &due_next_, &offers_, &offers_next_, &touched_, &drained_})
     list->clear();
   grants_.clear();
   wakes_.clear();
-}
-
-void UpwardTree::skip_idle(std::uint64_t k) {
-  expects(buffered_total_ == 0, "skip_idle on a non-idle tree");
-  for (auto& tier : levels_)
-    for (Router& router : tier) router.settle(router.clock() + k);
-}
-
-bool UpwardTree::credits_quiet() const {
-  for (const auto& tier : levels_)
-    for (const Router& router : tier)
-      if (!router.credits_quiet()) return false;
-  return true;
-}
-
-void UpwardTree::skip_waiting(std::uint64_t k) {
-  for (auto& tier : levels_)
-    for (Router& router : tier) router.skip_waiting(k);
+  starts_.clear();
 }
 
 void UpwardTree::close_injector(std::size_t pe) {
   expects(pe < num_pes_, "PE id out of range");
-  levels_.front()[pe / radix_].set_port_closed(pe % radix_, true);
+  routers_[leaf_of_[pe]].set_port_closed(leaf_port_[pe], true);
 }
 
 std::optional<Flit> UpwardTree::step(bool root_ready) {
   // Two-phase update: every router decides on begin-of-cycle state,
-  // then transfers commit, so a hop takes exactly one cycle. The
-  // decisions land in scratch buffers preallocated at construction.
-  auto& outputs = outputs_scratch_;
-  bool decided = false;
-  for (std::size_t lvl = 0; lvl < levels_.size(); ++lvl) {
-    auto& tier = levels_[lvl];
-    const bool is_root = (lvl + 1 == levels_.size());
-    for (std::size_t i = 0; i < tier.size(); ++i) {
-      // An empty router decides nothing (and charges no statistics in
-      // step()); skipping it saves the port scan and the parent credit
-      // lookup. Its commit below still ticks the cycle counters.
-      if (tier[i].idle()) {
-        outputs[lvl][i].reset();
-        continue;
-      }
-      const bool parent_ready =
-          is_root ? root_ready
-                  : levels_[lvl + 1][parent_idx_[lvl + 1][i]].can_accept(
-                        parent_port_[lvl + 1][i]);
-      outputs[lvl][i] = tier[i].step(parent_ready);
-      decided = decided || tier[i].last_step_decided();
+  // then transfers commit, so a hop takes exactly one cycle. Each pass
+  // walks the ids upward, tier by tier from the leaves.
+  const std::uint32_t root = root_id();
+  for (std::uint32_t id = 0; id <= root; ++id) {
+    Router& router = routers_[id];
+    // An empty router decides nothing (and charges no statistics in
+    // step()); skipping it saves the port scan and the parent credit
+    // lookup. Its commit below still ticks the cycle counters.
+    if (router.idle()) {
+      outputs_[id].reset();
+      continue;
     }
+    const bool parent_ready =
+        id == root ? root_ready
+                   : routers_[parent_of_[id]].can_accept(port_of_[id]);
+    outputs_[id] = router.step(parent_ready);
   }
 
   // Commit transfers into parent buffers.
-  for (std::size_t lvl = 0; lvl + 1 < levels_.size(); ++lvl) {
-    for (std::size_t i = 0; i < levels_[lvl].size(); ++i) {
-      if (outputs[lvl][i]) {
-        levels_[lvl + 1][parent_idx_[lvl + 1][i]].push(
-            parent_port_[lvl + 1][i], *outputs[lvl][i]);
-      }
-    }
+  for (std::uint32_t id = 0; id < root; ++id) {
+    if (outputs_[id])
+      routers_[parent_of_[id]].push(port_of_[id], *outputs_[id]);
   }
 
   // In accumulate mode, propagate drained-subtree closure upward so a
-  // parent's ACC does not wait for children that will never send. A
-  // closure that flips a parent port from open to closed can enable
-  // that parent's ACC on the next cycle, so it disqualifies this step
-  // from being a pure wait cycle (re-closing an already-closed port is
-  // a no-op and stays quiet).
-  bool closure_changed = false;
-  if (root().mode() == RouterMode::kAccumulate) {
-    for (std::size_t lvl = 0; lvl + 1 < levels_.size(); ++lvl) {
-      for (std::size_t i = 0; i < levels_[lvl].size(); ++i) {
-        const Router& child = levels_[lvl][i];
-        if (child.idle() && child.all_closed() && !outputs[lvl][i]) {
-          Router& parent = levels_[lvl + 1][parent_idx_[lvl + 1][i]];
-          const std::uint32_t port = parent_port_[lvl + 1][i];
-          if (!parent.port_closed(port)) {
-            parent.set_port_closed(port, true);
-            closure_changed = true;
-          }
-        }
-      }
+  // parent's ACC does not wait for children that will never send. The
+  // pass runs tier by tier, so a parent that drains with its last
+  // child closes its own parent's port in the same cycle.
+  if (mode_ == RouterMode::kAccumulate) {
+    for (std::uint32_t id = 0; id < root; ++id) {
+      const Router& child = routers_[id];
+      if (child.idle() && child.all_closed() && !outputs_[id])
+        routers_[parent_of_[id]].set_port_closed(port_of_[id], true);
     }
   }
-  last_step_quiet_ = !decided && !closure_changed;
 
   // Re-derive the buffered total inside the commit pass; each router's
   // own count is maintained O(1), so idle() stays a single comparison.
   std::size_t buffered = 0;
-  for (auto& tier : levels_) {
-    for (Router& router : tier) {
-      router.commit();
-      buffered += router.buffered();
-    }
+  for (Router& router : routers_) {
+    router.commit();
+    buffered += router.buffered();
   }
   buffered_total_ = buffered;
-  return outputs.back().front();
+  return outputs_[root];
 }
 
 NocStats UpwardTree::stats() const {
   NocStats out;
   double occupancy = 0.0;
-  for (std::size_t lvl = 0; lvl < levels_.size(); ++lvl) {
-    for (const Router& r : levels_[lvl]) {
-      out.flit_hops += r.stats().flits_forwarded;
-      out.acc_operations += r.stats().acc_operations;
-      out.arbitration_conflicts += r.stats().arbitration_conflicts;
-      out.credit_stalls += r.stats().credit_stalls;
-      if (lvl == 0) occupancy += r.stats().mean_buffer_occupancy();
-    }
+  for (std::uint32_t id = 0; id < routers_.size(); ++id) {
+    const RouterStats& r = routers_[id].stats();
+    out.flit_hops += r.flits_forwarded;
+    out.acc_operations += r.acc_operations;
+    out.arbitration_conflicts += r.arbitration_conflicts;
+    out.credit_stalls += r.credit_stalls;
+    if (id < num_leaves_) occupancy += r.mean_buffer_occupancy();
   }
-  out.mean_leaf_occupancy =
-      occupancy / static_cast<double>(levels_.front().size());
+  out.mean_leaf_occupancy = occupancy / static_cast<double>(num_leaves_);
   out.root_flits = root().stats().flits_forwarded;
   return out;
 }
 
-// ------------------------------------------- event-driven arbitration
+// ---------------------------------------------- event-driven stepping
 
 void UpwardTree::list_router(std::uint32_t id, std::uint64_t cycle) {
   if (id == root_id() || listed_at_[id] == cycle) return;
@@ -243,22 +184,28 @@ void UpwardTree::offer_injection(std::uint32_t pe, std::uint64_t cycle) {
 }
 
 void UpwardTree::touch(std::uint32_t id, bool parent_ready) {
-  Router& r = router(id);
+  Router& r = routers_[id];
   r.settle(cycle_ - 1);
   if (const auto out = r.step(parent_ready)) {
-    grants_.push_back({id, static_cast<std::uint32_t>(*r.granted_port()),
-                       *out});
+    const std::optional<std::size_t> port = r.granted_port();
+    grants_.push_back(
+        {id, port ? static_cast<std::uint32_t>(*port) : kEveryPort, *out});
   }
   touched_at_[id] = cycle_;
   touched_.push_back(id);
 }
 
-void UpwardTree::add_injector(std::size_t pe) {
+void UpwardTree::add_injector(std::size_t pe, std::uint64_t first) {
   expects(pe < num_pes_, "PE id out of range");
-  expects(root().mode() == RouterMode::kArbitrate,
-          "event-driven stepping models the arbitrate tree only");
+  expects(first > cycle_, "an injector cannot start in the past");
   injecting_[pe] = 1;
-  offer_injection(static_cast<std::uint32_t>(pe), cycle_ + 1);
+  const auto id = static_cast<std::uint32_t>(pe);
+  if (first == cycle_ + 1) {
+    offer_injection(id, first);
+  } else {
+    starts_.push_back({first, id | kPeTarget});
+    std::push_heap(starts_.begin(), starts_.end(), later);
+  }
 }
 
 std::span<const std::uint32_t> UpwardTree::begin_cycle(std::uint64_t t) {
@@ -274,14 +221,20 @@ std::span<const std::uint32_t> UpwardTree::begin_cycle(std::uint64_t t) {
     schedule_wake(wakes_.front().target, t);
   expects(wakes_.empty() || wakes_.front().cycle > t,
           "begin_cycle skipped a credit return");
+  for (; !starts_.empty() && starts_.front().cycle == t; starts_.pop_back()) {
+    schedule_wake(starts_.front().target, t);
+    std::pop_heap(starts_.begin(), starts_.end(), later);
+  }
+  expects(starts_.empty() || starts_.front().cycle > t,
+          "begin_cycle skipped a first injection");
 
   // Keep the PEs that still inject and whose port has a free slot.
   std::size_t kept = 0;
   for (const std::uint32_t pe : offers_) {
     if (!injecting_[pe]) continue;
-    Router& leaf = levels_.front()[parent_idx_[0][pe]];
+    Router& leaf = routers_[leaf_of_[pe]];
     leaf.settle(t - 1);
-    if (leaf.can_accept(parent_port_[0][pe])) offers_[kept++] = pe;
+    if (leaf.can_accept(leaf_port_[pe])) offers_[kept++] = pe;
   }
   offers_.resize(kept);
   return offers_;
@@ -289,9 +242,19 @@ std::span<const std::uint32_t> UpwardTree::begin_cycle(std::uint64_t t) {
 
 void UpwardTree::inject_lazy(std::size_t pe, const Flit& flit, bool more) {
   inject(pe, flit);
-  list_router(level_base_[0] + parent_idx_[0][pe], cycle_);
+  const std::uint32_t leaf = leaf_of_[pe];
+  list_router(leaf, cycle_);
   injecting_[pe] = more ? 1 : 0;
-  if (more) injected_.push_back(static_cast<std::uint32_t>(pe));
+  if (more) {
+    // The PE keeps its offer while its port has room. Only this
+    // cycle's grant can add room before the next cycle, and the
+    // credit that grant returns offers the PE again.
+    if (routers_[leaf].can_accept(leaf_port_[pe]))
+      offer_injection(static_cast<std::uint32_t>(pe), cycle_ + 1);
+  } else if (mode_ == RouterMode::kAccumulate) {
+    // The leaf, settled by begin_cycle(), decides on the closed port.
+    routers_[leaf].set_port_closed(leaf_port_[pe], true);
+  }
 }
 
 std::optional<Flit> UpwardTree::step_lazy(bool root_ready) {
@@ -299,16 +262,23 @@ std::optional<Flit> UpwardTree::step_lazy(bool root_ready) {
   grants_.clear();
 
   // Decide on begin-of-cycle state, like step(): a listed router
-  // grants when it holds flits and its parent port has room; one that
-  // cannot stays frozen and is settled when something next changes it.
+  // grants when it has an output decision and its parent port has
+  // room; one that cannot stays frozen and is settled when something
+  // next changes it. A listed reduction router that is empty with
+  // every port closed has drained; its closure propagates below.
   for (const std::uint32_t id : due_) {
-    if (router(id).idle()) continue;
-    Router& parent = router(parent_of_[id]);
+    Router& r = routers_[id];
+    if (!r.has_output()) {
+      if (mode_ == RouterMode::kAccumulate && r.idle() && r.all_closed())
+        drained_.push_back(id);
+      continue;
+    }
+    Router& parent = routers_[parent_of_[id]];
     parent.settle(t - 1);
     if (parent.can_accept(port_of_[id])) touch(id, true);
   }
   due_.clear();
-  if (root_ready && !root().idle()) touch(root_id(), true);
+  if (root_ready && root().has_output()) touch(root_id(), true);
 
   // Commit transfers into parent buffers. A parent that made no grant
   // this cycle still makes its (frozen) decision on the state before
@@ -321,37 +291,59 @@ std::optional<Flit> UpwardTree::step_lazy(bool root_ready) {
     }
     const std::uint32_t parent = parent_of_[grant.router];
     if (touched_at_[parent] != t) touch(parent, false);
-    router(parent).push(port_of_[grant.router], grant.flit);
+    routers_[parent].push(port_of_[grant.router], grant.flit);
+    ++buffered_total_;
     list_router(parent, t + 1);
   }
-  for (const std::uint32_t id : touched_) router(id).commit();
-  touched_.clear();
-  if (out) --buffered_total_;
-
-  // A PE that injected keeps its offer while its port has room.
-  for (const std::uint32_t pe : injected_) {
-    Router& leaf = levels_.front()[parent_idx_[0][pe]];
-    leaf.settle(t);
-    if (leaf.can_accept(parent_port_[0][pe])) offer_injection(pe, t + 1);
+  // Closures land after the pushes and before the commits, as in
+  // step(). A drained router takes no more flits, so it is still empty.
+  for (const std::uint32_t id : drained_) close_parent_port(id);
+  drained_.clear();
+  for (const std::uint32_t id : touched_) {
+    Router& r = routers_[id];
+    buffered_total_ -= r.buffered();  // a reduction retires several
+    r.commit();
+    buffered_total_ += r.buffered();
   }
-  injected_.clear();
+  touched_.clear();
 
-  // A router that granted may grant again next cycle, and the slot it
-  // freed reaches its child (a router, or a PE that still injects)
-  // credit_delay_ cycles from now.
+  // A router that granted may grant again (or have drained) next
+  // cycle, and each slot it freed reaches its child (a router, or a PE
+  // that still injects) credit_delay_ cycles from now. A reduction
+  // frees a slot in every port holding its row; waking every child is
+  // a superset, and a child with nothing to do is skipped.
   for (const Grant& grant : grants_) {
     list_router(grant.router, t + 1);
-    const std::uint32_t lvl = level_of_[grant.router];
-    const std::uint32_t child =
-        (grant.router - level_base_[lvl]) * static_cast<std::uint32_t>(radix_) +
-        grant.port;  // index in the tier below
-    if (lvl > 0) {
-      schedule_wake(level_base_[lvl - 1] + child, t + credit_delay_);
-    } else if (injecting_[child]) {
-      schedule_wake(child | kPeTarget, t + credit_delay_);
+    const bool every = grant.port == kEveryPort;
+    const std::uint32_t first = every ? 0 : grant.port;
+    const std::uint32_t end =
+        every ? static_cast<std::uint32_t>(radix_) : grant.port + 1;
+    for (std::uint32_t port = first; port < end; ++port) {
+      const std::uint32_t child = first_child_[grant.router] + port;
+      if (grant.router >= num_leaves_) {
+        schedule_wake(child, t + credit_delay_);
+      } else if (injecting_[child]) {
+        schedule_wake(child | kPeTarget, t + credit_delay_);
+      }
     }
   }
   return out;
+}
+
+void UpwardTree::close_parent_port(std::uint32_t id) {
+  const std::uint64_t t = cycle_;
+  for (;;) {
+    const std::uint32_t parent_id = parent_of_[id];
+    Router& parent = routers_[parent_id];
+    if (parent.port_closed(port_of_[id])) return;
+    if (touched_at_[parent_id] != t) parent.settle(t);
+    parent.set_port_closed(port_of_[id], true);
+    // The root's decision is read by step_lazy() and next_cycle().
+    if (parent_id == root_id()) return;
+    list_router(parent_id, t + 1);
+    if (!parent.idle() || !parent.all_closed()) return;
+    id = parent_id;
+  }
 }
 
 void UpwardTree::schedule_wake(std::uint32_t target, std::uint64_t cycle) {
@@ -367,14 +359,14 @@ void UpwardTree::schedule_wake(std::uint32_t target, std::uint64_t cycle) {
 
 std::uint64_t UpwardTree::next_cycle(bool root_ready) const {
   if (!due_next_.empty() || !offers_next_.empty() ||
-      (root_ready && !root().idle()))
+      (root_ready && root().has_output()))
     return cycle_ + 1;
-  return wakes_.empty() ? kNoCycle : wakes_.front().cycle;
+  return std::min(wakes_.empty() ? kNoCycle : wakes_.front().cycle,
+                  starts_.empty() ? kNoCycle : starts_.front().cycle);
 }
 
 void UpwardTree::settle(std::uint64_t cycle) {
-  for (auto& tier : levels_)
-    for (Router& router : tier) router.settle(cycle);
+  for (Router& router : routers_) router.settle(cycle);
 }
 
 BroadcastChannel::BroadcastChannel(std::size_t latency)

@@ -16,6 +16,11 @@
 // subject to the receivers' queue backpressure, which the owner
 // expresses through the `ready` argument.
 //
+// UpwardTree advances two ways with the same results: step() visits
+// every router every cycle (the per-cycle reference), and the
+// event-driven section visits only the routers that can act, in both
+// modes (the event core's V and W phases).
+//
 // Both halves are built for reuse across phases: step() writes into
 // scratch buffers preallocated at construction (no per-cycle heap
 // allocation), idle() reads a maintained flit count, and reset()
@@ -53,18 +58,17 @@ class UpwardTree {
   std::size_t num_pes() const noexcept { return num_pes_; }
 
   /// Can PE `pe` inject this cycle? (credit view of its leaf port)
-  /// Inline with precomputed parent links — the cycle loop asks for
+  /// Inline with precomputed leaf links — the cycle loop asks for
   /// every pending injector every cycle, and a runtime divide per
   /// lookup costs more than the credit check itself.
   bool can_inject(std::size_t pe) const {
     expects(pe < num_pes_, "PE id out of range");
-    return levels_.front()[parent_idx_[0][pe]].can_accept(
-        parent_port_[0][pe]);
+    return routers_[leaf_of_[pe]].can_accept(leaf_port_[pe]);
   }
   /// Injects a flit from PE `pe`. Precondition: can_inject(pe).
   void inject(std::size_t pe, const Flit& flit) {
     expects(pe < num_pes_, "PE id out of range");
-    levels_.front()[parent_idx_[0][pe]].push(parent_port_[0][pe], flit);
+    routers_[leaf_of_[pe]].push(leaf_port_[pe], flit);
     ++buffered_total_;
   }
 
@@ -72,39 +76,16 @@ class UpwardTree {
   /// the ACC reduction to terminate cleanly).
   void close_injector(std::size_t pe);
 
-  /// Advances one cycle. `root_ready` tells whether the consumer of the
-  /// root output can take a flit. Returns the flit leaving the root.
+  /// Advances one cycle, visiting every router: the per-cycle
+  /// reference the event-driven section below is held to.
+  /// `root_ready` tells whether the consumer of the root output can
+  /// take a flit. Returns the flit leaving the root.
   std::optional<Flit> step(bool root_ready);
 
   /// True when no flit is buffered anywhere in the tree. O(1): the
   /// total is re-derived from the routers' maintained counts inside
   /// step()'s existing commit pass.
   bool idle() const noexcept { return buffered_total_ == 0; }
-
-  /// True when the last step() was a pure wait cycle: no router made an
-  /// output decision (not even one cancelled by a closed parent credit
-  /// window — a cancelled decision still charges a credit stall) and
-  /// no closure flag was newly propagated. Because
-  /// router decisions are pure functions of buffer/closure/credit
-  /// state, a quiet step with frozen inputs proves every following
-  /// cycle is quiet too until an injection or credit expiry changes the
-  /// state — the event core's wait-skip window rests on this.
-  bool last_step_quiet() const noexcept { return last_step_quiet_; }
-
-  /// True when no credit anywhere in the tree is still travelling back
-  /// to a child (trivially true for the buffered latency-1 default).
-  bool credits_quiet() const;
-
-  /// Advances `k` pure wait cycles verified by last_step_quiet() plus
-  /// frozen inputs (no injections, quiet credits): bit-identical to k
-  /// step(·) calls in that state — occupancy sums and router clocks
-  /// advance, nothing else changes.
-  void skip_waiting(std::uint64_t k);
-
-  /// Advances `k` cycles on a fully-drained tree — bit-identical to k
-  /// step(·) calls while idle() (which only tick router clocks and
-  /// occupancy denominators). Requires idle().
-  void skip_idle(std::uint64_t k);
 
   /// Empties every router, reopens all injectors and zeroes the phase
   /// statistics — bit-identical to constructing a fresh tree, without
@@ -113,33 +94,43 @@ class UpwardTree {
 
   NocStats stats() const;
 
-  // ---- Event-driven arbitration (the event core's W phase) ----
+  // ---- Event-driven stepping (the event core's V and W phases) ----
   //
-  // The same kArbitrate tree, stepped only where a flit can move. An
-  // empty router, or one whose head flits wait on a closed parent
-  // credit window, repeats the same decision every cycle, so it is not
-  // visited: its clock (Router::clock) marks the cycle its counters
-  // are settled to, and Router::settle adds the frozen cycles at once
-  // when a push, a grant or a returning credit next changes it (or its
-  // parent's port is read), and at phase end. A cycle steps only the
-  // routers that may grant — those that granted, took a flit or had a
-  // parent credit return since the last cycle, and the root while its
-  // consumer is ready — and offers injection only to PEs whose leaf
-  // port has room; a full port is offered again when the credit of
-  // its next grant returns. Bit-identical to inject() and step() on
-  // every cycle; tests/event_core_test.cpp pins it.
+  // The same tree, in either mode, stepped only where something can
+  // change. A router with no output decision (empty, or a reduction
+  // waiting for a laggard port) or whose decision waits on a closed
+  // parent credit window repeats the same decision every cycle, so it
+  // is not visited: its clock (the cycles it has committed) marks the
+  // cycle its counters are settled to, and Router::settle adds the
+  // frozen cycles at once when a push, a grant, a port closure or a
+  // returning credit next changes it (or its parent's port is read),
+  // and at phase end. A cycle steps only the routers that may grant —
+  // those that granted, took a flit, had a port closed or had a parent
+  // credit return since the last cycle, and the root while its
+  // consumer is ready and it has an output decision — and offers
+  // injection only to PEs whose leaf port has room; a full port is
+  // offered again when the credit of its next grant returns. In
+  // kAccumulate mode a PE's leaf port closes with its last flit, and a
+  // subtree that drains (empty, every port closed, nothing sent this
+  // cycle) closes its port in the parent in the same cycle step()
+  // would. Bit-identical to inject(), close_injector() and step() on
+  // every cycle; tests/noc_fuzz_test.cpp and tests/event_core_test.cpp
+  // pin it.
   //
-  // One phase: reset(); add_injector() for every PE holding flits;
-  // then for t = next_cycle(·) (cycle 1 first, or any later cycle the
-  // caller has work in), until it returns kNoCycle and the caller has
-  // none: begin_cycle(t), inject_lazy() for PEs it offers, then
-  // step_lazy(); finally settle(the phase's last cycle).
+  // One phase: reset(); add_injector() for every PE holding flits (in
+  // kAccumulate mode every PE must hold one, since a port closes only
+  // with its PE's last flit); then for t = next_cycle(·) (the first
+  // injector's cycle first, or any later cycle the caller has work
+  // in), until it returns kNoCycle and the caller has none:
+  // begin_cycle(t), inject_lazy() for PEs it offers, then step_lazy();
+  // finally settle(the phase's last cycle).
 
   /// next_cycle()'s answer when the tree has nothing scheduled.
   static constexpr std::uint64_t kNoCycle = UINT64_MAX;
 
-  /// PE `pe` holds flits to inject: it is offered injection at cycle 1.
-  void add_injector(std::size_t pe);
+  /// PE `pe` holds flits to inject from cycle `first` (>= 1) on: it is
+  /// first offered injection then.
+  void add_injector(std::size_t pe, std::uint64_t first);
 
   /// Starts cycle `t`, which must come after the last one started and
   /// no later than next_cycle(·). Returns the PEs whose leaf port can
@@ -147,33 +138,29 @@ class UpwardTree {
   std::span<const std::uint32_t> begin_cycle(std::uint64_t t);
 
   /// Injects `flit` from `pe`, one of begin_cycle()'s PEs; `more` says
-  /// whether the PE holds further flits.
+  /// whether the PE holds further flits (in kAccumulate mode a PE with
+  /// none left closes its port).
   void inject_lazy(std::size_t pe, const Flit& flit, bool more);
 
   /// Steps this cycle's routers that may grant, with `root_ready` the
-  /// credit view of the root's consumer. Returns the flit leaving the
-  /// root.
+  /// credit view of the root's consumer, and propagates the closures
+  /// of subtrees that drained. Returns the flit leaving the root.
   std::optional<Flit> step_lazy(bool root_ready);
 
   /// The next cycle the tree has work in if the root's consumer stays
   /// at `root_ready`: the next cycle when a router may grant or a PE
-  /// may inject, else the next credit return, else kNoCycle.
+  /// may inject, else the next credit return or first injection, else
+  /// kNoCycle.
   std::uint64_t next_cycle(bool root_ready) const;
 
   /// Brings every router's counters up to `cycle` (phase end).
   void settle(std::uint64_t cycle);
 
  private:
-  Router& root() noexcept { return levels_.back().front(); }
-  const Router& root() const noexcept { return levels_.back().front(); }
-
-  /// Flat router ids, leaves first, level by level up to the root.
-  Router& router(std::uint32_t id) noexcept {
-    const std::uint32_t lvl = level_of_[id];
-    return levels_[lvl][id - level_base_[lvl]];
-  }
+  Router& root() noexcept { return routers_.back(); }
+  const Router& root() const noexcept { return routers_.back(); }
   std::uint32_t root_id() const noexcept {
-    return static_cast<std::uint32_t>(level_of_.size() - 1);
+    return static_cast<std::uint32_t>(routers_.size() - 1);
   }
   /// Lists router `id` (once) for a check at `cycle`, this cycle or
   /// the next. The root is never listed: step_lazy() checks it.
@@ -188,43 +175,50 @@ class UpwardTree {
   /// router or offers the PE injection then, queueing it in wakes_
   /// when that is later than the next cycle.
   void schedule_wake(std::uint32_t target, std::uint64_t cycle);
+  /// Router `id` drained this cycle: closes its port in the parent,
+  /// which is settled through this cycle first (its decision this
+  /// cycle saw the port open) and listed for the next; a parent that
+  /// drains with it closes its own parent's port in turn, as step()'s
+  /// tier-by-tier pass does.
+  void close_parent_port(std::uint32_t id);
 
   std::size_t radix_;
   std::size_t num_pes_;
-  /// levels_[0] are the leaf routers; levels_.back() is {root}.
-  std::vector<std::vector<Router>> levels_;
-  /// Per-level output decisions, reused every cycle by step().
-  std::vector<std::vector<std::optional<Flit>>> outputs_scratch_;
-  /// Precomputed upward links: parent_idx_[0][pe] is the leaf router
-  /// of PE `pe` (parent_port_[0][pe] its port); parent_idx_[lvl+1][i]
-  /// is the level-(lvl+1) router fed by router i of level lvl. Replaces
-  /// the divide/modulo pair in every per-cycle parent lookup.
-  std::vector<std::vector<std::uint32_t>> parent_idx_;
-  std::vector<std::vector<std::uint32_t>> parent_port_;
+  RouterMode mode_;
+  /// Every router by flat id: the leaves first, then tier by tier up
+  /// to the root, last. A router's children (routers, or PEs for a
+  /// leaf) are radix_ consecutive ids, so ascending ids walk the tree
+  /// bottom-up. The links below are precomputed: a divide/modulo pair
+  /// per lookup would cost more than the credit check it serves.
+  std::vector<Router> routers_;
+  std::vector<std::uint32_t> parent_of_;    ///< parent's id (not root)
+  std::vector<std::uint32_t> port_of_;      ///< port in the parent
+  std::vector<std::uint32_t> first_child_;  ///< first child's id
+  std::vector<std::uint32_t> leaf_of_;      ///< PE: its leaf's id
+  std::vector<std::uint32_t> leaf_port_;    ///< PE: its port in the leaf
+  std::uint32_t num_leaves_ = 0;            ///< leaves are ids below it
+  /// Output decisions by router id, reused every cycle by step().
+  std::vector<std::optional<Flit>> outputs_;
   std::size_t buffered_total_ = 0;  ///< flits sitting in any router
-  /// Whether the previous step() was a pure wait cycle (no decisions,
-  /// no closure change). Starts (and resets) false — conservative: the
-  /// first cycle after any reset must execute for real.
-  bool last_step_quiet_ = false;
 
-  // ---- event-driven arbitration state (reset() clears it) ----
+  // ---- event-driven stepping state (reset() clears it) ----
   struct Grant {
     std::uint32_t router;  ///< flat id
-    std::uint32_t port;    ///< input port it granted
+    std::uint32_t port;    ///< input port it granted, or kEveryPort
     Flit flit;
   };
-  /// A credit returning to a child: the router `target`, or the PE
-  /// `target & ~kPeTarget` when kPeTarget is set.
+  /// A reduction's grant: it pops every port holding the row, so every
+  /// child may have a credit coming back.
+  static constexpr std::uint32_t kEveryPort = UINT32_MAX;
+  /// A credit returning to a child, or a PE's first injection cycle:
+  /// the router `target`, or the PE `target & ~kPeTarget` when
+  /// kPeTarget is set.
   struct Wake {
     std::uint64_t cycle;
     std::uint32_t target;
   };
   static constexpr std::uint32_t kPeTarget = 1u << 31;
 
-  std::vector<std::uint32_t> level_base_;  ///< first flat id per level
-  std::vector<std::uint32_t> level_of_;    ///< level per flat id
-  std::vector<std::uint32_t> parent_of_;   ///< parent's flat id
-  std::vector<std::uint32_t> port_of_;     ///< port in the parent
   /// Cycles from a grant until its child sees the freed slot: 1 for
   /// buffered credits, the credit latency for the unbuffered handshake.
   std::uint64_t credit_delay_ = 1;
@@ -237,10 +231,13 @@ class UpwardTree {
   std::vector<std::uint32_t> due_next_;     ///< ... next cycle
   std::vector<std::uint32_t> offers_;       ///< PEs offered now
   std::vector<std::uint32_t> offers_next_;  ///< ... next cycle
-  std::vector<std::uint32_t> injected_;     ///< PEs that injected now
   std::vector<std::uint32_t> touched_;      ///< routers stepped now
   std::vector<Grant> grants_;               ///< this cycle's grants
+  std::vector<std::uint32_t> drained_;      ///< routers found drained
   RingBuffer<Wake> wakes_;  ///< credit returns later than next cycle
+  /// First injections later than the next cycle: a min-heap on the
+  /// cycle, since PEs start in no particular order.
+  std::vector<Wake> starts_;
 };
 
 /// Root-to-PEs pipelined multicast with fixed per-level latency.

@@ -32,7 +32,6 @@ void Router::reset() {
   granted_port_.reset();
   granted_all_ = false;
   granted_row_cache_ = 0;
-  last_step_decided_ = true;
 }
 
 void Router::set_port_closed(std::size_t port, bool closed) {
@@ -123,41 +122,23 @@ void Router::drop_expired_credits() {
 
 void Router::advance_frozen(std::uint64_t cycle) {
   expects(cycle > now_, "settle cannot move a router's clock back");
-  expects(mode_ == RouterMode::kArbitrate || buffered_ == 0,
-          "settle models the arbitration stall pattern only");
   const std::uint64_t k = cycle - now_;
-  if (buffered_ > 0) {
-    // Each stalled cycle re-runs the same arbitration: a conflict is
-    // charged when more than one port has a head flit, then the grant
-    // dies on the closed parent credit window.
-    std::size_t candidates = 0;
-    for (const Port& p : inputs_)
-      if (!p.buffer.empty()) ++candidates;
-    if (candidates > 1) stats_.arbitration_conflicts += k;
+  if (has_output()) {
+    // Each frozen cycle re-makes the same decision, and the closed
+    // parent credit window cancels it: a credit stall, plus a conflict
+    // when more than one port offers a head flit to the arbiter.
+    if (mode_ == RouterMode::kArbitrate) {
+      std::size_t candidates = 0;
+      for (const Port& p : inputs_)
+        if (!p.buffer.empty()) ++candidates;
+      if (candidates > 1) stats_.arbitration_conflicts += k;
+    }
     stats_.credit_stalls += k;
   }
   stats_.buffer_occupancy_sum += buffered_ * k;
   stats_.cycles += k;
   now_ += k;
   if (credit_latency_ > 1) drop_expired_credits();
-}
-
-void Router::skip_waiting(std::uint64_t k) {
-  stats_.buffer_occupancy_sum += buffered_ * k;
-  stats_.cycles += k;
-  now_ += k;
-  drop_expired_credits();
-}
-
-bool Router::credits_quiet() const noexcept {
-  // Latency-1 credits are never tracked (see can_accept), so the
-  // buffered flow-control default answers without touching the ports —
-  // the event core's wait-skip check asks every router every cycle.
-  if (credit_latency_ <= 1) return true;
-  for (const Port& p : inputs_)
-    for (const std::size_t stamp : p.pending_credits)
-      if (stamp > now_) return false;
-  return true;
 }
 
 }  // namespace sparsenn

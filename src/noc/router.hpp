@@ -88,7 +88,6 @@ class Router {
 
     std::optional<Flit> out =
         mode_ == RouterMode::kArbitrate ? arbitrate() : accumulate();
-    last_step_decided_ = out.has_value();
     if (out && !parent_ready) {
       ++stats_.credit_stalls;
       granted_port_.reset();
@@ -98,12 +97,18 @@ class Router {
     return out;
   }
 
-  /// True when the last step() produced an output decision — even one
-  /// that was then cancelled by a closed parent credit window (a
-  /// cancelled decision still charges a credit stall, so a cycle
-  /// containing one is never a pure wait cycle). The event core's wait-skip window
-  /// requires every router's last step to have decided nothing.
-  bool last_step_decided() const noexcept { return last_step_decided_; }
+  /// True when step() makes an output decision on the current state:
+  /// the router holds a flit and, in kAccumulate mode, every open port
+  /// holds one (otherwise the reduction waits for the laggard). Whether
+  /// the decision then leaves depends only on the parent's credit
+  /// window.
+  bool has_output() const noexcept {
+    if (buffered_ == 0) return false;
+    if (mode_ == RouterMode::kArbitrate) return true;
+    for (const Port& p : inputs_)
+      if (p.buffer.empty() && !p.closed) return false;
+    return true;
+  }
 
   /// True when input port `port` has been closed via set_port_closed.
   bool port_closed(std::size_t port) const {
@@ -139,19 +144,18 @@ class Router {
   /// True when every input port has been closed (phase drained).
   bool all_closed() const;
 
-  /// Cycles committed so far (commit(), settle() and skip_waiting()
-  /// advance it); every counter covers exactly these cycles.
-  std::uint64_t clock() const noexcept { return now_; }
-
-  /// Brings clock() up to `cycle` through cycles in which the router
-  /// granted nothing: it was empty, or its head flits waited on a
-  /// closed parent credit window the whole time, so each cycle repeats
-  /// the same decision. Bit-identical to (cycle − clock()) step(false)
-  /// + commit() pairs in that state: the conflict and credit-stall
-  /// counters advance per cycle, occupancy accumulates the frozen
-  /// buffer population, and in-flight credits expire exactly as they
-  /// would have. Requires kArbitrate mode (or an empty router) and
-  /// cycle >= clock(). Inline: the event core's W phase settles a
+  /// Brings the router's clock (the cycles committed so far, which
+  /// every counter covers) up to `cycle` through frozen cycles: no
+  /// push, pop or port closure changed the router, and it granted
+  /// nothing, because it had no output decision (empty, or a reduction
+  /// waiting for a laggard) or its decision waited on a closed parent
+  /// credit window the whole time. Each such cycle repeats the same
+  /// decision, so this is bit-identical to one step(false) + commit()
+  /// pair per cycle in that state: a cycle with a decision charges a
+  /// credit stall (and, when arbitrating between several head flits,
+  /// a conflict), occupancy accumulates the frozen buffer population,
+  /// and in-flight credits expire exactly as they would have. Requires
+  /// `cycle` at or after the clock. Inline: the event core settles a
   /// router before every read of its ports, mostly a no-op.
   void settle(std::uint64_t cycle) {
     if (cycle != now_) advance_frozen(cycle);
@@ -162,18 +166,6 @@ class Router {
   std::optional<std::size_t> granted_port() const noexcept {
     return granted_port_;
   }
-
-  /// Advances `k` pure wait cycles: the router may hold flits but its
-  /// last step decided nothing (see last_step_decided), its state is
-  /// frozen for the window, and its credits are quiet — so each
-  /// skipped cycle only accumulates occupancy and ticks the clock.
-  /// Bit-identical to k step(·)+commit() pairs in that state.
-  void skip_waiting(std::uint64_t k);
-
-  /// True when no credit is still travelling back to a child (a credit
-  /// in flight could reopen a port mid-window, so the event core's
-  /// skip windows require quiet credits).
-  bool credits_quiet() const noexcept;
 
   /// Returns the router to its just-constructed state (empty buffers,
   /// open ports, zeroed stats and cycle counter) without releasing any
@@ -234,10 +226,6 @@ class Router {
   std::optional<std::size_t> granted_port_;   ///< arbitrate winner
   bool granted_all_ = false;                  ///< accumulate fired
   std::uint32_t granted_row_cache_ = 0;       ///< row the ACC fired on
-  /// Whether the previous step() produced an output decision (before
-  /// any credit cancellation). Starts true so a phase's first cycle
-  /// can never look like a wait cycle.
-  bool last_step_decided_ = true;
 };
 
 }  // namespace sparsenn

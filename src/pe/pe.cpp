@@ -127,18 +127,6 @@ void ProcessingElement::burst_v_compute(std::size_t k) {
   }
 }
 
-Flit ProcessingElement::peek_partial() const {
-  expects(has_partial_ready(), "no partial sum ready");
-  return Flit{.index = static_cast<std::uint32_t>(v_inject_cursor_),
-              .payload = v_partials_[v_inject_cursor_],
-              .source = static_cast<std::uint16_t>(id_)};
-}
-
-void ProcessingElement::pop_partial() {
-  expects(has_partial_ready(), "no partial sum ready");
-  ++v_inject_cursor_;
-}
-
 void ProcessingElement::receive_v_result(std::uint32_t row,
                                          std::int16_t value) {
   expects(row < v_results_.size(), "V result row out of range");
@@ -182,16 +170,6 @@ void ProcessingElement::start_w_phase() {
   scan_source_nonzeros_into(w_injections_);
   w_inject_cursor_ = 0;
   w_busy_cycles_ = 0;
-}
-
-const Flit& ProcessingElement::peek_injection() const {
-  expects(has_injection(), "no injection pending");
-  return w_injections_[w_inject_cursor_];
-}
-
-void ProcessingElement::pop_injection() {
-  expects(has_injection(), "no injection pending");
-  ++w_inject_cursor_;
 }
 
 void ProcessingElement::apply_w_sums(std::span<const std::int64_t> row_sums) {

@@ -138,8 +138,16 @@ class ProcessingElement {
   bool has_partial_ready() const noexcept {
     return v_compute_done() && v_inject_cursor_ < v_partials_.size();
   }
-  Flit peek_partial() const;
-  void pop_partial();
+  Flit peek_partial() const {
+    expects(has_partial_ready(), "no partial sum ready");
+    return Flit{.index = static_cast<std::uint32_t>(v_inject_cursor_),
+                .payload = v_partials_[v_inject_cursor_],
+                .source = static_cast<std::uint16_t>(id_)};
+  }
+  void pop_partial() {
+    expects(has_partial_ready(), "no partial sum ready");
+    ++v_inject_cursor_;
+  }
   bool all_partials_sent() const noexcept {
     return v_compute_done() && v_inject_cursor_ >= v_partials_.size();
   }
@@ -161,8 +169,14 @@ class ProcessingElement {
   bool has_injection() const noexcept {
     return w_inject_cursor_ < w_injections_.size();
   }
-  const Flit& peek_injection() const;
-  void pop_injection();
+  const Flit& peek_injection() const {
+    expects(has_injection(), "no injection pending");
+    return w_injections_[w_inject_cursor_];
+  }
+  void pop_injection() {
+    expects(has_injection(), "no injection pending");
+    ++w_inject_cursor_;
+  }
   bool injections_done() const noexcept {
     return w_inject_cursor_ >= w_injections_.size();
   }

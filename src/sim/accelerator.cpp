@@ -139,7 +139,7 @@ void AcceleratorSim::run_layer_into(const CompiledNetwork& compiled,
                        !layer.is_output;
   const std::size_t rank = predict ? layer.rank() : 0;
   if (predict) {
-    const int from_frac = layer.in_fmt.frac_bits + layer.v->fmt.frac_bits;
+    const int from_frac = layer.in_fmt.frac_bits + layer.v_t->fmt.frac_bits;
     const int mid_frac = layer.mid_fmt.frac_bits;
     result.v_cycles =
         event ? event_core_.run_v_phase(pes_, v_tree_, broadcast_, rank,

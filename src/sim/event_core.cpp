@@ -21,92 +21,38 @@ std::uint64_t EventCore::run_v_phase(std::span<ProcessingElement> pes,
                                      int mid_frac, LayerSimResult& result) {
   tree.reset();
   broadcast.reset();
-  const std::size_t num_pes = pes.size();
 
   // Phase start plus each PE's entire deterministic local-MAC burst,
-  // through the vectorised column kernel. The burst length is this
-  // PE's wake time — in the reference it computes (and does nothing
-  // else) for exactly that many cycles.
-  wake_.resize(num_pes);
-  for (std::size_t i = 0; i < num_pes; ++i) {
+  // through the vectorised column kernel. In the reference a PE
+  // computes (and does nothing else) for exactly its burst's cycles,
+  // and offers its first partial sum the cycle after.
+  for (std::size_t i = 0; i < pes.size(); ++i) {
     pes[i].start_v_phase();
-    wake_[i] = pes[i].v_burst_cycles();
-    pes[i].burst_v_compute(wake_[i]);
+    const std::size_t burst = pes[i].v_burst_cycles();
+    pes[i].burst_v_compute(burst);
+    if (pes[i].has_partial_ready()) tree.add_injector(i, burst + 1);
   }
 
-  std::uint64_t cycles = 0;
-  std::uint64_t executed = 0;
   std::size_t results_delivered = 0;
-  pending_.clear();
-  for (std::size_t i = 0; i < num_pes; ++i)
-    pending_.push_back(static_cast<std::uint32_t>(i));
-
-  // Until the earliest wake time nothing injects and the NoC is empty:
-  // jump there. (The reference's cycles 1..min_wake only run compute,
-  // already applied above.)
-  if (rank > 0) {
-    std::uint64_t min_wake = UINT64_MAX;
-    for (const std::uint64_t w : wake_) min_wake = std::min(min_wake, w);
-    if (min_wake > 0) {
-      tree.skip_idle(min_wake);
-      broadcast.skip(min_wake);
-      cycles = min_wake;
-      ensures(cycles < kCycleLimit, "V-phase deadlock");
-    }
-  }
-
-  while (results_delivered < rank) {
-    // Wait-skip: nothing in the broadcast pipe, the tree's last step
-    // was provably quiet, every awake injector is credit-blocked and
-    // at least one PE has not woken yet — every cycle until the next
-    // wake only ticks clocks and occupancy. The quiet proof needs the
-    // credit view frozen too (trivially true for latency-1 credits).
-    if (!pending_.empty() && broadcast.idle() && tree.last_step_quiet() &&
-        tree.credits_quiet()) {
-      std::uint64_t next_wake = UINT64_MAX;
-      bool awake_blocked = true;
-      for (const std::uint32_t i : pending_) {
-        if (wake_[i] > cycles) {
-          next_wake = std::min<std::uint64_t>(next_wake, wake_[i]);
-        } else if (tree.can_inject(i)) {
-          awake_blocked = false;
-          break;
-        }
-      }
-      if (awake_blocked && next_wake != UINT64_MAX) {
-        const std::uint64_t k = next_wake - cycles;
-        tree.skip_waiting(k);
-        broadcast.skip(k);
-        cycles += k;
-      }
-    }
-
-    ensures(++cycles < kCycleLimit, "V-phase deadlock");
+  std::uint64_t now = 0;  // last cycle run; the broadcast's clock
+  std::uint64_t executed = 0;
+  // Run only cycles in which something can happen — an injection, a
+  // reduction, a closure or a delivery — and jump straight to the
+  // next, until every PE holds all `rank` results.
+  for (std::uint64_t t = tree.next_cycle(true); results_delivered < rank;) {
+    ensures(t < kCycleLimit, "V-phase deadlock");
     ++executed;
+    broadcast.skip(t - 1 - now);
+    now = t;
 
-    // Injection pass over the wake-list, ascending PE order (arbitrary
-    // but shared with the reference: injections consume leaf credits
-    // that later PEs observe the same cycle). Closed injectors leave
-    // the list.
-    std::size_t kept = 0;
-    for (std::size_t p = 0; p < pending_.size(); ++p) {
-      const std::uint32_t i = pending_[p];
-      bool closed = false;
-      if (wake_[i] < cycles && tree.can_inject(i)) {
-        tree.inject(i, pes[i].peek_partial());
-        pes[i].pop_partial();
-        if (pes[i].all_partials_sent()) {
-          tree.close_injector(i);
-          closed = true;
-        }
-      }
-      if (!closed) pending_[kept++] = i;
+    for (const std::uint32_t i : tree.begin_cycle(t)) {
+      const Flit partial = pes[i].peek_partial();
+      pes[i].pop_partial();
+      tree.inject_lazy(i, partial, pes[i].has_partial_ready());
     }
-    pending_.resize(kept);
-
     // The root rescales the accumulated sum to the mid format and
     // multicasts it; V results always find room (dedicated registers).
-    if (const auto out = tree.step(true)) {
+    if (const auto out = tree.step_lazy(true)) {
       Flit rescaled = *out;
       rescaled.payload =
           rescale_to_i16(out->payload, from_frac, mid_frac);
@@ -118,16 +64,18 @@ std::uint64_t EventCore::run_v_phase(std::span<ProcessingElement> pes,
                             static_cast<std::int16_t>(delivered->payload));
       ++results_delivered;
     }
+    t = std::min(tree.next_cycle(true), broadcast.next_delivery());
   }
+  tree.settle(now);
 
-  stats_.cycles_ticked += cycles;
+  stats_.cycles_ticked += now;
   stats_.events_executed += executed;
 
   result.v_noc = tree.stats();
   // Downward multicast traverses every router once per result flit.
   result.v_noc.flit_hops +=
       static_cast<std::uint64_t>(rank) * params_.total_routers();
-  return cycles + params_.pe_pipeline_stages;
+  return now + params_.pe_pipeline_stages;
 }
 
 // ------------------------------------------------------------------ W phase
@@ -153,7 +101,7 @@ std::uint64_t EventCore::run_w_phase(std::span<ProcessingElement> pes,
     pes[i].start_w_phase();
     cost = std::max<std::uint64_t>(cost, pes[i].w_active_row_count());
     total += pes[i].w_injection_flits().size();
-    if (pes[i].has_injection()) tree.add_injector(i);
+    if (pes[i].has_injection()) tree.add_injector(i, 1);
   }
 
   // The data pass's input: every delivery lands in one dense vector.

@@ -54,7 +54,7 @@ PeLayerSlice make_pe_slice(const QuantizedLayer& layer,
 
   if (slice.has_predictor) {
     slice.u_frac = layer.u->fmt.frac_bits;
-    slice.v_frac = layer.v->fmt.frac_bits;
+    slice.v_frac = layer.v_t->fmt.frac_bits;
     slice.mid_frac = layer.mid_fmt.frac_bits;
     slice.predictor_threshold_raw = layer.threshold_raw();
     // U by row (global row pe + r·P of u), V by column: row s of v_t is

@@ -111,15 +111,14 @@ struct Digest {
     const std::vector<std::int16_t> words = row_major_words(w);
     add_words(std::span<const std::int16_t>(words));
   }
-  /// W folded like add_tensor over the m × n row-major tensor: the
-  /// same sizes, format and word order, read from the column-major w_t.
-  void add_w(const QuantizedLayer& layer) {
-    const std::size_t m = layer.out_dim();
-    const std::size_t n = layer.in_dim();
-    add(m);
-    add(n);
-    add(static_cast<std::uint64_t>(layer.w_t.fmt.frac_bits));
-    add_view(WordView{layer.w_t.data.data(), m, n, 1, m});
+  /// A row-major tensor folded like add_tensor, read from its
+  /// column-major mirror `t` (the transposed tensor): the same sizes,
+  /// format and word order.
+  void add_transposed(const QuantizedTensor& t) {
+    add(t.cols);
+    add(t.rows);
+    add(static_cast<std::uint64_t>(t.fmt.frac_bits));
+    add_view(WordView{t.data.data(), t.cols, t.rows, 1, t.cols});
   }
 };
 
@@ -154,9 +153,14 @@ TEST(CompiledNetwork, DeploymentIsBitIdenticalToPinnedDigest) {
   for (const QuantizedNetwork& q : nets) {
     for (std::size_t l = 0; l < q.num_layers(); ++l) {
       const QuantizedLayer& layer = q.layer(l);
-      quantized.add_w(layer);
+      quantized.add_transposed(layer.w_t);  // W, row-major
       quantized.add_tensor(layer.w_t);
-      for (const auto* t : {&layer.u, &layer.v, &layer.u_t, &layer.v_t}) {
+      // U, V, u_t and v_t in that order; V's words fold row-major.
+      quantized.add(layer.u.has_value());
+      if (layer.u) quantized.add_tensor(*layer.u);
+      quantized.add(layer.v_t.has_value());
+      if (layer.v_t) quantized.add_transposed(*layer.v_t);
+      for (const auto* t : {&layer.u_t, &layer.v_t}) {
         quantized.add(t->has_value());
         if (t->has_value()) quantized.add_tensor(**t);
       }
@@ -270,7 +274,7 @@ TEST(CompiledNetwork, SliceViewsLieInsideTheLayersOwnBuffers) {
             continue;
           }
           const QuantizedTensor& u = *layer.u;
-          const QuantizedTensor& v = *layer.v;
+          const QuantizedTensor& v_t = *layer.v_t;
           ASSERT_EQ(s.u_view.rows, w.rows);
           ASSERT_EQ(s.u_view.cols, s.rank);
           EXPECT_TRUE(lies_inside(s.u_view, u.data))
@@ -288,7 +292,7 @@ TEST(CompiledNetwork, SliceViewsLieInsideTheLayersOwnBuffers) {
               << "layer " << l << " pe " << pe;
           for (std::size_t slot = 0; slot < s.v_view.rows; ++slot)
             for (std::size_t k = 0; k < s.rank; ++k)
-              ASSERT_EQ(s.v_view.at(slot, k), v.at(k, pe + slot * num_pes))
+              ASSERT_EQ(s.v_view.at(slot, k), v_t.at(pe + slot * num_pes, k))
                   << "layer " << l << " pe " << pe << " V slot " << slot;
         }
       }
@@ -326,8 +330,9 @@ INSTANTIATE_TEST_SUITE_P(UvModes, CompiledEngineExactness,
 /// SimResult field — cycle counts, event counters, NoC statistics
 /// (conflicts, credit stalls, occupancy sums), activations — must be
 /// bit-identical. Runs both uv modes and several queue depths so the
-/// V-burst and wait-skip windows and the W phase's stalled, draining
-/// and lazily settled routers all occur with different frequencies.
+/// V bursts, the lazily settled reduction and arbitration routers and
+/// the W phase's stalled and draining queues all occur with different
+/// frequencies.
 class SteppingEquivalence : public ::testing::TestWithParam<bool> {};
 
 TEST_P(SteppingEquivalence, BitIdenticalToPerCycleEngine) {

@@ -1,12 +1,18 @@
 // Randomised property tests of the NoC protocol: whatever traffic is
 // offered, the H-tree must conserve flits (no loss, no duplication),
 // preserve per-source FIFO order, never overflow a buffer (the credit
-// protocol would trap), and always drain to idle.
+// protocol would trap), and always drain to idle. A differential case
+// holds the tree's event-driven stepping to step() on the same seeded
+// traffic, in both router modes.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "noc/htree.hpp"
@@ -171,6 +177,209 @@ TEST(NocFuzzReduction, StochasticReductionStaysExact) {
       }
     }
     EXPECT_EQ(sums, expected) << "seed " << seed;
+  }
+}
+
+// ---------------------------------------------- lazy vs step() stepping
+
+/// One phase of seeded traffic: each PE's flits and the cycle it may
+/// first inject, and the cycles the root's consumer is stalled.
+struct Traffic {
+  std::vector<std::vector<Flit>> flits;
+  std::vector<std::uint64_t> first;
+  /// Sorted, disjoint [from, to) windows in which the root's consumer
+  /// is not ready.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> stalls;
+
+  bool root_ready(std::uint64_t t) const {
+    for (const auto& [from, to] : stalls)
+      if (t >= from && t < to) return false;
+    return true;
+  }
+  /// The first cycle after `t` at which root_ready() changes, or
+  /// kNoCycle.
+  std::uint64_t next_change(std::uint64_t t) const {
+    for (const auto& [from, to] : stalls) {
+      if (from > t) return from;
+      if (to > t) return to;
+    }
+    return UpwardTree::kNoCycle;
+  }
+};
+
+/// Arbitrate traffic is what an LNZD produces: ascending activation
+/// indices per PE, some PEs silent. Reduction traffic is ascending
+/// rows from a rank, every PE sending at least one (its port closes
+/// with its last); most PEs send every row, as in the V phase, and the
+/// rest a ragged subset, so reductions fire on some ports only.
+Traffic make_traffic(const ArchParams& params, RouterMode mode, Rng& rng) {
+  Traffic traffic;
+  traffic.flits.resize(params.num_pes);
+  const std::size_t rank = 1 + rng.uniform_index(16);
+  const bool every_row = rng.bernoulli(0.5);
+  for (std::size_t pe = 0; pe < params.num_pes; ++pe) {
+    std::vector<Flit>& flits = traffic.flits[pe];
+    const auto flit = [&](std::uint32_t index) {
+      return Flit{.index = index,
+                  .payload = static_cast<std::int64_t>(
+                                 rng.uniform_index(1 << 16)) - (1 << 15),
+                  .source = static_cast<std::uint16_t>(pe)};
+    };
+    if (mode == RouterMode::kArbitrate) {
+      const std::size_t n = rng.uniform_index(12);
+      std::uint32_t index = static_cast<std::uint32_t>(pe);
+      for (std::size_t k = 0; k < n; ++k) {
+        index += static_cast<std::uint32_t>(
+            params.num_pes * (1 + rng.uniform_index(3)));
+        flits.push_back(flit(index));
+      }
+    } else {
+      for (std::uint32_t row = 0; row < rank; ++row)
+        if (every_row || rng.bernoulli(0.6)) flits.push_back(flit(row));
+      if (flits.empty()) flits.push_back(flit(0));
+    }
+    traffic.first.push_back(1 + rng.uniform_index(24));
+  }
+  for (std::uint64_t t = 1 + rng.uniform_index(16); t < 200;) {
+    const std::uint64_t to = t + 1 + rng.uniform_index(12);
+    if (rng.bernoulli(0.5)) traffic.stalls.emplace_back(t, to);
+    t = to + 1 + rng.uniform_index(24);
+  }
+  return traffic;
+}
+
+struct RootFlit {
+  std::uint64_t cycle;
+  Flit flit;
+  friend bool operator==(const RootFlit&, const RootFlit&) = default;
+};
+
+/// The reference: step() every cycle, with every PE injecting whenever
+/// its leaf port has room from its first cycle on (a reduction PE
+/// closing its port with its last flit), until the tree has drained.
+/// Returns the flits leaving the root, and the last cycle in `end`.
+std::vector<RootFlit> run_step(UpwardTree& tree, RouterMode mode,
+                               const Traffic& traffic, std::uint64_t& end) {
+  std::vector<RootFlit> out;
+  std::vector<std::size_t> sent(traffic.flits.size(), 0);
+  std::size_t left = 0;
+  for (const auto& flits : traffic.flits) left += flits.size();
+  end = 0;
+  for (std::uint64_t t = 1; left > 0 || !tree.idle(); ++t) {
+    if (t > 100'000) {
+      ADD_FAILURE() << "step() did not drain";
+      break;
+    }
+    for (std::size_t pe = 0; pe < traffic.flits.size(); ++pe) {
+      const std::vector<Flit>& flits = traffic.flits[pe];
+      if (sent[pe] == flits.size() || t < traffic.first[pe] ||
+          !tree.can_inject(pe))
+        continue;
+      tree.inject(pe, flits[sent[pe]++]);
+      --left;
+      if (mode == RouterMode::kAccumulate && sent[pe] == flits.size())
+        tree.close_injector(pe);
+    }
+    if (const auto flit = tree.step(traffic.root_ready(t)))
+      out.push_back({t, *flit});
+    end = t;
+  }
+  return out;
+}
+
+/// The event-driven section on the same traffic, run only at the
+/// cycles it asks for (and where the consumer's readiness changes),
+/// through cycle `end`, then settled there.
+std::vector<RootFlit> run_lazy(UpwardTree& tree, const Traffic& traffic,
+                               std::uint64_t end) {
+  std::vector<RootFlit> out;
+  std::vector<std::size_t> sent(traffic.flits.size(), 0);
+  for (std::size_t pe = 0; pe < traffic.flits.size(); ++pe)
+    if (!traffic.flits[pe].empty())
+      tree.add_injector(pe, traffic.first[pe]);
+  const auto next = [&](std::uint64_t t) {
+    return std::min(tree.next_cycle(traffic.root_ready(t + 1)),
+                    traffic.next_change(t + 1));
+  };
+  for (std::uint64_t t = next(0); t <= end; t = next(t)) {
+    for (const std::uint32_t pe : tree.begin_cycle(t)) {
+      const std::vector<Flit>& flits = traffic.flits[pe];
+      const Flit& flit = flits[sent[pe]++];
+      tree.inject_lazy(pe, flit, sent[pe] < flits.size());
+    }
+    if (const auto flit = tree.step_lazy(traffic.root_ready(t)))
+      out.push_back({t, *flit});
+  }
+  tree.settle(end);
+  return out;
+}
+
+struct TreeFabric {
+  std::size_t radix;
+  std::size_t levels;
+  std::size_t buffer_depth;
+  bool unbuffered;
+  std::size_t pipeline;  ///< the unbuffered handshake's credit latency
+};
+
+std::string describe(const TreeFabric& f, RouterMode mode,
+                     std::uint64_t seed) {
+  std::ostringstream os;
+  os << (mode == RouterMode::kArbitrate ? "arbitrate" : "accumulate")
+     << " radix " << f.radix << " levels " << f.levels << " buffer "
+     << f.buffer_depth << (f.unbuffered ? " unbuffered, credit latency "
+                                        : " buffered, credit latency ")
+     << (f.unbuffered ? f.pipeline : 1) << ", seed " << seed;
+  return os.str();
+}
+
+// The event-driven section must match step() cycle for cycle: the same
+// flit leaves the root on every cycle (and none on the cycles it
+// skips), and the settled statistics are the same. Both router modes,
+// radix 2/4/8, buffer depths 1/2/4, buffered credits (latency 1) and
+// the unbuffered handshake's multi-cycle credits, with staggered first
+// injections and a root consumer that stalls now and then.
+TEST(NocLazyDifferential, MatchesStepEveryCycle) {
+  std::vector<TreeFabric> fabrics;
+  for (const std::size_t radix : {2u, 4u, 8u}) {
+    for (const std::size_t depth : {1u, 2u, 4u}) {
+      const std::size_t levels = radix == 8 ? 2 : radix == 4 ? 3 : 5;
+      fabrics.push_back({radix, levels, depth, false, 4});
+      fabrics.push_back({radix, levels - 1, depth, true, 2 + depth});
+    }
+  }
+  std::uint64_t seed = 0;
+  for (const RouterMode mode :
+       {RouterMode::kArbitrate, RouterMode::kAccumulate}) {
+    for (const TreeFabric& fabric : fabrics) {
+      ArchParams params;
+      params.router_radix = fabric.radix;
+      params.router_levels = fabric.levels;
+      params.num_pes = 1;
+      for (std::size_t l = 0; l < fabric.levels; ++l)
+        params.num_pes *= fabric.radix;
+      params.router_buffer_depth = fabric.buffer_depth;
+      params.router_pipeline_stages = fabric.pipeline;
+      if (fabric.unbuffered) params.flow_control = FlowControl::kUnbuffered;
+      UpwardTree reference(params, mode);
+      UpwardTree lazy(params, mode);
+      // Twelve phases per fabric on the same two trees: reset() must
+      // leave nothing behind from the phase before.
+      for (int phase = 0; phase < 12; ++phase) {
+        ++seed;
+        SCOPED_TRACE(describe(fabric, mode, seed));
+        Rng rng{seed};
+        const Traffic traffic = make_traffic(params, mode, rng);
+        reference.reset();
+        lazy.reset();
+        std::uint64_t end = 0;
+        const std::vector<RootFlit> expected =
+            run_step(reference, mode, traffic, end);
+        EXPECT_EQ(run_lazy(lazy, traffic, end), expected);
+        EXPECT_EQ(lazy.stats(), reference.stats());
+        EXPECT_TRUE(lazy.idle());
+      }
+    }
   }
 }
 

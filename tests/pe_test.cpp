@@ -195,7 +195,7 @@ TEST(ProcessingElement, VAndUPhasesReproducePredictorBits) {
     }
   }
   const int from_frac =
-      layer.in_fmt.frac_bits + layer.v->fmt.frac_bits;
+      layer.in_fmt.frac_bits + layer.v_t->fmt.frac_bits;
   for (std::uint32_t row = 0; row < rank; ++row) {
     const std::int16_t s = rescale_to_i16(sums[row], from_frac,
                                           layer.mid_fmt.frac_bits);
@@ -269,7 +269,7 @@ TEST(ProcessingElement, CensusCountsTheStepsThePesTake) {
       ++partials;
     }
   }
-  const int from_frac = layer.in_fmt.frac_bits + layer.v->fmt.frac_bits;
+  const int from_frac = layer.in_fmt.frac_bits + layer.v_t->fmt.frac_bits;
   std::uint64_t results_queued = 0;
   for (std::uint32_t row = 0; row < rank; ++row) {
     for (auto& pe : pes) {

@@ -68,8 +68,9 @@ TEST(Schedule, SliceContainsInterleavedRowsAndColumns) {
   EXPECT_EQ(slice.w_view.at(1, 7), layer.w_t.at(7, 5));
   // A U word: slice row 2 == global row 9, entry k=1.
   EXPECT_EQ(slice.u_view.at(2, 1), layer.u->at(9, 1));
-  // And a V word: slot 1 covers global column 5; entry k=2.
-  EXPECT_EQ(slice.v_view.at(1, 2), layer.v->at(2, 5));
+  // And a V word: slot 1 covers global column 5; entry k=2 (V[2][5]
+  // is word (5, 2) of the column-major v_t).
+  EXPECT_EQ(slice.v_view.at(1, 2), layer.v_t->at(5, 2));
   // Every view lies in place in the layer's own buffers: W in w_t
   // (base row 1, stride 4 PEs), U in u and V in v_t (base row 1,
   // stride 4 PEs × rank 3).
