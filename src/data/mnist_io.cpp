@@ -7,6 +7,7 @@
 
 #include "common/check.hpp"
 #include "common/logging.hpp"
+#include "common/stream.hpp"
 #include "data/digits.hpp"
 
 namespace sparsenn {
@@ -33,6 +34,10 @@ std::optional<Matrix> load_idx_images(const std::string& path) {
   const std::uint32_t cols = read_be32(in);
   ensures(rows == kImageSide && cols == kImageSide,
           "expected 28x28 images");
+  const std::optional<std::uint64_t> left = bytes_left(in);
+  ensures(left.has_value(), "IDX stream cannot report its length");
+  ensures(count <= *left / kImagePixels,
+          "IDX header declares more images than the file holds");
 
   Matrix images(count, kImagePixels);
   std::vector<unsigned char> buffer(kImagePixels);
@@ -54,6 +59,10 @@ std::optional<std::vector<int>> load_idx_labels(const std::string& path) {
   const std::uint32_t magic = read_be32(in);
   ensures(magic == 0x0801, "not an IDX1 label file");
   const std::uint32_t count = read_be32(in);
+  const std::optional<std::uint64_t> left = bytes_left(in);
+  ensures(left.has_value(), "IDX stream cannot report its length");
+  ensures(count <= *left,
+          "IDX header declares more labels than the file holds");
 
   std::vector<int> labels(count);
   for (std::uint32_t i = 0; i < count; ++i) {

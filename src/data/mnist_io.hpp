@@ -13,7 +13,10 @@
 namespace sparsenn {
 
 /// Parses a big-endian IDX3 image file into an N x 784 matrix in [0,1].
-/// Returns nullopt if the file is missing; throws on a malformed file.
+/// Returns nullopt if the file is missing; throws on a malformed file,
+/// including a header that declares more images than the file holds
+/// (checked before allocating), and on a path that cannot seek, such
+/// as a pipe.
 std::optional<Matrix> load_idx_images(const std::string& path);
 
 /// Parses an IDX1 label file. Same error contract as load_idx_images.

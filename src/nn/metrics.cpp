@@ -79,6 +79,8 @@ MaskAgreement mask_agreement(const Network& network, const Dataset& dataset,
                              std::size_t layer) {
   expects(layer < network.num_hidden_layers(), "layer out of range");
   expects(network.has_predictor(layer), "layer has no predictor");
+  expects(dataset.size() > 0,
+          "cannot measure mask agreement on an empty dataset");
 
   std::uint64_t false_kill = 0;
   std::uint64_t false_pass = 0;

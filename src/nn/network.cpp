@@ -22,6 +22,17 @@ Network::Network(std::vector<std::size_t> layer_sizes, Rng& rng)
   predictors_.resize(weights_.size());
 }
 
+Network::Network(std::vector<Matrix> weights) : weights_(std::move(weights)) {
+  expects(!weights_.empty(), "network needs at least one weight matrix");
+  sizes_.push_back(weights_.front().cols());
+  for (const Matrix& w : weights_) {
+    expects(!w.empty(), "layer size must be positive");
+    expects(w.cols() == sizes_.back(), "weight matrices must chain");
+    sizes_.push_back(w.rows());
+  }
+  predictors_.resize(weights_.size());
+}
+
 void Network::set_predictor(std::size_t layer, Predictor predictor) {
   expects(layer < num_hidden_layers(),
           "predictors attach to hidden layers only");

@@ -58,6 +58,10 @@ class Network {
   /// `layer_sizes` = {n_in, n_h1, ..., n_out}; weights are He-initialised.
   Network(std::vector<std::size_t> layer_sizes, Rng& rng);
 
+  /// A network of the given weight matrices, first layer first; each
+  /// matrix's column count must equal the previous one's row count.
+  explicit Network(std::vector<Matrix> weights);
+
   std::size_t num_weight_layers() const noexcept { return weights_.size(); }
   std::size_t num_hidden_layers() const noexcept {
     return weights_.empty() ? 0 : weights_.size() - 1;

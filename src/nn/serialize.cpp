@@ -2,9 +2,11 @@
 
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 
 #include "common/check.hpp"
+#include "common/stream.hpp"
 
 namespace sparsenn {
 namespace {
@@ -48,12 +50,20 @@ void write_matrix(std::ostream& out, const Matrix& m) {
             static_cast<std::streamsize>(m.size() * sizeof(float)));
 }
 
-Matrix read_matrix(std::istream& in) {
-  const std::uint64_t rows = read_u64(in);
-  const std::uint64_t cols = read_u64(in);
-  if (rows == 0 || cols == 0 || rows > (1u << 20) || cols > (1u << 20))
-    throw std::runtime_error("implausible matrix dimensions");
-  Matrix m(rows, cols);
+/// Reads a matrix of `rows` × `cols` (0 leaves that dimension free),
+/// checking its header against both and its payload against the bytes
+/// left in the stream before allocating.
+Matrix read_matrix(std::istream& in, std::uint64_t rows,
+                   std::uint64_t cols) {
+  const std::uint64_t r = read_u64(in);
+  const std::uint64_t c = read_u64(in);
+  if (r == 0 || c == 0 || (rows != 0 && r != rows) || (cols != 0 && c != cols))
+    throw std::runtime_error("matrix dimensions disagree with the topology");
+  const std::optional<std::uint64_t> left = bytes_left(in);
+  if (!left) throw std::runtime_error("model stream cannot report its length");
+  if (r > *left / sizeof(float) / c)
+    throw std::runtime_error("truncated matrix payload");
+  Matrix m(r, c);
   in.read(reinterpret_cast<char*>(m.flat().data()),
           static_cast<std::streamsize>(m.size() * sizeof(float)));
   if (!in.good()) throw std::runtime_error("truncated matrix payload");
@@ -107,24 +117,17 @@ Network load_network(std::istream& in) {
       throw std::runtime_error("implausible layer size");
   }
 
-  Rng dummy{0};
-  Network net{sizes, dummy};
-  for (std::size_t l = 0; l < net.num_weight_layers(); ++l) {
-    Matrix w = read_matrix(in);
-    if (w.rows() != sizes[l + 1] || w.cols() != sizes[l])
-      throw std::runtime_error("weight dimensions disagree with topology");
-    net.weight(l) = std::move(w);
-  }
+  std::vector<Matrix> weights;
+  for (std::size_t l = 0; l + 1 < num_sizes; ++l)
+    weights.push_back(read_matrix(in, sizes[l + 1], sizes[l]));
+  Network net{std::move(weights)};
   for (std::size_t l = 0; l < net.num_hidden_layers(); ++l) {
     const std::uint32_t has_predictor = read_u32(in);
     if (has_predictor > 1)
       throw std::runtime_error("corrupt predictor flag");
     if (has_predictor) {
-      Matrix u = read_matrix(in);
-      Matrix v = read_matrix(in);
-      if (u.rows() != sizes[l + 1] || v.cols() != sizes[l] ||
-          u.cols() != v.rows())
-        throw std::runtime_error("predictor dimensions disagree");
+      Matrix u = read_matrix(in, sizes[l + 1], 0);
+      Matrix v = read_matrix(in, u.cols(), sizes[l]);
       net.set_predictor(l, Predictor{std::move(u), std::move(v)});
     }
   }

@@ -10,8 +10,10 @@
 //   | predictor flags | per-predictor U, V
 //
 // All integers are little-endian u64 unless noted; matrices are stored
-// as rows, cols, then row-major float32 data. Loading validates every
-// dimension and throws std::runtime_error on malformed input.
+// as rows, cols, then row-major float32 data. Loading checks every
+// matrix header against the topology and the bytes left in the stream
+// before it allocates, and throws std::runtime_error on malformed input
+// or on a stream that cannot report its length.
 
 #include <iosfwd>
 #include <string>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <thread>
 
 #include "common/check.hpp"
@@ -9,122 +10,198 @@
 #include "common/logging.hpp"
 #include "data/digits.hpp"
 #include "nn/loss.hpp"
-#include "tensor/ops.hpp"
 
 namespace sparsenn {
 namespace {
 
-/// Per-worker gradient accumulators, one matrix per trainable tensor.
-struct Gradients {
-  std::vector<Matrix> w;
-  std::vector<Matrix> u;
-  std::vector<Matrix> v;
-  double loss = 0.0;
-
-  explicit Gradients(const Network& net) {
-    const std::size_t nl = net.num_weight_layers();
-    w.reserve(nl);
-    for (std::size_t l = 0; l < nl; ++l)
-      w.emplace_back(net.weight(l).rows(), net.weight(l).cols());
-    u.resize(nl);
-    v.resize(nl);
-    for (std::size_t l = 0; l < net.num_hidden_layers(); ++l) {
-      if (net.has_predictor(l)) {
-        u[l] = Matrix(net.predictor(l).u().rows(),
-                      net.predictor(l).u().cols());
-        v[l] = Matrix(net.predictor(l).v().rows(),
-                      net.predictor(l).v().cols());
-      }
-    }
-  }
-
-  void reset() {
-    for (Matrix& m : w) std::fill(m.flat().begin(), m.flat().end(), 0.0f);
-    for (Matrix& m : u) std::fill(m.flat().begin(), m.flat().end(), 0.0f);
-    for (Matrix& m : v) std::fill(m.flat().begin(), m.flat().end(), 0.0f);
-    loss = 0.0;
-  }
-
-  void merge(const Gradients& other) {
-    for (std::size_t l = 0; l < w.size(); ++l) {
-      axpy(w[l], 1.0f, other.w[l]);
-      if (!u[l].empty()) axpy(u[l], 1.0f, other.u[l]);
-      if (!v[l].empty()) axpy(v[l], 1.0f, other.v[l]);
-    }
-    loss += other.loss;
-  }
+/// A half-open index range [lo, hi).
+struct Range {
+  std::size_t lo = 0;
+  std::size_t hi = 0;
 };
 
-/// Backpropagation for sample `i` of a batched forward trace, following
-/// Alg. 1 line by line. `train_predictor` is true only in the
-/// end-to-end regime: the SVD baseline keeps U/V frozen within an epoch
-/// (static update rule).
-void accumulate_sample(const Network& net, const ForwardTrace& trace,
-                       std::size_t i, int label, double lambda,
-                       bool train_predictor, Gradients& grads) {
-  const std::size_t nl = net.num_weight_layers();
-  const std::span<const float> logits = trace.output().row(i);
+/// Block t of [0, n) cut into `parts` near-equal contiguous blocks.
+Range block(std::size_t n, std::size_t parts, std::size_t t) {
+  return {n * t / parts, n * (t + 1) / parts};
+}
 
-  grads.loss += cross_entropy_loss(logits, label);
+/// One row per sample of a minibatch, in sample order.
+using Rows = std::vector<std::span<const float>>;
 
-  // δ at the output of the top layer.
-  Vector delta = cross_entropy_gradient(logits, label);
-
-  for (std::size_t l = nl; l-- > 0;) {
-    const std::span<const float> a_in = trace.activations[l].row(i);
-    const bool is_output = (l + 1 == nl);
-
-    if (is_output) {
-      // Linear output layer: γ = δ directly.
-      add_outer(grads.w[l], 1.0f, delta, a_in);
-      if (l > 0) delta = matvec_transposed(net.weight(l), delta);
-      continue;
-    }
-
-    // Hidden layer. delta currently holds ∂ℓ/∂a(l+1).
-    const std::span<const float> a_ori = trace.unmasked[l].row(i);
-    const std::span<const float> z = trace.pre_activations[l].row(i);
-
-    Vector gamma;  // ∂ℓ/∂(W a), the masked ReLU-gated error
-    if (net.has_predictor(l)) {
-      const std::span<const float> mask = trace.masks[l].row(i);
-      const std::span<const float> t = trace.predictor_pre_sign[l].row(i);
-      const std::span<const float> s = trace.predictor_mid[l].row(i);
-
-      // ∂ℓ/∂p = δ ∘ a_ori (+ λ sign(p), Eq. 4). p = sign(t).
-      // θ = ∂ℓ/∂p gated by the straight-through window 1[|t|<1].
-      if (train_predictor) {
-        Vector dp = hadamard(delta, a_ori);
-        for (std::size_t j = 0; j < dp.size(); ++j) {
-          const float sign_p = t[j] < 0.0f ? -1.0f : 1.0f;
-          dp[j] += static_cast<float>(lambda) * sign_p;
-        }
-        const Vector window = straight_through_window(t);
-        const Vector theta = hadamard(dp, window);
-
-        // ∂ℓ/∂U = θ s^T ; ∂ℓ/∂V = (U^T θ) a^T.
-        add_outer(grads.u[l], 1.0f, theta, s);
-        const Vector ut_theta =
-            matvec_transposed(net.predictor(l).u(), theta);
-        add_outer(grads.v[l], 1.0f, ut_theta, a_in);
+/// One SGD step on rows `rows` and columns `cols` of `param`:
+///   p(r, c) ← p(r, c)·shrink + alpha·Σ_k x[k][r]·y[k][c].
+/// Each gradient element sums the samples k < y.size() in order from
+/// +0 with a float multiply, then add, skipping terms with x[k][r] = 0:
+/// the sum one rank-1 update x[k]·y[k]ᵀ per sample accumulates. The
+/// shrink runs only when it is not 1. Four rows share each read of a
+/// sample's y.
+void sgd_rows(Matrix& param, const Rows& x, const Rows& y, Range rows,
+              Range cols, float shrink, float alpha) {
+  constexpr std::size_t kGroup = 4;
+  const std::size_t width = cols.hi - cols.lo;
+  std::vector<float> sums(kGroup * width);
+  for (std::size_t r0 = rows.lo; r0 < rows.hi; r0 += kGroup) {
+    const std::size_t group = std::min(kGroup, rows.hi - r0);
+    std::fill_n(sums.begin(), group * width, 0.0f);
+    for (std::size_t k = 0; k < y.size(); ++k) {
+      const float* yk = y[k].data() + cols.lo;
+      for (std::size_t i = 0; i < group; ++i) {
+        const float g = x[k][r0 + i];
+        if (g == 0.0f) continue;
+        float* acc = sums.data() + i * width;
+        for (std::size_t c = 0; c < width; ++c) acc[c] += g * yk[c];
       }
-
-      // ∂ℓ/∂a_ori = δ ∘ p; γ gated by ReLU'(z).
-      gamma = hadamard(delta, mask);
-      for (std::size_t j = 0; j < gamma.size(); ++j)
-        if (z[j] <= 0.0f) gamma[j] = 0.0f;
-    } else {
-      gamma = delta;
-      for (std::size_t j = 0; j < gamma.size(); ++j)
-        if (z[j] <= 0.0f) gamma[j] = 0.0f;
     }
-
-    add_outer(grads.w[l], 1.0f, gamma, a_in);
-    // Alg. 1: δ(l) = W^T γ (the predictor path into δ is dropped).
-    // Nothing reads the input layer's δ, so l = 0 skips it, here and
-    // in the output branch above.
-    if (l > 0) delta = matvec_transposed(net.weight(l), gamma);
+    for (std::size_t i = 0; i < group; ++i) {
+      float* p = param.row(r0 + i).data() + cols.lo;
+      const float* acc = sums.data() + i * width;
+      for (std::size_t c = 0; c < width; ++c) {
+        if (shrink != 1.0f) p[c] *= shrink;
+        p[c] += alpha * acc[c];
+      }
+    }
   }
+}
+
+/// A run of consecutive samples of a minibatch: their forward trace
+/// and, per weight layer, γ = ∂ℓ/∂(W a), the error gated by ReLU′(z)
+/// and the predictor's mask (softmax − onehot on the output layer);
+/// per end-to-end predictor, θ = ∂ℓ/∂t in the straight-through window
+/// and θ·U. Row r of each matrix is the run's sample r.
+struct Chunk : ForwardTrace {
+  std::vector<Matrix> gamma;
+  std::vector<Matrix> theta;
+  std::vector<Matrix> theta_u;
+};
+
+/// Turns `gamma`, which holds δ = ∂ℓ/∂a′ of hidden layer l's output,
+/// into the layer's γ, and in the end-to-end regime sets `theta`.
+/// Alg. 1 line by line: with a predictor p = sign(t), ∂ℓ/∂p = δ ∘ a_ori
+/// + λ·sign(p) (Eq. 4), θ is that gated by the straight-through window
+/// 1[|t| < 1], and γ = δ ∘ p; without one γ = δ. Either way γ is zero
+/// where z ≤ 0.
+void gate_hidden(const Network& net, std::size_t l, const ForwardTrace& trace,
+                 float lambda, bool e2e, Matrix& gamma, Matrix& theta) {
+  const bool predicted = net.has_predictor(l);
+  if (predicted && e2e) theta = Matrix(gamma.rows(), gamma.cols());
+  for (std::size_t r = 0; r < gamma.rows(); ++r) {
+    const std::span<float> g = gamma.row(r);
+    const std::span<const float> z = trace.pre_activations[l].row(r);
+    if (predicted) {
+      const std::span<const float> t = trace.predictor_pre_sign[l].row(r);
+      if (e2e) {
+        const std::span<const float> a_ori = trace.unmasked[l].row(r);
+        const std::span<float> th = theta.row(r);
+        for (std::size_t j = 0; j < g.size(); ++j) {
+          float dp = g[j] * a_ori[j];
+          dp += lambda * (t[j] < 0.0f ? -1.0f : 1.0f);
+          th[j] = dp * (std::abs(t[j]) < 1.0f ? 1.0f : 0.0f);
+        }
+      }
+      const std::span<const float> mask = trace.masks[l].row(r);
+      for (std::size_t j = 0; j < g.size(); ++j) g[j] *= mask[j];
+    }
+    for (std::size_t j = 0; j < g.size(); ++j)
+      if (z[j] <= 0.0f) g[j] = 0.0f;
+  }
+}
+
+/// One minibatch of Alg. 1 in two fork-join passes over a fixed
+/// partition, and returns the minibatch's summed loss. The first pass
+/// splits the samples into contiguous chunks: each task runs its
+/// chunk's forward pass and carries every sample's error down through
+/// the layers (the predictor path into δ is dropped). The second splits
+/// each layer by rows of W and U and by columns of V: each task sums
+/// the gradients of the elements it owns over all samples, in sample
+/// order, and steps them. No element's sum depends on the partition,
+/// so the weights are the same for every thread count.
+double minibatch_step(Network& net, const Dataset& data,
+                      std::span<const std::size_t> batch, double lr,
+                      const TrainOptions& options, std::size_t threads) {
+  const std::size_t nl = net.num_weight_layers();
+  const bool e2e = options.kind == PredictorKind::kEndToEnd;
+  const auto lambda = static_cast<float>(options.lambda);
+  const std::size_t b = batch.size();
+  std::vector<double> loss(b);
+
+  const std::size_t size = (b + threads - 1) / threads;
+  std::vector<Chunk> chunks((b + size - 1) / size);
+  fork_join(chunks.size(), threads, [&](std::size_t t) {
+    const Range samples{t * size, std::min(b, (t + 1) * size)};
+    Chunk& chunk = chunks[t];
+    Matrix inputs(samples.hi - samples.lo, data.inputs.cols());
+    for (std::size_t k = samples.lo; k < samples.hi; ++k)
+      std::ranges::copy(data.image(batch[k]),
+                        inputs.row(k - samples.lo).begin());
+    static_cast<ForwardTrace&>(chunk) = net.forward(std::move(inputs));
+    chunk.gamma.resize(nl);
+    chunk.theta.resize(nl);
+    chunk.theta_u.resize(nl);
+    Matrix& top = chunk.gamma[nl - 1];
+    top = Matrix(samples.hi - samples.lo, net.weight(nl - 1).rows());
+    for (std::size_t k = samples.lo; k < samples.hi; ++k) {
+      const std::span<const float> logits = chunk.output().row(k - samples.lo);
+      const int label = data.labels[batch[k]];
+      loss[k] = cross_entropy_loss(logits, label);
+      std::ranges::copy(cross_entropy_gradient(logits, label),
+                        top.row(k - samples.lo).begin());
+    }
+    for (std::size_t l = nl; l-- > 0;) {
+      if (!chunk.theta[l].empty())
+        chunk.theta_u[l] = matmul(chunk.theta[l], net.predictor(l).u());
+      // Nothing reads the input layer's δ.
+      if (l == 0) break;
+      // δ = W(l)ᵀγ(l) per sample, gated into layer l−1's γ.
+      chunk.gamma[l - 1] = matmul(chunk.gamma[l], net.weight(l));
+      gate_hidden(net, l - 1, chunk, lambda, e2e, chunk.gamma[l - 1],
+                  chunk.theta[l - 1]);
+    }
+  });
+
+  // Layer l's matrix `field` of every chunk, as rows in sample order.
+  const auto rows_of = [&](std::vector<Matrix> Chunk::*field, std::size_t l) {
+    Rows rows;
+    rows.reserve(b);
+    for (const Chunk& chunk : chunks) {
+      const Matrix& m = (chunk.*field)[l];
+      for (std::size_t r = 0; r < m.rows(); ++r) rows.push_back(m.row(r));
+    }
+    return rows;
+  };
+  struct Operands {
+    Rows a, gamma, theta, mid, theta_u;
+  };
+  std::vector<Operands> ops(nl);
+  for (std::size_t l = 0; l < nl; ++l) {
+    ops[l].a = rows_of(&Chunk::activations, l);
+    ops[l].gamma = rows_of(&Chunk::gamma, l);
+    if (chunks[0].theta[l].empty()) continue;
+    ops[l].theta = rows_of(&Chunk::theta, l);
+    ops[l].mid = rows_of(&Chunk::predictor_mid, l);
+    ops[l].theta_u = rows_of(&Chunk::theta_u, l);
+  }
+  const auto alpha = -static_cast<float>(lr / static_cast<double>(b));
+  const float shrink =
+      options.weight_decay > 0.0
+          ? static_cast<float>(1.0 - lr * options.weight_decay)
+          : 1.0f;
+  fork_join(threads, threads, [&](std::size_t t) {
+    for (std::size_t l = 0; l < nl; ++l) {
+      Matrix& w = net.weight(l);
+      const Range rows = block(w.rows(), threads, t);
+      sgd_rows(w, ops[l].gamma, ops[l].a, rows, {0, w.cols()}, shrink, alpha);
+      if (ops[l].theta.empty()) continue;
+      Predictor& p = net.predictor(l);
+      sgd_rows(p.u(), ops[l].theta, ops[l].mid, rows, {0, p.rank()}, 1.0f,
+               alpha);
+      sgd_rows(p.v(), ops[l].theta_u, ops[l].a, {0, p.rank()},
+               block(w.cols(), threads, t), 1.0f, alpha);
+    }
+  });
+
+  double sum = 0.0;
+  for (const double sample_loss : loss) sum += sample_loss;
+  return sum;
 }
 
 std::size_t resolve_threads(std::size_t requested) {
@@ -133,41 +210,9 @@ std::size_t resolve_threads(std::size_t requested) {
   return std::clamp<std::size_t>(hw == 0 ? 1 : hw, 1, 8);
 }
 
-void apply_update(Network& net, const Gradients& grads, double lr,
-                  double weight_decay, std::size_t batch,
-                  bool update_predictor) {
-  const auto step = static_cast<float>(lr / static_cast<double>(batch));
-  for (std::size_t l = 0; l < net.num_weight_layers(); ++l) {
-    if (weight_decay > 0.0) {
-      const auto shrink = static_cast<float>(1.0 - lr * weight_decay);
-      for (float& v : net.weight(l).flat()) v *= shrink;
-    }
-    axpy(net.weight(l), -step, grads.w[l]);
-    if (update_predictor && l < net.num_hidden_layers() &&
-        net.has_predictor(l)) {
-      axpy(net.predictor(l).u(), -step, grads.u[l]);
-      axpy(net.predictor(l).v(), -step, grads.v[l]);
-    }
-  }
-}
-
-void attach_predictors(Network& net, const TrainOptions& options,
-                       Rng& rng) {
-  if (options.kind == PredictorKind::kNone) return;
-  (void)rng;
-  for (std::size_t l = 0; l < net.num_hidden_layers(); ++l) {
-    const std::size_t m = net.weight(l).rows();
-    const std::size_t n = net.weight(l).cols();
-    const std::size_t rank = std::min({options.rank, m, n});
-    // Both regimes start from the truncated SVD of the fresh weights so
-    // the initial masks are consistent with the layer they gate; the
-    // end-to-end regime then trains U/V away from that point (the
-    // paper's improvement over keeping the static SVD update rule).
-    net.set_predictor(l, Predictor::from_svd(net.weight(l), rank));
-  }
-}
-
-void refresh_svd_predictors(Network& net, std::size_t rank) {
+/// Sets every hidden layer's predictor to the rank-`rank` truncated SVD
+/// of its current W.
+void set_svd_predictors(Network& net, std::size_t rank) {
   for (std::size_t l = 0; l < net.num_hidden_layers(); ++l) {
     const std::size_t m = net.weight(l).rows();
     const std::size_t n = net.weight(l).cols();
@@ -181,65 +226,34 @@ void refresh_svd_predictors(Network& net, std::size_t rank) {
 TrainReport train(Network& network, const DatasetSplit& split,
                   const TrainOptions& options) {
   expects(split.train.size() > 0, "empty training split");
+  expects(split.test.size() > 0, "empty test split");
   const auto start = std::chrono::steady_clock::now();
 
   Rng rng{options.seed};
-  attach_predictors(network, options, rng);
+  // Both predictor regimes start from the truncated SVD of the fresh
+  // weights, so the initial masks are consistent with the layer they
+  // gate; the end-to-end regime then trains U/V away from that point
+  // (the paper's improvement over keeping the static SVD update rule).
+  if (options.kind != PredictorKind::kNone)
+    set_svd_predictors(network, options.rank);
 
   const std::size_t threads = resolve_threads(options.threads);
-  std::vector<Gradients> worker_grads;
-  worker_grads.reserve(threads);
-  for (std::size_t t = 0; t < threads; ++t)
-    worker_grads.emplace_back(network);
-
-  const bool e2e = options.kind == PredictorKind::kEndToEnd;
   TrainReport report;
   double lr = options.learning_rate;
 
   for (std::size_t epoch = 0; epoch < options.epochs; ++epoch) {
     if (options.kind == PredictorKind::kSvd && epoch > 0) {
       // Static update rule: recompute U/V from W once per epoch.
-      refresh_svd_predictors(network, options.rank);
+      set_svd_predictors(network, options.rank);
     }
 
     BatchIterator batches(split.train.size(), options.batch_size, rng);
     double epoch_loss = 0.0;
     std::size_t seen = 0;
-
     for (auto batch = batches.next(); !batch.empty();
          batch = batches.next()) {
-      for (auto& g : worker_grads) g.reset();
-
-      // Chunk t always lands in worker_grads[t], whichever thread runs
-      // it, so the reduction below sees the same partial sums. Each
-      // chunk runs one batched forward pass, then back-propagates its
-      // samples in order.
-      const std::size_t chunk =
-          (batch.size() + threads - 1) / threads;
-      fork_join((batch.size() + chunk - 1) / chunk, threads,
-                [&](std::size_t t) {
-                  const std::size_t lo = t * chunk;
-                  const std::size_t hi =
-                      std::min(lo + chunk, batch.size());
-                  Matrix inputs(hi - lo, split.train.inputs.cols());
-                  for (std::size_t k = lo; k < hi; ++k)
-                    std::ranges::copy(split.train.image(batch[k]),
-                                      inputs.row(k - lo).begin());
-                  const ForwardTrace trace =
-                      network.forward(std::move(inputs));
-                  for (std::size_t k = lo; k < hi; ++k)
-                    accumulate_sample(network, trace, k - lo,
-                                      split.train.labels[batch[k]],
-                                      options.lambda, e2e, worker_grads[t]);
-                });
-
-      // Deterministic reduction order: worker 0 absorbs 1..T-1 in order.
-      for (std::size_t t = 1; t < worker_grads.size(); ++t)
-        worker_grads[0].merge(worker_grads[t]);
-
-      apply_update(network, worker_grads[0], lr, options.weight_decay,
-                   batch.size(), e2e);
-      epoch_loss += worker_grads[0].loss;
+      epoch_loss +=
+          minibatch_step(network, split.train, batch, lr, options, threads);
       seen += batch.size();
     }
 

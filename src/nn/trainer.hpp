@@ -11,11 +11,11 @@
 //                estimator 1[|UVa|<1], plus the ℓ1 sparsity term of
 //                Eq. (4): ∂ℓ/∂p += λ·sign(p).
 //
-// Minibatch gradients are accumulated across a worker pool with a fixed
-// chunk partition and fixed reduction order, so results are
-// bit-reproducible for a given (seed, thread count) pair. Changing the
-// thread count changes the float summation order and may perturb the
-// last bits.
+// Each minibatch is two fork-join passes: one over chunks of samples
+// (forward pass and back-propagated error), one over rows of each
+// weight matrix (gradient and update). Every gradient element sums its
+// samples in sample order whichever task owns it, so a seed trains
+// bit-identical weights at every thread count.
 
 #include <functional>
 
@@ -51,6 +51,8 @@ struct TrainReport {
 
 /// Builds a fresh network of `layer_sizes`, attaches predictors per
 /// `options.kind`, trains on `split.train`, evaluates on `split.test`.
+/// Throws std::invalid_argument before training when either split is
+/// empty.
 TrainReport train(Network& network, const DatasetSplit& split,
                   const TrainOptions& options);
 

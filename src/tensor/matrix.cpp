@@ -211,26 +211,6 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-void add_outer(Matrix& a, float alpha, std::span<const float> x,
-               std::span<const float> y) {
-  expects(a.rows() == x.size() && a.cols() == y.size(),
-          "add_outer dimension mismatch");
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    const float ax = alpha * x[r];
-    if (ax == 0.0f) continue;
-    auto row = a.row(r);
-    for (std::size_t c = 0; c < row.size(); ++c) row[c] += ax * y[c];
-  }
-}
-
-void axpy(Matrix& a, float alpha, const Matrix& b) {
-  expects(a.rows() == b.rows() && a.cols() == b.cols(),
-          "axpy dimension mismatch");
-  auto af = a.flat();
-  const auto bf = b.flat();
-  for (std::size_t i = 0; i < af.size(); ++i) af[i] += alpha * bf[i];
-}
-
 double dot(std::span<const float> x, std::span<const float> y) {
   expects(x.size() == y.size(), "dot dimension mismatch");
   double acc = 0.0;

@@ -89,13 +89,6 @@ Vector matvec_transposed(const Matrix& a, std::span<const float> x);
 /// C = A B, blocked for cache friendliness.
 Matrix matmul(const Matrix& a, const Matrix& b);
 
-/// A += alpha * x y^T (rank-1 update; the SGD outer-product step).
-void add_outer(Matrix& a, float alpha, std::span<const float> x,
-               std::span<const float> y);
-
-/// A += alpha * B (dims checked).
-void axpy(Matrix& a, float alpha, const Matrix& b);
-
 /// Dot product.
 double dot(std::span<const float> x, std::span<const float> y);
 

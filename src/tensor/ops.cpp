@@ -9,33 +9,6 @@ void relu_inplace(std::span<float> x) noexcept {
   for (float& v : x) v = std::max(v, 0.0f);
 }
 
-Vector relu(std::span<const float> x) {
-  Vector out(x.begin(), x.end());
-  relu_inplace(out);
-  return out;
-}
-
-Vector positive_mask(std::span<const float> x) {
-  Vector out(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i)
-    out[i] = x[i] > 0.0f ? 1.0f : 0.0f;
-  return out;
-}
-
-Vector hadamard(std::span<const float> x, std::span<const float> y) {
-  expects(x.size() == y.size(), "hadamard dimension mismatch");
-  Vector out(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) out[i] = x[i] * y[i];
-  return out;
-}
-
-Vector straight_through_window(std::span<const float> x) {
-  Vector out(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i)
-    out[i] = std::abs(x[i]) < 1.0f ? 1.0f : 0.0f;
-  return out;
-}
-
 Vector softmax(std::span<const float> logits) {
   expects(!logits.empty(), "softmax of empty vector");
   const float peak = *std::max_element(logits.begin(), logits.end());

@@ -18,8 +18,11 @@
 // layers up to 207 wide with rank 1–24 predictors (15% of hidden
 // layers without one) and, on 20% of networks, a threshold θ in
 // [−0.2, 0.2]; inputs of a random density plus an all-zero or
-// all-nonzero one. The event and analytic engines are reused across
-// every network of a seed's fabric; the oracle is fresh for each.
+// all-nonzero one. The event and analytic engines and one ResultArena
+// are reused across every network of a seed's fabric, alternating the
+// heap and arena entry points, and the event engine's stepping mode
+// flips between kEvent and kPerCycle; the oracle is fresh for each
+// network. Every draw checks the event core against the oracle.
 // A failure names the seed and the fabric. The seed list is cut to a
 // slice in unoptimised and sanitizer builds.
 
@@ -40,6 +43,7 @@
 #include "sim/analytic_engine.hpp"
 #include "sim/compiled_network.hpp"
 #include "sim/engine.hpp"
+#include "sim/result_arena.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define SPARSENN_FUZZ_SANITIZED 1
@@ -220,6 +224,14 @@ TEST(EngineFuzz, EnginesKeepTheirContractsAcrossTheArchitectureSpace) {
     const Fabric fabric = make_fabric(rng);
     AcceleratorSim event(fabric.arch);
     AnalyticEngine analytic(fabric.arch);
+    // Reused like the engines. Draw d runs the event core through the
+    // arena entry point when d is odd and the heap one when d is even,
+    // and the analytic engine through the other; when bit 1 of d is
+    // set, the event engine also runs per cycle through the other, so
+    // its stepping mode flips between runs. d counts from the seed, so
+    // across seeds every network, uv mode and input takes each choice.
+    ResultArena arena;
+    std::size_t draw = seed;
     for (std::size_t n = 0; n < kNetworksPerFabric; ++n) {
       std::string network_name;
       const QuantizedNetwork network = make_network(rng, network_name);
@@ -235,13 +247,29 @@ TEST(EngineFuzz, EnginesKeepTheirContractsAcrossTheArchitectureSpace) {
                        std::to_string(i));
           const SimResult exact =
               oracle.run(compiled, inputs[i], ValidationMode::kFull);
-          const SimResult evented =
-              event.run(compiled, inputs[i], ValidationMode::kOff);
-          ASSERT_EQ(first_difference(evented, exact), "")
-              << "the event core diverged from the per-cycle oracle";
-          const SimResult fast =
-              analytic.run(compiled, inputs[i], ValidationMode::kOff);
-          expect_analytic_contract(exact, fast);
+          const bool event_in_arena = draw % 2 == 1;
+          const bool also_per_cycle = (draw & 2) != 0;
+          ++draw;
+          SCOPED_TRACE(std::string{"event core through the "} +
+                       (event_in_arena ? "arena" : "heap") + " entry point");
+          const auto run_on = [&](ExecutionEngine& engine, bool in_arena) {
+            return in_arena ? engine.run(compiled, inputs[i], arena,
+                                         ValidationMode::kOff)
+                            : engine.run(compiled, inputs[i],
+                                         ValidationMode::kOff);
+          };
+          event.set_stepping_mode(SteppingMode::kEvent);
+          ASSERT_EQ(first_difference(run_on(event, event_in_arena), exact),
+                    "")
+              << "the reused event core diverged from a fresh oracle";
+          if (also_per_cycle) {
+            event.set_stepping_mode(SteppingMode::kPerCycle);
+            ASSERT_EQ(
+                first_difference(run_on(event, !event_in_arena), exact), "")
+                << "the reused event engine, stepped per cycle, diverged "
+                   "from a fresh oracle";
+          }
+          expect_analytic_contract(exact, run_on(analytic, !event_in_arena));
           if (HasFailure()) return;
         }
       }

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string>
 
 #include "core/system.hpp"
 #include "nn/serialize.hpp"
@@ -95,6 +96,32 @@ TEST(Serialize, RejectsVersionMismatch) {
   bytes[4] = 99;  // bump the version field
   std::stringstream bad(bytes);
   EXPECT_THROW(load_network(bad), std::runtime_error);
+}
+
+/// Little-endian `v` in `bytes` bytes, as save_network writes it.
+void put_le(std::string& out, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i)
+    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+}
+
+TEST(Serialize, RejectsOversizedHeadersBeforeAllocating) {
+  // Headers of a {2^20, 2^20} model, whose one W would take 4 TiB.
+  // Neither holds a payload byte; each must fail as a bad file, not
+  // as std::bad_alloc.
+  std::string header = "SPNN";
+  put_le(header, kModelFormatVersion, 4);
+  put_le(header, 2, 8);
+  put_le(header, 1u << 20, 8);
+  put_le(header, 1u << 20, 8);
+  ASSERT_EQ(header.size(), 32u);
+  std::string with_matrix = header;  // and the W header that matches it
+  put_le(with_matrix, 1u << 20, 8);
+  put_le(with_matrix, 1u << 20, 8);
+  for (const std::string& bytes : {header, with_matrix}) {
+    std::stringstream in(bytes);
+    EXPECT_THROW(load_network(in), std::runtime_error)
+        << bytes.size() << "-byte header";
+  }
 }
 
 TEST(Serialize, FileRoundTrip) {

@@ -92,6 +92,20 @@ TEST(MnistIo, TruncatedPayloadThrows) {
   std::remove(path.c_str());
 }
 
+TEST(MnistIo, OversizedCountThrowsBeforeAllocating) {
+  // A bare 16-byte IDX3 header declaring 2^32 - 1 images of 28x28
+  // (12.5 TiB as floats): a bad file, not std::bad_alloc.
+  const std::string path = "mnist_io_test_oversized.bin";
+  {
+    const unsigned char header[16] = {0, 0, 8, 3,    0xff, 0xff, 0xff, 0xff,
+                                      0, 0, 0, 28,   0,    0,    0,    28};
+    std::ofstream dst(path, std::ios::binary);
+    dst.write(reinterpret_cast<const char*>(header), sizeof header);
+  }
+  EXPECT_THROW((void)load_idx_images(path), InvariantError);
+  std::remove(path.c_str());
+}
+
 TEST(MnistIo, LoadMnistDirectoryAssemblesTheSplit) {
   const auto split = load_mnist_directory(fixture_dir());
   ASSERT_TRUE(split.has_value());

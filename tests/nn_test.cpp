@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -35,9 +36,9 @@ Matrix one_row(std::span<const float> x) {
   return m;
 }
 
-/// One sample's forward pass written out with the per-vector ops, the
-/// oracle of the batched Network::forward: every field is a vector per
-/// layer, empty where ForwardTrace's matrix is empty.
+/// One sample's forward pass written out with matvec and per-element
+/// loops, the oracle of the batched Network::forward: every field is a
+/// vector per layer, empty where ForwardTrace's matrix is empty.
 struct RowTrace {
   std::vector<Vector> activations;
   std::vector<Vector> pre_activations;
@@ -63,7 +64,8 @@ RowTrace reference_forward(const Network& net, std::span<const float> x) {
       out.activations.push_back(z);
       continue;
     }
-    const Vector a_ori = relu(z);
+    Vector a_ori = z;
+    for (float& v : a_ori) v = std::max(v, 0.0f);
     out.unmasked.push_back(a_ori);
     if (!net.has_predictor(l)) {
       out.activations.push_back(a_ori);
@@ -72,8 +74,12 @@ RowTrace reference_forward(const Network& net, std::span<const float> x) {
     out.predictor_mid[l] = matvec(net.predictor(l).v(), a);
     out.predictor_pre_sign[l] =
         matvec(net.predictor(l).u(), out.predictor_mid[l]);
-    out.masks[l] = positive_mask(out.predictor_pre_sign[l]);
-    out.activations.push_back(hadamard(out.masks[l], a_ori));
+    Vector& mask = out.masks[l];
+    Vector next(a_ori.size());
+    for (const float t : out.predictor_pre_sign[l])
+      mask.push_back(t > 0.0f ? 1.0f : 0.0f);
+    for (std::size_t j = 0; j < next.size(); ++j) next[j] = mask[j] * a_ori[j];
+    out.activations.push_back(next);
   }
   return out;
 }
@@ -508,6 +514,98 @@ TEST(Trainer, DeterministicForFixedThreadCount) {
   EXPECT_EQ(a.predictor(0).u(), b.predictor(0).u());
 }
 
+/// FNV-1a over the shape and bit pattern of every W, then every U and
+/// V, of `net`.
+std::uint64_t weight_digest(const Network& net) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto fold = [&](std::uint64_t v) {
+    h ^= v;
+    h *= 0x100000001b3ULL;
+  };
+  const auto fold_matrix = [&](const Matrix& m) {
+    fold(m.rows());
+    fold(m.cols());
+    for (const float v : m.flat()) fold(std::bit_cast<std::uint32_t>(v));
+  };
+  for (std::size_t l = 0; l < net.num_weight_layers(); ++l)
+    fold_matrix(net.weight(l));
+  for (std::size_t l = 0; l < net.num_hidden_layers(); ++l) {
+    if (!net.has_predictor(l)) continue;
+    fold_matrix(net.predictor(l).u());
+    fold_matrix(net.predictor(l).v());
+  }
+  return h;
+}
+
+/// Every thread count trains the same weights, bit for bit, in all
+/// three regimes: each digest must equal the one-thread digest. The
+/// pinned digests were recorded from the sample-split trainer at one
+/// thread, so they also pin each regime's arithmetic: two hidden
+/// layers, weight decay, two epochs (the SVD regime refreshes U/V
+/// once) and a last minibatch of 4 of 100 samples. The samples come
+/// from Rng::uniform alone, but He initialisation and the softmax call
+/// libm, so a pinned digest may differ under another libm while the
+/// thread-count check still holds.
+TEST(Trainer, WeightsAreBitIdenticalForEveryThreadCount) {
+  Rng rng{27};
+  DatasetSplit split;
+  split.train.inputs = Matrix(100, 64);
+  for (std::size_t i = 0; i < split.train.inputs.rows(); ++i) {
+    for (float& v : split.train.inputs.row(i))
+      v = rng.bernoulli(0.5) ? 0.0f : static_cast<float>(rng.uniform());
+    split.train.labels.push_back(static_cast<int>(rng.uniform_index(10)));
+  }
+  split.test = split.train;
+
+  struct Case {
+    PredictorKind kind;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {PredictorKind::kNone, 0x5f24f66f601167e8ULL},
+      {PredictorKind::kSvd, 0x6e54032b278b4eb6ULL},
+      {PredictorKind::kEndToEnd, 0xf4753ff449e4d3c0ULL},
+  };
+  for (const Case& c : cases) {
+    std::uint64_t one_thread = 0;
+    for (const std::size_t threads : {1, 2, 3, 4}) {
+      TrainOptions options;
+      options.kind = c.kind;
+      options.rank = 4;
+      options.epochs = 2;
+      options.weight_decay = 1e-3;
+      options.threads = threads;
+      options.seed = 28;
+      const TrainedModel model =
+          train_network({64, 24, 16, 10}, split, options);
+      const std::uint64_t digest = weight_digest(model.network);
+      if (threads == 1) one_thread = digest;
+      EXPECT_EQ(digest, one_thread)
+          << to_string(c.kind) << " at " << threads << " threads";
+      EXPECT_EQ(digest, c.digest)
+          << to_string(c.kind) << " at " << threads << " threads";
+    }
+  }
+}
+
+TEST(Trainer, EmptyTestSplitFailsBeforeTraining) {
+  DatasetOptions data;
+  data.train_size = 8;
+  data.test_size = 4;
+  DatasetSplit split = make_dataset(DatasetVariant::kBasic, data);
+  split.test = Dataset{};
+  Network net = tiny_network({static_cast<std::size_t>(kImagePixels), 6, 10},
+                             29);
+  const Network before = net;
+  TrainOptions options;
+  options.kind = PredictorKind::kEndToEnd;
+  options.rank = 2;
+  EXPECT_THROW(train(net, split, options), std::invalid_argument);
+  // Nothing trained and no predictor attached.
+  EXPECT_EQ(net.weight(0), before.weight(0));
+  EXPECT_FALSE(net.has_predictor(0));
+}
+
 TEST(Metrics, EvaluateReportsAllSparsities) {
   Network net = tiny_network({8, 10, 6, 3}, 26);
   Rng rng{27};
@@ -534,6 +632,14 @@ TEST(Metrics, EvaluateReportsAllSparsities) {
   EXPECT_NEAR(agreement.agreement_percent + agreement.false_kill_percent +
                   agreement.false_pass_percent,
               100.0, 1e-6);
+}
+
+TEST(Metrics, MaskAgreementRejectsEmptyDataset) {
+  Network net = tiny_network({8, 10, 3}, 30);
+  Rng rng{31};
+  net.set_predictor(0, Predictor::random(10, 8, 3, rng));
+  const Dataset empty{Matrix(0, 8), {}};
+  EXPECT_THROW(mask_agreement(net, empty, 0), std::invalid_argument);
 }
 
 // ---- quantised model ----

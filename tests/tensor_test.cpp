@@ -148,38 +148,10 @@ TEST(Matrix, MatmulIdentity) {
     }
 }
 
-TEST(Matrix, AddOuterRankOneUpdate) {
-  Matrix m(2, 3, 0.0f);
-  add_outer(m, 2.0f, std::vector<float>{1.0f, -1.0f},
-            std::vector<float>{1.0f, 2.0f, 3.0f});
-  EXPECT_FLOAT_EQ(m(0, 1), 4.0f);
-  EXPECT_FLOAT_EQ(m(1, 2), -6.0f);
-}
-
 TEST(Matrix, DotAndNorm) {
   const std::vector<float> x{3.0f, 4.0f};
   EXPECT_DOUBLE_EQ(norm2(x), 5.0);
   EXPECT_DOUBLE_EQ(dot(x, std::vector<float>{1.0f, 1.0f}), 7.0);
-}
-
-TEST(Ops, ReluAndMasks) {
-  const std::vector<float> x{-1.0f, 0.0f, 2.0f};
-  const Vector r = relu(x);
-  EXPECT_FLOAT_EQ(r[0], 0.0f);
-  EXPECT_FLOAT_EQ(r[2], 2.0f);
-  const Vector m = positive_mask(x);
-  EXPECT_FLOAT_EQ(m[1], 0.0f);  // mask(0) = 0: not computed
-  EXPECT_FLOAT_EQ(m[2], 1.0f);
-}
-
-TEST(Ops, StraightThroughWindow) {
-  const std::vector<float> x{-2.0f, -0.5f, 0.0f, 0.99f, 1.0f};
-  const Vector w = straight_through_window(x);
-  EXPECT_FLOAT_EQ(w[0], 0.0f);
-  EXPECT_FLOAT_EQ(w[1], 1.0f);
-  EXPECT_FLOAT_EQ(w[2], 1.0f);
-  EXPECT_FLOAT_EQ(w[3], 1.0f);
-  EXPECT_FLOAT_EQ(w[4], 0.0f);
 }
 
 TEST(Ops, SoftmaxIsDistributionAndStable) {
@@ -192,14 +164,6 @@ TEST(Ops, SoftmaxIsDistributionAndStable) {
   }
   EXPECT_NEAR(total, 1.0, 1e-6);
   EXPECT_EQ(argmax(p), 1u);
-}
-
-TEST(Ops, Hadamard) {
-  const std::vector<float> x{1.0f, -4.0f, 9.0f};
-  const Vector h = hadamard(x, std::vector<float>{2.0f, 0.5f, 0.0f});
-  EXPECT_FLOAT_EQ(h[0], 2.0f);
-  EXPECT_FLOAT_EQ(h[1], -2.0f);
-  EXPECT_FLOAT_EQ(h[2], 0.0f);
 }
 
 // ---- SVD ----

@@ -13,10 +13,12 @@ instead of failing to compile:
      extra, test-local points, but only if the same file also hits
      them with `fault::point("name")`.
   2. raw-sync ban — src/ code (outside common/sync.hpp) must not
-     name std:: synchronisation primitives directly: the annotated
-     wrappers in common/sync.hpp are what make clang's
-     -Wthread-safety analysis see the locking at all. A raw
-     std::mutex is a hole in the static lock-discipline proof.
+     name std:: synchronisation primitives directly: the mutex,
+     lock and condition-variable types, and C++20's barrier, latch
+     and semaphores. The annotated wrappers in common/sync.hpp are
+     what make clang's -Wthread-safety analysis see the locking at
+     all; a raw std::mutex is a hole in the static lock-discipline
+     proof, and the analysis cannot see a barrier or semaphore.
   3. no inline Python in CI — the workflow runs no `python3 -`
      heredoc (or `python3 -c`) script. A gate written inline runs only
      in CI and cannot be run locally with one command; gates belong in
@@ -170,7 +172,8 @@ def check_fault_points(root: Path, findings: Findings) -> None:
 
 RAW_SYNC = re.compile(
     r"std::(mutex|recursive_mutex|timed_mutex|shared_mutex|lock_guard|"
-    r"unique_lock|shared_lock|scoped_lock|condition_variable(?:_any)?)\b"
+    r"unique_lock|shared_lock|scoped_lock|condition_variable(?:_any)?|"
+    r"barrier|latch|counting_semaphore|binary_semaphore)\b"
 )
 
 

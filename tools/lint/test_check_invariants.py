@@ -82,6 +82,27 @@ void run() {
         self.assertIn("engine.cpp:4", out)  # raw mutex, exact line
         self.assertIn("engine.cpp:5", out)  # misnamed point, exact line
 
+    def test_cxx20_sync_primitives_are_flagged(self):
+        # -Wthread-safety sees none of these, so they are raw sync too.
+        write(self.root, "src/common/fault.cpp",
+              '#include "common/fault.hpp"\n'
+              'void run() { (void)fault::point("engine.run"); }\n')
+        write(self.root, "src/trainer.cpp", """\
+#include <barrier>
+#include <latch>
+#include <semaphore>
+std::barrier<> phase(4);
+std::latch done(4);
+std::counting_semaphore<8> slots(8);
+std::binary_semaphore turn(0);
+""")
+        status, out = run_lint(self.root)
+        self.assertEqual(status, 1, out)
+        for line, name in ((4, "barrier"), (5, "latch"),
+                           (6, "counting_semaphore"),
+                           (7, "binary_semaphore")):
+            self.assertIn(f"trainer.cpp:{line}: raw std::{name}", out)
+
     def test_registered_point_without_call_site_is_flagged(self):
         write(self.root, "src/engine.cpp",
               'void run() { }\n')
