@@ -19,10 +19,12 @@
 //                         [--degraded on|off]
 //   sparsenn_cli info     [--model model.bin]
 //
-// Every command also takes --simd auto|scalar: `scalar` forces the
-// scalar reference kernels (same effect as SPARSENN_FORCE_SCALAR=1)
-// so experiments pin their dispatch. A flag no command reads is a
-// usage error (exit 2), so a typo never runs with the default.
+// `v` is basic|rot|bg_rand. Every command also takes --simd
+// auto|scalar: `scalar` forces the scalar reference kernels (same
+// effect as SPARSENN_FORCE_SCALAR=1) so experiments pin their
+// dispatch. A flag no command reads, or a value outside a flag's
+// list, is a usage error (exit 2), so a typo never runs with the
+// default.
 //
 // `train` produces a serialized model; `eval` reports float and
 // quantised TER; `simulate` deploys it on the 64-PE model; `batch`
@@ -73,16 +75,22 @@ using namespace sparsenn;
 /// with no value is a UsageError → exit 2, not a silent default.
 using Args = CliArgs;
 
-DatasetVariant parse_variant(const std::string& name) {
+/// --variant basic|rot|bg_rand; anything else is a UsageError (exit 2).
+DatasetVariant parse_variant(const Args& args) {
+  const std::string name = args.get("variant", "basic");
+  if (name == "basic") return DatasetVariant::kBasic;
   if (name == "rot") return DatasetVariant::kRot;
   if (name == "bg_rand") return DatasetVariant::kBgRand;
-  return DatasetVariant::kBasic;
+  throw UsageError("--variant takes basic|rot|bg_rand, got '" + name + "'");
 }
 
-PredictorKind parse_kind(const std::string& name) {
+/// --kind none|svd|end_to_end; anything else is a UsageError (exit 2).
+PredictorKind parse_kind(const Args& args) {
+  const std::string name = args.get("kind", "end_to_end");
   if (name == "none") return PredictorKind::kNone;
   if (name == "svd") return PredictorKind::kSvd;
-  return PredictorKind::kEndToEnd;
+  if (name == "end_to_end") return PredictorKind::kEndToEnd;
+  throw UsageError("--kind takes none|svd|end_to_end, got '" + name + "'");
 }
 
 /// --engine cycle|analytic; anything else is a UsageError (exit 2).
@@ -112,7 +120,7 @@ DatasetSplit make_split(const Args& args) {
   DatasetOptions data;
   data.train_size = args.get_size("train-size", 3000);
   data.test_size = args.get_size("test-size", 600);
-  return make_dataset(parse_variant(args.get("variant", "basic")), data);
+  return make_dataset(parse_variant(args), data);
 }
 
 /// The deployment preamble shared by eval/simulate/batch: load the
@@ -131,21 +139,23 @@ LoadedModel load_model(const Args& args) {
 }
 
 int cmd_train(const Args& args) {
-  const DatasetSplit split = make_split(args);
   TrainOptions train;
-  train.kind = parse_kind(args.get("kind", "end_to_end"));
+  train.kind = parse_kind(args);
   train.rank = args.get_size("rank", 15);
   train.epochs = args.get_size("epochs", 4);
 
   const std::size_t hidden = args.get_size("hidden", 512);
-  const auto topology = args.get_size("layers", 3) == 5
-                            ? five_layer_topology(hidden)
-                            : three_layer_topology(hidden);
+  const std::size_t layers = args.get_size("layers", 3);
+  if (layers != 3 && layers != 5) {
+    throw UsageError("--layers takes 3|5, got '" + args.get("layers", "") +
+                     "'");
+  }
+  const auto topology = layers == 5 ? five_layer_topology(hidden)
+                                    : three_layer_topology(hidden);
 
+  const DatasetSplit split = make_split(args);
   std::cout << "Training " << to_string(train.kind) << " rank "
-            << train.rank << " on "
-            << to_string(parse_variant(args.get("variant", "basic")))
-            << "...\n";
+            << train.rank << " on " << to_string(split.variant) << "...\n";
   const TrainedModel model = train_network(topology, split, train);
   const EvalResult& eval = model.report.final_eval;
   std::cout << "TER " << eval.test_error_rate << "% in "
@@ -177,6 +187,10 @@ int cmd_eval(const Args& args) {
 
 int cmd_simulate(const Args& args) {
   const EngineKind engine_kind = parse_engine(args);
+  const std::string uv = args.get("uv", "both");
+  if (uv != "on" && uv != "off" && uv != "both") {
+    throw UsageError("simulate takes --uv on|off|both, got '" + uv + "'");
+  }
   const LoadedModel model = load_model(args);
   const DatasetSplit& split = model.split;
   const QuantizedNetwork& quantized = model.quantized;
@@ -193,7 +207,6 @@ int cmd_simulate(const Args& args) {
     std::cerr << "error: the test split is empty, nothing to simulate\n";
     return 1;
   }
-  const std::string uv = args.get("uv", "both");
   const EnergyModel energy{ArchParams::paper()};
 
   // One compiled image per uv mode, fetched through the ModelZoo (the

@@ -110,9 +110,4 @@ std::span<const std::size_t> BatchIterator::next() {
   return batch;
 }
 
-void BatchIterator::reset(Rng& rng) {
-  cursor_ = 0;
-  rng.shuffle(order_);
-}
-
 }  // namespace sparsenn

@@ -61,7 +61,6 @@ class BatchIterator {
 
   /// Next batch of sample indices; empty when the epoch is exhausted.
   std::span<const std::size_t> next();
-  void reset(Rng& rng);
 
  private:
   std::vector<std::size_t> order_;

@@ -24,11 +24,4 @@ Vector cross_entropy_gradient(std::span<const float> logits, int label) {
   return grad;
 }
 
-double l1_predictor_penalty(std::span<const float> pre_sign,
-                            double lambda) {
-  double acc = 0.0;
-  for (float t : pre_sign) acc += std::abs(t) < 1.0 ? std::abs(t) : 1.0;
-  return lambda * acc;
-}
-
 }  // namespace sparsenn

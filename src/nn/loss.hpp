@@ -14,10 +14,4 @@ double cross_entropy_loss(std::span<const float> logits, int label);
 /// d loss / d logits = softmax(logits) - onehot(label).
 Vector cross_entropy_gradient(std::span<const float> logits, int label);
 
-/// ℓ1 regularisation term λ * Σ_l ||p(l)||_1 over predictor sign vectors;
-/// with p ∈ {−1, +1}^m this is λ·Σ m_l — constant in value but its
-/// *gradient* through the straight-through estimator is what shapes the
-/// sparsity (Eq. 4). Exposed for loss reporting only.
-double l1_predictor_penalty(std::span<const float> pre_sign, double lambda);
-
 }  // namespace sparsenn

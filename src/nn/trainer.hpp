@@ -44,7 +44,10 @@ struct TrainOptions {
 
 /// Per-run summary returned by train().
 struct TrainReport {
-  std::vector<double> epoch_loss;   ///< mean train loss per epoch
+  /// Mean cross-entropy over each epoch's training samples; it leaves
+  /// out Eq. 4's λ term, so in the end-to-end regime it is not the
+  /// whole objective Alg. 1 minimises.
+  std::vector<double> epoch_loss;
   EvalResult final_eval;            ///< evaluation on the test split
   double seconds = 0.0;
 };

@@ -10,9 +10,9 @@
 // backend (tests/engine_equivalence_test pins this), and so is the
 // per-PE work the census (sim/census.hpp) turns into event and flit
 // counts. Cycles are *derived* from the per-layer schedule math of
-// Section V (the same reasoning as bench/ablation_schedule's
-// estimators, but fed with the exact per-PE work distribution of this
-// input instead of balanced averages):
+// Section V (the same reasoning as the ablation_schedule estimates in
+// bench/claims.cpp, but fed with the exact per-PE work distribution of
+// this input instead of balanced averages):
 //
 //   V phase — the slowest PE's local column MACs (its local nonzero
 //     inputs × rank) plus the `rank` results pipelined through the

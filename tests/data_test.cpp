@@ -231,16 +231,5 @@ TEST(BatchIterator, CoversEveryIndexOnce) {
   EXPECT_EQ(batches, 11u);  // 10 full + 1 ragged
 }
 
-TEST(BatchIterator, ResetReshuffles) {
-  Rng rng{12};
-  BatchIterator it(50, 50, rng);
-  const auto first = it.next();
-  std::vector<std::size_t> order_a(first.begin(), first.end());
-  it.reset(rng);
-  const auto second = it.next();
-  std::vector<std::size_t> order_b(second.begin(), second.end());
-  EXPECT_NE(order_a, order_b);
-}
-
 }  // namespace
 }  // namespace sparsenn
