@@ -56,7 +56,6 @@
 #include "common/cli_args.hpp"
 #include "common/simd.hpp"
 #include "common/table.hpp"
-#include "core/model_zoo.hpp"
 #include "data/dataset.hpp"
 #include "nn/quantized.hpp"
 #include "nn/serialize.hpp"
@@ -209,25 +208,21 @@ int cmd_simulate(const Args& args) {
   }
   const EnergyModel energy{ArchParams::paper()};
 
-  // One compiled image per uv mode, fetched through the ModelZoo (the
-  // same machinery System uses — both uv images stay warm under its
-  // LRU bound); single runs keep the golden-model cross-check on
-  // (ValidationMode::kFull is the cycle engine's default), and the
-  // cross-check always runs against the matching uv mode's golden
-  // path — uv_off validates against the EIE-style all-rows model.
-  ModelZoo zoo;
-
+  // One compiled image per uv mode, shared by its samples; single runs
+  // keep the golden-model cross-check on (ValidationMode::kFull is the
+  // cycle engine's default), and the cross-check always runs against
+  // the matching uv mode's golden path — uv_off validates against the
+  // EIE-style all-rows model.
   std::cout << "engine: " << to_string(engine_kind) << "\n";
   Table table({"mode", "mean cycles", "mean power(mW)", "mean uJ"});
   for (const bool on : {true, false}) {
     if ((on && uv == "off") || (!on && uv == "on")) continue;
-    const std::shared_ptr<const CompiledNetwork> compiled =
-        zoo.get(quantized, ArchParams::paper(), on);
+    const CompiledNetwork compiled(quantized, ArchParams::paper(), on);
     double cycles = 0.0;
     double mw = 0.0;
     double uj = 0.0;
     for (std::size_t i = 0; i < samples; ++i) {
-      const SimResult run = engine->run(*compiled, split.test.image(i));
+      const SimResult run = engine->run(compiled, split.test.image(i));
       const EnergyReport r = energy.report(run.total_events());
       cycles += static_cast<double>(run.total_cycles);
       mw += r.avg_power_mw;

@@ -84,9 +84,8 @@ struct ArchParams {
   /// match, etc.); throws std::invalid_argument on bad configs.
   void validate() const;
 
-  /// Field-by-field equality. core/model_zoo.hpp matches an image's
-  /// arch with it, and each serving worker its engines, so neither
-  /// builds a key.
+  /// Field-by-field equality. Each serving worker finds the engines
+  /// for a batch's arch with it, so it builds no key.
   bool operator==(const ArchParams&) const = default;
 
   /// The paper's configuration (all defaults).

@@ -2,14 +2,13 @@
 // Deterministic, seeded fault injection for robustness testing.
 //
 // Production code marks interesting boundaries with *named fault
-// points* — `fault::point("zoo.compile")` — which are inert no-ops
+// points* — `fault::point("engine.run")` — which are inert no-ops
 // until a test arms the global registry with a seed and a set of
 // FaultSpecs. An armed point can
 //
-//   kThrow   — throw FaultInjectedError (an engine crash, a compile
-//              failure, an allocation blow-up ... any exception the
-//              containment layer must convert into a per-request
-//              failure),
+//   kThrow   — throw FaultInjectedError (an engine crash, an
+//              allocation blow-up ... any exception the containment
+//              layer must convert into a per-request failure),
 //   kDelay   — sleep for delay_us (a slow dependency, or — with a
 //              delay beyond the serving watchdog's stall bound — a
 //              hung worker), or

@@ -15,7 +15,7 @@
 // either half and CI fails with the exact name.
 //
 // Naming convention: lowercase dotted paths, `subsystem.boundary`
-// (e.g. "zoo.compile", "serve.worker.hang") — enforced by the linter.
+// (e.g. "engine.run", "serve.worker.hang") — enforced by the linter.
 
 #include <algorithm>
 #include <iterator>
@@ -35,7 +35,6 @@ inline constexpr std::string_view kAll[] = {
     "serve.result.corrupt",  // serve/frontend.cpp result hand-off
     "serve.worker.batch",    // serve/frontend.cpp batch entry
     "serve.worker.hang",     // serve/frontend.cpp per-request loop
-    "zoo.compile",           // core/model_zoo.cpp compile boundary
 };
 
 static_assert(std::is_sorted(std::begin(kAll), std::end(kAll)),

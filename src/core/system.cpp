@@ -27,6 +27,8 @@ void System::prepare() {
 
   log_info("system", "quantising to 16-bit fixed point");
   quantized_.emplace(model_->network, split_->train.inputs);
+  uv_on_.emplace(*quantized_, options_.arch, /*use_predictor=*/true);
+  uv_off_.emplace(*quantized_, options_.arch, /*use_predictor=*/false);
   engine_ = make_engine(options_.engine, options_.arch);
 }
 
@@ -53,32 +55,27 @@ const QuantizedNetwork& System::quantized() const {
 SimResult System::simulate(std::size_t test_index, bool use_predictor) {
   expects(prepared(), "call prepare() first");
   expects(test_index < split_->test.size(), "test index out of range");
-  // Zoo-cached compile + full validation on the configured backend.
-  // On the cycle engine this is bit-identical to the one-shot
-  // run(network, …) path, minus the per-call recompile. The analytic
+  // Full validation on the configured backend. On the cycle engine
+  // this is bit-identical to the one-shot run(network, …) path, minus
+  // the per-call compile. The analytic
   // engine returns the same predictions, and on the default buffered
   // fabric the same per-layer cycle counts (low on contended fabrics);
   // its event counts are estimates.
-  return engine_->run(*compiled(use_predictor),
+  return engine_->run(compiled(use_predictor),
                       split_->test.image(test_index),
                       ValidationMode::kFull);
 }
 
 BatchResult System::simulate_batch(const BatchOptions& options) const {
   expects(prepared(), "call prepare() first");
-  // The per-PE slice image comes from the system zoo and is shared
-  // read-only across the runner's workers (sim/compiled_network.hpp),
-  // and across repeated batches at the same threshold. An unset
-  // BatchOptions::engine inherits the system's configured backend;
-  // an explicit one overrides it per batch.
+  // The runner's workers share the system's image read-only
+  // (sim/compiled_network.hpp). An unset BatchOptions::engine inherits
+  // the system's configured backend; an explicit one overrides it per
+  // batch.
   BatchOptions resolved = options;
   if (!resolved.engine) resolved.engine = options_.engine;
   const BatchRunner runner(options_.arch, resolved);
-  // The pin outlives the whole batch, so no zoo churn can free the
-  // image under the workers.
-  const std::shared_ptr<const CompiledNetwork> image =
-      compiled(options.use_predictor);
-  return runner.run(*image, split_->test);
+  return runner.run(compiled(options.use_predictor), split_->test);
 }
 
 HardwareComparison System::compare_hardware(std::size_t samples) {
@@ -113,18 +110,15 @@ HardwareComparison System::compare_hardware(std::size_t samples) {
     }
   };
 
-  // Both uv images from the cache (one slot each, so they coexist);
-  // the first sample runs with the golden cross-check, the rest trust
+  // The first sample runs with the golden cross-check, the rest trust
   // the engine (results are bit-identical either way).
-  const std::shared_ptr<const CompiledNetwork> compiled_on = compiled(true);
-  const std::shared_ptr<const CompiledNetwork> compiled_off = compiled(false);
   for (std::size_t i = 0; i < samples; ++i) {
     const ValidationMode mode =
         i == 0 ? ValidationMode::kFull : ValidationMode::kOff;
     absorb(out.uv_on,
-           engine_->run(*compiled_on, split_->test.image(i), mode));
+           engine_->run(compiled(true), split_->test.image(i), mode));
     absorb(out.uv_off,
-           engine_->run(*compiled_off, split_->test.image(i), mode));
+           engine_->run(compiled(false), split_->test.image(i), mode));
   }
 
   const auto finish = [&](std::vector<LayerHardwareCost>& dest) {
@@ -144,14 +138,6 @@ HardwareComparison System::compare_hardware(std::size_t samples) {
   finish(out.uv_on);
   finish(out.uv_off);
   return out;
-}
-
-void System::set_prediction_threshold(double threshold) {
-  expects(prepared(), "call prepare() first");
-  // Drop the outgoing version's images before switching, so a K-point
-  // threshold sweep holds one version's layers, not K.
-  zoo_.invalidate(*quantized_);
-  quantized_->set_prediction_threshold(threshold);
 }
 
 AreaBreakdown System::area() const { return compute_area(options_.arch); }

@@ -6,7 +6,8 @@
 //   1. build (or load) a benchmark dataset variant,
 //   2. train an MLP with the chosen sparsity-predictor regime
 //      (NO-UV / truncated SVD / the paper's end-to-end Alg. 1),
-//   3. quantise it to the 16-bit deployment image,
+//   3. quantise it to the 16-bit deployment image and compile it for
+//      the PE array, one image per uv mode,
 //   4. run inferences on the cycle-accurate 64-PE accelerator model,
 //      with the predictor enabled (uv_on) or disabled (uv_off ≙ EIE),
 //   5. report per-layer cycles, energy and power.
@@ -19,7 +20,6 @@
 #include "arch/area.hpp"
 #include "arch/energy.hpp"
 #include "arch/params.hpp"
-#include "core/model_zoo.hpp"
 #include "data/dataset.hpp"
 #include "nn/quantized.hpp"
 #include "nn/trainer.hpp"
@@ -67,7 +67,8 @@ class System {
  public:
   explicit System(SystemOptions options);
 
-  /// Runs dataset generation + training + quantisation. Idempotent.
+  /// Runs dataset generation + training + quantisation + compilation.
+  /// Idempotent.
   void prepare();
   bool prepared() const noexcept { return quantized_.has_value(); }
 
@@ -78,12 +79,9 @@ class System {
   const SystemOptions& options() const noexcept { return options_; }
 
   /// One inference of one test sample on the configured backend
-  /// (SystemOptions::engine). The network's per-PE slice image comes
-  /// from the system's ModelZoo, so repeated calls (rank/threshold
-  /// sweeps, the fig benches) compile once per (threshold, uv mode)
-  /// instead of once per call; on the cycle backend the golden-model
-  /// cross-check stays on (single runs are the paper's verification
-  /// path).
+  /// (SystemOptions::engine), on the image prepare() compiled for the
+  /// uv mode; on the cycle backend the golden-model cross-check stays
+  /// on (single runs are the paper's verification path).
   SimResult simulate(std::size_t test_index, bool use_predictor);
 
   /// The backend simulate()/compare_hardware() run on.
@@ -102,21 +100,6 @@ class System {
   AreaBreakdown area() const;
   EnergyModel energy_model() const;
 
-  /// Deploy-time prediction threshold θ (see
-  /// QuantizedLayer::prediction_threshold): rows compute only when
-  /// U V a > θ. Affects subsequent simulate()/compare_hardware() calls:
-  /// the previous version's compiled images are dropped, and the next
-  /// simulation compiles against the new threshold.
-  void set_prediction_threshold(double threshold);
-
-  /// Real compilations performed so far by the system's ModelZoo —
-  /// observability for sweeps and tests (a threshold sweep of K points
-  /// over both uv modes should compile at most 2·K images, not
-  /// 2·K·samples).
-  std::uint64_t compiled_network_compile_count() const {
-    return zoo_.compile_count();
-  }
-
  private:
   SystemOptions options_;
   std::optional<DatasetSplit> split_;
@@ -125,20 +108,15 @@ class System {
   /// The configured cost backend (created in prepare() from
   /// options_.engine via make_engine).
   std::unique_ptr<ExecutionEngine> engine_;
-  /// Compiled per-PE slice images shared by simulate(),
-  /// simulate_batch() and compare_hardware(); mutable because a zoo
-  /// fill is not an observable state change (results are bit-identical
-  /// to an uncached compile — tests/compiled_engine_test pins it).
-  /// The zoo is thread-safe, so concurrent *const* calls (e.g. two
-  /// threads in simulate_batch()) serialize only the image fetch and
-  /// share the filled entry read-only. The returned shared_ptr pins
-  /// the image (and with it the network version it was compiled
-  /// from), so a caller's in-flight inference survives an eviction or
-  /// an invalidation.
-  mutable ModelZoo zoo_;
+  /// The quantised network compiled for options_.arch, one image per
+  /// uv mode (built in prepare()). Nothing changes quantized_ after
+  /// that, so the images never go stale, and simulate(),
+  /// simulate_batch() and compare_hardware() share them read-only.
+  std::optional<CompiledNetwork> uv_on_;
+  std::optional<CompiledNetwork> uv_off_;
 
-  std::shared_ptr<const CompiledNetwork> compiled(bool use_predictor) const {
-    return zoo_.get(*quantized_, options_.arch, use_predictor);
+  const CompiledNetwork& compiled(bool use_predictor) const {
+    return use_predictor ? *uv_on_ : *uv_off_;
   }
 };
 

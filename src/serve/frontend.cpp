@@ -185,16 +185,24 @@ std::size_t ServingFrontend::register_model(const QuantizedNetwork& network,
                 network.layer(l).out_dim() <= arch.max_activations(),
             "layer width exceeds the architecture's activation capacity");
   }
+  // Compiled outside the lock, so a registration never holds up a
+  // worker's image lookup.
+  ModelEntry entry{
+      std::make_shared<const CompiledNetwork>(network, arch,
+                                              /*use_predictor=*/true),
+      std::make_shared<const CompiledNetwork>(network, arch,
+                                              /*use_predictor=*/false)};
   const sync::MutexLock lock(models_mutex_);
   expects(!shut_down_, "cannot register models after shutdown");
-  models_.push_back(ModelEntry{network, arch});
+  models_.push_back(std::move(entry));
   return models_.size() - 1;
 }
 
-ServingFrontend::ModelEntry ServingFrontend::model_entry(
-    std::size_t model) const {
+std::shared_ptr<const CompiledNetwork> ServingFrontend::model_image(
+    std::size_t model, bool use_predictor) const {
   const sync::MutexLock lock(models_mutex_);
-  return models_[model];
+  const ModelEntry& entry = models_[model];
+  return use_predictor ? entry.uv_on : entry.uv_off;
 }
 
 std::size_t ServingFrontend::num_models() const {
@@ -321,8 +329,9 @@ void ServingFrontend::process_batch(RequestQueue<Pending>::Batch& batch,
   const std::size_t n = batch.requests.size();
   std::vector<char>& resolved = local.resolved;
   resolved.assign(n, 0);
-  std::uint64_t ok = 0, failed = 0, dead = 0, retries_used = 0;
+  std::uint64_t ok = 0, failed = 0, dead = 0;
   std::uint64_t degraded_ok = 0, probe_ok = 0, probe_failed = 0;
+  bool ran_on_image = false;
   double exec_us_sum = 0.0;
   std::uint64_t exec_samples = 0;
 
@@ -355,154 +364,115 @@ void ServingFrontend::process_batch(RequestQueue<Pending>::Batch& batch,
     }
   };
 
-  // Deadline shed: resolves request i as kDeadlineExceeded before any
-  // (further) compile or engine time is spent on it. Used at claim
-  // time and again before each retry-backoff sleep. A shed probe
-  // proved nothing, so it counts as a failed probe (conservative:
-  // the breaker re-opens rather than closing on no evidence).
-  const auto shed_deadline = [&](std::size_t i) {
-    if (batch.requests[i].item.probe) ++probe_failed;
-    resolve(i, lane.result(ServeStatus::kDeadlineExceeded),
-            RequestQueue<Pending>::Clock::now());
-    ++dead;
-  };
-
   try {
     // Chaos hook: a batch-level throw exercises the containment path
     // above; an injected delay stalls the worker into watchdog range.
     (void)fault::point("serve.worker.batch");
 
-    const ModelEntry entry = model_entry(lane.model);
-
+    // Deadline shed at claim time, before any engine time is spent. A
+    // shed probe proved nothing, so it counts as a failed probe
+    // (conservative: the breaker re-opens rather than closing on no
+    // evidence).
     const auto claim_time = RequestQueue<Pending>::Clock::now();
     for (std::size_t i = 0; i < n; ++i) {
       if (batch.requests[i].deadline >= claim_time) continue;
-      shed_deadline(i);
+      if (batch.requests[i].item.probe) ++probe_failed;
+      resolve(i, lane.result(ServeStatus::kDeadlineExceeded),
+              RequestQueue<Pending>::Clock::now());
+      ++dead;
     }
 
     if (dead < n) {
-      // Resolve the compiled image, retrying transient failures with
-      // exponential backoff. The zoo pins the image for the whole
-      // batch: a concurrent eviction (another worker compiling a
-      // colder model) cannot free it mid-inference.
-      std::shared_ptr<const CompiledNetwork> image;
-      std::uint64_t backoff_us = options_.retry_backoff_us;
-      for (std::uint32_t attempt = 0;; ++attempt) {
-        try {
-          image = zoo_.get(entry.network, entry.arch, lane.use_predictor);
-          break;
-        } catch (const std::exception&) {
-          if (attempt >= options_.max_retries) throw;
-          ++retries_used;
-          // A request whose absolute deadline falls inside the
-          // upcoming backoff sleep is already lost: shed it as
-          // kDeadlineExceeded *now* instead of sleeping through its
-          // deadline and then failing it after the final attempt.
-          const auto wake = RequestQueue<Pending>::Clock::now() +
-                            std::chrono::microseconds(backoff_us);
-          for (std::size_t i = 0; i < n; ++i) {
-            if (resolved[i] || batch.requests[i].deadline >= wake) continue;
-            shed_deadline(i);
-          }
-          if (dead >= n) break;  // nobody left to retry for
-          self.last_beat_us.store(steady_now_us(),
-                                  std::memory_order_release);
-          std::this_thread::sleep_for(
-              std::chrono::microseconds(backoff_us));
-          backoff_us *= 2;
-        }
+      // The lane's image, compiled at registration; the pin is one
+      // reference count.
+      const std::shared_ptr<const CompiledNetwork> image =
+          model_image(lane.model, lane.use_predictor);
+      ran_on_image = true;
+      const ArchParams& arch = image->params();
+      WorkerLocal::EngineSlot& backend = local.slot_for(arch, options_);
+      backend.arena.reserve(*image);
+
+      // Degraded-mode inputs, sampled once per batch: the brownout
+      // signal (queue pressure + recent deadline sheds) and the
+      // model's observed cycle-path latency.
+      const bool degradable =
+          options_.allow_degraded && options_.engine == EngineKind::kCycle;
+      bool brownout = false;
+      double est_exec_us = 0.0;
+      if (degradable) {
+        brownout = queue_.size() >= brownout_depth_ ||
+                   (options_.brownout_deadline_sheds > 0 &&
+                    health_.recent_deadline_sheds() >=
+                        options_.brownout_deadline_sheds);
+        est_exec_us = health_.estimated_exec_us(lane.model);
       }
 
-      if (image) {
-        WorkerLocal::EngineSlot& backend =
-            local.slot_for(entry.arch, options_);
-        backend.arena.reserve(*image);
-
-        // Degraded-mode inputs, sampled once per batch: the brownout
-        // signal (queue pressure + recent deadline sheds) and the
-        // model's observed cycle-path latency.
-        const bool degradable =
-            options_.allow_degraded && options_.engine == EngineKind::kCycle;
-        bool brownout = false;
-        double est_exec_us = 0.0;
-        if (degradable) {
-          brownout = queue_.size() >= brownout_depth_ ||
-                     (options_.brownout_deadline_sheds > 0 &&
-                      health_.recent_deadline_sheds() >=
-                          options_.brownout_deadline_sheds);
-          est_exec_us = health_.estimated_exec_us(lane.model);
+      for (std::size_t i = 0; i < n; ++i) {
+        if (resolved[i]) continue;
+        self.last_beat_us.store(steady_now_us(), std::memory_order_release);
+        // Chaos hook: an injected delay beyond the stall bound makes
+        // this worker "hang" mid-batch for the watchdog to catch.
+        (void)fault::point("serve.worker.hang");
+        const auto deadline = batch.requests[i].deadline;
+        Pending& pending = batch.requests[i].item;
+        ServeResult out = lane.result(ServeStatus::kOk);
+        // Degrade to the analytic fallback when the frontend is in
+        // brownout, or when this request's remaining deadline budget
+        // is provably below the model's observed cycle-path latency
+        // — a functional answer beats a deadline shed.
+        bool degrade = degradable && brownout;
+        if (degradable && !degrade &&
+            deadline != RequestQueue<Pending>::kNoDeadline &&
+            est_exec_us > 0.0) {
+          const double budget_us =
+              micros(deadline - RequestQueue<Pending>::Clock::now());
+          degrade = budget_us < est_exec_us;
         }
-
-        for (std::size_t i = 0; i < n; ++i) {
-          if (resolved[i]) continue;
-          self.last_beat_us.store(steady_now_us(),
-                                  std::memory_order_release);
-          // Chaos hook: an injected delay beyond the stall bound makes
-          // this worker "hang" mid-batch for the watchdog to catch.
-          (void)fault::point("serve.worker.hang");
-          const auto deadline = batch.requests[i].deadline;
-          Pending& pending = batch.requests[i].item;
-          ServeResult out = lane.result(ServeStatus::kOk);
-          // Degrade to the analytic fallback when the frontend is in
-          // brownout, or when this request's remaining deadline budget
-          // is provably below the model's observed cycle-path latency
-          // — a functional answer beats a deadline shed.
-          bool degrade = degradable && brownout;
-          if (degradable && !degrade &&
-              deadline != RequestQueue<Pending>::kNoDeadline &&
-              est_exec_us > 0.0) {
-            const double budget_us =
-                micros(deadline - RequestQueue<Pending>::Clock::now());
-            degrade = budget_us < est_exec_us;
-          }
-          ExecutionEngine* engine = backend.engine.get();
-          if (degrade) {
-            if (!backend.fallback)
-              backend.fallback =
-                  make_engine(EngineKind::kAnalytic, entry.arch);
-            engine = backend.fallback.get();
-          }
-          const auto run_begin = RequestQueue<Pending>::Clock::now();
-          try {
-            // Chaos hook on the fallback boundary: a throw here is
-            // per-request contained like any engine failure.
-            if (degrade) (void)fault::point("serve.degrade.run");
-            const SimResult& r = engine->run(*image, pending.input,
-                                             backend.arena,
-                                             ValidationMode::kOff);
-            out.result = r;  // copy out: the arena slot is reused next run
-          } catch (const std::exception& e) {
-            // Per-request containment: this request fails, the rest of
-            // the batch still executes.
-            out.status = ServeStatus::kEngineError;
-            out.error = e.what();
-          } catch (...) {
-            out.status = ServeStatus::kEngineError;
-            out.error = "unknown engine error";
-          }
-          if (out.status == ServeStatus::kOk &&
-              fault::point("serve.result.corrupt")) {
-            fault::corrupt_i16(out.result.output);
-            out.fault_corrupted = true;
-          }
-          const auto done = RequestQueue<Pending>::Clock::now();
-          out.degraded = degrade && out.status == ServeStatus::kOk;
-          if (out.status == ServeStatus::kOk) {
-            ++ok;
-            if (out.degraded) ++degraded_ok;
-            if (pending.probe) ++probe_ok;
-            if (!degrade && health_.enabled()) {
-              // Primary-path latency sample for the degraded-mode
-              // budget estimate (fallback runs excluded on purpose).
-              exec_us_sum += micros(done - run_begin);
-              ++exec_samples;
-            }
-          } else {
-            ++failed;
-            if (pending.probe) ++probe_failed;
-          }
-          resolve(i, std::move(out), done);
+        ExecutionEngine* engine = backend.engine.get();
+        if (degrade) {
+          if (!backend.fallback)
+            backend.fallback = make_engine(EngineKind::kAnalytic, arch);
+          engine = backend.fallback.get();
         }
+        const auto run_begin = RequestQueue<Pending>::Clock::now();
+        try {
+          // Chaos hook on the fallback boundary: a throw here is
+          // per-request contained like any engine failure.
+          if (degrade) (void)fault::point("serve.degrade.run");
+          const SimResult& r = engine->run(*image, pending.input,
+                                           backend.arena, ValidationMode::kOff);
+          out.result = r;  // copy out: the arena slot is reused next run
+        } catch (const std::exception& e) {
+          // Per-request containment: this request fails, the rest of
+          // the batch still executes.
+          out.status = ServeStatus::kEngineError;
+          out.error = e.what();
+        } catch (...) {
+          out.status = ServeStatus::kEngineError;
+          out.error = "unknown engine error";
+        }
+        if (out.status == ServeStatus::kOk &&
+            fault::point("serve.result.corrupt")) {
+          fault::corrupt_i16(out.result.output);
+          out.fault_corrupted = true;
+        }
+        const auto done = RequestQueue<Pending>::Clock::now();
+        out.degraded = degrade && out.status == ServeStatus::kOk;
+        if (out.status == ServeStatus::kOk) {
+          ++ok;
+          if (out.degraded) ++degraded_ok;
+          if (pending.probe) ++probe_ok;
+          if (!degrade && health_.enabled()) {
+            // Primary-path latency sample for the degraded-mode
+            // budget estimate (fallback runs excluded on purpose).
+            exec_us_sum += micros(done - run_begin);
+            ++exec_samples;
+          }
+        } else {
+          ++failed;
+          if (pending.probe) ++probe_failed;
+        }
+        resolve(i, std::move(out), done);
       }
     }
   } catch (const std::exception& e) {
@@ -521,7 +491,7 @@ void ServingFrontend::process_batch(RequestQueue<Pending>::Batch& batch,
     stats_.completed_by_class[cls] += ok;
     stats_.failed_by_class[cls] += failed;
     stats_.shed_by_class[cls] += dead;
-    stats_.retries += retries_used;
+    if (ran_on_image) ++stats_.zoo_hits;
     const std::size_t bucket =
         std::min(n, stats_.batch_size_counts.size()) - 1;
     ++stats_.batch_size_counts[bucket];
@@ -587,8 +557,7 @@ ServingStats ServingFrontend::stats() const {
     out = stats_;
   }
   out.batches = queue_.batches();
-  out.zoo_compiles = zoo_.compile_count();
-  out.zoo_hits = zoo_.hit_count();
+  out.zoo_compiles = 2 * num_models();
   out.breaker_opens = health_.opens();
   out.breaker_probes = health_.probes();
   out.breaker_closes = health_.closes();

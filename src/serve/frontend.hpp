@@ -1,26 +1,30 @@
 #pragma once
 // ServingFrontend — the async request path of the serving tier.
 //
+//   register_model() ── compiles uv-on + uv-off images ──────┐
+//                                                            ▼
 //   clients ──submit()──▶ RequestQueue ──micro-batches──▶ workers
-//                (bounded MPMC,           (per-worker engines,
-//                 per-model lanes,         arch-keyed ModelZoo,
+//                (bounded MPMC,           (the lane's image,
+//                 per-model lanes,         per-worker engines,
 //                 admission/shedding,      zero-alloc arena path,
 //                 per-request deadlines)   failure containment)
 //                                              │
 //   clients ◀──std::future<ServeResult>────────┘        watchdog ↺
 //
-// The frontend turns the ModelZoo/engine/arena machinery into a
+// The frontend turns the compiled-image/engine/arena machinery into a
 // traffic endpoint; every other entry point is a synchronous batch
-// sweep over a dataset. submit() copies the input, stamps it, and
-// pushes it into a bounded MPMC queue (serve/request_queue.hpp) keyed
-// by (model, priority, uv) lane. A free worker takes up to max_batch
-// of the most urgent lane's queued requests at once (it never waits
-// for a batch to fill), resolves the compiled image through one
-// arch-keyed ModelZoo — so one process serves models deployed against
-// mixed ArchParams configs — and runs each request on the worker's
-// private ExecutionEngine through the zero-alloc ResultArena path. The
-// SimResult plus queueing/batching/execution timestamps come back
-// through the future.
+// sweep over a dataset. register_model() compiles the network for its
+// own ArchParams once per uv mode and keeps both images as the model's
+// entry, so one process serves models deployed against mixed arch
+// configs. submit() copies the input, stamps it, and pushes it into a
+// bounded MPMC queue (serve/request_queue.hpp) keyed by (model,
+// priority, uv) lane. A free worker takes up to max_batch of the most
+// urgent lane's queued requests at once (it never waits for a batch to
+// fill), takes the lane's image from the model's entry, and runs each
+// request on the worker's private ExecutionEngine through the
+// zero-alloc ResultArena path. The SimResult plus
+// queueing/batching/execution timestamps come back through the
+// future.
 //
 // Results are bit-identical to System::simulate() for the same
 // (network, arch, input, uv) on both engine backends — batching only
@@ -31,7 +35,7 @@
 // seeded fault storms):
 //
 //   containment — an exception anywhere inside a worker's batch
-//     (engine run, zoo compile, arena reserve ...) fails exactly the
+//     (engine run, arena reserve ...) fails exactly the
 //     affected request(s) with ServeStatus::kEngineError carrying the
 //     exception message. The worker thread survives, the process
 //     survives, and no std::future is ever abandoned — every accepted
@@ -40,12 +44,6 @@
 //   deadlines — SubmitOptions::deadline_us bounds a request's useful
 //     life. Expired requests are shed as kDeadlineExceeded at
 //     batch-claim time, before any engine work is spent on them.
-//
-//   retry — a failure while resolving the compiled image (the
-//     transient class: an injected compile failure, an allocation
-//     hiccup) retries up to ServingOptions::max_retries with
-//     exponential backoff (retry_backoff_us, doubling) before the
-//     batch fails.
 //
 //   watchdog — when worker_stall_timeout_us > 0, a supervisor thread
 //     watches per-worker heartbeats; a worker that stalls mid-batch
@@ -83,14 +81,15 @@
 // per priority class.
 //
 // Fault points (common/fault.hpp) are threaded through the stack —
-// serve.queue.push, serve.worker.batch, serve.worker.hang,
-// serve.result.corrupt, zoo.compile, engine.run —
-// and are zero-cost no-ops unless a test arms them.
+// serve.queue.push, serve.breaker.probe, serve.worker.batch,
+// serve.worker.hang, serve.degrade.run, serve.result.corrupt,
+// engine.run — and are zero-cost no-ops unless a test arms them.
 //
-// Ownership: register_model keeps its own copy of the network, so
-// the caller's object may be destroyed or changed at once; requests
-// always run the version that was registered. The frontend joins its
-// workers in shutdown()/destructor after draining the queue.
+// Ownership: each of a model's images holds its own copy of the
+// network, so the caller's object may be destroyed or changed at once
+// after register_model; requests always run the version that was
+// registered. The frontend joins its workers in shutdown()/destructor
+// after draining the queue.
 
 #include <array>
 #include <atomic>
@@ -106,10 +105,10 @@
 #include "arch/params.hpp"
 #include "common/stats.hpp"
 #include "common/sync.hpp"
-#include "core/model_zoo.hpp"
 #include "nn/quantized.hpp"
 #include "serve/health.hpp"
 #include "serve/request_queue.hpp"
+#include "sim/compiled_network.hpp"
 #include "sim/engine.hpp"
 
 namespace sparsenn {
@@ -125,11 +124,6 @@ struct ServingOptions {
   std::size_t max_queued_per_model = 256;
   /// Backend each worker instantiates per arch config.
   EngineKind engine = EngineKind::kAnalytic;
-  /// Bounded retry for transient compile-image failures: attempts
-  /// beyond the first, with exponential backoff starting at
-  /// retry_backoff_us and doubling per attempt. 0 = fail fast.
-  std::uint32_t max_retries = 0;
-  std::uint64_t retry_backoff_us = 100;
   /// Worker watchdog: a worker busy on a batch that has not heartbeat
   /// within worker_stall_timeout_us is marked lost and replaced.
   /// 0 disables the watchdog (no supervisor thread is started).
@@ -216,7 +210,6 @@ struct ServingStats {
   std::uint64_t failed = 0;         ///< resolved kEngineError
   std::uint64_t deadline_shed = 0;  ///< subset of `shed`
   std::uint64_t circuit_shed = 0;   ///< subset of `shed` (breaker open)
-  std::uint64_t retries = 0;        ///< compile-image retry attempts
   std::uint64_t workers_restarted = 0;
   /// Per-priority-class breakdown (indexed by class_index); each
   /// class's own accounting identity holds exactly:
@@ -242,7 +235,11 @@ struct ServingStats {
   /// batch_size_counts[n-1] = micro-batches that closed with n
   /// requests (capped at the configured max_batch).
   std::vector<std::uint64_t> batch_size_counts;
+  /// Images register_model compiled: two per registered model (uv on
+  /// and off). perfbench reads both zoo_* names.
   std::uint64_t zoo_compiles = 0;
+  /// Batches that ran on one of those images (every batch that still
+  /// had a live request after the claim-time deadline sheds).
   std::uint64_t zoo_hits = 0;
 
   double shed_rate() const noexcept {
@@ -274,9 +271,9 @@ class ServingFrontend {
   ServingFrontend& operator=(const ServingFrontend&) = delete;
 
   /// Registers a deployable model under its own ArchParams (mixed
-  /// configs are served side by side through the arch-keyed
-  /// ModelZoo). The frontend keeps its own copy of `network` (see
-  /// Ownership above). Returns the handle submit() takes.
+  /// configs are served side by side): compiles its uv-on and uv-off
+  /// images, which hold their own copy of `network` (see Ownership
+  /// above). Returns the handle submit() takes.
   std::size_t register_model(const QuantizedNetwork& network,
                              const ArchParams& arch);
 
@@ -323,9 +320,11 @@ class ServingFrontend {
     std::vector<float> input;
     std::promise<ServeResult> promise;
   };
+  /// A registered model: its network compiled for its arch, once per
+  /// uv mode. Each image holds the network and the arch.
   struct ModelEntry {
-    QuantizedNetwork network;
-    ArchParams arch;
+    std::shared_ptr<const CompiledNetwork> uv_on;
+    std::shared_ptr<const CompiledNetwork> uv_off;
   };
   /// Per-worker supervision state. Stable address (owned via
   /// unique_ptr) because the worker thread and the watchdog both hold
@@ -340,8 +339,9 @@ class ServingFrontend {
   struct Lane;         // (model, priority, uv) queue lane key (frontend.cpp)
 
   void worker_main(Worker& self);
-  /// A copy of a registered model's entry (it shares the layers).
-  ModelEntry model_entry(std::size_t model) const
+  /// A registered model's image for one uv mode (a shared pin).
+  std::shared_ptr<const CompiledNetwork> model_image(
+      std::size_t model, bool use_predictor) const
       SPARSENN_EXCLUDES(models_mutex_);
   void process_batch(RequestQueue<Pending>::Batch& batch, WorkerLocal& local,
                      Worker& self);
@@ -358,13 +358,12 @@ class ServingFrontend {
   // Lock order (outermost first, never reversed):
   //   watchdog_mutex_ → workers_mutex_ | stats_mutex_
   //   models_mutex_ and stats_mutex_ are leaves (nothing is acquired
-  //   under them), and zoo_ takes its own mutex under none of these.
+  //   under them).
   //   The thread-safety analysis proves each field's guard below; the
   //   order itself is prose — clang has no lock-ordering capability —
   //   so keep this comment honest.
 
   ServingOptions options_;
-  ModelZoo zoo_;
   RequestQueue<Pending> queue_;
   ModelHealth health_;
   /// Brownout queue-depth trigger, precomputed from
@@ -376,7 +375,8 @@ class ServingFrontend {
 
   mutable sync::Mutex stats_mutex_;
   /// The frontend's own counters. The fields other components own
-  /// (batches, zoo_*, breaker_*) stay 0 here; stats() fills them in.
+  /// (batches, zoo_compiles, breaker_*) stay 0 here; stats() fills
+  /// them in.
   ServingStats stats_ SPARSENN_GUARDED_BY(stats_mutex_);
 
   mutable sync::Mutex workers_mutex_;

@@ -11,8 +11,8 @@
 //              BreakerOptions::failure_threshold transitions
 //              closed → open, and while open every new submission is
 //              shed immediately (ServeStatus::kShedCircuitOpen) so a
-//              persistently failing model stops burning queue slots,
-//              compile retries and worker time. After
+//              persistently failing model stops burning queue slots
+//              and worker time. After
 //              BreakerOptions::open_sheds sheds the breaker goes
 //              half-open and lets *probe* requests through: the first
 //              half-open submission always probes, later ones probe on

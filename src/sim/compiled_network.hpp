@@ -26,11 +26,10 @@
 // the same reason a copy or move of the image is as valid as the
 // original: both share the layer list their views point into.
 //
-// core/model_zoo.hpp closes the remaining recompile-per-call hole:
-// single-shot sweeps (System::simulate, the CLI simulate command, the
-// fig/ablation benches) fetch images from a ModelZoo — a thread-safe
-// LRU keyed on (arch, network version, uv mode) — instead of compiling
-// per call.
+// A deployment compiles its images once, one per uv mode, and keeps
+// them for every inference: System::prepare(),
+// ServingFrontend::register_model and the CLI simulate command each
+// build their own. An image costs one allocation (the slice table).
 
 #include <cstdint>
 #include <vector>

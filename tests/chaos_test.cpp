@@ -16,8 +16,8 @@
 // Storms are seeded and the framework's firing decisions are pure
 // functions of (seed, point, hit index), so a failing storm replays
 // from its seed. The FaultStorm.* suite pins the framework semantics
-// themselves; Containment/Retry/Watchdog pin each serving defence in
-// isolation; ChaosStorm composes them all.
+// themselves; Containment/Watchdog/Deadline pin each serving defence
+// in isolation; ChaosStorm composes them all.
 //
 // When SPARSENN_CHAOS_JSON names a file, the storm test writes a
 // machine-readable summary (CI uploads it as an artifact).
@@ -218,105 +218,6 @@ TEST(Containment, BatchLevelThrowFailsTheWholeBatchNotTheWorker) {
 }
 
 // ---------------------------------------------------------------------------
-// Retry: transient compile failures are absorbed up to max_retries.
-
-TEST(Retry, TransientCompileFailureIsRetriedAndSucceeds) {
-  const Fixture f = make_batch_fixture(4, /*seed=*/79);
-  ServingOptions options = chaos_options(/*workers=*/1);
-  options.max_retries = 3;
-  options.retry_backoff_us = 50;
-  ServingFrontend frontend(options);
-  const std::size_t model = frontend.register_model(f.network, tiny_arch());
-
-  fault::ScopedFaultStorm storm(17);
-  // The first compile attempt fails; the retry succeeds — within the
-  // budget, so the client never sees the fault.
-  storm.add({.point = "zoo.compile", .action = fault::FaultAction::kThrow,
-             .one_shot = true, .message = "transient compile failure"});
-
-  std::vector<std::future<ServeResult>> futures;
-  for (std::size_t i = 0; i < f.data.size(); ++i)
-    futures.push_back(frontend.submit(model, f.data.image(i)));
-  for (auto& fut : futures)
-    EXPECT_EQ(fut.get().status, ServeStatus::kOk);
-
-  EXPECT_EQ(fault::snapshot().at("zoo.compile").throws, 1u);
-  frontend.shutdown();
-  const ServingStats stats = frontend.stats();
-  EXPECT_EQ(stats.completed, f.data.size());
-  EXPECT_EQ(stats.failed, 0u);
-  EXPECT_GE(stats.retries, 1u);
-}
-
-TEST(Retry, ExhaustedRetriesFailTheBatchWithEngineError) {
-  const Fixture f = make_batch_fixture(3, /*seed=*/83);
-  ServingOptions options = chaos_options(/*workers=*/1);
-  options.max_retries = 2;
-  options.retry_backoff_us = 50;
-  ServingFrontend frontend(options);
-  const std::size_t model = frontend.register_model(f.network, tiny_arch());
-
-  fault::ScopedFaultStorm storm(19);
-  storm.add({.point = "zoo.compile", .action = fault::FaultAction::kThrow,
-             .probability = 1.0, .message = "persistent compile failure"});
-
-  std::vector<std::future<ServeResult>> futures;
-  for (std::size_t i = 0; i < f.data.size(); ++i)
-    futures.push_back(frontend.submit(model, f.data.image(i)));
-  std::uint64_t failed = 0;
-  for (auto& fut : futures) {
-    const ServeResult r = fut.get();
-    EXPECT_EQ(r.status, ServeStatus::kEngineError);
-    EXPECT_NE(r.error.find("persistent compile failure"),
-              std::string::npos);
-    ++failed;
-  }
-  frontend.shutdown();
-  const ServingStats stats = frontend.stats();
-  EXPECT_EQ(stats.failed, failed);
-  // Every batch burns the full retry budget before failing.
-  EXPECT_GE(stats.retries, 2u);
-  EXPECT_EQ(stats.submitted, stats.completed + stats.shed + stats.failed);
-}
-
-TEST(Retry, BackoffDoesNotSleepThroughARequestDeadline) {
-  // Regression: the retry loop used to sleep the full backoff even
-  // when every unresolved request's absolute deadline fell inside the
-  // sleep — the client then waited out the whole exponential-backoff
-  // ladder only to get kEngineError. Now requests whose deadline
-  // expires during the computed backoff are shed kDeadlineExceeded
-  // before the sleep (and the sleep is skipped when nothing survives).
-  const Fixture f = make_batch_fixture(2, /*seed=*/103);
-  ServingOptions options = chaos_options(/*workers=*/1);
-  options.max_retries = 3;
-  options.retry_backoff_us = 200000;  // 200ms, 400ms, 800ms ladder
-  ServingFrontend frontend(options);
-  const std::size_t model = frontend.register_model(f.network, tiny_arch());
-
-  fault::ScopedFaultStorm storm(31);
-  storm.add({.point = "zoo.compile", .action = fault::FaultAction::kThrow,
-             .probability = 1.0, .message = "persistent compile failure"});
-
-  SubmitOptions tight;
-  tight.deadline_us = 50000;  // expires inside the first 200ms backoff
-  const auto start = std::chrono::steady_clock::now();
-  const ServeResult r = frontend.submit(model, f.data.image(0), tight).get();
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-
-  EXPECT_EQ(r.status, ServeStatus::kDeadlineExceeded);
-  EXPECT_TRUE(r.result.layers.empty());
-  // Resolves as soon as the first attempt fails — far short of the
-  // 1.4s the full ladder would burn, and short of even one backoff.
-  EXPECT_LT(elapsed, 150ms);
-  frontend.shutdown();
-
-  const ServingStats stats = frontend.stats();
-  EXPECT_EQ(stats.deadline_shed, 1u);
-  EXPECT_EQ(stats.failed, 0u);
-  EXPECT_EQ(stats.submitted, stats.completed + stats.shed + stats.failed);
-}
-
-// ---------------------------------------------------------------------------
 // Watchdog: an injected hang is detected, capacity is restored, and
 // the hung batch still resolves.
 
@@ -406,13 +307,9 @@ std::map<std::string, fault::PointStats> run_seeded_storm(
              .probability = 0.2, .message = "injected engine crash"});
   storm.add({.point = "serve.result.corrupt",
              .action = fault::FaultAction::kCorrupt, .probability = 0.15});
-  storm.add({.point = "zoo.compile", .action = fault::FaultAction::kThrow,
-             .probability = 0.5, .message = "transient compile failure"});
 
   ServingOptions options = chaos_options(/*workers=*/1);
   options.max_batch = 1;
-  options.max_retries = 4;
-  options.retry_backoff_us = 10;
   ServingFrontend frontend(options);
   const std::size_t model = frontend.register_model(f.network, tiny_arch());
   // Strictly sequential: submit, await, next — the hit order at every
@@ -434,7 +331,7 @@ TEST(Reproducibility, SameSeedSameScheduleFiresIdenticalFaults) {
   EXPECT_GT(a.at("serve.result.corrupt").corruptions, 0u);
   const auto c = run_seeded_storm(777, f);
   // A different seed re-rolls every probability decision; identical
-  // firing counts across all three points is effectively impossible.
+  // firing counts across both points is effectively impossible.
   EXPECT_NE(a, c);
 }
 
@@ -469,8 +366,6 @@ TEST(ChaosStorm, ThousandsOfRequestsUnderARandomizedFaultStorm) {
   options.engine = EngineKind::kAnalytic;
   options.queue_capacity = 4096;
   options.max_queued_per_model = 4096;
-  options.max_retries = 2;
-  options.retry_backoff_us = 50;
   options.worker_stall_timeout_us = 10000;  // 10ms
   options.watchdog_interval_us = 2000;
   ServingFrontend frontend(options);
@@ -481,13 +376,6 @@ TEST(ChaosStorm, ThousandsOfRequestsUnderARandomizedFaultStorm) {
   fault::ScopedFaultStorm storm(kSeed);
   storm.add({.point = "engine.run", .action = fault::FaultAction::kThrow,
              .probability = 0.03, .message = "injected engine crash"});
-  storm.add({.point = "zoo.compile", .action = fault::FaultAction::kThrow,
-             .probability = 0.3, .message = "transient compile failure"});
-  // Guarantee at least one compile failure (and so at least one retry)
-  // regardless of which hit indices the seeded coin picks: the zoo
-  // compiles only a handful of images, too few for p=0.3 alone.
-  storm.add({.point = "zoo.compile", .action = fault::FaultAction::kThrow,
-             .one_shot = true, .message = "transient compile failure"});
   storm.add({.point = "serve.result.corrupt",
              .action = fault::FaultAction::kCorrupt, .probability = 0.02});
   storm.add({.point = "serve.worker.hang",
@@ -569,10 +457,8 @@ TEST(ChaosStorm, ThousandsOfRequestsUnderARandomizedFaultStorm) {
   // The storm actually stormed: each fault class fired.
   const auto fired = fault::snapshot();
   EXPECT_GT(fired.at("engine.run").throws, 0u);
-  EXPECT_GT(fired.at("zoo.compile").throws, 0u);
   EXPECT_GT(fired.at("serve.worker.hang").delays, 0u);
   EXPECT_GT(stats.failed, 0u);
-  EXPECT_GT(stats.retries, 0u);
   EXPECT_GE(stats.workers_restarted, 1u);
 
   // Optional machine-readable summary for the CI artifact.
@@ -585,7 +471,6 @@ TEST(ChaosStorm, ThousandsOfRequestsUnderARandomizedFaultStorm) {
        << ",\n  \"shed\": " << stats.shed
        << ",\n  \"deadline_shed\": " << stats.deadline_shed
        << ",\n  \"failed\": " << stats.failed
-       << ",\n  \"retries\": " << stats.retries
        << ",\n  \"workers_restarted\": " << stats.workers_restarted
        << ",\n  \"corrupted_detected\": " << corrupted
        << ",\n  \"accounting_exact\": "

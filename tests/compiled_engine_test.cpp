@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "core/model_zoo.hpp"
 #include "sim/accelerator.hpp"
 #include "sim/analytic_engine.hpp"
 #include "sim/batch_runner.hpp"
@@ -609,85 +608,6 @@ TEST(CompiledEngine, MovedFromNetworkStaysWhole) {
   const Vector x(24, 0.5f);
   EXPECT_EQ(fresh_run(a, x, true), fresh_run(original, x, true));
   // NOLINTEND(bugprone-use-after-move)
-}
-
-TEST(ModelZooCache, ReusesImagesUntilTheThresholdChanges) {
-  Rng rng{27};
-  QuantizedNetwork q = seeded_network(rng);
-  ModelZoo cache;
-  EXPECT_EQ(cache.compile_count(), 0u);
-
-  const std::shared_ptr<const CompiledNetwork> on =
-      cache.get(q, tiny_arch(), true);
-  const std::shared_ptr<const CompiledNetwork> off =
-      cache.get(q, tiny_arch(), false);
-  EXPECT_EQ(cache.compile_count(), 2u);
-  EXPECT_TRUE(on->use_predictor());
-  EXPECT_FALSE(off->use_predictor());
-
-  // Hits: the same version and uv mode → the same image, also for a
-  // copy of the network.
-  const QuantizedNetwork old = q;
-  EXPECT_EQ(cache.get(q, tiny_arch(), true), on);
-  EXPECT_EQ(cache.get(old, tiny_arch(), false), off);
-  EXPECT_EQ(cache.compile_count(), 2u);
-
-  // A threshold change makes a new version: the next get() compiles
-  // an image that carries the new threshold.
-  q.set_prediction_threshold(0.25);
-  const std::shared_ptr<const CompiledNetwork> on2 =
-      cache.get(q, tiny_arch(), true);
-  EXPECT_EQ(cache.compile_count(), 3u);
-  EXPECT_TRUE(on2->network().same_version(q));
-  EXPECT_EQ(on2->network().layer(0).prediction_threshold, 0.25);
-
-  // The old version's images stay valid and cached until evicted or
-  // invalidated.
-  EXPECT_EQ(on->network().layer(0).prediction_threshold, 0.0);
-  EXPECT_EQ(cache.get(old, tiny_arch(), true), on);
-  EXPECT_EQ(cache.invalidate(old), 2u);
-  EXPECT_FALSE(cache.contains(old, tiny_arch(), true));
-  EXPECT_TRUE(cache.contains(q, tiny_arch(), true));
-
-  cache.invalidate();
-  (void)cache.get(q, tiny_arch(), true);
-  EXPECT_EQ(cache.compile_count(), 4u);
-}
-
-TEST(ModelZooCache, AddressReuseNeverServesTheOldNetworksImage) {
-  // Regression guard for the cache key: System::prepare() re-emplaces
-  // its QuantizedNetwork into the same std::optional slot, so a new
-  // network can occupy a dead network's address. The key is the
-  // network version, which every image keeps alive, so the zoo must
-  // recompile.
-  Rng rng{35};
-  ModelZoo cache;
-  std::optional<QuantizedNetwork> slot(seeded_network(rng));
-  const std::shared_ptr<const CompiledNetwork> first =
-      cache.get(*slot, tiny_arch(), true);
-  EXPECT_EQ(cache.compile_count(), 1u);
-
-  slot.emplace(seeded_network(rng));  // same address, different weights
-  const std::shared_ptr<const CompiledNetwork> recompiled =
-      cache.get(*slot, tiny_arch(), true);
-  EXPECT_EQ(cache.compile_count(), 2u);
-  EXPECT_TRUE(recompiled->network().same_version(*slot));
-  EXPECT_FALSE(first->network().same_version(*slot));
-}
-
-TEST(ModelZooCache, CachedRunsBitIdenticalToUncached) {
-  const Fixture f = make_batch_fixture(5, /*seed=*/51);
-  ModelZoo cache;
-  AcceleratorSim sim(tiny_arch());
-  for (const bool uv_on : {true, false}) {
-    for (std::size_t i = 0; i < f.data.size(); ++i) {
-      const SimResult cached = sim.run(
-          *cache.get(f.network, tiny_arch(), uv_on), f.data.image(i));
-      EXPECT_EQ(cached, fresh_run(f.network, f.data.image(i), uv_on))
-          << "input " << i << " uv " << uv_on;
-    }
-  }
-  EXPECT_EQ(cache.compile_count(), 2u);  // one compile per uv mode
 }
 
 TEST(CompiledEngine, UvOffValidatesAgainstUvOffGoldenPath) {

@@ -3,7 +3,7 @@
 // slowest PE's shares of each), output logits and therefore argmax
 // labels — must be bit-exact vs the
 // cycle-accurate engine on real data, for both uv modes, from the same
-// ModelZoo-served compiled image. This is the contract that lets a
+// compiled image. This is the contract that lets a
 // serving path swap backends per request without changing a single
 // classification. On the paper's fabric the costs agree too: V/U/W
 // cycles, every event count (both engines count from the census,
@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "core/model_zoo.hpp"
 #include "data/dataset.hpp"
 #include "data/mnist_io.hpp"
 #include "nn/predictor.hpp"
@@ -33,6 +32,7 @@
 #include "sim/accelerator.hpp"
 #include "sim/analytic_engine.hpp"
 #include "sim/batch_runner.hpp"
+#include "sim/compiled_network.hpp"
 #include "sim/engine.hpp"
 #include "sim/result_arena.hpp"
 #include "sim_fixtures.hpp"
@@ -72,13 +72,12 @@ std::size_t argmax_i16(const std::vector<std::int16_t>& v) {
       std::max_element(v.begin(), v.end()) - v.begin());
 }
 
-/// Runs every image on both backends from one shared zoo image and
-/// asserts the prediction contract, plus, on this paper fabric, equal
-/// per-layer cycles, event counts and NoC flit counts.
+/// Runs every image on both backends from one shared compiled image
+/// per uv mode and asserts the prediction contract, plus, on this paper
+/// fabric, equal per-layer cycles, event counts and NoC flit counts.
 void expect_equivalent(const QuantizedNetwork& network,
                        const Matrix& images, std::size_t samples) {
   const ArchParams arch = ArchParams::paper();
-  ModelZoo zoo;
   const std::unique_ptr<ExecutionEngine> cycle =
       make_engine(EngineKind::kCycle, arch);
   const std::unique_ptr<ExecutionEngine> analytic =
@@ -89,10 +88,7 @@ void expect_equivalent(const QuantizedNetwork& network,
   samples = std::min(samples, images.rows());
   ASSERT_GT(samples, 0u);
   for (const bool uv_on : {true, false}) {
-    // Bind the pin, not a reference into a temporary shared_ptr.
-    const std::shared_ptr<const CompiledNetwork> image =
-        zoo.get(network, arch, uv_on);
-    const CompiledNetwork& compiled = *image;
+    const CompiledNetwork compiled(network, arch, uv_on);
     for (std::size_t i = 0; i < samples; ++i) {
       const SimResult exact =
           cycle->run(compiled, images.row(i), ValidationMode::kFull);
@@ -142,8 +138,6 @@ void expect_equivalent(const QuantizedNetwork& network,
       }
     }
   }
-  // One image per uv mode, compiled once each, shared by both backends.
-  EXPECT_EQ(zoo.compile_count(), 2u);
 }
 
 TEST(EngineEquivalence, ProceduralDigits) {

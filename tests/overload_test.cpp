@@ -37,6 +37,7 @@
 #include <cstdint>
 #include <future>
 #include <map>
+#include <span>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -64,6 +65,13 @@ std::vector<int> items_of(const RequestQueue<int>::Batch& batch) {
   std::vector<int> items;
   for (const auto& request : batch.requests) items.push_back(request.item);
   return items;
+}
+
+/// `image` one element short of the network's input width: the engines
+/// reject it ("input dimension mismatch"), so a model whose requests
+/// carry it fails every one of them.
+std::span<const float> one_short(std::span<const float> image) {
+  return image.first(image.size() - 1);
 }
 
 /// Polls the breaker state until it reaches `want` — the worker
@@ -437,18 +445,13 @@ TEST(CircuitBreaker, FailuresAreIsolatedPerModel) {
   const std::size_t a = frontend.register_model(model_a.network, tiny_arch());
   const std::size_t b = frontend.register_model(model_b.network, tiny_arch());
 
-  // Warm model A so its compiled image is cached — the armed compile
-  // fault below then only reaches model B (the zoo.compile point
-  // fires on the miss path only).
-  ASSERT_EQ(frontend.submit(a, model_a.data.image(0)).get().status,
-            ServeStatus::kOk);
-
-  fault::ScopedFaultStorm storm(37);
-  storm.add({.point = "zoo.compile", .action = fault::FaultAction::kThrow,
-             .probability = 1.0, .message = "persistent compile failure"});
-  for (std::size_t i = 0; i < 4; ++i)
-    EXPECT_EQ(frontend.submit(b, model_b.data.image(i)).get().status,
-              ServeStatus::kEngineError);
+  // Model B fails persistently: every request carries a short input.
+  for (std::size_t i = 0; i < 4; ++i) {
+    const ServeResult r =
+        frontend.submit(b, one_short(model_b.data.image(i))).get();
+    EXPECT_EQ(r.status, ServeStatus::kEngineError);
+    EXPECT_NE(r.error.find("input dimension mismatch"), std::string::npos);
+  }
   ASSERT_TRUE(wait_for_state(frontend, b, BreakerState::kOpen));
   EXPECT_EQ(frontend.submit(b, model_b.data.image(0)).get().status,
             ServeStatus::kShedCircuitOpen);
@@ -652,18 +655,13 @@ TEST(OverloadStorm, FloodShedsByClassBreaksTheFailingModelAndDegrades) {
     }
   };
 
-  // Warm model A (compiled-image cache) before arming compile faults.
-  ++submitted[class_index(Priority::kNormal)];
-  tally(frontend.submit(a, model_a.data.image(0)).get());
-
   double worst_high_us = 0.0;
   {
     fault::ScopedFaultStorm storm(20260807);
-    // Model B cannot compile for the whole storm; every batch also
-    // pays a 500µs entry delay so the flood genuinely outruns the
-    // workers and the queue rides its watermarks.
-    storm.add({.point = "zoo.compile", .action = fault::FaultAction::kThrow,
-               .probability = 1.0, .message = "persistent compile failure"});
+    // Model B fails for the whole storm (its requests carry a short
+    // input); every batch also pays a 500µs entry delay so the flood
+    // genuinely outruns the workers and the queue rides its
+    // watermarks.
     storm.add({.point = "serve.worker.batch",
                .action = fault::FaultAction::kDelay, .probability = 1.0,
                .delay_us = 500});
@@ -690,7 +688,8 @@ TEST(OverloadStorm, FloodShedsByClassBreaksTheFailingModelAndDegrades) {
       issued.push_back(Issued{
           input, pri,
           frontend.submit(model,
-                          (model == a ? model_a : model_b).data.image(input),
+                          model == a ? model_a.data.image(input)
+                                     : one_short(model_b.data.image(input)),
                           so)});
     }
 
@@ -711,8 +710,9 @@ TEST(OverloadStorm, FloodShedsByClassBreaksTheFailingModelAndDegrades) {
     }
   }
 
-  // Storm over: model B compiles again. Drive its breaker through the
-  // open budget and the seeded probes until it closes.
+  // Storm over: model B's requests carry whole inputs again. Drive its
+  // breaker through the open budget and the seeded probes until it
+  // closes.
   ASSERT_NE(frontend.breaker_state(b), BreakerState::kClosed);
   bool recovered = false;
   for (int i = 0; i < 300 && !recovered; ++i) {

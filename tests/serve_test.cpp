@@ -214,6 +214,8 @@ TEST_P(ServeEngines, ServedResultsBitIdenticalToDirectSimulation) {
   const Fixture f = make_batch_fixture(10, /*seed=*/51);
   ServingFrontend frontend(serving_options(GetParam()));
   const std::size_t model = frontend.register_model(f.network, tiny_arch());
+  // Registration compiles both uv images of the model.
+  EXPECT_EQ(frontend.stats().zoo_compiles, 2u);
 
   std::vector<std::future<ServeResult>> futures;
   for (std::size_t i = 0; i < f.data.size(); ++i)
@@ -245,8 +247,10 @@ TEST_P(ServeEngines, ServedResultsBitIdenticalToDirectSimulation) {
   EXPECT_EQ(stats.shed, 0u);
   EXPECT_EQ(stats.size_closes + stats.timeout_closes + stats.drain_closes,
             stats.batches);
-  // Two lanes (uv on/off) → exactly two compiles, everything else hits.
+  // The two registered images served every batch; nothing compiled
+  // after registration.
   EXPECT_EQ(stats.zoo_compiles, 2u);
+  EXPECT_EQ(stats.zoo_hits, stats.batches);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, ServeEngines,
@@ -256,9 +260,9 @@ INSTANTIATE_TEST_SUITE_P(Backends, ServeEngines,
 TEST(ServingFrontend, OwnsTheNetworksItServes) {
   // The frontend keeps its own copy of each registered network, so the
   // caller may destroy its object, or change its threshold, right after
-  // register_model. Thirteen models in both uv modes against the zoo's
-  // eight slots: the traffic evicts and recompiles images of networks
-  // whose caller-side objects are gone.
+  // register_model. Thirteen models in both uv modes: each one's two
+  // images are compiled at registration and serve all of its traffic
+  // after the caller-side objects are gone.
   constexpr std::size_t kDestroyed = 12;
   constexpr std::size_t kModels = kDestroyed + 1;  // + one re-thresholded
   const Fixture f = make_batch_fixture(8, /*seed=*/95);
@@ -290,6 +294,7 @@ TEST(ServingFrontend, OwnsTheNetworksItServes) {
       kept = std::move(network);
     }
   }
+  EXPECT_EQ(frontend.stats().zoo_compiles, 2 * kModels);
   kept->set_prediction_threshold(0.35);
   bool threshold_matters = false;  // else the last model proves nothing
   for (std::size_t i = 0; i < f.data.size(); ++i)
@@ -339,14 +344,14 @@ TEST(ServingFrontend, OwnsTheNetworksItServes) {
   EXPECT_EQ(stats.completed, kTotal);
   EXPECT_EQ(stats.shed, 0u);
   EXPECT_EQ(stats.failed, 0u);
-  // More compiles than slots: images were evicted and recompiled.
-  EXPECT_GT(stats.zoo_compiles, ModelZoo::kDefaultCapacity);
+  // Traffic in both uv modes compiled nothing more.
+  EXPECT_EQ(stats.zoo_compiles, 2 * kModels);
 }
 
 TEST(ServingFrontend, MixedArchConfigsServeSideBySide) {
-  // One arch-keyed zoo: one process, one frontend, two ArchParams.
-  // Each model's results must match a direct simulation under ITS
-  // arch.
+  // One process, one frontend, two ArchParams: each model's images
+  // are compiled for its own arch, and its results must match a direct
+  // simulation under ITS arch.
   const Fixture f = make_batch_fixture(4, /*seed=*/53);
   ArchParams wide = tiny_arch();
   wide.act_queue_depth = 4;
@@ -371,8 +376,8 @@ TEST(ServingFrontend, MixedArchConfigsServeSideBySide) {
     EXPECT_EQ(wide_futs[i].get().result,
               wide_engine->run(wide_img, f.data.image(i)));
   }
-  // One compile per (arch, uv-on) pair; no cross-arch aliasing.
-  EXPECT_EQ(frontend.stats().zoo_compiles, 2u);
+  // Two images per registered model, one per uv mode.
+  EXPECT_EQ(frontend.stats().zoo_compiles, 4u);
 }
 
 TEST(ServingFrontend, ShedsUnderOverloadInsteadOfQueueingUnboundedly) {
