@@ -30,7 +30,7 @@ constexpr auto later = [](const auto& a, const auto& b) {
 }  // namespace
 
 UpwardTree::UpwardTree(const ArchParams& params, RouterMode mode)
-    : radix_(params.router_radix), num_pes_(params.num_pes), mode_(mode) {
+    : radix_(params.router_radix), num_pes_(params.num_pes) {
   params.validate();
   num_leaves_ = static_cast<std::uint32_t>(num_pes_ / radix_);
   const std::size_t depth = buffer_depth_for(params);
@@ -68,7 +68,7 @@ UpwardTree::UpwardTree(const ArchParams& params, RouterMode mode)
   touched_at_.assign(num_routers, 0);
   offered_at_.assign(num_pes_, 0);
   injecting_.assign(num_pes_, 0);
-  for (auto* list : {&due_, &due_next_, &touched_, &drained_})
+  for (auto* list : {&due_, &due_next_, &touched_})
     list->reserve(num_routers);
   for (auto* list : {&offers_, &offers_next_}) list->reserve(num_pes_);
   grants_.reserve(num_routers);
@@ -91,17 +91,11 @@ void UpwardTree::reset() {
   std::fill(touched_at_.begin(), touched_at_.end(), 0);
   std::fill(offered_at_.begin(), offered_at_.end(), 0);
   std::fill(injecting_.begin(), injecting_.end(), 0);
-  for (auto* list :
-       {&due_, &due_next_, &offers_, &offers_next_, &touched_, &drained_})
+  for (auto* list : {&due_, &due_next_, &offers_, &offers_next_, &touched_})
     list->clear();
   grants_.clear();
   wakes_.clear();
   starts_.clear();
-}
-
-void UpwardTree::close_injector(std::size_t pe) {
-  expects(pe < num_pes_, "PE id out of range");
-  routers_[leaf_of_[pe]].set_port_closed(leaf_port_[pe], true);
 }
 
 std::optional<Flit> UpwardTree::step(bool root_ready) {
@@ -128,18 +122,6 @@ std::optional<Flit> UpwardTree::step(bool root_ready) {
   for (std::uint32_t id = 0; id < root; ++id) {
     if (outputs_[id])
       routers_[parent_of_[id]].push(port_of_[id], *outputs_[id]);
-  }
-
-  // In accumulate mode, propagate drained-subtree closure upward so a
-  // parent's ACC does not wait for children that will never send. The
-  // pass runs tier by tier, so a parent that drains with its last
-  // child closes its own parent's port in the same cycle.
-  if (mode_ == RouterMode::kAccumulate) {
-    for (std::uint32_t id = 0; id < root; ++id) {
-      const Router& child = routers_[id];
-      if (child.idle() && child.all_closed() && !outputs_[id])
-        routers_[parent_of_[id]].set_port_closed(port_of_[id], true);
-    }
   }
 
   // Re-derive the buffered total inside the commit pass; each router's
@@ -245,16 +227,11 @@ void UpwardTree::inject_lazy(std::size_t pe, const Flit& flit, bool more) {
   const std::uint32_t leaf = leaf_of_[pe];
   list_router(leaf, cycle_);
   injecting_[pe] = more ? 1 : 0;
-  if (more) {
-    // The PE keeps its offer while its port has room. Only this
-    // cycle's grant can add room before the next cycle, and the
-    // credit that grant returns offers the PE again.
-    if (routers_[leaf].can_accept(leaf_port_[pe]))
-      offer_injection(static_cast<std::uint32_t>(pe), cycle_ + 1);
-  } else if (mode_ == RouterMode::kAccumulate) {
-    // The leaf, settled by begin_cycle(), decides on the closed port.
-    routers_[leaf].set_port_closed(leaf_port_[pe], true);
-  }
+  // The PE keeps its offer while its port has room. Only this cycle's
+  // grant can add room before the next cycle, and the credit that
+  // grant returns offers the PE again.
+  if (more && routers_[leaf].can_accept(leaf_port_[pe]))
+    offer_injection(static_cast<std::uint32_t>(pe), cycle_ + 1);
 }
 
 std::optional<Flit> UpwardTree::step_lazy(bool root_ready) {
@@ -264,15 +241,9 @@ std::optional<Flit> UpwardTree::step_lazy(bool root_ready) {
   // Decide on begin-of-cycle state, like step(): a listed router
   // grants when it has an output decision and its parent port has
   // room; one that cannot stays frozen and is settled when something
-  // next changes it. A listed reduction router that is empty with
-  // every port closed has drained; its closure propagates below.
+  // next changes it.
   for (const std::uint32_t id : due_) {
-    Router& r = routers_[id];
-    if (!r.has_output()) {
-      if (mode_ == RouterMode::kAccumulate && r.idle() && r.all_closed())
-        drained_.push_back(id);
-      continue;
-    }
+    if (!routers_[id].has_output()) continue;
     Router& parent = routers_[parent_of_[id]];
     parent.settle(t - 1);
     if (parent.can_accept(port_of_[id])) touch(id, true);
@@ -295,10 +266,6 @@ std::optional<Flit> UpwardTree::step_lazy(bool root_ready) {
     ++buffered_total_;
     list_router(parent, t + 1);
   }
-  // Closures land after the pushes and before the commits, as in
-  // step(). A drained router takes no more flits, so it is still empty.
-  for (const std::uint32_t id : drained_) close_parent_port(id);
-  drained_.clear();
   for (const std::uint32_t id : touched_) {
     Router& r = routers_[id];
     buffered_total_ -= r.buffered();  // a reduction retires several
@@ -307,11 +274,10 @@ std::optional<Flit> UpwardTree::step_lazy(bool root_ready) {
   }
   touched_.clear();
 
-  // A router that granted may grant again (or have drained) next
-  // cycle, and each slot it freed reaches its child (a router, or a PE
-  // that still injects) credit_delay_ cycles from now. A reduction
-  // frees a slot in every port holding its row; waking every child is
-  // a superset, and a child with nothing to do is skipped.
+  // A router that granted may grant again next cycle, and each slot it
+  // freed reaches its child (a router, or a PE that still injects)
+  // credit_delay_ cycles from now. A reduction frees a slot in every
+  // port, so it wakes every child; one with nothing to do is skipped.
   for (const Grant& grant : grants_) {
     list_router(grant.router, t + 1);
     const bool every = grant.port == kEveryPort;
@@ -328,22 +294,6 @@ std::optional<Flit> UpwardTree::step_lazy(bool root_ready) {
     }
   }
   return out;
-}
-
-void UpwardTree::close_parent_port(std::uint32_t id) {
-  const std::uint64_t t = cycle_;
-  for (;;) {
-    const std::uint32_t parent_id = parent_of_[id];
-    Router& parent = routers_[parent_id];
-    if (parent.port_closed(port_of_[id])) return;
-    if (touched_at_[parent_id] != t) parent.settle(t);
-    parent.set_port_closed(port_of_[id], true);
-    // The root's decision is read by step_lazy() and next_cycle().
-    if (parent_id == root_id()) return;
-    list_router(parent_id, t + 1);
-    if (!parent.idle() || !parent.all_closed()) return;
-    id = parent_id;
-  }
 }
 
 void UpwardTree::schedule_wake(std::uint32_t target, std::uint64_t cycle) {

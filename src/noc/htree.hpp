@@ -8,7 +8,9 @@
 //   - kArbitrate: W-phase (and V-result redistribution) activation
 //     traffic, nonzero activations racing to the root;
 //   - kAccumulate: V-phase partial-sum reduction, where each level's
-//     ACC stage combines per-row partial sums.
+//     ACC stage combines per-row partial sums. Every PE sends one
+//     partial sum per row, in row order, so every router sums all of
+//     its ports in lock step.
 //
 // The root-to-PE direction is a contention-free pipelined multicast
 // (BroadcastChannel): one flit per cycle enters, and after a fixed
@@ -72,10 +74,6 @@ class UpwardTree {
     ++buffered_total_;
   }
 
-  /// Declares that PE `pe` will send nothing more this phase (used by
-  /// the ACC reduction to terminate cleanly).
-  void close_injector(std::size_t pe);
-
   /// Advances one cycle, visiting every router: the per-cycle
   /// reference the event-driven section below is held to.
   /// `root_ready` tells whether the consumer of the root output can
@@ -87,9 +85,9 @@ class UpwardTree {
   /// step()'s existing commit pass.
   bool idle() const noexcept { return buffered_total_ == 0; }
 
-  /// Empties every router, reopens all injectors and zeroes the phase
-  /// statistics — bit-identical to constructing a fresh tree, without
-  /// the allocations.
+  /// Empties every router and zeroes the phase statistics —
+  /// bit-identical to constructing a fresh tree, without the
+  /// allocations.
   void reset();
 
   NocStats stats() const;
@@ -102,26 +100,22 @@ class UpwardTree {
   // parent credit window repeats the same decision every cycle, so it
   // is not visited: its clock (the cycles it has committed) marks the
   // cycle its counters are settled to, and Router::settle adds the
-  // frozen cycles at once when a push, a grant, a port closure or a
-  // returning credit next changes it (or its parent's port is read),
-  // and at phase end. A cycle steps only the routers that may grant —
-  // those that granted, took a flit, had a port closed or had a parent
-  // credit return since the last cycle, and the root while its
-  // consumer is ready and it has an output decision — and offers
-  // injection only to PEs whose leaf port has room; a full port is
-  // offered again when the credit of its next grant returns. In
-  // kAccumulate mode a PE's leaf port closes with its last flit, and a
-  // subtree that drains (empty, every port closed, nothing sent this
-  // cycle) closes its port in the parent in the same cycle step()
-  // would. Bit-identical to inject(), close_injector() and step() on
-  // every cycle; tests/noc_fuzz_test.cpp and tests/event_core_test.cpp
-  // pin it.
+  // frozen cycles at once when a push, a grant or a returning credit
+  // next changes it (or its parent's port is read), and at phase end.
+  // A cycle steps only the routers that may grant — those that
+  // granted, took a flit or had a parent credit return since the last
+  // cycle, and the root while its consumer is ready and it has an
+  // output decision — and offers injection only to PEs whose leaf port
+  // has room; a full port is offered again when the credit of its next
+  // grant returns. Bit-identical to inject() and step() on every
+  // cycle; tests/noc_fuzz_test.cpp and tests/event_core_test.cpp pin
+  // it.
   //
   // One phase: reset(); add_injector() for every PE holding flits (in
-  // kAccumulate mode every PE must hold one, since a port closes only
-  // with its PE's last flit); then for t = next_cycle(·) (the first
-  // injector's cycle first, or any later cycle the caller has work
-  // in), until it returns kNoCycle and the caller has none:
+  // kAccumulate mode every PE, each holding the same rows, since a
+  // reduction waits for every port); then for t = next_cycle(·) (the
+  // first injector's cycle first, or any later cycle the caller has
+  // work in), until it returns kNoCycle and the caller has none:
   // begin_cycle(t), inject_lazy() for PEs it offers, then step_lazy();
   // finally settle(the phase's last cycle).
 
@@ -138,13 +132,12 @@ class UpwardTree {
   std::span<const std::uint32_t> begin_cycle(std::uint64_t t);
 
   /// Injects `flit` from `pe`, one of begin_cycle()'s PEs; `more` says
-  /// whether the PE holds further flits (in kAccumulate mode a PE with
-  /// none left closes its port).
+  /// whether the PE holds further flits.
   void inject_lazy(std::size_t pe, const Flit& flit, bool more);
 
   /// Steps this cycle's routers that may grant, with `root_ready` the
-  /// credit view of the root's consumer, and propagates the closures
-  /// of subtrees that drained. Returns the flit leaving the root.
+  /// credit view of the root's consumer. Returns the flit leaving the
+  /// root.
   std::optional<Flit> step_lazy(bool root_ready);
 
   /// The next cycle the tree has work in if the root's consumer stays
@@ -175,16 +168,9 @@ class UpwardTree {
   /// router or offers the PE injection then, queueing it in wakes_
   /// when that is later than the next cycle.
   void schedule_wake(std::uint32_t target, std::uint64_t cycle);
-  /// Router `id` drained this cycle: closes its port in the parent,
-  /// which is settled through this cycle first (its decision this
-  /// cycle saw the port open) and listed for the next; a parent that
-  /// drains with it closes its own parent's port in turn, as step()'s
-  /// tier-by-tier pass does.
-  void close_parent_port(std::uint32_t id);
 
   std::size_t radix_;
   std::size_t num_pes_;
-  RouterMode mode_;
   /// Every router by flat id: the leaves first, then tier by tier up
   /// to the root, last. A router's children (routers, or PEs for a
   /// leaf) are radix_ consecutive ids, so ascending ids walk the tree
@@ -207,8 +193,8 @@ class UpwardTree {
     std::uint32_t port;    ///< input port it granted, or kEveryPort
     Flit flit;
   };
-  /// A reduction's grant: it pops every port holding the row, so every
-  /// child may have a credit coming back.
+  /// A reduction's grant: it pops every port, so every child has a
+  /// credit coming back.
   static constexpr std::uint32_t kEveryPort = UINT32_MAX;
   /// A credit returning to a child, or a PE's first injection cycle:
   /// the router `target`, or the PE `target & ~kPeTarget` when
@@ -233,7 +219,6 @@ class UpwardTree {
   std::vector<std::uint32_t> offers_next_;  ///< ... next cycle
   std::vector<std::uint32_t> touched_;      ///< routers stepped now
   std::vector<Grant> grants_;               ///< this cycle's grants
-  std::vector<std::uint32_t> drained_;      ///< routers found drained
   RingBuffer<Wake> wakes_;  ///< credit returns later than next cycle
   /// First injections later than the next cycle: a min-heap on the
   /// cycle, since PEs start in no particular order.

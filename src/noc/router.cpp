@@ -1,7 +1,5 @@
 #include "noc/router.hpp"
 
-#include <algorithm>
-
 #include "common/check.hpp"
 
 namespace sparsenn {
@@ -23,7 +21,6 @@ Router::Router(std::size_t radix, std::size_t buffer_depth,
 void Router::reset() {
   for (Port& p : inputs_) {
     p.buffer.clear();
-    p.closed = false;
     p.pending_credits.clear();
   }
   stats_ = RouterStats{};
@@ -31,41 +28,23 @@ void Router::reset() {
   buffered_ = 0;
   granted_port_.reset();
   granted_all_ = false;
-  granted_row_cache_ = 0;
-}
-
-void Router::set_port_closed(std::size_t port, bool closed) {
-  expects(port < inputs_.size(), "router port out of range");
-  inputs_[port].closed = closed;
 }
 
 std::optional<Flit> Router::accumulate() {
-  // Wait until every open port has its head flit; closed ports with
-  // drained buffers drop out of the reduction. One pass decides: an
-  // empty open port means the ACC waits for the laggard no matter
-  // what the other ports hold, and an all-drained router has no data.
-  std::uint32_t row = UINT32_MAX;
-  bool any_data = false;
-  for (const Port& p : inputs_) {
-    if (p.buffer.empty()) {
-      if (!p.closed) return std::nullopt;  // ragged: wait for laggard
-      continue;
-    }
-    any_data = true;
-    row = std::min(row, p.buffer.front().index);
-  }
-  if (!any_data) return std::nullopt;
-
+  // Lock-step reduction: the ACC waits until every port holds a flit.
+  // Every child sends each row once, in row order, so the heads then
+  // carry the same row; a mismatch means the traffic broke that rule.
+  if (!has_output()) return std::nullopt;
   Flit combined;
-  combined.index = row;
+  combined.index = inputs_.front().buffer.front().index;
   for (const Port& p : inputs_) {
-    if (!p.buffer.empty() && p.buffer.front().index == row) {
-      combined.payload += p.buffer.front().payload;
-      combined.source = p.buffer.front().source;
-    }
+    const Flit& head = p.buffer.front();
+    ensures(head.index == combined.index,
+            "reduction ports hold different rows");
+    combined.payload += head.payload;
+    combined.source = head.source;
   }
   granted_all_ = true;
-  granted_row_cache_ = row;
   return combined;
 }
 
@@ -81,32 +60,19 @@ void Router::commit_grant() {
     ++stats_.flits_forwarded;
     ++stats_.busy_cycles;
   } else if (granted_all_) {
-    std::size_t contributors = 0;
     for (Port& p : inputs_) {
-      if (!p.buffer.empty() &&
-          p.buffer.front().index == granted_row_cache_) {
-        p.buffer.pop_front();
-        --buffered_;
-        if (track_credits)
-          p.pending_credits.push_back(now_ + credit_latency_);
-        ++contributors;
-      }
+      p.buffer.pop_front();
+      if (track_credits) p.pending_credits.push_back(now_ + credit_latency_);
     }
+    buffered_ -= inputs_.size();
     // A reduction's adds are charged once, when it commits: a decision
     // that a closed parent credit window cancels adds nothing.
-    ensures(contributors > 0, "accumulate fired without contributors");
-    stats_.acc_operations += contributors - 1;
+    stats_.acc_operations += inputs_.size() - 1;
     ++stats_.flits_forwarded;
     ++stats_.busy_cycles;
   }
   granted_port_.reset();
   granted_all_ = false;
-}
-
-bool Router::all_closed() const {
-  for (const Port& p : inputs_)
-    if (!p.closed) return false;
-  return true;
 }
 
 void Router::drop_expired_credits() {

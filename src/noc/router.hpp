@@ -7,8 +7,9 @@
 //     to the parent; the rest wait (buffered flow control). This is the
 //     source of out-of-order delivery across different subtrees.
 //
-//   kAccumulate — V-phase partial-sum reduction: the router waits until
-//     every connected child's head flit carries the same row index,
+//   kAccumulate — V-phase partial-sum reduction: every child sends
+//     one partial sum per row, in row order, so the router waits until
+//     every port holds a flit (all heads then carry the same row),
 //     adds the payloads in the ACC pipeline stage, and forwards one
 //     combined flit.
 //
@@ -74,10 +75,6 @@ class Router {
     ++buffered_;
   }
 
-  /// Marks a port as permanently drained for this phase (its child will
-  /// send nothing more); lets kAccumulate finish on ragged inputs.
-  void set_port_closed(std::size_t port, bool closed);
-
   /// Computes this cycle's output decision from begin-of-cycle state.
   /// `parent_ready` is the credit view toward the parent. Returns the
   /// flit that leaves this cycle, if any. Call commit() after every
@@ -98,22 +95,15 @@ class Router {
   }
 
   /// True when step() makes an output decision on the current state:
-  /// the router holds a flit and, in kAccumulate mode, every open port
-  /// holds one (otherwise the reduction waits for the laggard). Whether
-  /// the decision then leaves depends only on the parent's credit
-  /// window.
+  /// the router holds a flit and, in kAccumulate mode, every port holds
+  /// one (otherwise the reduction waits for the laggard). Whether the
+  /// decision then leaves depends only on the parent's credit window.
   bool has_output() const noexcept {
     if (buffered_ == 0) return false;
     if (mode_ == RouterMode::kArbitrate) return true;
     for (const Port& p : inputs_)
-      if (p.buffer.empty() && !p.closed) return false;
+      if (p.buffer.empty()) return false;
     return true;
-  }
-
-  /// True when input port `port` has been closed via set_port_closed.
-  bool port_closed(std::size_t port) const {
-    expects(port < inputs_.size(), "router port out of range");
-    return inputs_[port].closed;
   }
 
   /// Finalises the cycle: retires the granted flit, returns credits.
@@ -141,19 +131,16 @@ class Router {
   /// Flits currently sitting in the port buffers.
   std::size_t buffered() const noexcept { return buffered_; }
 
-  /// True when every input port has been closed (phase drained).
-  bool all_closed() const;
-
   /// Brings the router's clock (the cycles committed so far, which
   /// every counter covers) up to `cycle` through frozen cycles: no
-  /// push, pop or port closure changed the router, and it granted
-  /// nothing, because it had no output decision (empty, or a reduction
-  /// waiting for a laggard) or its decision waited on a closed parent
-  /// credit window the whole time. Each such cycle repeats the same
-  /// decision, so this is bit-identical to one step(false) + commit()
-  /// pair per cycle in that state: a cycle with a decision charges a
-  /// credit stall (and, when arbitrating between several head flits,
-  /// a conflict), occupancy accumulates the frozen buffer population,
+  /// push or pop changed the router, and it granted nothing, because
+  /// it had no output decision (empty, or a reduction waiting for a
+  /// laggard) or its decision waited on a closed parent credit window
+  /// the whole time. Each such cycle repeats the same decision, so
+  /// this is bit-identical to one step(false) + commit() pair per
+  /// cycle in that state: a cycle with a decision charges a credit
+  /// stall (and, when arbitrating between several head flits, a
+  /// conflict), occupancy accumulates the frozen buffer population,
   /// and in-flight credits expire exactly as they would have. Requires
   /// `cycle` at or after the clock. Inline: the event core settles a
   /// router before every read of its ports, mostly a no-op.
@@ -168,8 +155,8 @@ class Router {
   }
 
   /// Returns the router to its just-constructed state (empty buffers,
-  /// open ports, zeroed stats and cycle counter) without releasing any
-  /// storage — bit-identical to a freshly built router.
+  /// zeroed stats and cycle counter) without releasing any storage —
+  /// bit-identical to a freshly built router.
   void reset();
 
   const RouterStats& stats() const noexcept { return stats_; }
@@ -178,7 +165,6 @@ class Router {
   struct Port {
     /// Fixed ring of `buffer_depth_` flits, sized at construction.
     RingBuffer<Flit> buffer;
-    bool closed = false;
     /// Slots freed this cycle whose credit is still travelling back.
     std::vector<std::size_t> pending_credits;  ///< release cycle stamps
   };
@@ -225,7 +211,6 @@ class Router {
   std::size_t buffered_ = 0;                  ///< Σ port counts
   std::optional<std::size_t> granted_port_;   ///< arbitrate winner
   bool granted_all_ = false;                  ///< accumulate fired
-  std::uint32_t granted_row_cache_ = 0;       ///< row the ACC fired on
 };
 
 }  // namespace sparsenn

@@ -148,9 +148,6 @@ class ProcessingElement {
     expects(has_partial_ready(), "no partial sum ready");
     ++v_inject_cursor_;
   }
-  bool all_partials_sent() const noexcept {
-    return v_compute_done() && v_inject_cursor_ >= v_partials_.size();
-  }
   /// Broadcast V result arriving from the root (already rescaled).
   void receive_v_result(std::uint32_t row, std::int16_t value);
 

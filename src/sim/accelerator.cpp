@@ -5,7 +5,6 @@
 
 #include "common/check.hpp"
 #include "common/fault.hpp"
-#include "common/logging.hpp"
 #include "sim/census.hpp"
 #include "sim/result_arena.hpp"
 
@@ -158,6 +157,12 @@ void AcceleratorSim::run_layer_into(const CompiledNetwork& compiled,
                                                   layer, result)
                         : simulate_w_phase(result);
   result.total_cycles = result.v_cycles + result.u_cycles + result.w_cycles;
+  // The trees count the upward hops. The root-to-PE multicast crosses
+  // every router once per flit: one V result per row, and one W
+  // activation per nonzero input (both W phases ensure each was
+  // delivered).
+  result.v_noc.flit_hops += rank * params_.total_routers();
+  result.w_noc.flit_hops += result.nnz_inputs * params_.total_routers();
 
   // Gather the produced activations (and count computed rows).
   result.activations.assign(layer.out_dim(), 0);
@@ -188,7 +193,6 @@ std::uint64_t AcceleratorSim::simulate_v_phase(std::size_t rank,
   for (auto& pe : pes_) pe.start_v_phase();
 
   std::uint64_t cycles = 0;
-  v_closed_.assign(pes_.size(), false);
   // Every broadcast result reaches every PE in the same cycle, so one
   // maintained counter replaces the per-cycle all-PEs scan: the phase
   // ends when `rank` results have been delivered.
@@ -204,13 +208,6 @@ std::uint64_t AcceleratorSim::simulate_v_phase(std::size_t rank,
       } else if (pe.has_partial_ready() && tree.can_inject(i)) {
         tree.inject(i, pe.peek_partial());
         pe.pop_partial();
-        if (pe.all_partials_sent() && !v_closed_[i]) {
-          tree.close_injector(i);
-          v_closed_[i] = true;
-        }
-      } else if (pe.all_partials_sent() && !v_closed_[i]) {
-        tree.close_injector(i);
-        v_closed_[i] = true;
       }
     }
 
@@ -230,9 +227,6 @@ std::uint64_t AcceleratorSim::simulate_v_phase(std::size_t rank,
   }
 
   result.v_noc = tree.stats();
-  // Downward multicast traverses every router once per result flit.
-  result.v_noc.flit_hops +=
-      static_cast<std::uint64_t>(rank) * params_.total_routers();
   return cycles + params_.pe_pipeline_stages;
 }
 
@@ -308,8 +302,6 @@ std::uint64_t AcceleratorSim::simulate_w_phase(LayerSimResult& result) {
           "were injected");
 
   result.w_noc = tree.stats();
-  result.w_noc.flit_hops +=
-      delivered_count * params_.total_routers();  // downward multicast
   return cycles + params_.pe_pipeline_stages;
 }
 

@@ -147,7 +147,6 @@ class AcceleratorSim final : public ExecutionEngine {
   UpwardTree v_tree_;
   UpwardTree w_tree_;
   BroadcastChannel broadcast_;
-  std::vector<bool> v_closed_;  ///< per-PE injector-closed scratch
 
   SteppingMode stepping_ = SteppingMode::kEvent;
   EventCore event_core_;

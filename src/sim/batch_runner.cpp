@@ -118,12 +118,11 @@ BatchResult BatchRunner::run(const CompiledNetwork& compiled,
   const std::size_t threads = resolve_threads(options_, total);
   const bool have_labels = data.labels.size() >= total;
 
-  // With keep_results every SimResult lands in its input-index slot and
-  // aggregation happens after the join; without it each worker folds
-  // its inference into a private accumulator immediately, so peak
-  // memory stays O(threads) instead of O(batch).
+  // Each worker folds every inference into a private accumulator as it
+  // goes; with keep_results it also copies the SimResult into its
+  // input-index slot.
   std::vector<SimResult> results(options_.keep_results ? total : 0);
-  std::vector<WorkerAccum> accums(options_.keep_results ? 0 : threads);
+  std::vector<WorkerAccum> accums(threads);
   std::atomic<std::size_t> cursor{0};
   // The first worker to win this flag runs the batch's one validated
   // inference; everyone else trusts the engine from inference one (a
@@ -135,15 +134,13 @@ BatchResult BatchRunner::run(const CompiledNetwork& compiled,
     // One private engine per worker: backends carry per-inference
     // scratch (the cycle engine its per-PE register files and event
     // counters) across run() calls. The compiled image is shared
-    // read-only. Aggregate-only workers also carry a private
-    // ResultArena, pre-sized for the compiled image, so their
-    // steady-state inferences are allocation-free on the cycle
-    // backend: the SimResult is folded into the accumulator and its
-    // storage reused.
+    // read-only. Each worker also carries a private ResultArena,
+    // pre-sized for the compiled image, so its steady-state inferences
+    // are allocation-free unless results are kept: the SimResult is
+    // folded into the accumulator and its storage reused.
     const std::unique_ptr<ExecutionEngine> engine =
         make_engine(options_.engine.value_or(EngineKind::kCycle), params_);
-    ResultArena arena;
-    if (!options_.keep_results) arena.reserve(compiled);
+    ResultArena arena(compiled);
     try {
       while (true) {
         const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
@@ -153,17 +150,12 @@ BatchResult BatchRunner::run(const CompiledNetwork& compiled,
             !batch_validated.exchange(true, std::memory_order_relaxed);
         const ValidationMode mode =
             full ? ValidationMode::kFull : ValidationMode::kOff;
-        if (options_.keep_results) {
-          results[i] = engine->run(compiled, data.image(i), mode);
-        } else {
-          const SimResult& r =
-              engine->run(compiled, data.image(i), arena, mode);
-          const bool is_correct =
-              have_labels &&
-              argmax_i16(r.output) ==
-                  static_cast<std::size_t>(data.labels[i]);
-          accums[worker_id].absorb(r, is_correct);
-        }
+        const SimResult& r = engine->run(compiled, data.image(i), arena, mode);
+        const bool is_correct =
+            have_labels &&
+            argmax_i16(r.output) == static_cast<std::size_t>(data.labels[i]);
+        accums[worker_id].absorb(r, is_correct);
+        if (options_.keep_results) results[i] = r;
       }
     } catch (...) {
       cursor.store(total, std::memory_order_relaxed);  // stop the others
@@ -181,21 +173,11 @@ BatchResult BatchRunner::run(const CompiledNetwork& compiled,
   out.validated_inferences = batch_validated.load() ? 1 : 0;
   out.wall_seconds = std::chrono::duration<double>(stop - start).count();
 
-  // Deterministic merge: per-input results in input order, or worker
-  // accumulators in worker order — both are exact integer sums, so the
-  // totals are identical either way and for every thread count.
+  // Deterministic merge of the worker accumulators in worker order:
+  // every field is an exact integer sum, so the totals do not depend
+  // on which worker ran which input, nor on the thread count.
   WorkerAccum merged;
-  if (options_.keep_results) {
-    for (std::size_t i = 0; i < total; ++i) {
-      const bool is_correct =
-          have_labels &&
-          argmax_i16(results[i].output) ==
-              static_cast<std::size_t>(data.labels[i]);
-      merged.absorb(results[i], is_correct);
-    }
-  } else {
-    for (const WorkerAccum& accum : accums) merged.absorb(accum);
-  }
+  for (const WorkerAccum& accum : accums) merged.absorb(accum);
   out.total_cycles = merged.total_cycles;
   out.layers = std::move(merged.layers);
   for (const LayerBatchTotals& l : out.layers) out.total_events += l.events;

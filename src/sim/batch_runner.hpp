@@ -8,12 +8,11 @@
 // is compiled to its per-PE slice image exactly once per batch
 // (sim/compiled_network.hpp) and shared read-only by every worker:
 // per-inference work touches only input-dependent state.
-// Work is handed out through an atomic cursor, every inference writes
-// its SimResult into a preallocated slot indexed by input, and
-// aggregation happens after the join in input order. The merged
-// totals are therefore bit-identical regardless of thread count or OS
-// scheduling: integer sums over a fixed sequence do not depend on
-// which worker produced each element.
+// Work is handed out through an atomic cursor, and each worker folds
+// every inference it runs into a private accumulator; the accumulators
+// are merged after the join in worker order. Every total is an exact
+// integer sum, so it is bit-identical regardless of thread count or OS
+// scheduling: it does not depend on which worker ran which input.
 //
 // Every batch cross-checks exactly ONE inference against the golden
 // functional model — whichever worker claims the shared atomic flag
@@ -21,12 +20,12 @@
 // workers run the same compiled image, so one cross-check covers the
 // batch and the validation cost stays O(1) in the thread count.
 //
-// With keep_results=false each worker folds inferences into a private
-// accumulator through a per-worker ResultArena
-// (sim/result_arena.hpp): past the batch's single validated inference
-// a worker performs zero heap allocations per inference —
-// tests/result_arena_test pins the marginal allocation count at
-// exactly 0.
+// Every inference runs through the worker's ResultArena
+// (sim/result_arena.hpp); keep_results copies each result into a
+// preallocated slot indexed by input. Without it, past the batch's
+// single validated inference a worker performs zero heap allocations
+// per inference — tests/result_arena_test pins the marginal allocation
+// count at exactly 0.
 
 #include <cstdint>
 #include <optional>

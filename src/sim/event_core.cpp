@@ -37,8 +37,8 @@ std::uint64_t EventCore::run_v_phase(std::span<ProcessingElement> pes,
   std::uint64_t now = 0;  // last cycle run; the broadcast's clock
   std::uint64_t executed = 0;
   // Run only cycles in which something can happen — an injection, a
-  // reduction, a closure or a delivery — and jump straight to the
-  // next, until every PE holds all `rank` results.
+  // reduction or a delivery — and jump straight to the next, until
+  // every PE holds all `rank` results.
   for (std::uint64_t t = tree.next_cycle(true); results_delivered < rank;) {
     ensures(t < kCycleLimit, "V-phase deadlock");
     ++executed;
@@ -72,9 +72,6 @@ std::uint64_t EventCore::run_v_phase(std::span<ProcessingElement> pes,
   stats_.events_executed += executed;
 
   result.v_noc = tree.stats();
-  // Downward multicast traverses every router once per result flit.
-  result.v_noc.flit_hops +=
-      static_cast<std::uint64_t>(rank) * params_.total_routers();
   return now + params_.pe_pipeline_stages;
 }
 
@@ -176,8 +173,6 @@ std::uint64_t EventCore::run_w_phase(std::span<ProcessingElement> pes,
   stats_.events_executed += executed;
 
   result.w_noc = tree.stats();
-  result.w_noc.flit_hops +=
-      delivered * params_.total_routers();  // downward multicast
   return cycles + params_.pe_pipeline_stages;
 }
 

@@ -10,18 +10,17 @@
 // routers that may grant: an empty router, a reduction waiting for a
 // laggard port, or a router whose parent port is full repeats the
 // same decision every cycle, so its counters are settled in one go
-// when a push, a grant, a port closure or a returning credit next
-// changes it, and at phase end. A PE is offered injection only while
-// its leaf port has room, and again when that port's next credit
-// returns.
+// when a push, a grant or a returning credit next changes it, and at
+// phase end. A PE is offered injection only while its leaf port has
+// room, and again when that port's next credit returns.
 //
 //   V phase — every PE's local column-MAC burst is a deterministic
 //     number of cycles known at phase start, so the whole burst runs
 //     up front through the vectorised kernel, and the PE is first
-//     offered injection the cycle after its burst ends. Its leaf port
-//     closes with its last partial sum, and a drained subtree closes
-//     its port in the parent. The loop runs only the cycles in which
-//     a PE injects, a reduction fires, a port closes or a result is
+//     offered injection the cycle after its burst ends. Every PE then
+//     sends one partial sum per row, in row order, and each router
+//     sums a row once all of its ports hold it. The loop runs only the
+//     cycles in which a PE injects, a reduction fires or a result is
 //     delivered, and jumps straight to the next.
 //
 //   W phase — PE timing is decoupled from PE data. The PE side is one
@@ -87,9 +86,9 @@ class EventCore {
 
   /// Event-driven V phase: identical contract and observables to
   /// AcceleratorSim::simulate_v_phase. `from_frac`/`mid_frac` are the
-  /// root rescale formats. Fills result.v_noc (including the downward
-  /// multicast hops) and returns the phase cycles including the PE
-  /// pipeline drain.
+  /// root rescale formats. Fills result.v_noc with the tree's upward
+  /// statistics (the caller adds the downward multicast hops) and
+  /// returns the phase cycles including the PE pipeline drain.
   std::uint64_t run_v_phase(std::span<ProcessingElement> pes,
                             UpwardTree& tree, BroadcastChannel& broadcast,
                             std::size_t rank, int from_frac, int mid_frac,
@@ -98,8 +97,8 @@ class EventCore {
   /// Event-driven W phase: identical contract and observables to
   /// AcceleratorSim::simulate_w_phase (start_w_phase through the last
   /// drained cycle, then the whole-layer data pass over `layer`'s W).
-  /// Fills result.w_noc and returns the phase cycles including the PE
-  /// pipeline drain.
+  /// Fills result.w_noc like run_v_phase and returns the phase cycles
+  /// including the PE pipeline drain.
   std::uint64_t run_w_phase(std::span<ProcessingElement> pes,
                             UpwardTree& tree, BroadcastChannel& broadcast,
                             const QuantizedLayer& layer,

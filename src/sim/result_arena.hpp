@@ -13,12 +13,12 @@
 // (tests/result_arena_test asserts exactly 0, for both engines).
 //
 // The arena is single-owner scratch, exactly like the engine it feeds:
-// one arena per worker thread (BatchRunner's keep_results=false path
-// creates one next to each worker's private engine, cycle or
-// analytic). The SimResult returned by the arena entry point is a
-// reference into the arena and is overwritten by the next run — copy
-// it out (heap path) if it must survive, or fold it into an
-// accumulator before the next call (the batch path).
+// one arena per worker thread (BatchRunner creates one next to each
+// worker's private engine, cycle or analytic). The SimResult returned
+// by the arena entry point is a reference into the arena and is
+// overwritten by the next run — copy it out if it must survive
+// (BatchRunner's keep_results does), or fold it into an accumulator
+// before the next call (the batch path).
 //
 // Validation note: ValidationMode::kFull recomputes the golden
 // functional model alongside the simulation, which allocates per layer

@@ -155,7 +155,6 @@ TEST(NocFuzzReduction, StochasticReductionStaysExact) {
       }
     }
 
-    std::vector<bool> closed(params.num_pes, false);
     std::vector<std::int64_t> sums;
     std::uint64_t guard = 0;
     while (sums.size() < rank) {
@@ -165,10 +164,6 @@ TEST(NocFuzzReduction, StochasticReductionStaysExact) {
             rng.bernoulli(0.7)) {
           tree.inject(pe, pending[pe].front());
           pending[pe].erase(pending[pe].begin());
-          if (pending[pe].empty()) {
-            tree.close_injector(pe);
-            closed[pe] = true;
-          }
         }
       }
       if (const auto out = tree.step(rng.bernoulli(0.8))) {
@@ -208,15 +203,12 @@ struct Traffic {
 };
 
 /// Arbitrate traffic is what an LNZD produces: ascending activation
-/// indices per PE, some PEs silent. Reduction traffic is ascending
-/// rows from a rank, every PE sending at least one (its port closes
-/// with its last); most PEs send every row, as in the V phase, and the
-/// rest a ragged subset, so reductions fire on some ports only.
+/// indices per PE, some PEs silent. Reduction traffic is the V phase's:
+/// every PE sends every row of a rank, in row order.
 Traffic make_traffic(const ArchParams& params, RouterMode mode, Rng& rng) {
   Traffic traffic;
   traffic.flits.resize(params.num_pes);
   const std::size_t rank = 1 + rng.uniform_index(16);
-  const bool every_row = rng.bernoulli(0.5);
   for (std::size_t pe = 0; pe < params.num_pes; ++pe) {
     std::vector<Flit>& flits = traffic.flits[pe];
     const auto flit = [&](std::uint32_t index) {
@@ -235,8 +227,7 @@ Traffic make_traffic(const ArchParams& params, RouterMode mode, Rng& rng) {
       }
     } else {
       for (std::uint32_t row = 0; row < rank; ++row)
-        if (every_row || rng.bernoulli(0.6)) flits.push_back(flit(row));
-      if (flits.empty()) flits.push_back(flit(0));
+        flits.push_back(flit(row));
     }
     traffic.first.push_back(1 + rng.uniform_index(24));
   }
@@ -255,11 +246,11 @@ struct RootFlit {
 };
 
 /// The reference: step() every cycle, with every PE injecting whenever
-/// its leaf port has room from its first cycle on (a reduction PE
-/// closing its port with its last flit), until the tree has drained.
-/// Returns the flits leaving the root, and the last cycle in `end`.
-std::vector<RootFlit> run_step(UpwardTree& tree, RouterMode mode,
-                               const Traffic& traffic, std::uint64_t& end) {
+/// its leaf port has room from its first cycle on, until the tree has
+/// drained. Returns the flits leaving the root, and the last cycle in
+/// `end`.
+std::vector<RootFlit> run_step(UpwardTree& tree, const Traffic& traffic,
+                               std::uint64_t& end) {
   std::vector<RootFlit> out;
   std::vector<std::size_t> sent(traffic.flits.size(), 0);
   std::size_t left = 0;
@@ -277,8 +268,6 @@ std::vector<RootFlit> run_step(UpwardTree& tree, RouterMode mode,
         continue;
       tree.inject(pe, flits[sent[pe]++]);
       --left;
-      if (mode == RouterMode::kAccumulate && sent[pe] == flits.size())
-        tree.close_injector(pe);
     }
     if (const auto flit = tree.step(traffic.root_ready(t)))
       out.push_back({t, *flit});
@@ -374,7 +363,7 @@ TEST(NocLazyDifferential, MatchesStepEveryCycle) {
         lazy.reset();
         std::uint64_t end = 0;
         const std::vector<RootFlit> expected =
-            run_step(reference, mode, traffic, end);
+            run_step(reference, traffic, end);
         EXPECT_EQ(run_lazy(lazy, traffic, end), expected);
         EXPECT_EQ(lazy.stats(), reference.stats());
         EXPECT_TRUE(lazy.idle());

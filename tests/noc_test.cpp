@@ -111,19 +111,16 @@ TEST(Router, AccumulateWaitsForLaggards) {
   EXPECT_EQ(out->payload, 26);
 }
 
-TEST(Router, AccumulateSkipsClosedPorts) {
+TEST(Router, AccumulateRejectsMismatchedRows) {
+  // Every child sends each row once, in row order, so a full set of
+  // heads always carries one row; any other traffic is a protocol
+  // violation, not a partial reduction.
   Router r(4, 4, 1, RouterMode::kAccumulate);
-  r.set_port_closed(2, true);
-  r.set_port_closed(3, true);
   r.push(0, flit(0, 5));
-  r.push(1, flit(0, 7));
-  const auto out = r.step(true);
-  ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(out->payload, 12);
-  EXPECT_FALSE(r.all_closed());
-  r.set_port_closed(0, true);
-  r.set_port_closed(1, true);
-  EXPECT_TRUE(r.all_closed());
+  r.push(1, flit(0, 6));
+  r.push(2, flit(0, 7));
+  r.push(3, flit(1, 8));
+  EXPECT_THROW(r.step(true), InvariantError);
 }
 
 TEST(Router, AccumulateSequenceOfRows) {
@@ -291,7 +288,6 @@ TEST(HTree, ReductionComputesExactSums) {
     }
   }
 
-  std::vector<bool> closed(params.num_pes, false);
   std::vector<std::int64_t> sums;
   std::uint64_t guard = 0;
   while (sums.size() < rank) {
@@ -300,10 +296,6 @@ TEST(HTree, ReductionComputesExactSums) {
       if (!pending[pe].empty() && tree.can_inject(pe)) {
         tree.inject(pe, pending[pe].front());
         pending[pe].erase(pending[pe].begin());
-        if (pending[pe].empty() && !closed[pe]) {
-          tree.close_injector(pe);
-          closed[pe] = true;
-        }
       }
     }
     if (const auto out = tree.step(true)) {
@@ -336,7 +328,6 @@ TEST(HTree, FlightCyclesMatchTreeAndBroadcast) {
           const auto row = static_cast<std::uint32_t>(
               mode == RouterMode::kAccumulate ? 0 : pe);
           tree.inject(pe, flit(row, 1, static_cast<std::uint16_t>(pe)));
-          tree.close_injector(pe);
         }
         std::uint64_t delivered_at = 0;
         for (std::uint64_t cycle = 1; cycle < 100 && !delivered_at;

@@ -62,8 +62,8 @@ TEST(ResultArena, SteadyStateInferencesAreAllocationFree) {
           make_engine(kind, tiny_arch());
       ResultArena arena(compiled);
 
-      // One warm-up inference grows the engine's own scratch (PE scan
-      // buffers, the injector-closed flags) to its steady capacity.
+      // One warm-up inference grows the engine's own scratch (the PE
+      // scan buffers) to its steady capacity.
       (void)engine->run(compiled, f.data.image(0), arena,
                         ValidationMode::kOff);
 
